@@ -6,7 +6,8 @@
 //! figure (the harness binary prints the actual rows):
 //!
 //! - `table1` — baseline (basic-block) compaction + timing simulation;
-//! - `fig4` — the full M4 and P4 pipelines with ideal I-cache timing;
+//! - `fig4` — the full guarded M4 and P4 pipelines with ideal I-cache
+//!   timing;
 //! - `fig5` — P4/P4e with layout + I-cache simulation;
 //! - `fig6` — M16 vs P4e formation;
 //! - `fig7` — dynamic superblock statistics collection;
@@ -15,8 +16,8 @@
 //! - `ablate` — compactor feature ablations (renaming, speculation,
 //!   realistic latencies).
 
-use pps_compact::CompactConfig;
-use pps_core::{form_and_compact, FormConfig, Scheme};
+use pps_compact::{CompactConfig, CompactedProgram};
+use pps_core::{guarded_form_and_compact, FormConfig, GuardConfig, Scheme};
 use pps_ir::interp::ExecConfig;
 use pps_ir::trace::TeeSink;
 use pps_ir::{Exec, Program};
@@ -37,8 +38,34 @@ pub fn profile(bench: &Benchmark) -> (EdgeProfile, PathProfile) {
     (tee.a.finish(), tee.b.finish())
 }
 
-/// Runs formation + compaction for one scheme, returning the transformed
-/// program and its timing on the testing input (ideal I-cache).
+/// Formation + compaction behind the recovery boundary, with the training
+/// input as the oracle input — the path `run_scheme` takes.
+fn guarded_pipeline(
+    bench: &Benchmark,
+    program: &mut Program,
+    scheme: Scheme,
+    edge: &EdgeProfile,
+    path: &PathProfile,
+) -> CompactedProgram {
+    let guard = GuardConfig {
+        oracle_inputs: vec![bench.train_args.clone()],
+        ..GuardConfig::default()
+    };
+    guarded_form_and_compact(
+        program,
+        edge,
+        Some(path),
+        scheme,
+        &FormConfig::default(),
+        &CompactConfig::default(),
+        &guard,
+    )
+    .expect("pipeline")
+    .compacted
+}
+
+/// Runs guarded formation + compaction for one scheme, returning the
+/// transformed program and its timing on the testing input (ideal I-cache).
 pub fn pipeline_ideal(
     bench: &Benchmark,
     scheme: Scheme,
@@ -46,15 +73,7 @@ pub fn pipeline_ideal(
     path: &PathProfile,
 ) -> (Program, SimOutcome) {
     let mut program = bench.program.clone();
-    let (compacted, _) = form_and_compact(
-        &mut program,
-        edge,
-        Some(path),
-        scheme,
-        &FormConfig::default(),
-        &CompactConfig::default(),
-    )
-    .expect("pipeline");
+    let compacted = guarded_pipeline(bench, &mut program, scheme, edge, path);
     let machine = MachineConfig::paper();
     let out = simulate(&program, &compacted, &machine, None, &bench.test_args)
         .expect("test run");
@@ -65,15 +84,7 @@ pub fn pipeline_ideal(
 pub fn pipeline_icache(bench: &Benchmark, scheme: Scheme) -> SimOutcome {
     let (edge, path) = profile(bench);
     let mut program = bench.program.clone();
-    let (compacted, _) = form_and_compact(
-        &mut program,
-        &edge,
-        Some(&path),
-        scheme,
-        &FormConfig::default(),
-        &CompactConfig::default(),
-    )
-    .expect("pipeline");
+    let compacted = guarded_pipeline(bench, &mut program, scheme, &edge, &path);
     let machine = MachineConfig::paper();
     let train = simulate(&program, &compacted, &machine, None, &bench.train_args)
         .expect("layout run");

@@ -9,9 +9,11 @@
 //!
 //! - every failure class has a typed [`PipelineError`];
 //! - [`guarded_form_and_compact`] processes one procedure at a time inside a
-//!   recovery boundary: panics are caught, the structural verifier and a
-//!   seeded differential-interpretation oracle check the result, and on any
-//!   failure the procedure is rolled back to its pre-pass state;
+//!   recovery boundary: panics are caught, the structural verifier checks
+//!   the result, and on any failure the procedure is rolled back to its
+//!   pre-pass state; a seeded differential-interpretation oracle then
+//!   checks the whole transformed program once, replaying procedure by
+//!   procedure only when that pass fails;
 //! - in [`GuardMode::Degrade`] a failed procedure falls back to the
 //!   basic-block (singleton superblock) baseline and the run continues,
 //!   with a structured [`Incident`] recorded; in [`GuardMode::Strict`] the
@@ -42,7 +44,7 @@ use pps_compact::{
 use pps_ir::analysis::Cfg;
 use pps_ir::interp::{BoundedRun, ExecConfig, ExecError};
 use pps_ir::verify::{verify_program, VerifyError};
-use pps_ir::{AnalysisCache, Exec, ProcId, Program};
+use pps_ir::{AnalysisCache, Exec, Proc, ProcId, Program};
 use pps_obs::{ArgValue, Level, Obs};
 use pps_profile::{EdgeProfile, PathProfile};
 use std::fmt;
@@ -309,11 +311,20 @@ pub struct GuardedResult {
 /// Forms and compacts `program` with per-procedure recovery.
 ///
 /// Procedures are processed in order. For each one, formation + compaction
-/// run inside `catch_unwind`; afterwards the structural verifier and (when
-/// `guard.oracle_inputs` is non-empty) the differential oracle check the
-/// whole transformed program. On failure the procedure is restored from a
-/// snapshot and — in degrade mode — re-compacted as basic-block singletons,
-/// so the returned schedules always cover every procedure.
+/// run inside `catch_unwind` and the structural verifier checks the whole
+/// transformed program. The differential oracle (when `guard.oracle_inputs`
+/// is non-empty) is deferred: one pass over the finished program judges
+/// every procedure at once, and only if it fails are the procedures
+/// reinstalled one at a time, in order, with the oracle after each. A
+/// failed procedure is restored from its snapshot and — in degrade mode —
+/// re-compacted as basic-block singletons, so the returned schedules always
+/// cover every procedure.
+///
+/// Formation and compaction of a procedure read only that procedure, so
+/// the replay reproduces the per-procedure verdicts exactly. The one
+/// difference from checking after every procedure: two miscompiles that
+/// cancel out on every oracle input are accepted, since the program that
+/// ships matches the original on all of them.
 ///
 /// When nothing fails this computes exactly what
 /// [`crate::pipeline::form_and_compact`] computes (same per-procedure
@@ -347,10 +358,12 @@ pub fn guarded_form_and_compact(
 }
 
 /// [`guarded_form_and_compact`] with observability: per-procedure
-/// `schedule-proc` spans (with `form` / `compact` / `guard-verify` /
-/// `oracle` children), `guard.incidents` counters labeled by failure kind
-/// and pass, `guard.degraded_procs`, and one `incident` trace event plus a
-/// warning log line per recovered failure.
+/// `schedule-proc` spans (with `form` / `compact` / `guard-verify`
+/// children), one `oracle` span per settle (with an `oracle-replay` child
+/// per procedure when the whole-program pass failed), `guard.incidents`
+/// counters labeled by failure kind and pass, `guard.degraded_procs`, and
+/// one `incident` trace event plus a warning log line per recovered
+/// failure.
 ///
 /// # Errors
 /// As [`guarded_form_and_compact`].
@@ -375,6 +388,7 @@ pub fn guarded_form_and_compact_obs(
         guard,
         obs,
         &mut |_, _| {},
+        Settle::Deferred,
     )
 }
 
@@ -385,6 +399,10 @@ pub fn guarded_form_and_compact_obs(
 /// to emulate a buggy pass (`pps_ir::fault::FaultInjector` corrupting the
 /// just-scheduled procedure). The hook must only mutate procedure `pid`:
 /// the recovery boundary snapshots and restores exactly that procedure.
+///
+/// The hook may read the whole program, so with a hook the oracle settles
+/// after every procedure: each call sees the earlier procedures in their
+/// final (accepted or degraded) form, and nothing pending.
 ///
 /// # Errors
 /// As [`guarded_form_and_compact`].
@@ -409,6 +427,7 @@ pub fn guarded_form_and_compact_hooked(
         guard,
         &Obs::noop(),
         post_pass,
+        Settle::PerProc,
     )
 }
 
@@ -433,7 +452,20 @@ pub fn guarded_form_and_compact_hooked_obs(
 ) -> Result<GuardedResult, PipelineError> {
     guarded_impl(
         program, edge, path, scheme, form_config, compact_config, guard, obs, post_pass,
+        Settle::PerProc,
     )
+}
+
+/// When the differential oracle judges scheduled procedures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settle {
+    /// Once over the whole transformed program, replaying per procedure
+    /// only when that pass fails.
+    Deferred,
+    /// After every procedure, before the next one is scheduled: a post-pass
+    /// hook may observe the whole program, so it must see exactly the
+    /// settled earlier procedures.
+    PerProc,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -447,126 +479,293 @@ fn guarded_impl(
     guard: &GuardConfig,
     obs: &Obs,
     post_pass: &mut dyn FnMut(&mut Program, ProcId),
+    settle: Settle,
 ) -> Result<GuardedResult, PipelineError> {
     if scheme.needs_path_profile() && path.is_none() {
         return Err(PipelineError::MissingPathProfile { scheme: scheme.name() });
     }
 
-    // Ground truth for the oracle: the untransformed program's behaviour.
-    let baseline_config = ExecConfig {
-        max_instrs: guard.step_budget,
-        ..ExecConfig::default()
-    };
-    let baselines: Vec<Result<BoundedRun, ExecError>> = {
-        let _span = obs.span("oracle-baseline").arg("inputs", guard.oracle_inputs.len());
-        let exec = Exec::new(program, baseline_config);
-        guard
-            .oracle_inputs
-            .iter()
-            .map(|args| exec.run_bounded(args))
-            .collect()
-    };
-
-    // Decoded-stream cache for the per-procedure oracle runs below: after
-    // each attempt only procedure `pid` has a new generation, so only it
-    // re-decodes.
-    let mut oracle_cache = AnalysisCache::new();
-
-    let mut stats = FormStats {
-        static_before: program.static_size() as u64,
-        ..FormStats::default()
-    };
-    // `static_after` measures the *formed* program (pre-compaction stubs),
-    // matching `form_program`; accumulated per procedure since formation and
-    // compaction interleave here.
-    let mut static_after: u64 = 0;
-    let mut partition: Vec<Vec<SuperblockSpec>> = Vec::with_capacity(program.procs.len());
-    let mut compacted: Vec<CompactedProc> = Vec::with_capacity(program.procs.len());
-    let mut report = GuardReport {
-        total_procs: program.procs.len(),
-        ..GuardReport::default()
-    };
-
+    let mut run = GuardRun::new(program, guard, compact_config, obs);
     for pi in 0..program.procs.len() {
         let pid = ProcId::new(pi as u32);
-        let proc_name = program.proc(pid).name.clone();
+        let name = program.proc(pid).name.clone();
         let snapshot = program.proc(pid).clone();
-        let stats_snapshot = stats;
+        // This procedure's own formation counters; folded into the run's
+        // totals only once the procedure is accepted.
+        let mut stats = FormStats::default();
 
-        let proc_obs = obs.with_label("proc", proc_name.as_str());
-        let proc_span = proc_obs.span("schedule-proc").arg("proc", proc_name.as_str());
-        let attempt = attempt_proc(
-            program, pid, edge, path, scheme, form_config, compact_config, guard, &baselines,
-            &mut stats, post_pass, &mut oracle_cache, &proc_obs,
+        let proc_obs = obs.with_label("proc", name.as_str());
+        let proc_span = proc_obs.span("schedule-proc").arg("proc", name.as_str());
+        let attempt = schedule_proc(
+            program, pid, edge, path, scheme, form_config, compact_config, &mut stats, post_pass,
+            &proc_obs,
         );
         drop(proc_span);
         match attempt {
             Ok((specs, cp, formed_size)) => {
-                static_after += formed_size;
-                partition.push(specs);
-                compacted.push(cp);
+                run.pending.push(Pending { pid, name, snapshot, stats, specs, cp, formed_size });
+                if settle == Settle::PerProc {
+                    run.settle(program)?;
+                }
             }
             Err((pass, error)) => {
-                // Roll back: only procedure `pid` was touched.
+                // Roll back (only procedure `pid` was touched), then judge
+                // the earlier procedures first so incidents stay in
+                // procedure order and strict mode fails on the first one.
                 *program.proc_mut(pid) = snapshot;
-                stats = stats_snapshot;
-                let fallback = guard.mode == GuardMode::Degrade;
-                let incident = Incident {
-                    proc: proc_name.clone(),
-                    pass,
-                    error: error.clone(),
-                    fallback,
-                };
-                obs.counter_labeled(
-                    "guard.incidents",
-                    &[("kind", error.kind()), ("pass", pass.name())],
-                    1,
-                );
-                obs.instant(
-                    "guard",
-                    "incident",
-                    &[
-                        ("proc", ArgValue::from(proc_name.as_str())),
-                        ("pass", ArgValue::from(pass.name())),
-                        ("kind", ArgValue::from(error.kind())),
-                        ("error", ArgValue::from(error.to_string())),
-                        ("fallback", ArgValue::from(fallback)),
-                    ],
-                );
-                obs.log(Level::Warn, || format!("incident: {incident}"));
-                report.incidents.push(incident);
-                if !fallback {
-                    return Err(error);
-                }
-                obs.counter("guard.degraded_procs", 1);
-                // Degrade: schedule the pristine procedure as basic-block
-                // singletons. This is the baseline path every scheme shares;
-                // if even it fails, recovery is impossible.
-                static_after += program.proc(pid).static_size() as u64;
-                let specs = singleton_specs(program, pid);
-                let cp = try_compact_proc_obs(program.proc_mut(pid), &specs, compact_config, &proc_obs)?;
-                verify_program(program)?;
-                report.degraded_procs += 1;
-                partition.push(specs);
-                compacted.push(cp);
+                run.settle(program)?;
+                run.reject(program, pid, &name, pass, error)?;
             }
         }
     }
-
-    stats.static_after = static_after;
-    stats.superblocks = partition.iter().map(|p| p.len() as u64).sum();
-    Ok(GuardedResult {
-        compacted: CompactedProgram { procs: compacted },
-        partition,
-        stats,
-        report,
-    })
+    run.settle(program)?;
+    Ok(run.finish())
 }
 
-/// One procedure's form + compact + verify + oracle attempt. On `Err`, the
+/// A scheduled, verified procedure whose oracle verdict is still open.
+struct Pending {
+    pid: ProcId,
+    name: String,
+    /// The pre-pass body, reinstalled on rejection.
+    snapshot: Proc,
+    /// This procedure's formation counters.
+    stats: FormStats,
+    specs: Vec<SuperblockSpec>,
+    cp: CompactedProc,
+    /// Static size of the formed procedure (before compaction stubs).
+    formed_size: u64,
+}
+
+/// Accumulated state of one guarded run: the oracle's ground truth, the
+/// procedures awaiting it, and everything already settled (in procedure
+/// order).
+struct GuardRun<'a> {
+    guard: &'a GuardConfig,
+    compact_config: &'a CompactConfig,
+    obs: &'a Obs,
+    /// The untransformed program's behaviour, one run per oracle input.
+    baselines: Vec<Result<BoundedRun, ExecError>>,
+    /// Decoded-stream cache for the oracle runs: between runs only the
+    /// procedures that changed have new generations, so only they
+    /// re-decode.
+    oracle_cache: AnalysisCache,
+    pending: Vec<Pending>,
+    stats: FormStats,
+    /// `static_after` measures the *formed* program (pre-compaction
+    /// stubs), matching `form_program`; accumulated per procedure since
+    /// formation and compaction interleave here.
+    static_after: u64,
+    partition: Vec<Vec<SuperblockSpec>>,
+    compacted: Vec<CompactedProc>,
+    report: GuardReport,
+}
+
+impl<'a> GuardRun<'a> {
+    fn new(
+        program: &Program,
+        guard: &'a GuardConfig,
+        compact_config: &'a CompactConfig,
+        obs: &'a Obs,
+    ) -> Self {
+        let baseline_config = ExecConfig {
+            max_instrs: guard.step_budget,
+            ..ExecConfig::default()
+        };
+        let baselines = {
+            let _span = obs.span("oracle-baseline").arg("inputs", guard.oracle_inputs.len());
+            let exec = Exec::new(program, baseline_config);
+            guard.oracle_inputs.iter().map(|args| exec.run_bounded(args)).collect()
+        };
+        let n = program.procs.len();
+        GuardRun {
+            guard,
+            compact_config,
+            obs,
+            baselines,
+            oracle_cache: AnalysisCache::new(),
+            pending: Vec::new(),
+            stats: FormStats {
+                static_before: program.static_size() as u64,
+                ..FormStats::default()
+            },
+            static_after: 0,
+            partition: Vec::with_capacity(n),
+            compacted: Vec::with_capacity(n),
+            report: GuardReport {
+                total_procs: n,
+                ..GuardReport::default()
+            },
+        }
+    }
+
+    /// Runs the oracle over `program` as it stands, blaming `proc` for any
+    /// divergence.
+    fn oracle(&mut self, program: &Program, proc: &str) -> Result<(), PipelineError> {
+        let config = ExecConfig {
+            max_instrs: self.guard.step_budget.saturating_mul(self.guard.budget_factor.max(1)),
+            ..ExecConfig::default()
+        };
+        let exec = Exec::new_cached(program, config, &mut self.oracle_cache);
+        for (input_index, baseline) in self.baselines.iter().enumerate() {
+            let run = exec.run_bounded(&self.guard.oracle_inputs[input_index]);
+            if let Some(error) = oracle_check(proc, input_index, baseline, &run) {
+                return Err(error);
+            }
+        }
+        Ok(())
+    }
+
+    /// Judges every pending procedure. One oracle pass over the whole
+    /// program accepts them all when it succeeds. When it fails (with more
+    /// than one procedure pending) the pending procedures are reverted and
+    /// reinstalled one at a time in procedure order, with the oracle after
+    /// each — exactly the per-procedure checks an eager guard would have
+    /// run, since formation and compaction of a procedure read only that
+    /// procedure.
+    ///
+    /// # Errors
+    /// As [`GuardRun::reject`].
+    fn settle(&mut self, program: &mut Program) -> Result<(), PipelineError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let pending = std::mem::take(&mut self.pending);
+        let _span = self
+            .obs
+            .span("oracle")
+            .arg("inputs", self.baselines.len())
+            .arg("procs", pending.len());
+        match self.oracle(program, &pending[pending.len() - 1].name) {
+            Ok(()) => {
+                for p in pending {
+                    self.accept(p);
+                }
+                Ok(())
+            }
+            // A lone pending procedure's verdict is the whole program's.
+            Err(error) if pending.len() == 1 => {
+                let p = pending.into_iter().next().expect("one pending procedure");
+                self.roll_back(program, p, error)
+            }
+            Err(_) => self.replay(program, pending),
+        }
+    }
+
+    /// Reverts every procedure in `pending`, then reinstalls them in order,
+    /// each judged against the settled ones before it.
+    ///
+    /// # Errors
+    /// As [`GuardRun::reject`].
+    fn replay(&mut self, program: &mut Program, pending: Vec<Pending>) -> Result<(), PipelineError> {
+        let bodies: Vec<Proc> = pending
+            .iter()
+            .map(|p| std::mem::replace(program.proc_mut(p.pid), p.snapshot.clone()))
+            .collect();
+        for (p, body) in pending.into_iter().zip(bodies) {
+            *program.proc_mut(p.pid) = body;
+            let verdict = {
+                let _span = self.obs.span("oracle-replay").arg("proc", p.name.as_str());
+                self.oracle(program, &p.name)
+            };
+            match verdict {
+                Ok(()) => self.accept(p),
+                Err(error) => self.roll_back(program, p, error)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Restores an oracle-rejected procedure's snapshot and rejects it.
+    fn roll_back(
+        &mut self,
+        program: &mut Program,
+        p: Pending,
+        error: PipelineError,
+    ) -> Result<(), PipelineError> {
+        *program.proc_mut(p.pid) = p.snapshot;
+        self.reject(program, p.pid, &p.name, Pass::Oracle, error)
+    }
+
+    fn accept(&mut self, p: Pending) {
+        self.stats.add_proc(&p.stats);
+        self.static_after += p.formed_size;
+        self.partition.push(p.specs);
+        self.compacted.push(p.cp);
+    }
+
+    /// Records an incident for procedure `pid`, already rolled back to its
+    /// pre-pass body, and — in degrade mode — schedules it as basic-block
+    /// singletons.
+    ///
+    /// # Errors
+    /// In strict mode, `error` itself. In degrade mode, a failure of the
+    /// basic-block fallback (corruption outside the pipeline's control).
+    fn reject(
+        &mut self,
+        program: &mut Program,
+        pid: ProcId,
+        name: &str,
+        pass: Pass,
+        error: PipelineError,
+    ) -> Result<(), PipelineError> {
+        let obs = self.obs;
+        let fallback = self.guard.mode == GuardMode::Degrade;
+        let incident = Incident {
+            proc: name.to_string(),
+            pass,
+            error: error.clone(),
+            fallback,
+        };
+        obs.counter_labeled("guard.incidents", &[("kind", error.kind()), ("pass", pass.name())], 1);
+        obs.instant(
+            "guard",
+            "incident",
+            &[
+                ("proc", ArgValue::from(name)),
+                ("pass", ArgValue::from(pass.name())),
+                ("kind", ArgValue::from(error.kind())),
+                ("error", ArgValue::from(error.to_string())),
+                ("fallback", ArgValue::from(fallback)),
+            ],
+        );
+        obs.log(Level::Warn, || format!("incident: {incident}"));
+        self.report.incidents.push(incident);
+        if !fallback {
+            return Err(error);
+        }
+        obs.counter("guard.degraded_procs", 1);
+        // Degrade: schedule the pristine procedure as basic-block
+        // singletons. This is the baseline path every scheme shares; if
+        // even it fails, recovery is impossible.
+        self.static_after += program.proc(pid).static_size() as u64;
+        let specs = singleton_specs(program, pid);
+        let proc_obs = obs.with_label("proc", name);
+        let cp = try_compact_proc_obs(program.proc_mut(pid), &specs, self.compact_config, &proc_obs)?;
+        verify_program(program)?;
+        self.report.degraded_procs += 1;
+        self.partition.push(specs);
+        self.compacted.push(cp);
+        Ok(())
+    }
+
+    fn finish(self) -> GuardedResult {
+        debug_assert!(self.pending.is_empty(), "finish before the last settle");
+        let mut stats = self.stats;
+        stats.static_after = self.static_after;
+        stats.superblocks = self.partition.iter().map(|p| p.len() as u64).sum();
+        GuardedResult {
+            compacted: CompactedProgram { procs: self.compacted },
+            partition: self.partition,
+            stats,
+            report: self.report,
+        }
+    }
+}
+
+/// One procedure's form + compact + post-pass hook + verify. On `Err`, the
 /// caller rolls the procedure back; the pass tag says where it failed.
 #[allow(clippy::too_many_arguments)]
-fn attempt_proc(
+fn schedule_proc(
     program: &mut Program,
     pid: ProcId,
     edge: &EdgeProfile,
@@ -574,19 +773,16 @@ fn attempt_proc(
     scheme: Scheme,
     form_config: &FormConfig,
     compact_config: &CompactConfig,
-    guard: &GuardConfig,
-    baselines: &[Result<BoundedRun, ExecError>],
     stats: &mut FormStats,
     post_pass: &mut dyn FnMut(&mut Program, ProcId),
-    oracle_cache: &mut AnalysisCache,
     obs: &Obs,
 ) -> Result<(Vec<SuperblockSpec>, CompactedProc, u64), (Pass, PipelineError)> {
     let proc_name = program.proc(pid).name.clone();
 
     // Formation + compaction under a panic boundary. Everything these
     // passes mutate is the procedure itself (restored by the caller on
-    // failure) and `stats` (snapshot-restored likewise), so unwinding here
-    // cannot leave broken shared state behind.
+    // failure) and `stats` (discarded likewise), so unwinding here cannot
+    // leave broken shared state behind.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let (specs, _orig) =
             form_proc_partition_obs(program, pid, edge, path, scheme, form_config, stats, obs)
@@ -615,35 +811,17 @@ fn attempt_proc(
     post_pass(program, pid);
 
     // Post-pass structural check over the whole program (procedures before
-    // `pid` are already validated; later ones untouched — a failure here is
-    // attributable to `pid`).
-    let verify_span = obs.span("guard-verify");
-    if let Err(e) = verify_program(program) {
-        return Err((Pass::Verification, PipelineError::Verification(e)));
-    }
-    drop(verify_span);
-
-    // Differential oracle: the transformed program must reproduce the
-    // original's observable behaviour on every oracle input.
-    let _oracle_span = obs.span("oracle").arg("inputs", baselines.len());
-    let transformed_config = ExecConfig {
-        max_instrs: guard.step_budget.saturating_mul(guard.budget_factor.max(1)),
-        ..ExecConfig::default()
-    };
-    let oracle_exec = Exec::new_cached(program, transformed_config, oracle_cache);
-    for (input_index, baseline) in baselines.iter().enumerate() {
-        let run = oracle_exec.run_bounded(&guard.oracle_inputs[input_index]);
-        if let Some(error) = oracle_check(&proc_name, input_index, baseline, &run) {
-            return Err((Pass::Oracle, error));
-        }
-    }
+    // `pid` already passed it; later ones are untouched — a failure here
+    // is attributable to `pid`).
+    let _verify_span = obs.span("guard-verify");
+    verify_program(program).map_err(|e| (Pass::Verification, PipelineError::Verification(e)))?;
 
     Ok((specs, cp, formed_size))
 }
 
 /// Compares one oracle input's baseline and transformed runs. `None` means
 /// consistent.
-fn oracle_check(
+pub(crate) fn oracle_check(
     proc: &str,
     input_index: usize,
     baseline: &Result<BoundedRun, ExecError>,
@@ -952,6 +1130,168 @@ mod tests {
             ),
             "unexpected error class: {err}"
         );
+    }
+
+    /// Miscompiles procedure `pid` the same way whatever the rest of the
+    /// program looks like: bumps the first immediate ALU operand.
+    fn miscompile(prog: &mut Program, pid: ProcId) {
+        let proc = prog.proc_mut(pid);
+        let site = proc.iter_blocks().find_map(|(b, block)| {
+            let i = block.instrs.iter().position(|instr| {
+                matches!(instr, pps_ir::Instr::Alu { rhs: Operand::Imm(_), .. })
+            })?;
+            Some((b, i))
+        });
+        let (b, i) = site.expect("an immediate ALU operand");
+        if let pps_ir::Instr::Alu { rhs: Operand::Imm(k), .. } = &mut proc.block_mut(b).instrs[i] {
+            *k += 1;
+        }
+    }
+
+    /// Breaks procedure `pid` structurally: its entry jumps out of range.
+    fn break_structure(prog: &mut Program, pid: ProcId) {
+        let proc = prog.proc_mut(pid);
+        let target = pps_ir::BlockId::new(proc.blocks.len() as u32 + 7);
+        let entry = proc.entry;
+        proc.block_mut(entry).term = pps_ir::Terminator::Jump { target };
+    }
+
+    /// Guarded P4 run of `workload` with `hook` as the post-pass seam and
+    /// the oracle settled as `settle` says.
+    fn run_with(
+        mode: GuardMode,
+        settle: Settle,
+        obs: &Obs,
+        hook: &mut dyn FnMut(&mut Program, ProcId),
+    ) -> (Program, Result<GuardedResult, PipelineError>) {
+        let mut program = workload();
+        let (ep, pp) = profiles(&program, 150);
+        let result = guarded_impl(
+            &mut program,
+            &ep,
+            Some(&pp),
+            Scheme::P4,
+            &FormConfig::default(),
+            &CompactConfig::default(),
+            &test_guard(mode),
+            obs,
+            hook,
+            settle,
+        );
+        (program, result)
+    }
+
+    fn span_count(obs: &Obs, name: &str) -> usize {
+        let doc = pps_obs::json::parse(&obs.export_trace_json().unwrap()).unwrap();
+        doc.get("traceEvents")
+            .and_then(|v| v.as_arr())
+            .unwrap()
+            .iter()
+            .filter(|e| {
+                e.get("ph").and_then(|v| v.as_str()) == Some("X")
+                    && e.get("name").and_then(|v| v.as_str()) == Some(name)
+            })
+            .count()
+    }
+
+    fn recording() -> Obs {
+        Obs::recording(pps_obs::ObsConfig { level: Level::Off, trace: true, metrics: false })
+    }
+
+    #[test]
+    fn deferred_replay_matches_per_procedure_settling() {
+        let procs = workload().procs.len();
+        assert!(procs >= 2);
+        for bad in 0..procs {
+            let bad = ProcId::new(bad as u32);
+            let mut hook = |prog: &mut Program, pid: ProcId| {
+                if pid == bad {
+                    miscompile(prog, pid);
+                }
+            };
+            let obs = recording();
+            let (deferred_prog, deferred) =
+                run_with(GuardMode::Degrade, Settle::Deferred, &obs, &mut hook);
+            let deferred = deferred.unwrap();
+            let (eager_prog, eager) =
+                run_with(GuardMode::Degrade, Settle::PerProc, &Obs::noop(), &mut hook);
+            let eager = eager.unwrap();
+
+            // The whole-program pass failed, so every pending procedure was
+            // replayed one at a time.
+            assert_eq!(span_count(&obs, "oracle"), 1, "{bad}");
+            assert_eq!(span_count(&obs, "oracle-replay"), procs, "{bad}");
+            assert_eq!(eager.report.incidents.len(), 1, "{bad}: {:?}", eager.report);
+            assert_eq!(eager.report.incidents[0].pass, Pass::Oracle);
+            assert_eq!(format!("{:?}", deferred.report), format!("{:?}", eager.report), "{bad}");
+            assert_eq!(deferred.partition, eager.partition, "{bad}");
+            assert_eq!(deferred.stats, eager.stats, "{bad}");
+            assert_eq!(print_program(&deferred_prog), print_program(&eager_prog), "{bad}");
+        }
+    }
+
+    #[test]
+    fn strict_mode_reports_earlier_oracle_failure_before_later_verification_failure() {
+        let mut hook = |prog: &mut Program, pid: ProcId| match pid.index() {
+            0 => miscompile(prog, pid),
+            _ => break_structure(prog, pid),
+        };
+        let (_, deferred) = run_with(GuardMode::Strict, Settle::Deferred, &Obs::noop(), &mut hook);
+        let (_, eager) = run_with(GuardMode::Strict, Settle::PerProc, &Obs::noop(), &mut hook);
+        let err = deferred.unwrap_err();
+        assert_eq!(err, eager.unwrap_err());
+        let first = workload().procs[0].name.clone();
+        assert!(
+            matches!(
+                &err,
+                PipelineError::Divergence { proc, .. }
+                    | PipelineError::Execution { proc, .. }
+                    | PipelineError::StepBudgetExceeded { proc, .. } if *proc == first
+            ),
+            "expected the oracle failure of `{first}`, got {err}"
+        );
+    }
+
+    #[test]
+    fn clean_run_executes_one_oracle_span_per_settle() {
+        let base = workload();
+        let (ep, pp) = profiles(&base, 150);
+        let guard = test_guard(GuardMode::Strict);
+        let (form, compact) = (FormConfig::default(), CompactConfig::default());
+
+        // Unhooked: a single settle after the last procedure.
+        let obs = recording();
+        let result = guarded_form_and_compact_obs(
+            &mut base.clone(),
+            &ep,
+            Some(&pp),
+            Scheme::P4,
+            &form,
+            &compact,
+            &guard,
+            &obs,
+        )
+        .unwrap();
+        assert!(result.report.clean());
+        assert_eq!(span_count(&obs, "oracle"), 1);
+        assert_eq!(span_count(&obs, "oracle-replay"), 0);
+
+        // Hooked: settled after every procedure.
+        let obs = recording();
+        guarded_form_and_compact_hooked_obs(
+            &mut base.clone(),
+            &ep,
+            Some(&pp),
+            Scheme::P4,
+            &form,
+            &compact,
+            &guard,
+            &obs,
+            &mut |_, _| {},
+        )
+        .unwrap();
+        assert_eq!(span_count(&obs, "oracle"), base.procs.len());
+        assert_eq!(span_count(&obs, "oracle-replay"), 0);
     }
 
     #[test]

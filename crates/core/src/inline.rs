@@ -5,7 +5,8 @@
 //! caller by caller behind the same recovery discipline the scheduling
 //! guard uses: per-caller snapshot, `catch_unwind` around the mutation,
 //! structural verification of the whole program, a bounded differential
-//! oracle against the pre-inline baseline, and rollback of exactly the
+//! oracle against the pre-inline baseline (the guard's comparison: output,
+//! return value, final memory, identical errors), and rollback of exactly the
 //! offending caller on any failure. Accepted callers stay inlined; a
 //! rolled-back caller simply keeps its calls, so the subsequent path-based
 //! formation degrades gracefully to intra-procedural behaviour there.
@@ -14,10 +15,11 @@
 //! blocks, so `Px4` re-trains its edge/path pair *after* this phase — the
 //! two-phase flow lives in the serve runner.
 
+use crate::guard::oracle_check;
 use pps_ir::inline::{call_sites, inline_call, REG_FILE_CAP};
-use pps_ir::interp::{ExecConfig, Interp};
+use pps_ir::interp::ExecConfig;
 use pps_ir::verify::verify_program;
-use pps_ir::{BlockId, ProcId, Program};
+use pps_ir::{BlockId, Exec, ProcId, Program};
 use pps_profile::EdgeProfile;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,11 +137,10 @@ pub fn inline_hot_calls(
 
     // Oracle ground truth: the pre-inline program's bounded behaviour.
     let baseline_config = ExecConfig { max_instrs: config.step_budget, ..ExecConfig::default() };
-    let baselines: Vec<_> = config
-        .oracle_inputs
-        .iter()
-        .map(|args| Interp::new(program, baseline_config).run_bounded(args))
-        .collect();
+    let baselines: Vec<_> = {
+        let exec = Exec::new(program, baseline_config);
+        config.oracle_inputs.iter().map(|args| exec.run_bounded(args)).collect()
+    };
     let checked_config = ExecConfig {
         max_instrs: config.step_budget.saturating_mul(8),
         ..ExecConfig::default()
@@ -167,23 +168,16 @@ pub fn inline_hot_calls(
 
         let healthy = match attempt {
             Ok(Ok(())) => {
-                verify_program(program).is_ok()
-                    && baselines.iter().zip(&config.oracle_inputs).all(|(want, args)| {
-                        let got = Interp::new(program, checked_config).run_bounded(args);
-                        match (want, &got) {
-                            (Ok(a), Ok(b)) => {
-                                if a.completed && b.completed {
-                                    a.result.output == b.result.output
-                                        && a.result.return_value == b.result.return_value
-                                } else {
-                                    let n = a.result.output.len().min(b.result.output.len());
-                                    a.result.output[..n] == b.result.output[..n]
-                                }
-                            }
-                            (Err(_), Err(_)) => true,
-                            _ => false,
-                        }
-                    })
+                verify_program(program).is_ok() && {
+                    let exec = Exec::new(program, checked_config);
+                    let name = &program.proc(caller).name;
+                    baselines.iter().zip(&config.oracle_inputs).enumerate().all(
+                        |(input_index, (want, args))| {
+                            oracle_check(name, input_index, want, &exec.run_bounded(args))
+                                .is_none()
+                        },
+                    )
+                }
             }
             Ok(Err(skipped)) => {
                 // Policy skip mid-batch (register pressure): keep what

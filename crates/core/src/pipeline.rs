@@ -33,6 +33,17 @@ pub struct FormStats {
     pub static_after: u64,
 }
 
+impl FormStats {
+    /// Adds one procedure's formation counters (the per-procedure fields;
+    /// the program-level ones are the caller's to set).
+    pub(crate) fn add_proc(&mut self, local: &FormStats) {
+        self.tail_dup_blocks += local.tail_dup_blocks;
+        self.enlarged_blocks += local.enlarged_blocks;
+        self.skipped_low_completion += local.skipped_low_completion;
+        self.splits += local.splits;
+    }
+}
+
 /// A formed program: the superblock partition per procedure.
 #[derive(Debug, Clone)]
 pub struct FormedProgram {
@@ -115,8 +126,8 @@ pub fn form_program_obs(
 /// are merged back in procedure order, so the produced partition, original
 /// maps, and statistics are identical to the serial [`form_program`] for
 /// any `jobs` value. Formation on this path is unguarded (the guard's
-/// whole-program verification and differential oracle are inherently
-/// serial) and unobserved per-procedure (workers run with no-op `Obs`).
+/// whole-program verification and its in-order oracle replay are serial)
+/// and unobserved per-procedure (workers run with no-op `Obs`).
 ///
 /// # Errors
 /// As [`form_program`].
@@ -187,10 +198,7 @@ pub fn form_program_parallel(
                 .collect::<Vec<SuperblockSpec>>(),
         );
         orig_maps.push(orig_of);
-        stats.tail_dup_blocks += local.tail_dup_blocks;
-        stats.enlarged_blocks += local.enlarged_blocks;
-        stats.skipped_low_completion += local.skipped_low_completion;
-        stats.splits += local.splits;
+        stats.add_proc(&local);
     }
     stats.static_after = program.static_size() as u64;
     stats.superblocks = partition.iter().map(|p: &Vec<SuperblockSpec>| p.len() as u64).sum();

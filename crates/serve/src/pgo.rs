@@ -35,8 +35,8 @@ use crate::server::Handler;
 use crate::service::{execute_cached, ProfileSink};
 use pps_compact::CompactConfig;
 use pps_core::{
-    guarded_form_and_compact_hooked_obs, FormConfig, GuardConfig, GuardMode, Scheme, SwapOutcome,
-    SwapSlot,
+    guarded_form_and_compact_hooked_obs, guarded_form_and_compact_obs, FormConfig, GuardConfig,
+    GuardMode, Scheme, SwapOutcome, SwapSlot,
 };
 use pps_ir::FaultInjector;
 use pps_obs::{Level, Obs};
@@ -449,24 +449,38 @@ fn build_unit(
         oracle_inputs: vec![bench.train_args.clone()],
         ..GuardConfig::default()
     };
-    let step_budget = guard.step_budget;
-    let oracle_inputs = guard.oracle_inputs.clone();
-    let mut injector = FaultInjector::new(0xD81F);
-    let guarded = guarded_form_and_compact_hooked_obs(
-        &mut program,
-        edge,
-        Some(path),
-        scheme,
-        &FormConfig::default(),
-        &CompactConfig::default(),
-        &guard,
-        obs,
-        &mut |prog, pid| {
-            if fault == PgoFault::Corrupt {
+    let (form_config, compact_config) = (FormConfig::default(), CompactConfig::default());
+    let guarded = if fault == PgoFault::Corrupt {
+        // The injector probes the whole program, so this path takes the
+        // hooked guard (oracle settled after every procedure).
+        let step_budget = guard.step_budget;
+        let oracle_inputs = guard.oracle_inputs.clone();
+        let mut injector = FaultInjector::new(0xD81F);
+        guarded_form_and_compact_hooked_obs(
+            &mut program,
+            edge,
+            Some(path),
+            scheme,
+            &form_config,
+            &compact_config,
+            &guard,
+            obs,
+            &mut |prog, pid| {
                 let _ = injector.inject_effective(prog, pid, &oracle_inputs, step_budget, 32);
-            }
-        },
-    )
+            },
+        )
+    } else {
+        guarded_form_and_compact_obs(
+            &mut program,
+            edge,
+            Some(path),
+            scheme,
+            &form_config,
+            &compact_config,
+            &guard,
+            obs,
+        )
+    }
     .map_err(|e| e.to_string())?;
     let stats = &guarded.stats;
     let report = format!(

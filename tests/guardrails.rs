@@ -22,6 +22,7 @@ use pps::core::{
     Scheme,
 };
 use pps::ir::interp::{ExecConfig, ExecResult, Interp};
+use pps::ir::text::print_program;
 use pps::ir::trace::TeeSink;
 use pps::ir::verify::verify_program;
 use pps::ir::{FaultInjector, Program};
@@ -188,6 +189,51 @@ fn clean_guarded_runs_report_clean_and_preserve_behavior() {
         assert_eq!(expected.output, got.output, "seed {seed}");
         assert_eq!(expected.return_value, got.return_value, "seed {seed}");
         assert_eq!(expected.memory, got.memory, "seed {seed}");
+    }
+}
+
+/// Deferred-oracle exactness: the unhooked guard (one oracle pass over the
+/// whole program) and a guard with a no-op post-pass hook (oracle settled
+/// after every procedure) ship the same program, partition, statistics and
+/// report on every generated program, in both modes.
+#[test]
+fn deferred_oracle_matches_per_procedure_oracle() {
+    for seed in 0..SEEDS {
+        let base = gen_program(seed, GenConfig::default());
+        let scheme = schemes()[(seed % 4) as usize];
+        let (edge, path) = profile(&base);
+        for mode in [GuardMode::Degrade, GuardMode::Strict] {
+            let mut deferred = base.clone();
+            let d = guarded_form_and_compact(
+                &mut deferred,
+                &edge,
+                Some(&path),
+                scheme,
+                &FormConfig::default(),
+                &CompactConfig::default(),
+                &guard(mode),
+            )
+            .map(|r| format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report));
+            let mut eager = base.clone();
+            let e = guarded_form_and_compact_hooked(
+                &mut eager,
+                &edge,
+                Some(&path),
+                scheme,
+                &FormConfig::default(),
+                &CompactConfig::default(),
+                &guard(mode),
+                &mut |_, _| {},
+            )
+            .map(|r| format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report));
+            assert_eq!(d, e, "seed {seed} ({}, {mode})", scheme.name());
+            assert_eq!(
+                print_program(&deferred),
+                print_program(&eager),
+                "seed {seed} ({}, {mode})",
+                scheme.name()
+            );
+        }
     }
 }
 
