@@ -1,13 +1,15 @@
-//! One benchmark × scheme measurement, end to end.
+//! One benchmark × scheme measurement, end to end, and the one
+//! train → inline → compile path it shares with every other consumer of
+//! a scheme.
 
 use pps_compact::CompactConfig;
 use pps_core::{
     guarded_form_and_compact_hooked_obs, guarded_form_and_compact_obs, FormConfig, FormStats,
-    GuardConfig, GuardReport, PipelineError, Scheme,
+    GuardConfig, GuardReport, GuardedResult, InlineOutcome, PipelineError, Scheme,
 };
 use pps_ir::interp::{DynCounts, ExecConfig, ExecError, Interp};
 use pps_ir::trace::TeeSink;
-use pps_ir::{Exec, FaultInjector};
+use pps_ir::{Exec, FaultInjector, Program};
 use pps_machine::MachineConfig;
 use pps_obs::Obs;
 use pps_profile::serialize::{edge_from_text, edge_to_text, path_from_text, path_to_text};
@@ -180,39 +182,70 @@ fn save_profiles(
     Ok(())
 }
 
-/// One training run of `bench` feeding both profilers.
-fn train_pair(bench: &Benchmark, depth: usize) -> Result<(EdgeProfile, PathProfile), RunError> {
-    let program = &bench.program;
-    let mut tee = TeeSink::new(EdgeProfiler::new(program), PathProfiler::new(program, depth));
-    Exec::new(program, ExecConfig::default())
-        .run_traced(&bench.train_args, &mut tee)
-        .map_err(|error| RunError::Exec {
-            bench: bench.name.to_string(),
-            stage: "train run",
-            error,
-        })?;
-    Ok((tee.a.finish(), tee.b.finish()))
+/// The profiles of one training run.
+#[derive(Debug, Clone)]
+pub struct Trained {
+    /// Edge profile.
+    pub edge: EdgeProfile,
+    /// Path profile: recorded directly, or derived from [`Trained::kpath`].
+    pub path: PathProfile,
+    /// The k-iteration profile `path` was derived from (`Pk*` kinds only).
+    /// Content addresses fold it in, so two k values that happen to derive
+    /// the same path profile still name different artifacts.
+    pub kpath: Option<KPathProfile>,
 }
 
-/// One k-iteration training run of `bench`, feeding the edge profiler and
-/// the k-iteration Ball–Larus profiler. The `Pk*` schemes derive their
-/// path profile from the returned [`KPathProfile`] (every prefix of every
-/// chopped k-path loaded as a suffix-trie window), so formation sees
-/// cross-iteration context exactly where a recorded span witnessed it.
-pub fn train_kpair(
-    bench: &Benchmark,
-    k: usize,
-) -> Result<(EdgeProfile, KPathProfile), RunError> {
-    let program = &bench.program;
-    let mut tee = TeeSink::new(EdgeProfiler::new(program), KPathProfiler::new(program, k));
-    Exec::new(program, ExecConfig::default())
-        .run_traced(&bench.train_args, &mut tee)
-        .map_err(|error| RunError::Exec {
-            bench: bench.name.to_string(),
-            stage: "train run",
-            error,
-        })?;
-    Ok((tee.a.finish(), tee.b.finish()))
+impl Trained {
+    /// The `(edge, path)` pair formation consumes.
+    pub fn into_pair(self) -> (EdgeProfile, PathProfile) {
+        (self.edge, self.path)
+    }
+}
+
+/// One training run of `program` on `args`, feeding the edge profiler and
+/// a path profiler of the kind `k` selects (`Scheme::kpath_k`):
+///
+/// - `None` — the general-path profiler at `depth`;
+/// - `Some(k)` — the k-iteration Ball–Larus profiler. The path profile is
+///   derived from it at `depth` (every prefix of every chopped k-path
+///   loaded as a suffix-trie window), so formation sees cross-iteration
+///   context exactly where a recorded span witnessed it.
+///
+/// # Errors
+/// The interpreter's error when the run fails.
+pub fn train(
+    program: &Program,
+    args: &[i64],
+    depth: usize,
+    k: Option<u32>,
+) -> Result<Trained, ExecError> {
+    let exec = Exec::new(program, ExecConfig::default());
+    match k {
+        None => {
+            let mut tee =
+                TeeSink::new(EdgeProfiler::new(program), PathProfiler::new(program, depth));
+            exec.run_traced(args, &mut tee)?;
+            Ok(Trained { edge: tee.a.finish(), path: tee.b.finish(), kpath: None })
+        }
+        Some(k) => {
+            let mut tee =
+                TeeSink::new(EdgeProfiler::new(program), KPathProfiler::new(program, k as usize));
+            exec.run_traced(args, &mut tee)?;
+            let kpath = tee.b.finish();
+            Ok(Trained {
+                edge: tee.a.finish(),
+                path: kpath.to_path_profile(depth),
+                kpath: Some(kpath),
+            })
+        }
+    }
+}
+
+/// [`train`] on `bench`'s training input, for `scheme`'s profile kind.
+fn train_bench(bench: &Benchmark, scheme: Scheme, depth: usize) -> Result<Trained, RunError> {
+    train(&bench.program, &bench.train_args, depth, scheme.kpath_k()).map_err(|error| {
+        RunError::Exec { bench: bench.name.to_string(), stage: "train run", error }
+    })
 }
 
 /// Cross-run training cache: one trained `(edge, path)` profile pair per
@@ -268,14 +301,7 @@ impl ProfileCache {
         let pair = match cached {
             Some(pair) => pair,
             None => {
-                let trained = Arc::new(match scheme.kpath_k() {
-                    Some(k) => {
-                        let (edge, kprof) = train_kpair(bench, k as usize)?;
-                        let path = kprof.to_path_profile(depth);
-                        (edge, path)
-                    }
-                    None => train_pair(bench, depth)?,
-                });
+                let trained = Arc::new(train_bench(bench, scheme, depth)?.into_pair());
                 self.inner
                     .lock()
                     .expect("profile cache lock")
@@ -323,11 +349,129 @@ pub struct SchemeRun {
     pub guard: GuardReport,
 }
 
+/// A benchmark compiled under one scheme by [`compile`].
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    /// The transformed program: inlined (`Px4`), formed and compacted.
+    pub program: Program,
+    /// What the inline phase did (`Px4` only).
+    pub inline: Option<InlineOutcome>,
+    /// Formation + compaction under the recovery boundary.
+    pub guarded: GuardedResult,
+}
+
+/// Compiles `bench` under `scheme` against a trained `(edge, path)` pair —
+/// everything after [`train`] on the one train → inline → compile path
+/// that the runner, the daemon's `Compile` and PGO recompiles, and
+/// `pps-explore` share:
+///
+/// 1. **Inline** (`Px4` only): guarded inlining of the hottest call sites
+///    ([`pps_core::inline_hot_calls`], training input as the oracle input),
+///    then a retrain of both profilers on the inlined program — the
+///    profiles the pipeline consumes must describe the blocks formation
+///    will actually see.
+/// 2. **Form + compact** inside the recovery boundary
+///    ([`guarded_form_and_compact_obs`]). Empty
+///    [`GuardConfig::oracle_inputs`] become the training input, and
+///    [`RunConfig::machine`] overrides the compactor's copy so latency-model
+///    sweeps affect the schedules, not just the cache simulation. With
+///    [`RunConfig::fault_seed`] set, a fault injector corrupts each
+///    procedure after its passes (the guard's post-pass seam).
+///
+/// Records `inline.*` counters and the consumed profiles' metrics into
+/// `obs`, under `inline` and `profile` (`stage=retrain`) spans.
+///
+/// # Errors
+/// [`RunError::Exec`] when the retrain run fails; [`RunError::Pipeline`]
+/// when the guard gives up (strict mode: the first incident).
+pub fn compile(
+    bench: &Benchmark,
+    scheme: Scheme,
+    edge: &EdgeProfile,
+    path: &PathProfile,
+    config: &RunConfig,
+    obs: &Obs,
+) -> Result<Compiled, RunError> {
+    let mut program = bench.program.clone();
+    let mut inline = None;
+    let mut retrained = None;
+    if matches!(scheme, Scheme::Inter { .. }) {
+        let inline_span = obs.span("inline");
+        let inline_config = pps_core::InlineConfig {
+            oracle_inputs: vec![bench.train_args.clone()],
+            step_budget: config.guard.step_budget,
+            ..pps_core::InlineConfig::default()
+        };
+        let outcome = pps_core::inline_hot_calls(&mut program, edge, &inline_config);
+        if obs.is_recording() {
+            obs.counter("inline.sites", outcome.inlined.len() as u64);
+            obs.counter("inline.rolled_back", outcome.rolled_back as u64);
+            obs.counter("inline.skipped", outcome.skipped as u64);
+        }
+        drop(inline_span);
+        if !outcome.inlined.is_empty() {
+            let _retrain_span = obs.span("profile").arg("stage", "retrain");
+            let depth = config.path_depth.unwrap_or(DEFAULT_PATH_DEPTH);
+            retrained = Some(train(&program, &bench.train_args, depth, None).map_err(|error| {
+                RunError::Exec { bench: bench.name.to_string(), stage: "inline retrain run", error }
+            })?);
+        }
+        inline = Some(outcome);
+    }
+    let (edge, path) = match &retrained {
+        Some(t) => (&t.edge, &t.path),
+        None => (edge, path),
+    };
+    edge.record_metrics(obs);
+    path.record_metrics(obs);
+
+    let mut compact_config = config.compact;
+    compact_config.machine = config.machine;
+    let mut guard = config.guard.clone();
+    if guard.oracle_inputs.is_empty() {
+        guard.oracle_inputs = vec![bench.train_args.clone()];
+    }
+    let guarded = match config.fault_seed {
+        None => guarded_form_and_compact_obs(
+            &mut program,
+            edge,
+            Some(path),
+            scheme,
+            &config.form,
+            &compact_config,
+            &guard,
+            obs,
+        ),
+        Some(seed) => {
+            // Seeded per (seed, benchmark) only — never per worker or run
+            // order — so fault routing is identical at any job count.
+            let mut injector = FaultInjector::new(seed ^ fnv1a(bench.name.as_bytes()));
+            let inputs = vec![bench.train_args.clone()];
+            let budget = guard.step_budget;
+            guarded_form_and_compact_hooked_obs(
+                &mut program,
+                edge,
+                Some(path),
+                scheme,
+                &config.form,
+                &compact_config,
+                &guard,
+                obs,
+                &mut |prog, pid| {
+                    let _ = injector.inject_effective(prog, pid, &inputs, budget, 32);
+                },
+            )
+        }
+    }
+    .map_err(|error| RunError::Pipeline { bench: bench.name.to_string(), error })?;
+    Ok(Compiled { program, inline, guarded })
+}
+
 /// Runs the complete methodology for `bench` under `scheme`:
-/// train-profile → form → compact → train-layout → measure on test input.
+/// train-profile → [`compile`] → train-layout → measure on test input.
 ///
 /// The formation + compaction step runs inside the pipeline's recovery
-/// boundary ([`guarded_form_and_compact`]): in
+/// boundary ([`guarded_form_and_compact_obs`]): in
 /// [`GuardMode::Degrade`](pps_core::GuardMode) a procedure that fails its
 /// post-pass checks falls back to basic-block scheduling and the run
 /// continues (see [`SchemeRun::guard`]); in strict mode the first incident
@@ -358,7 +502,6 @@ pub fn run_scheme_obs(
         .span("run-scheme")
         .arg("bench", bench.name)
         .arg("scheme", scheme.name());
-    let mut program = bench.program.clone();
     let exec_config = ExecConfig::default();
     let exec_err = |stage: &'static str| {
         move |error: ExecError| RunError::Exec { bench: bench.name.to_string(), stage, error }
@@ -393,17 +536,10 @@ pub fn run_scheme_obs(
             }
         }
     }
-    let mut pair: Arc<(EdgeProfile, PathProfile)> = match loaded {
+    let pair: Arc<(EdgeProfile, PathProfile)> = match loaded {
         Some(pair) => pair,
         None => {
-            let pair = match scheme.kpath_k() {
-                Some(k) => {
-                    let (edge, kprof) = train_kpair(bench, k as usize)?;
-                    let path = kprof.to_path_profile(depth);
-                    (edge, path)
-                }
-                None => train_pair(bench, depth)?,
-            };
+            let pair = train_bench(bench, scheme, depth)?.into_pair();
             if let Some(dir) = &config.profile_out {
                 save_profiles(dir, bench.name, &suffix, &pair.0, &pair.1)
                     .map_err(&profile_err)?;
@@ -413,82 +549,8 @@ pub fn run_scheme_obs(
     };
     drop(profile_span);
 
-    // Interprocedural phase (`Px4`): inline the hottest call sites behind
-    // the guard's recovery discipline, then retrain both profilers on the
-    // inlined program — the profiles the pipeline consumes must describe
-    // the blocks formation will actually see.
-    if matches!(scheme, Scheme::Inter { .. }) {
-        let inline_span = obs.span("inline");
-        let inline_config = pps_core::InlineConfig {
-            oracle_inputs: vec![bench.train_args.clone()],
-            step_budget: config.guard.step_budget,
-            ..pps_core::InlineConfig::default()
-        };
-        let outcome = pps_core::inline_hot_calls(&mut program, &pair.0, &inline_config);
-        if obs.is_recording() {
-            obs.counter("inline.sites", outcome.inlined.len() as u64);
-            obs.counter("inline.rolled_back", outcome.rolled_back as u64);
-            obs.counter("inline.skipped", outcome.skipped as u64);
-        }
-        drop(inline_span);
-        if !outcome.inlined.is_empty() {
-            let retrain_span = obs.span("profile").arg("stage", "retrain");
-            let mut tee =
-                TeeSink::new(EdgeProfiler::new(&program), PathProfiler::new(&program, depth));
-            Exec::new(&program, exec_config)
-                .run_traced(&bench.train_args, &mut tee)
-                .map_err(exec_err("inline retrain run"))?;
-            pair = Arc::new((tee.a.finish(), tee.b.finish()));
-            drop(retrain_span);
-        }
-    }
-    let (edge, path) = (&pair.0, &pair.1);
-    edge.record_metrics(&obs);
-    path.record_metrics(&obs);
-
-    // 2. Form + compact under the recovery boundary. The runner's machine
-    // description is the single source of truth: it overrides the
-    // compactor's copy so latency-model sweeps affect the schedules, not
-    // just the cache simulation.
-    let mut compact_config = config.compact;
-    compact_config.machine = config.machine;
-    let mut guard = config.guard.clone();
-    if guard.oracle_inputs.is_empty() {
-        guard.oracle_inputs = vec![bench.train_args.clone()];
-    }
-    let guarded = match config.fault_seed {
-        None => guarded_form_and_compact_obs(
-            &mut program,
-            edge,
-            Some(path),
-            scheme,
-            &config.form,
-            &compact_config,
-            &guard,
-            &obs,
-        ),
-        Some(seed) => {
-            // Seeded per (seed, benchmark) only — never per worker or run
-            // order — so fault routing is identical at any job count.
-            let mut injector = FaultInjector::new(seed ^ fnv1a(bench.name.as_bytes()));
-            let inputs = vec![bench.train_args.clone()];
-            let budget = guard.step_budget;
-            guarded_form_and_compact_hooked_obs(
-                &mut program,
-                edge,
-                Some(path),
-                scheme,
-                &config.form,
-                &compact_config,
-                &guard,
-                &obs,
-                &mut |prog, pid| {
-                    let _ = injector.inject_effective(prog, pid, &inputs, budget, 32);
-                },
-            )
-        }
-    }
-    .map_err(|error| RunError::Pipeline { bench: bench.name.to_string(), error })?;
+    // 2. Inline (`Px4`), form and compact under the recovery boundary.
+    let Compiled { program, guarded, .. } = compile(bench, scheme, &pair.0, &pair.1, config, &obs)?;
     let compacted = guarded.compacted;
     let form_stats = guarded.stats;
 

@@ -6,17 +6,16 @@
 //! ```
 //!
 //! Prints per-procedure superblock summaries (blocks, sizes, schedules) and
-//! optionally the transformed program's textual IR or Graphviz CFGs.
-//! `--trace-out` / `--metrics-out` record formation + compaction the same
-//! way `pps-harness` does (Chrome-trace JSON / metrics JSON).
+//! optionally the transformed program's textual IR or Graphviz CFGs. The
+//! benchmark is compiled exactly as `pps-harness` and the daemon compile it
+//! (`pps_eval::runner::{train, compile}`: guarded, `Px4` inlined first).
+//! `--trace-out` / `--metrics-out` record the compile the same way
+//! `pps-harness` does (Chrome-trace JSON / metrics JSON).
 
-use pps_core::{form_program_obs, FormConfig, Scheme};
-use pps_compact::{try_compact_program_obs, CompactConfig};
-use pps_ir::interp::ExecConfig;
-use pps_ir::trace::TeeSink;
-use pps_ir::Exec;
+use pps_core::Scheme;
+use pps_eval::runner::{compile, train, Compiled, RunConfig};
 use pps_obs::{Level, Obs, ObsConfig};
-use pps_profile::{EdgeProfiler, PathProfiler};
+use pps_profile::DEFAULT_PATH_DEPTH;
 use pps_suite::{benchmark_by_name, Scale};
 use std::process::ExitCode;
 
@@ -27,10 +26,6 @@ fn usage() -> ! {
          [--trace-out FILE] [--metrics-out FILE] [--log-level off|error|warn|info|debug]"
     );
     std::process::exit(2);
-}
-
-fn parse_scheme(s: &str) -> Option<Scheme> {
-    Scheme::parse(s)
 }
 
 fn main() -> ExitCode {
@@ -49,7 +44,7 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--bench" | "-b" => bench_name = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--scheme" => {
-                scheme = parse_scheme(it.next().unwrap_or_else(|| usage()))
+                scheme = Scheme::parse(it.next().unwrap_or_else(|| usage()))
                     .unwrap_or_else(|| usage())
             }
             "--scale" | "-s" => {
@@ -83,93 +78,64 @@ fn main() -> ExitCode {
         .arg("bench", bench_name.as_str())
         .arg("scheme", scheme.name());
 
-    let mut program = bench.program.clone();
-    let profile_span = obs.span("profile");
-    let train = |program: &pps_ir::Program| {
-        let mut tee = TeeSink::new(EdgeProfiler::new(program), PathProfiler::new(program, 15));
-        Exec::new(program, ExecConfig::default())
-            .run_traced(&bench.train_args, &mut tee)
-            .expect("train run");
-        (tee.a.finish(), tee.b.finish())
-    };
-    let (edge, path) = match scheme.kpath_k() {
-        // `Pk*`: derive the path profile from a k-iteration training run.
-        Some(k) => {
-            let mut tee = TeeSink::new(
-                EdgeProfiler::new(&program),
-                pps_profile::KPathProfiler::new(&program, k as usize),
-            );
-            Exec::new(&program, ExecConfig::default())
-                .run_traced(&bench.train_args, &mut tee)
-                .expect("train run");
-            let kprof = tee.b.finish();
-            println!(
-                "k-path profile (k={k}): {} distinct paths across {} procs",
-                (0..kprof.num_procs())
-                    .map(|p| kprof.distinct_paths(pps_ir::ProcId::new(p as u32)))
-                    .sum::<usize>(),
-                kprof.num_procs(),
-            );
-            (tee.a.finish(), kprof.to_path_profile(15))
+    // The one train → inline → compile path the harness and the daemon
+    // take: train the scheme's profile kind, then (`Px4`) inline and
+    // retrain, then form and compact behind the guard.
+    let trained = {
+        let _profile_span = obs.span("profile");
+        match train(&bench.program, &bench.train_args, DEFAULT_PATH_DEPTH, scheme.kpath_k()) {
+            Ok(trained) => trained,
+            Err(e) => {
+                eprintln!("{bench_name}: train run: {e}");
+                return ExitCode::FAILURE;
+            }
         }
-        None => train(&program),
     };
-    // `Px4`: guarded inlining of the hottest call sites, then a retrain on
-    // the inlined program — the same two-phase flow the runner uses.
-    let (edge, path) = if matches!(scheme, Scheme::Inter { .. }) {
-        let inline_config = pps_core::InlineConfig {
-            oracle_inputs: vec![bench.train_args.clone()],
-            ..pps_core::InlineConfig::default()
-        };
-        let outcome = pps_core::inline_hot_calls(&mut program, &edge, &inline_config);
+    if let (Some(k), Some(kprof)) = (scheme.kpath_k(), &trained.kpath) {
+        println!(
+            "k-path profile (k={k}): {} distinct paths across {} procs",
+            (0..kprof.num_procs())
+                .map(|p| kprof.distinct_paths(pps_ir::ProcId::new(p as u32)))
+                .sum::<usize>(),
+            kprof.num_procs(),
+        );
+    }
+    let config = RunConfig::paper();
+    let compiled = match compile(&bench, scheme, &trained.edge, &trained.path, &config, &obs) {
+        Ok(compiled) => compiled,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Some(outcome) = &compiled.inline {
         println!(
             "inline phase: {} sites inlined, {} rolled back, {} skipped",
             outcome.inlined.len(),
             outcome.rolled_back,
             outcome.skipped,
         );
-        if outcome.inlined.is_empty() { (edge, path) } else { train(&program) }
-    } else {
-        (edge, path)
-    };
-    edge.record_metrics(&obs);
-    path.record_metrics(&obs);
-    drop(profile_span);
-    let formed = match form_program_obs(
-        &mut program,
-        &edge,
-        Some(&path),
-        scheme,
-        &FormConfig::default(),
-        &obs,
-    ) {
-        Ok(formed) => formed,
-        Err(e) => {
-            eprintln!("{bench_name}: formation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    }
+    let Compiled { program, guarded, .. } = compiled;
+    let stats = &guarded.stats;
     println!(
         "benchmark {bench_name}, scheme {}: {} superblocks, static {} -> {} instrs, \
          {} tail-dup + {} enlargement blocks, {} splits",
         scheme.name(),
-        formed.stats.superblocks,
-        formed.stats.static_before,
-        formed.stats.static_after,
-        formed.stats.tail_dup_blocks,
-        formed.stats.enlarged_blocks,
-        formed.stats.splits,
+        stats.superblocks,
+        stats.static_before,
+        stats.static_after,
+        stats.tail_dup_blocks,
+        stats.enlarged_blocks,
+        stats.splits,
     );
+    // A clean compile prints nothing here; degraded procedures name
+    // themselves so a dump never silently shows basic-block code.
+    for incident in &guarded.report.incidents {
+        println!("guard incident: {incident}");
+    }
 
-    let compacted =
-        match try_compact_program_obs(&mut program, &formed.partition, &CompactConfig::default(), &obs)
-        {
-            Ok(compacted) => compacted,
-            Err(e) => {
-                eprintln!("{bench_name}: compaction failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let compacted = guarded.compacted;
     for (pid, proc) in program.iter_procs() {
         let cp = compacted.proc(pid);
         println!("\nproc {} ({} blocks, {} superblocks):", proc.name, proc.blocks.len(), cp.superblocks.len());

@@ -32,11 +32,12 @@ pub mod loadgen;
 pub mod report;
 pub mod top;
 
-// The scoped-thread pool was promoted to `pps_core::pool` (the serve daemon
-// shares it) and the per-cell runner to `pps_serve::runner`; both keep their
-// historical `pps_harness::` paths through these re-exports.
+// The scoped-thread pool lives in `pps_core::pool` (the serve daemon shares
+// it) and the per-cell runner in `pps_eval::runner` (below both this crate
+// and the daemon); both keep their `pps_harness::` paths through these
+// re-exports.
 pub use pps_core::pool;
-pub use pps_serve::runner;
+pub use pps_eval::runner;
 
 pub use experiments::{run_experiment_jobs, run_experiment_jobs_config, RunCtx};
 pub use runner::{run_scheme, run_scheme_obs, RunConfig, RunError, SchemeRun};

@@ -749,7 +749,7 @@ fn run_cluster(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, Strin
     });
     let mut artifacts: Vec<(Envelope, Vec<u8>)> = Vec::with_capacity(requests.len());
     for req in requests {
-        let resp = execute(&req, &Obs::noop());
+        let resp = execute(&req, &Obs::noop(), None, None);
         if let Response::Error { message, .. } = &resp {
             return Err(format!("artifact precompute failed ({}): {message}", req.kind_name()));
         }
@@ -873,7 +873,7 @@ fn drift_phase(
     let drifted = drifted_profile_text(profile)?;
     let expected_b: [Vec<u8>; 3] = [0usize, 1, 2].map(|slot| {
         let req = mix_request(config, slot, &drifted);
-        encode_response(&execute(&req, &Obs::noop()))
+        encode_response(&execute(&req, &Obs::noop(), None, None))
     });
     obs.log(Level::Info, || {
         format!(
@@ -966,14 +966,14 @@ pub fn run(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, String> {
     });
     let profile_req =
         Request::Profile { bench: config.bench.clone(), scale: config.scale, depth: 0 };
-    let profile_resp = execute(&profile_req, &Obs::noop());
+    let profile_resp = execute(&profile_req, &Obs::noop(), None, None);
     let Response::Profile { edge, path } = &profile_resp else {
         return Err(format!("profile precompute failed: {profile_resp:?}"));
     };
     let profile = ProfileText { edge: edge.clone(), path: path.clone() };
     let expected: [Vec<u8>; 3] = [0usize, 1, 2].map(|slot| {
         let req = mix_request(config, slot, &profile);
-        encode_response(&execute(&req, &Obs::noop()))
+        encode_response(&execute(&req, &Obs::noop(), None, None))
     });
 
     let budget = AtomicUsize::new(config.retry.budget);

@@ -21,9 +21,9 @@
 
 use pps_obs::{Level, Obs, ObsConfig};
 use pps_serve::cache::CompileCache;
-use pps_serve::pgo::{PgoConfig, PgoFault, PgoHandler, PgoRuntime, PgoState};
-use pps_serve::server::{serve_with_telemetry, Handler, ServeConfig};
-use pps_serve::service::{CachedPipelineHandler, PipelineHandler};
+use pps_serve::pgo::{PgoConfig, PgoFault, PgoRuntime, PgoState};
+use pps_serve::server::{serve_with_telemetry, ServeConfig};
+use pps_serve::service::PipelineHandler;
 use pps_serve::telemetry::{Telemetry, TelemetryConfig};
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -228,9 +228,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // With PGO on, the handler feeds every request's profiles into the
-    // aggregator and a background sweeper recompiles drifted units; with
-    // it off the plain pipeline handler serves identically-shaped replies.
+    // One handler serves every configuration. With PGO on, it feeds every
+    // request's profiles into the aggregator and a background sweeper
+    // recompiles drifted units; replies are identical either way.
     let cache = if cache_cap > 0 {
         let cache = Arc::new(CompileCache::new(cache_cap));
         obs.log(Level::Info, || format!("reply cache: {} entries", cache.capacity()));
@@ -239,11 +239,8 @@ fn main() -> ExitCode {
         obs.log(Level::Info, || "reply cache: off".to_string());
         None
     };
-    let (handler, runtime): (Box<dyn Handler>, Option<PgoRuntime>) = if pgo_enabled {
-        let state = Arc::new(PgoState::new(pgo, obs.clone()));
-        if let Some(cache) = &cache {
-            state.attach_cache(Arc::clone(cache));
-        }
+    let state = pgo_enabled.then(|| Arc::new(PgoState::new(pgo, obs.clone())));
+    if let Some(state) = &state {
         obs.log(Level::Info, || {
             let c = state.config();
             format!(
@@ -251,19 +248,14 @@ fn main() -> ExitCode {
                 c.interval, c.enter_threshold, c.exit_threshold, c.recompiles_per_sweep, c.fault
             )
         });
-        let runtime = PgoRuntime::start(Arc::clone(&state));
-        (Box::new(PgoHandler::new(state)), Some(runtime))
-    } else {
-        match &cache {
-            Some(cache) => (Box::new(CachedPipelineHandler::new(Arc::clone(cache))), None),
-            None => (Box::new(PipelineHandler), None),
-        }
-    };
+    }
+    let handler = PipelineHandler::new(cache, state.clone());
+    let runtime = state.map(PgoRuntime::start);
 
     let stats = match serve_with_telemetry(
         listener,
         &config,
-        handler.as_ref(),
+        &handler,
         &obs,
         &shutdown,
         telemetry.as_deref(),

@@ -18,10 +18,10 @@
 //!   [`pps_core::ArtifactKey`], consulted before the pipeline and
 //!   invalidated by PGO hot-swaps;
 //! - [`client`] — the blocking client used by `pps-harness loadgen`;
-//! - [`service`] — the production handler, a pure function of the request
-//!   so replies are byte-comparable against in-process runs;
-//! - [`runner`] — one benchmark × scheme measurement end to end, shared
-//!   with (and re-exported by) `pps-harness`;
+//! - [`service`] — `execute`, a pure function of the request so replies
+//!   are byte-comparable against in-process runs, and the daemon's one
+//!   handler over it (optional reply cache, optional PGO state). Requests
+//!   compile through `pps_eval::runner`, the path the harness takes;
 //! - [`shard`] — the consistent-hash shard router (`pps-shard`): one
 //!   PPSF front door placing requests on N daemons by artifact identity,
 //!   with health fan-in on `Ping`;
@@ -37,7 +37,6 @@ pub mod client;
 pub mod frame;
 pub mod pgo;
 pub mod proto;
-pub mod runner;
 pub mod server;
 pub mod service;
 pub mod shard;
@@ -46,13 +45,9 @@ pub mod telemetry;
 
 pub use cache::{CacheClass, CacheKey, CompileCache};
 pub use client::{Client, ClientError};
-pub use pgo::{PgoConfig, PgoFault, PgoHandler, PgoRuntime, PgoState};
+pub use pgo::{PgoConfig, PgoFault, PgoRuntime, PgoState};
 pub use proto::{Envelope, ErrorKind, HealthSnapshot, ProfileText, Request, Response};
-pub use runner::{run_scheme, run_scheme_obs, RunConfig, RunError, SchemeRun};
 pub use server::{serve, serve_with_telemetry, Handler, ServeConfig, ServerHandle, ServerStats};
-pub use service::{
-    execute, execute_cached, execute_with, parse_scheme, CachedPipelineHandler, PipelineHandler,
-    ProfileSink,
-};
+pub use service::{execute, PipelineHandler};
 pub use shard::{Router, RouterConfig, RouterHandle, RouterStats, ShardRing};
 pub use telemetry::{RequestRecord, Telemetry, TelemetryConfig};

@@ -4,12 +4,12 @@
 //! Three pieces close the loop the paper leaves open (profiles from a
 //! training run steering *future* runs):
 //!
-//! - **Aggregation** — [`PgoState`] implements
-//!   [`crate::service::ProfileSink`], so every profile a request trains or
-//!   carries (`Profile`, `Compile`, `RunCell`) is folded into a per-bench
-//!   live aggregate by counter addition ([`pps_profile::merge`]).
-//!   Publishing is a pure side effect: replies stay byte-identical to
-//!   sink-less execution.
+//! - **Aggregation** — [`crate::service::execute`] hands [`PgoState`]
+//!   every profile a request trains or carries (`Profile`, `Compile`,
+//!   `RunCell`), and [`PgoState::publish`] folds it into a per-bench live
+//!   aggregate by counter addition ([`pps_profile::merge`]). Publishing is
+//!   a pure side effect: replies stay byte-identical to execution without
+//!   the PGO state.
 //! - **Drift detection** — each serving unit remembers the path profile it
 //!   was compiled against; [`PgoState::sweep`] scores the live aggregate
 //!   against it ([`pps_profile::path_drift`]: top-k overlap + weight
@@ -17,8 +17,10 @@
 //!   below `exit_threshold`) so a unit oscillating near the line doesn't
 //!   flap.
 //! - **Fault-isolated recompile + swap** — drifted units are rebuilt
-//!   against an aggregate snapshot inside `catch_unwind`, behind the
-//!   strict PR 1 guard (structural verifier + differential oracle). Only a
+//!   against an aggregate snapshot inside `catch_unwind`, through the same
+//!   train → inline → compile path as the request path
+//!   ([`pps_eval::runner::compile`]) behind the strict guard (structural
+//!   verifier + differential oracle). Only a
 //!   fully verified unit is published, through a generation-stamped CAS
 //!   ([`pps_core::SwapSlot::swap_if`]): a stale recompile (another swap
 //!   landed first) or any fault rolls back — the old unit keeps serving,
@@ -31,14 +33,8 @@
 
 use crate::cache::CompileCache;
 use crate::proto::HealthSnapshot;
-use crate::server::Handler;
-use crate::service::{execute_cached, ProfileSink};
-use pps_compact::CompactConfig;
-use pps_core::{
-    guarded_form_and_compact_hooked_obs, guarded_form_and_compact_obs, FormConfig, GuardConfig,
-    GuardMode, Scheme, SwapOutcome, SwapSlot,
-};
-use pps_ir::FaultInjector;
+use pps_core::{GuardMode, Scheme, SwapOutcome, SwapSlot};
+use pps_eval::runner::{self, RunConfig};
 use pps_obs::{Level, Obs};
 use pps_profile::{merge_edges, merge_paths, path_drift, EdgeProfile, PathProfile};
 use pps_suite::{benchmark_by_name, Scale};
@@ -47,8 +43,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-use crate::service::parse_scheme;
 
 /// Injected recompile fault, for exercising the containment paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -170,8 +164,8 @@ pub struct SweepReport {
 }
 
 /// Shared state of the continuous-PGO loop. One instance is shared by the
-/// request path (as a [`ProfileSink`]), the background sweeper, and the
-/// health snapshot.
+/// request path ([`PgoState::publish`], [`PgoState::observe_unit`]), the
+/// background sweeper, and the health snapshot.
 pub struct PgoState {
     config: PgoConfig,
     aggregates: Mutex<HashMap<String, Aggregate>>,
@@ -216,11 +210,6 @@ impl PgoState {
         let _ = self.cache.set(cache);
     }
 
-    /// The attached reply cache, if any.
-    pub fn cache(&self) -> Option<&Arc<CompileCache>> {
-        self.cache.get()
-    }
-
     /// The configuration the loop runs with.
     pub fn config(&self) -> &PgoConfig {
         &self.config
@@ -249,7 +238,8 @@ impl PgoState {
             .map(|u| u.slot.load())
     }
 
-    /// Fills the PGO half of the health snapshot.
+    /// Fills the PGO half of the health snapshot (the reply cache fills its
+    /// own counters).
     pub fn fill_health(&self, mut base: HealthSnapshot) -> HealthSnapshot {
         base.pgo_enabled = true;
         base.profiles_merged = self.profiles_merged.load(Ordering::Relaxed);
@@ -264,10 +254,6 @@ impl PgoState {
             .values()
             .filter(|u| u.meta.lock().unwrap().drifted)
             .count() as u32;
-        drop(units);
-        if let Some(cache) = self.cache.get() {
-            cache.fill_health(&mut base);
-        }
         base
     }
 
@@ -387,7 +373,7 @@ impl PgoState {
                         // Cache groups key on the canonical scheme name;
                         // the unit key keeps whatever string the client
                         // sent, so canonicalize before invalidating.
-                        let canonical = parse_scheme(scheme_name)
+                        let canonical = Scheme::parse(scheme_name)
                             .map(|s| s.name())
                             .unwrap_or_else(|| scheme_name.to_string());
                         cache.invalidate_group(bench_name, scale, &canonical);
@@ -422,9 +408,14 @@ impl PgoState {
     }
 }
 
+/// Fault seed of [`PgoFault::Corrupt`] recompiles.
+const CORRUPT_SEED: u64 = 0xD81F;
+
 /// Compiles `(bench, scale, scheme)` against the given profiles behind the
-/// strict guard (verifier + differential oracle on the training input).
-/// Runs inside the caller's `catch_unwind`.
+/// strict guard (verifier + differential oracle on the training input),
+/// through [`runner::compile`] — the path request-path compiles take, so a
+/// recompiled `Px4` unit inlines exactly as the one it replaces. Runs
+/// inside the caller's `catch_unwind`.
 #[allow(clippy::too_many_arguments)]
 fn build_unit(
     bench_name: &str,
@@ -440,49 +431,17 @@ fn build_unit(
         panic!("pgo: injected recompile panic");
     }
     let scheme: Scheme =
-        parse_scheme(scheme_name).ok_or_else(|| format!("no scheme `{scheme_name}`"))?;
+        Scheme::parse(scheme_name).ok_or_else(|| format!("no scheme `{scheme_name}`"))?;
     let bench = benchmark_by_name(bench_name, Scale(scale))
         .ok_or_else(|| format!("no benchmark `{bench_name}`"))?;
-    let mut program = bench.program.clone();
-    let guard = GuardConfig {
-        mode: GuardMode::Strict,
-        oracle_inputs: vec![bench.train_args.clone()],
-        ..GuardConfig::default()
-    };
-    let (form_config, compact_config) = (FormConfig::default(), CompactConfig::default());
-    let guarded = if fault == PgoFault::Corrupt {
-        // The injector probes the whole program, so this path takes the
-        // hooked guard (oracle settled after every procedure).
-        let step_budget = guard.step_budget;
-        let oracle_inputs = guard.oracle_inputs.clone();
-        let mut injector = FaultInjector::new(0xD81F);
-        guarded_form_and_compact_hooked_obs(
-            &mut program,
-            edge,
-            Some(path),
-            scheme,
-            &form_config,
-            &compact_config,
-            &guard,
-            obs,
-            &mut |prog, pid| {
-                let _ = injector.inject_effective(prog, pid, &oracle_inputs, step_budget, 32);
-            },
-        )
-    } else {
-        guarded_form_and_compact_obs(
-            &mut program,
-            edge,
-            Some(path),
-            scheme,
-            &form_config,
-            &compact_config,
-            &guard,
-            obs,
-        )
-    }
-    .map_err(|e| e.to_string())?;
-    let stats = &guarded.stats;
+    let mut config = RunConfig::paper();
+    config.guard.mode = GuardMode::Strict;
+    // The injector probes the whole program, so a corrupt recompile takes
+    // the hooked guard (oracle settled after every procedure).
+    config.fault_seed = (fault == PgoFault::Corrupt).then_some(CORRUPT_SEED);
+    let compiled =
+        runner::compile(&bench, scheme, edge, path, &config, obs).map_err(|e| e.to_string())?;
+    let stats = &compiled.guarded.stats;
     let report = format!(
         "pps-compile-report v1\n\
          bench {bench_name} scheme {scheme}\n\
@@ -496,8 +455,10 @@ fn build_unit(
     Ok(ServingUnit { edge: edge.clone(), path: path.clone(), report, epoch })
 }
 
-impl ProfileSink for PgoState {
-    fn publish(&self, bench: &str, _scale: u32, edge: &EdgeProfile, path: &PathProfile) {
+impl PgoState {
+    /// Folds a profile pair for `bench`, trained or accepted during request
+    /// execution, into the bench's live aggregate.
+    pub fn publish(&self, bench: &str, _scale: u32, edge: &EdgeProfile, path: &PathProfile) {
         let mut aggs = self.aggregates.lock().unwrap();
         match aggs.get_mut(bench) {
             None => {
@@ -532,7 +493,10 @@ impl ProfileSink for PgoState {
         self.obs.counter("pgo.profiles_merged", 1);
     }
 
-    fn observe_unit(&self, bench: &str, scale: u32, scheme: &str, path: &PathProfile) {
+    /// Registers the unit `(bench, scale, scheme)`, compiled against `path`,
+    /// for drift tracking: `path` is the reference drift is measured from.
+    /// A unit already tracked keeps its serving copy.
+    pub fn observe_unit(&self, bench: &str, scale: u32, scheme: &str, path: &PathProfile) {
         let key = (bench.to_string(), scale, scheme.to_string());
         let mut units = self.units.lock().unwrap();
         if units.contains_key(&key) {
@@ -559,39 +523,6 @@ impl ProfileSink for PgoState {
             }),
         );
         self.obs.counter("pgo.units_observed", 1);
-    }
-}
-
-/// A [`Handler`] that executes requests through the pipeline while feeding
-/// the continuous-PGO loop, and enriches health snapshots with loop state.
-pub struct PgoHandler {
-    state: Arc<PgoState>,
-}
-
-impl PgoHandler {
-    /// Wraps the loop state as the daemon's handler.
-    pub fn new(state: Arc<PgoState>) -> Self {
-        PgoHandler { state }
-    }
-
-    /// The shared loop state.
-    pub fn state(&self) -> &Arc<PgoState> {
-        &self.state
-    }
-}
-
-impl Handler for PgoHandler {
-    fn handle(&self, request: &crate::proto::Request, obs: &Obs) -> crate::proto::Response {
-        execute_cached(
-            request,
-            obs,
-            Some(self.state.as_ref()),
-            self.state.cache().map(Arc::as_ref),
-        )
-    }
-
-    fn health(&self, base: HealthSnapshot) -> HealthSnapshot {
-        self.state.fill_health(base)
     }
 }
 
@@ -661,5 +592,66 @@ impl PgoRuntime {
 impl Drop for PgoRuntime {
     fn drop(&mut self) {
         self.halt();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{ProfileText, Request, Response};
+    use crate::service::execute;
+    use pps_profile::serialize::{edge_to_text, path_to_text};
+    use pps_profile::DEFAULT_PATH_DEPTH;
+
+    /// The `superblocks` and `static_after` lines of a compile report.
+    fn shape(report: &str) -> Vec<&str> {
+        report
+            .lines()
+            .filter(|l| l.starts_with("superblocks ") || l.starts_with("static_after "))
+            .collect()
+    }
+
+    /// A recompile runs the request path's compile, so against the same
+    /// profile pair it builds the same unit under every scheme — `Px4`
+    /// included, whose inline phase recompiles once skipped.
+    #[test]
+    fn recompiles_build_what_request_path_compiles_build() {
+        let bench = benchmark_by_name("eqn", Scale(1)).expect("eqn");
+        let (edge, path) =
+            runner::train(&bench.program, &bench.train_args, DEFAULT_PATH_DEPTH, None)
+                .expect("train run")
+                .into_pair();
+        let config = RunConfig::paper();
+        let outcome = runner::compile(&bench, Scheme::PX4, &edge, &path, &config, &Obs::noop())
+            .expect("Px4 compile")
+            .inline
+            .expect("Px4 runs the inline phase");
+        assert!(!outcome.inlined.is_empty(), "eqn must exercise the inline phase");
+
+        let profile = ProfileText { edge: edge_to_text(&edge), path: path_to_text(&path) };
+        for scheme in Scheme::FAMILY {
+            let request = Request::Compile {
+                bench: "eqn".into(),
+                scale: 1,
+                scheme: scheme.name(),
+                profile: Some(profile.clone()),
+            };
+            let reply = execute(&request, &Obs::noop(), None, None);
+            let Response::Compile { report } = reply else {
+                panic!("{}: compile failed: {reply:?}", scheme.name())
+            };
+            let unit = build_unit(
+                "eqn",
+                1,
+                &scheme.name(),
+                &edge,
+                &path,
+                1,
+                PgoFault::None,
+                &Obs::noop(),
+            )
+            .expect("recompile");
+            assert_eq!(shape(&unit.report), shape(&report), "{}", scheme.name());
+        }
     }
 }

@@ -3,97 +3,61 @@
 //! [`execute`] is deliberately a pure function of the request (plus the
 //! workspace's deterministic pipeline), so the load generator can compute
 //! the expected reply in-process and assert the daemon's bytes are
-//! identical — the service must never drift from the library.
+//! identical — the service must never drift from the library. Every
+//! request compiles through the one train → inline → compile path of
+//! [`pps_eval::runner`], the path the harness and `pps-explore` take.
 
 use crate::cache::{CacheClass, CacheKey, CompileCache};
+use crate::pgo::PgoState;
 use crate::proto::{ErrorKind, HealthSnapshot, ProfileText, Request, Response};
-use crate::runner::{run_scheme_obs, RunConfig, RunError};
 use crate::server::Handler;
-use std::sync::Arc;
-use pps_compact::CompactConfig;
-use pps_core::{
-    guarded_form_and_compact_obs, machine_hash, ArtifactKey, FormConfig, GuardConfig, GuardMode,
-    Scheme,
-};
+use pps_core::{machine_hash, ArtifactKey, GuardMode, Scheme};
+use pps_eval::runner::{self, RunConfig, RunError, Trained};
 use pps_machine::MachineConfig;
-use pps_ir::interp::ExecConfig;
-use pps_ir::trace::TeeSink;
-use pps_ir::Exec;
 use pps_obs::{Level, Obs, ObsConfig};
 use pps_profile::serialize::{edge_from_text, edge_to_text, path_from_text, path_to_text};
-use pps_profile::{
-    EdgeProfile, EdgeProfiler, KPathProfile, PathProfile, PathProfiler, DEFAULT_PATH_DEPTH,
-};
+use pps_profile::DEFAULT_PATH_DEPTH;
 use pps_suite::{benchmark_by_name, Benchmark, Scale};
+use std::sync::Arc;
 
 /// Largest accepted suite scale — bounds per-request work.
 pub const MAX_SCALE: u32 = 100;
 
-/// The production [`Handler`]: every request runs the same code paths the
-/// CLI harness uses.
-#[derive(Debug, Default)]
-pub struct PipelineHandler;
+/// The daemon's [`Handler`]: every request runs [`execute`] with the
+/// daemon's reply cache and continuous-PGO state, each optional. Health
+/// snapshots carry the counters of whichever is attached.
+#[derive(Default, Clone)]
+pub struct PipelineHandler {
+    cache: Option<Arc<CompileCache>>,
+    pgo: Option<Arc<PgoState>>,
+}
+
+impl PipelineHandler {
+    /// A handler over the given reply cache and PGO state
+    /// ([`PipelineHandler::default`] has neither). With both, a PGO
+    /// hot-swap invalidates the swapped unit's cache entries.
+    pub fn new(cache: Option<Arc<CompileCache>>, pgo: Option<Arc<PgoState>>) -> Self {
+        if let (Some(cache), Some(pgo)) = (&cache, &pgo) {
+            pgo.attach_cache(Arc::clone(cache));
+        }
+        PipelineHandler { cache, pgo }
+    }
+}
 
 impl Handler for PipelineHandler {
     fn handle(&self, request: &Request, obs: &Obs) -> Response {
-        execute(request, obs)
-    }
-}
-
-/// Observes the profiles that flow through request execution — the
-/// continuous-PGO aggregator implements this to fold every trained or
-/// client-supplied profile pair into its live aggregate. Publishing is a
-/// pure side effect: it must never change the response bytes.
-pub trait ProfileSink: Send + Sync {
-    /// A profile pair for `bench` at `scale` was trained or accepted
-    /// during request execution.
-    fn publish(&self, bench: &str, scale: u32, edge: &EdgeProfile, path: &PathProfile);
-
-    /// A compiled unit for `(bench, scale, scheme)` was produced against
-    /// `path` — the reference profile drift is measured from.
-    fn observe_unit(&self, bench: &str, scale: u32, scheme: &str, path: &PathProfile);
-}
-
-/// [`PipelineHandler`] plus a content-addressed reply cache consulted
-/// before the pipeline. Hits return the cached [`Response`] — byte-
-/// identical to a recompute because [`execute`] is a pure function of
-/// exactly the inputs the [`ArtifactKey`] hashes. Health snapshots carry
-/// the cache counters.
-pub struct CachedPipelineHandler {
-    cache: Arc<CompileCache>,
-}
-
-impl CachedPipelineHandler {
-    /// Wraps the cache as the daemon's handler.
-    pub fn new(cache: Arc<CompileCache>) -> Self {
-        CachedPipelineHandler { cache }
-    }
-
-    /// The shared cache.
-    pub fn cache(&self) -> &Arc<CompileCache> {
-        &self.cache
-    }
-}
-
-impl Handler for CachedPipelineHandler {
-    fn handle(&self, request: &Request, obs: &Obs) -> Response {
-        execute_cached(request, obs, None, Some(&self.cache))
+        execute(request, obs, self.pgo.as_deref(), self.cache.as_deref())
     }
 
     fn health(&self, mut base: HealthSnapshot) -> HealthSnapshot {
-        self.cache.fill_health(&mut base);
-        base
+        if let Some(cache) = &self.cache {
+            cache.fill_health(&mut base);
+        }
+        match &self.pgo {
+            Some(pgo) => pgo.fill_health(base),
+            None => base,
+        }
     }
-}
-
-/// Parses a scheme name: `BB`, `M<n>`, `P<n>`, `P<n>e`, `Pk2`/`Pk3`,
-/// `Px4` — in any capitalization. Delegates to [`Scheme::parse`], the one
-/// canonicalizer: every consumer that keys on scheme identity (reply
-/// cache, shard router, `ArtifactKey`) goes through `parse(..).name()`,
-/// so spelling variants (`PK2` vs `Pk2`) can never split cache entries or
-/// route to different shards.
-pub fn parse_scheme(name: &str) -> Option<Scheme> {
-    Scheme::parse(name)
 }
 
 fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
@@ -115,86 +79,50 @@ fn lookup_bench(name: &str, scale: u32) -> Result<Benchmark, Response> {
         .ok_or_else(|| error(ErrorKind::UnknownBench, format!("no benchmark `{name}`")))
 }
 
-/// One training run of `program` feeding both profilers.
+/// [`runner::train`] on `bench`'s training input, failing as a reply.
 #[allow(clippy::result_large_err)]
-fn train_profiles_on(
-    program: &pps_ir::Program,
-    train_args: &[i64],
-    name: &str,
-    depth: usize,
-) -> Result<(EdgeProfile, PathProfile), Response> {
-    let mut tee = TeeSink::new(EdgeProfiler::new(program), PathProfiler::new(program, depth));
-    Exec::new(program, ExecConfig::default())
-        .run_traced(train_args, &mut tee)
-        .map_err(|e| error(ErrorKind::Exec, format!("{name} train run: {e}")))?;
-    Ok((tee.a.finish(), tee.b.finish()))
-}
-
-/// One training run feeding both profilers.
-#[allow(clippy::result_large_err)]
-fn train_profiles(
-    bench: &Benchmark,
-    depth: usize,
-) -> Result<(EdgeProfile, PathProfile), Response> {
-    train_profiles_on(&bench.program, &bench.train_args, bench.name, depth)
-}
-
-/// One k-iteration training run: the edge profile, the chopped k-path
-/// profile (hashed into the artifact key), and the path profile derived
-/// from it (what the pipeline and the PGO tier consume).
-#[allow(clippy::result_large_err)]
-fn train_kprofiles(
-    bench: &Benchmark,
-    k: usize,
-    depth: usize,
-) -> Result<(EdgeProfile, KPathProfile, PathProfile), Response> {
-    let (edge, kprof) = crate::runner::train_kpair(bench, k)
-        .map_err(|e| error(ErrorKind::Exec, e.to_string()))?;
-    let path = kprof.to_path_profile(depth);
-    Ok((edge, kprof, path))
+fn train(bench: &Benchmark, depth: usize, k: Option<u32>) -> Result<Trained, Response> {
+    runner::train(&bench.program, &bench.train_args, depth, k)
+        .map_err(|e| error(ErrorKind::Exec, format!("{} train run: {e}", bench.name)))
 }
 
 /// Executes one request, deterministically. `Ping`/`Shutdown` are answered
 /// by the server itself and only reach here in tests.
-pub fn execute(request: &Request, obs: &Obs) -> Response {
-    execute_with(request, obs, None)
-}
-
-/// [`execute`] with an optional [`ProfileSink`] observing the profiles the
-/// request trains or carries. The sink is side-effect-only: for any
-/// request, `execute_with(req, obs, Some(sink))` returns exactly the bytes
-/// `execute(req, obs)` would — the load generator asserts this by diffing
-/// daemon replies against in-process `execute`.
-pub fn execute_with(request: &Request, obs: &Obs, sink: Option<&dyn ProfileSink>) -> Response {
-    execute_cached(request, obs, sink, None)
-}
-
-/// [`execute_with`] with an optional content-addressed reply cache
-/// consulted before the pipeline. The cache is invisible in the reply
-/// bytes: a hit returns a [`Response`] that is byte-identical to what the
-/// pipeline would recompute, because [`execute`] is a pure function of
-/// exactly the inputs the cache key hashes (program structure, canonical
-/// profiles, scheme, machine model, plus the request's residual
-/// bench/scale/class). Only successful replies are cached; errors always
-/// re-execute.
-pub fn execute_cached(
+///
+/// Neither optional companion ever changes the reply bytes:
+///
+/// - `pgo` folds every profile pair the request trains or carries into the
+///   continuous-PGO aggregate and registers each compiled unit's drift
+///   reference. The load generator asserts the invariance by diffing
+///   daemon replies against in-process `execute`.
+/// - `cache` is a content-addressed reply cache consulted before the
+///   pipeline. A hit returns a [`Response`] byte-identical to what the
+///   pipeline would recompute, because `execute` is a pure function of
+///   exactly the inputs the cache key hashes (program structure, canonical
+///   profiles, scheme, machine model, plus the request's residual
+///   bench/scale/class). Only successful replies are cached; errors always
+///   re-execute.
+pub fn execute(
     request: &Request,
     obs: &Obs,
-    sink: Option<&dyn ProfileSink>,
+    pgo: Option<&PgoState>,
     cache: Option<&CompileCache>,
 ) -> Response {
     match request {
         Request::Ping => Response::Pong { health: HealthSnapshot::default() },
         Request::Shutdown => Response::ShuttingDown,
-        Request::Profile { bench, scale, depth } => profile(bench, *scale, *depth, sink),
+        Request::Profile { bench, scale, depth } => profile(bench, *scale, *depth, pgo),
         Request::Compile { bench, scale, scheme, profile } => {
-            compile(bench, *scale, scheme, profile.as_ref(), obs, sink, cache)
+            compile(bench, *scale, scheme, profile.as_ref(), obs, pgo, cache)
         }
         Request::RunCell { bench, scale, scheme, strict } => {
-            run_cell(bench, *scale, scheme, *strict, obs, sink, cache)
+            run_cell(bench, *scale, scheme, *strict, pgo, cache)
         }
     }
 }
+
+/// [`execute`] under the name the benchmark in `perfbench/` calls.
+pub use self::execute as execute_cached;
 
 /// The content address of the unit a request resolves to: canonical
 /// program hash, canonical profile hash, scheme name, machine hash. For
@@ -204,15 +132,13 @@ pub fn execute_cached(
 /// different artifacts.
 fn artifact_key(
     bench: &Benchmark,
-    edge: &EdgeProfile,
-    path: &PathProfile,
-    kpath: Option<&KPathProfile>,
+    trained: &Trained,
     scheme: Scheme,
     machine: &MachineConfig,
 ) -> ArtifactKey {
-    let profile_hash = match kpath {
-        Some(kp) => pps_profile::profile_triple_hash(edge, path, kp),
-        None => pps_profile::profile_pair_hash(edge, path),
+    let profile_hash = match &trained.kpath {
+        Some(kp) => pps_profile::profile_triple_hash(&trained.edge, &trained.path, kp),
+        None => pps_profile::profile_pair_hash(&trained.edge, &trained.path),
     };
     ArtifactKey::new(
         pps_ir::hash::program_hash(&bench.program),
@@ -222,16 +148,16 @@ fn artifact_key(
     )
 }
 
-fn profile(bench: &str, scale: u32, depth: u32, sink: Option<&dyn ProfileSink>) -> Response {
+fn profile(bench: &str, scale: u32, depth: u32, pgo: Option<&PgoState>) -> Response {
     let bench = match lookup_bench(bench, scale) {
         Ok(b) => b,
         Err(r) => return r,
     };
     let depth = if depth == 0 { DEFAULT_PATH_DEPTH } else { depth as usize };
-    match train_profiles(&bench, depth) {
-        Ok((edge, path)) => {
-            if let Some(sink) = sink {
-                sink.publish(bench.name, scale, &edge, &path);
+    match train(&bench, depth, None) {
+        Ok(Trained { edge, path, .. }) => {
+            if let Some(pgo) = pgo {
+                pgo.publish(bench.name, scale, &edge, &path);
             }
             Response::Profile {
                 edge: edge_to_text(&edge),
@@ -248,10 +174,10 @@ fn compile(
     scheme_name: &str,
     profile: Option<&ProfileText>,
     obs: &Obs,
-    sink: Option<&dyn ProfileSink>,
+    pgo: Option<&PgoState>,
     cache: Option<&CompileCache>,
 ) -> Response {
-    let Some(scheme) = parse_scheme(scheme_name) else {
+    let Some(scheme) = Scheme::parse(scheme_name) else {
         return error(ErrorKind::UnknownScheme, format!("no scheme `{scheme_name}`"));
     };
     // Scheme identity is the canonical spelling from here on — cache
@@ -261,8 +187,8 @@ fn compile(
         Ok(b) => b,
         Err(r) => return r,
     };
-    let mut kpath: Option<KPathProfile> = None;
-    let (edge, path) = match profile {
+    let config = RunConfig::paper();
+    let trained = match profile {
         Some(p) => {
             let edge = match edge_from_text(&p.edge) {
                 Ok(e) => e,
@@ -272,97 +198,55 @@ fn compile(
                 Ok(p) => p,
                 Err(e) => return error(ErrorKind::BadProfile, format!("path profile: {e}")),
             };
-            (edge, path)
+            Trained { edge, path, kpath: None }
         }
-        None => match scheme.kpath_k() {
-            // `Pk*` with no supplied pair: one k-iteration training run;
-            // the derived pair drives the pipeline, the k-path profile
-            // itself is folded into the artifact key below.
-            Some(k) => match train_kprofiles(&bench, k as usize, DEFAULT_PATH_DEPTH) {
-                Ok((edge, kprof, path)) => {
-                    kpath = Some(kprof);
-                    (edge, path)
-                }
-                Err(r) => return r,
-            },
-            None => match train_profiles(&bench, DEFAULT_PATH_DEPTH) {
-                Ok(pair) => pair,
-                Err(r) => return r,
-            },
+        // No supplied pair: one training run of the scheme's profile kind
+        // (k-iteration for `Pk*`, whose k-path profile the artifact key
+        // folds in).
+        None => match train(&bench, DEFAULT_PATH_DEPTH, scheme.kpath_k()) {
+            Ok(t) => t,
+            Err(r) => return r,
         },
     };
-    if let Some(sink) = sink {
-        sink.publish(bench.name, scale, &edge, &path);
+    if let Some(pgo) = pgo {
+        pgo.publish(bench.name, scale, &trained.edge, &trained.path);
     }
 
     let key = cache.map(|_| CacheKey {
-        artifact: artifact_key(
-            &bench,
-            &edge,
-            &path,
-            kpath.as_ref(),
-            scheme,
-            &CompactConfig::default().machine,
-        ),
+        artifact: artifact_key(&bench, &trained, scheme, &config.machine),
         class: CacheClass::Compile,
         bench: bench.name.to_string(),
         scale,
     });
+    let Trained { edge, path, .. } = trained;
     if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
         if let Some(reply) = cache.get(key) {
             // A hit stands in for a successful pipeline run, so the PGO
             // tier still observes the unit (same content — the key
             // equality guarantees the identical path profile).
-            if let Some(sink) = sink {
-                sink.observe_unit(bench.name, scale, &scheme_name, &path);
+            if let Some(pgo) = pgo {
+                pgo.observe_unit(bench.name, scale, &scheme_name, &path);
             }
             return (*reply).clone();
         }
     }
 
-    let mut program = bench.program.clone();
-    // Interprocedural phase (`Px4`): guarded inlining of the hottest call
-    // sites, then a retrain on the inlined program — same two-phase flow
-    // as the runner, so Compile and RunCell agree on what `Px4` means.
-    let (edge, path) = if matches!(scheme, Scheme::Inter { .. }) {
-        let inline_config = pps_core::InlineConfig {
-            oracle_inputs: vec![bench.train_args.clone()],
-            ..pps_core::InlineConfig::default()
-        };
-        let outcome = pps_core::inline_hot_calls(&mut program, &edge, &inline_config);
-        if outcome.inlined.is_empty() {
-            (edge, path)
-        } else {
-            match train_profiles_on(&program, &bench.train_args, bench.name, DEFAULT_PATH_DEPTH)
-            {
-                Ok(pair) => pair,
-                Err(r) => return r,
-            }
+    // `Px4` inlines and retrains inside `compile`, exactly as `RunCell`
+    // does, so the two request kinds agree on what every scheme means.
+    let compiled = match runner::compile(&bench, scheme, &edge, &path, &config, obs) {
+        Ok(c) => c,
+        Err(RunError::Pipeline { error: e, .. }) => {
+            return error(ErrorKind::Pipeline, e.to_string())
         }
-    } else {
-        (edge, path)
+        Err(e) => return error(ErrorKind::Exec, e.to_string()),
     };
-    let guard = GuardConfig {
-        oracle_inputs: vec![bench.train_args.clone()],
-        ..GuardConfig::default()
-    };
-    let guarded = match guarded_form_and_compact_obs(
-        &mut program,
-        &edge,
-        Some(&path),
-        scheme,
-        &FormConfig::default(),
-        &CompactConfig::default(),
-        &guard,
-        obs,
-    ) {
-        Ok(g) => g,
-        Err(e) => return error(ErrorKind::Pipeline, e.to_string()),
-    };
-    if let Some(sink) = sink {
-        sink.observe_unit(bench.name, scale, &scheme_name, &path);
+    // The drift reference is the profile the client's traffic is made of:
+    // the pair before any inlining, as on a cache hit.
+    if let Some(pgo) = pgo {
+        pgo.observe_unit(bench.name, scale, &scheme_name, &path);
     }
 
+    let guarded = &compiled.guarded;
     let stats = &guarded.stats;
     let report = format!(
         "pps-compile-report v1\n\
@@ -404,11 +288,10 @@ fn run_cell(
     scale: u32,
     scheme_name: &str,
     strict: bool,
-    _obs: &Obs,
-    sink: Option<&dyn ProfileSink>,
+    pgo: Option<&PgoState>,
     cache: Option<&CompileCache>,
 ) -> Response {
-    let Some(scheme) = parse_scheme(scheme_name) else {
+    let Some(scheme) = Scheme::parse(scheme_name) else {
         return error(ErrorKind::UnknownScheme, format!("no scheme `{scheme_name}`"));
     };
     let scheme_name = scheme.name();
@@ -418,36 +301,26 @@ fn run_cell(
     };
     let mut config = RunConfig::paper();
     config.guard.mode = if strict { GuardMode::Strict } else { GuardMode::Degrade };
-    // Train up front when anyone needs the pair — the sink to aggregate
-    // it, the cache to key on it — then hand the same objects to the
-    // runner. `Pk*` schemes train their k-iteration kind here (the runner
-    // would otherwise train the same thing itself), so the preloaded pair
-    // always matches what the scheme's own training run would produce and
-    // the reply stays byte-for-byte equal to plain execution.
-    let mut trained: Option<(EdgeProfile, PathProfile)> = None;
-    let mut kpath: Option<KPathProfile> = None;
-    if sink.is_some() || cache.is_some() {
-        match scheme.kpath_k() {
-            Some(k) => match train_kprofiles(&bench, k as usize, DEFAULT_PATH_DEPTH) {
-                Ok((edge, kprof, path)) => {
-                    kpath = Some(kprof);
-                    trained = Some((edge, path));
-                }
-                Err(r) => return r,
-            },
-            None => match train_profiles(&bench, DEFAULT_PATH_DEPTH) {
-                Ok(pair) => trained = Some(pair),
-                Err(r) => return r,
-            },
+    // Train up front when anyone needs the pair — the PGO tier to
+    // aggregate it, the cache to key on it — then hand the same objects to
+    // the runner. The runner would train exactly this (the scheme's own
+    // profile kind) itself, so the reply stays byte-for-byte equal to
+    // plain execution.
+    let trained = if pgo.is_some() || cache.is_some() {
+        match train(&bench, DEFAULT_PATH_DEPTH, scheme.kpath_k()) {
+            Ok(t) => Some(t),
+            Err(r) => return r,
         }
-    }
-    if let (Some(sink), Some((edge, path))) = (sink, &trained) {
-        sink.publish(bench.name, scale, edge, path);
-        sink.observe_unit(bench.name, scale, &scheme_name, path);
+    } else {
+        None
+    };
+    if let (Some(pgo), Some(t)) = (pgo, &trained) {
+        pgo.publish(bench.name, scale, &t.edge, &t.path);
+        pgo.observe_unit(bench.name, scale, &scheme_name, &t.path);
     }
     let key = match (&trained, cache) {
-        (Some((edge, path)), Some(_)) => Some(CacheKey {
-            artifact: artifact_key(&bench, edge, path, kpath.as_ref(), scheme, &config.machine),
+        (Some(t), Some(_)) => Some(CacheKey {
+            artifact: artifact_key(&bench, t, scheme, &config.machine),
             class: CacheClass::RunCell { strict },
             bench: bench.name.to_string(),
             scale,
@@ -459,14 +332,14 @@ fn run_cell(
             return (*reply).clone();
         }
     }
-    if let Some(pair) = trained {
-        config.preloaded = Some(Arc::new(pair));
+    if let Some(t) = trained {
+        config.preloaded = Some(Arc::new(t.into_pair()));
     }
     // The cell records into its own metrics-only registry — exactly what
     // `pps-harness --metrics-out` exports for the same cell, and byte-
     // deterministic, so clients can diff replies against local runs.
     let cell_obs = Obs::recording(ObsConfig { level: Level::Off, trace: false, metrics: true });
-    match run_scheme_obs(&bench, scheme, &config, &cell_obs) {
+    match runner::run_scheme_obs(&bench, scheme, &config, &cell_obs) {
         Ok(_) => {
             let response = Response::RunCell {
                 metrics_json: cell_obs
@@ -491,19 +364,19 @@ mod tests {
     #[test]
     fn scheme_names_round_trip() {
         for scheme in Scheme::FAMILY {
-            assert_eq!(parse_scheme(&scheme.name()), Some(scheme), "{}", scheme.name());
+            assert_eq!(Scheme::parse(&scheme.name()), Some(scheme), "{}", scheme.name());
             // Spelling variants canonicalize instead of splitting cache
             // entries or shard routes.
             assert_eq!(
-                parse_scheme(&scheme.name().to_ascii_uppercase()),
+                Scheme::parse(&scheme.name().to_ascii_uppercase()),
                 Some(scheme),
                 "{}",
                 scheme.name()
             );
         }
-        assert_eq!(parse_scheme("Q4"), None);
-        assert_eq!(parse_scheme("M"), None);
-        assert_eq!(parse_scheme("P4x"), None);
+        assert_eq!(Scheme::parse("Q4"), None);
+        assert_eq!(Scheme::parse("M"), None);
+        assert_eq!(Scheme::parse("P4x"), None);
     }
 
     #[test]
@@ -518,6 +391,8 @@ mod tests {
                     profile: None,
                 },
                 &obs,
+                None,
+                None,
             )
         };
         let pk2 = compile("Pk2");
@@ -534,11 +409,15 @@ mod tests {
         let r = execute(
             &Request::Profile { bench: "nope".into(), scale: 1, depth: 0 },
             &Obs::noop(),
+            None,
+            None,
         );
         assert!(matches!(r, Response::Error { kind: ErrorKind::UnknownBench, .. }));
         let r = execute(
             &Request::Profile { bench: "wc".into(), scale: 0, depth: 0 },
             &Obs::noop(),
+            None,
+            None,
         );
         assert!(matches!(r, Response::Error { kind: ErrorKind::BadRequest, .. }));
     }
@@ -549,6 +428,8 @@ mod tests {
         let Response::Profile { edge, path } = execute(
             &Request::Profile { bench: "wc".into(), scale: 1, depth: 0 },
             &obs,
+            None,
+            None,
         ) else {
             panic!("profile failed");
         };
@@ -560,10 +441,14 @@ mod tests {
                 profile: Some(ProfileText { edge, path }),
             },
             &obs,
+            None,
+            None,
         );
         let trained = execute(
             &Request::Compile { bench: "wc".into(), scale: 1, scheme: "P4".into(), profile: None },
             &obs,
+            None,
+            None,
         );
         assert_eq!(with_profile, trained, "saved profile must reproduce training");
         let Response::Compile { report } = trained else { panic!("compile failed") };
@@ -579,8 +464,8 @@ mod tests {
             scheme: "M4".into(),
             strict: true,
         };
-        let a = execute(&req, &Obs::noop());
-        let b = execute(&req, &Obs::noop());
+        let a = execute(&req, &Obs::noop(), None, None);
+        let b = execute(&req, &Obs::noop(), None, None);
         assert_eq!(a, b, "RunCell must be byte-deterministic");
         let Response::RunCell { metrics_json } = a else { panic!("runcell failed") };
         pps_obs::json::parse(&metrics_json).expect("valid metrics JSON");

@@ -30,9 +30,8 @@ use crate::proto::{
     decode_request, decode_response, encode_request, encode_response, Envelope, ErrorKind,
     HealthSnapshot, Request, Response, PROTO_MINOR,
 };
-use crate::service::parse_scheme;
 use pps_core::hash::{Fold};
-use pps_core::{machine_hash, ArtifactKey};
+use pps_core::{machine_hash, ArtifactKey, Scheme};
 use pps_machine::MachineConfig;
 use pps_obs::{Level, Obs};
 use pps_suite::{benchmark_by_name, Scale};
@@ -344,10 +343,10 @@ impl Router {
     }
 }
 
-/// Scheme names canonicalize through [`parse_scheme`] so spelled-out
+/// Scheme names canonicalize through [`Scheme::parse`] so spelled-out
 /// variants of one scheme place identically.
 fn canonical_scheme(scheme: &str) -> String {
-    parse_scheme(scheme).map_or_else(|| scheme.to_string(), |s| s.name())
+    Scheme::parse(scheme).map_or_else(|| scheme.to_string(), |s| s.name())
 }
 
 enum First {

@@ -11,8 +11,8 @@ use pps_profile::{EdgeProfile, EdgeProfiler, PathProfile, PathProfiler, DEFAULT_
 use pps_serve::cache::CompileCache;
 use pps_serve::pgo::{PgoConfig, PgoState};
 use pps_serve::proto::{encode_response, ProfileText, Request, Response};
-use pps_serve::server::{ServeConfig, ServerHandle};
-use pps_serve::service::{execute, execute_cached, CachedPipelineHandler, ProfileSink};
+use pps_serve::server::{Handler, ServeConfig, ServerHandle};
+use pps_serve::service::{execute, PipelineHandler};
 use pps_serve::Client;
 use pps_suite::{benchmark_by_name, Scale};
 use std::sync::Arc;
@@ -65,9 +65,9 @@ fn repeated_requests_hit_the_cache_byte_identically() {
         Request::RunCell { bench: "wc".into(), scale: 1, scheme: "M4".into(), strict: true },
     ];
     for request in &requests {
-        let plain = encode_response(&execute(request, &obs));
-        let first = encode_response(&execute_cached(request, &obs, None, Some(&cache)));
-        let second = encode_response(&execute_cached(request, &obs, None, Some(&cache)));
+        let plain = encode_response(&execute(request, &obs, None, None));
+        let first = encode_response(&execute(request, &obs, None, Some(&cache)));
+        let second = encode_response(&execute(request, &obs, None, Some(&cache)));
         assert_eq!(plain, first, "cold reply differs from uncached execute: {request:?}");
         assert_eq!(plain, second, "cache hit changed reply bytes: {request:?}");
     }
@@ -83,8 +83,8 @@ fn strictness_is_part_of_runcell_identity_and_errors_are_never_cached() {
     let obs = Obs::noop();
     let strict = Request::RunCell { bench: "wc".into(), scale: 1, scheme: "P4".into(), strict: true };
     let lax = Request::RunCell { bench: "wc".into(), scale: 1, scheme: "P4".into(), strict: false };
-    execute_cached(&strict, &obs, None, Some(&cache));
-    execute_cached(&lax, &obs, None, Some(&cache));
+    execute(&strict, &obs, None, Some(&cache));
+    execute(&lax, &obs, None, Some(&cache));
     let (hits, misses, _, _, entries) = cache.stats();
     assert_eq!(hits, 0, "strict and lax cells must not collide");
     assert_eq!(misses, 2);
@@ -92,7 +92,7 @@ fn strictness_is_part_of_runcell_identity_and_errors_are_never_cached() {
 
     // An error reply (unknown bench) must not enter the cache.
     let bad = Request::Compile { bench: "nope".into(), scale: 1, scheme: "P4".into(), profile: None };
-    let reply = execute_cached(&bad, &obs, None, Some(&cache));
+    let reply = execute(&bad, &obs, None, Some(&cache));
     assert!(matches!(reply, Response::Error { .. }));
     let (_, _, _, _, entries_after) = cache.stats();
     assert_eq!(entries_after, entries, "error replies are never cached");
@@ -101,8 +101,8 @@ fn strictness_is_part_of_runcell_identity_and_errors_are_never_cached() {
 #[test]
 fn hot_swap_invalidates_the_swapped_groups_cache_entries() {
     let cache = Arc::new(CompileCache::new(16));
-    let state = PgoState::new(fast_config(), Obs::noop());
-    state.attach_cache(Arc::clone(&cache));
+    let state = Arc::new(PgoState::new(fast_config(), Obs::noop()));
+    let handler = PipelineHandler::new(Some(Arc::clone(&cache)), Some(Arc::clone(&state)));
     let obs = Obs::noop();
 
     let (edge, path) = train("wc", 1, DEFAULT_PATH_DEPTH);
@@ -113,8 +113,8 @@ fn hot_swap_invalidates_the_swapped_groups_cache_entries() {
         profile: Some(ProfileText { edge: edge_to_text(&edge), path: path_to_text(&path) }),
     };
     // Another group (different scheme) that must survive the invalidation.
-    // Executed sink-less so the PGO tier never tracks it: only the P4 unit
-    // can drift and swap.
+    // Executed without the PGO state so the tier never tracks it: only the
+    // P4 unit can drift and swap.
     let other = Request::Compile {
         bench: "wc".into(),
         scale: 1,
@@ -123,10 +123,10 @@ fn hot_swap_invalidates_the_swapped_groups_cache_entries() {
     };
 
     // Warm the cache and register the unit; a repeat is a hit.
-    let first = execute_cached(&steady, &obs, Some(&state), Some(&cache));
-    let again = execute_cached(&steady, &obs, Some(&state), Some(&cache));
+    let first = handler.handle(&steady, &obs);
+    let again = handler.handle(&steady, &obs);
     assert_eq!(encode_response(&first), encode_response(&again));
-    execute_cached(&other, &obs, None, Some(&cache));
+    execute(&other, &obs, None, Some(&cache));
     let (hits, _, _, invalidations, entries) = cache.stats();
     assert_eq!(hits, 1);
     assert_eq!(invalidations, 0);
@@ -141,7 +141,7 @@ fn hot_swap_invalidates_the_swapped_groups_cache_entries() {
     // recomputes the same bytes; the M4 entry still hits.
     let (h0, m0, _, inv0, _) = cache.stats();
     assert!(inv0 >= 1, "swap must invalidate the group");
-    let after = execute_cached(&steady, &obs, Some(&state), Some(&cache));
+    let after = handler.handle(&steady, &obs);
     assert_eq!(
         encode_response(&first),
         encode_response(&after),
@@ -150,13 +150,13 @@ fn hot_swap_invalidates_the_swapped_groups_cache_entries() {
     let (h1, m1, ..) = cache.stats();
     assert_eq!(h1, h0, "stale P4 entry must not serve a hit after the swap");
     assert_eq!(m1, m0 + 1);
-    let other_again = execute_cached(&other, &obs, Some(&state), Some(&cache));
+    let other_again = handler.handle(&other, &obs);
     assert!(matches!(other_again, Response::Compile { .. }));
     let (h2, ..) = cache.stats();
     assert_eq!(h2, h1 + 1, "the M4 group must survive the P4 invalidation");
 
-    // Health carries the cache counters through the PGO fill.
-    let health = state.fill_health(Default::default());
+    // The handler's health carries the cache counters next to the PGO ones.
+    let health = handler.health(Default::default());
     assert_eq!(health.cache_hits, h2);
     assert!(health.cache_invalidations >= 1);
 }
@@ -168,7 +168,7 @@ fn daemon_reports_cache_counters_in_pong() {
     let server = ServerHandle::spawn(
         "127.0.0.1:0",
         config,
-        Arc::new(CachedPipelineHandler::new(Arc::clone(&cache))),
+        Arc::new(PipelineHandler::new(Some(Arc::clone(&cache)), None)),
         Obs::noop(),
     )
     .expect("bind");
@@ -190,7 +190,7 @@ fn daemon_reports_cache_counters_in_pong() {
     );
     assert_eq!(
         encode_response(&first),
-        encode_response(&execute(&request, &Obs::noop())),
+        encode_response(&execute(&request, &Obs::noop(), None, None)),
         "daemon reply differs from in-process pipeline"
     );
 

@@ -11,10 +11,10 @@ use pps_profile::serialize::{edge_to_text, path_to_text};
 use pps_profile::{
     EdgeProfile, EdgeProfiler, PathProfile, PathProfiler, DEFAULT_PATH_DEPTH,
 };
-use pps_serve::pgo::{PgoConfig, PgoFault, PgoHandler, PgoRuntime, PgoState, SweepReport};
+use pps_serve::pgo::{PgoConfig, PgoFault, PgoRuntime, PgoState, SweepReport};
 use pps_serve::proto::{encode_response, ProfileText, Request, Response};
 use pps_serve::server::{ServeConfig, ServerHandle};
-use pps_serve::service::{execute, execute_with, ProfileSink};
+use pps_serve::service::{execute, PipelineHandler};
 use pps_serve::Client;
 use pps_suite::{benchmark_by_name, Scale};
 use std::sync::Arc;
@@ -191,9 +191,9 @@ fn profile_sink_never_changes_reply_bytes() {
         Request::RunCell { bench: "wc".into(), scale: 1, scheme: "P4".into(), strict: false },
     ];
     for request in &requests {
-        let plain = encode_response(&execute(request, &Obs::noop()));
+        let plain = encode_response(&execute(request, &Obs::noop(), None, None));
         let observed =
-            encode_response(&execute_with(request, &Obs::noop(), Some(&state)));
+            encode_response(&execute(request, &Obs::noop(), Some(&state), None));
         assert_eq!(plain, observed, "sink changed bytes of {request:?}");
     }
     // ... while actually having observed the traffic.
@@ -209,7 +209,7 @@ fn daemon_serves_health_and_hot_swaps_under_drifting_traffic() {
     let server = ServerHandle::spawn(
         "127.0.0.1:0",
         config,
-        Arc::new(PgoHandler::new(Arc::clone(&state))),
+        Arc::new(PipelineHandler::new(None, Some(Arc::clone(&state)))),
         Obs::noop(),
     )
     .expect("bind");
@@ -236,7 +236,7 @@ fn daemon_serves_health_and_hot_swaps_under_drifting_traffic() {
     let reply = client.request(steady.clone()).unwrap();
     assert_eq!(
         encode_response(&reply),
-        encode_response(&execute(&steady, &Obs::noop())),
+        encode_response(&execute(&steady, &Obs::noop(), None, None)),
         "daemon reply differs from in-process pipeline"
     );
 
@@ -254,7 +254,7 @@ fn daemon_serves_health_and_hot_swaps_under_drifting_traffic() {
     let reply = client.request(drifted.clone()).unwrap();
     assert_eq!(
         encode_response(&reply),
-        encode_response(&execute(&drifted, &Obs::noop()))
+        encode_response(&execute(&drifted, &Obs::noop(), None, None))
     );
     let report = state.sweep();
     assert_eq!(report.swaps, 1, "{report:?}");

@@ -7,7 +7,7 @@ use pps_obs::Obs;
 use pps_serve::cache::CompileCache;
 use pps_serve::proto::{encode_response, Request, Response};
 use pps_serve::server::{ServeConfig, ServerHandle};
-use pps_serve::service::{execute, CachedPipelineHandler};
+use pps_serve::service::{execute, PipelineHandler};
 use pps_serve::shard::{Router, RouterConfig, RouterHandle, ShardRing, DEFAULT_VNODES};
 use pps_serve::Client;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ fn spawn_daemon() -> (ServerHandle, Arc<CompileCache>) {
     let server = ServerHandle::spawn(
         "127.0.0.1:0",
         config,
-        Arc::new(CachedPipelineHandler::new(Arc::clone(&cache))),
+        Arc::new(PipelineHandler::new(Some(Arc::clone(&cache)), None)),
         Obs::noop(),
     )
     .expect("bind daemon");
@@ -68,7 +68,7 @@ fn cluster_is_byte_identical_and_fans_in_health() {
             let reply = client.request(request.clone()).unwrap();
             assert_eq!(
                 encode_response(&reply),
-                encode_response(&execute(request, &Obs::noop())),
+                encode_response(&execute(request, &Obs::noop(), None, None)),
                 "pass {pass}: cluster reply differs from in-process execute: {request:?}"
             );
         }
@@ -106,7 +106,7 @@ fn cluster_is_byte_identical_and_fans_in_health() {
     let reply = client.request(bad.clone()).unwrap();
     assert_eq!(
         encode_response(&reply),
-        encode_response(&execute(&bad, &Obs::noop())),
+        encode_response(&execute(&bad, &Obs::noop(), None, None)),
         "error replies must pass through unchanged"
     );
 

@@ -16,6 +16,8 @@
 //! - [`sim`] — the compiled-simulation analog (cycle accounting, I-cache,
 //!   layout);
 //! - [`suite`] — the benchmark programs of Table 1 (micro + SPEC analogs);
+//! - [`eval`] — one benchmark × scheme cell end to end: the shared
+//!   train → inline → compile path, then layout and measurement;
 //! - [`harness`] — experiment drivers regenerating every table and figure;
 //! - [`serve`] — the compile-service daemon (framed protocol, bounded
 //!   queue, load-generating client via `pps-harness loadgen`).
@@ -29,6 +31,7 @@ pub mod testgen;
 
 pub use pps_compact as compact;
 pub use pps_core as core;
+pub use pps_eval as eval;
 pub use pps_harness as harness;
 pub use pps_ir as ir;
 pub use pps_machine as machine;

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 fn spawn_daemon() -> ServerHandle {
     let config = ServeConfig { poll: Duration::from_millis(5), ..ServeConfig::default() };
-    ServerHandle::spawn("127.0.0.1:0", config, Arc::new(PipelineHandler), Obs::noop())
+    ServerHandle::spawn("127.0.0.1:0", config, Arc::new(PipelineHandler::default()), Obs::noop())
         .expect("bind")
 }
 
@@ -30,7 +30,7 @@ fn concurrent_requests_match_the_in_process_pipeline_byte_for_byte() {
     ];
     let expected: Vec<Vec<u8>> = requests
         .iter()
-        .map(|r| encode_response(&pps::serve::execute(r, &Obs::noop())))
+        .map(|r| encode_response(&pps::serve::execute(r, &Obs::noop(), None, None)))
         .collect();
 
     std::thread::scope(|scope| {

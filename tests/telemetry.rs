@@ -35,7 +35,7 @@ fn spawn_daemon_with_telemetry(access_log: &str) -> (ServerHandle, Arc<Telemetry
     let server = ServerHandle::spawn_with_telemetry(
         "127.0.0.1:0",
         config,
-        Arc::new(PipelineHandler),
+        Arc::new(PipelineHandler::default()),
         obs,
         Arc::clone(&telemetry),
     )
@@ -130,7 +130,7 @@ fn replies_are_byte_identical_with_telemetry_on_and_pong_carries_minor() {
     ];
     let expected: Vec<Vec<u8>> = requests
         .iter()
-        .map(|r| encode_response(&pps::serve::execute(r, &Obs::noop())))
+        .map(|r| encode_response(&pps::serve::execute(r, &Obs::noop(), None, None)))
         .collect();
 
     let mut client = Client::connect(&addr, Some(Duration::from_secs(120))).expect("connect");
