@@ -20,7 +20,7 @@
 #                             workload's profiles; assert >=1 hot-swap,
 #                             zero rollbacks, no in-flight recompiles at
 #                             drain, and zero reply mismatches throughout;
-#                             writes BENCH_drift.json
+#                             prints the swap count
 #   ./ci.sh shard-smoke       2 pps-serve shards behind the pps-shard
 #                             consistent-hash router on ephemeral ports;
 #                             loadgen --cluster drives a repeat-heavy
@@ -29,9 +29,8 @@
 #                             against the in-process pipeline, asserts a
 #                             nonzero cluster cache hit rate, both shards
 #                             owning keys, and a clean whole-cluster
-#                             drain from one in-band Shutdown; records
-#                             hit rate / aggregate rps / per-shard queue
-#                             depth in BENCH_serve.json
+#                             drain from one in-band Shutdown; prints
+#                             the hit rate and aggregate rps
 #   ./ci.sh interp-diff       differential lockdown of the fast execution
 #                             engine: ~200 generated programs plus fault-
 #                             injected variants run on both engines
@@ -42,17 +41,15 @@
 #   ./ci.sh kpath-smoke       the k-iteration / interprocedural scheme
 #                             family end to end: regenerate the Figure 4
 #                             table with the Pk2/Pk3/Px4 columns and one
-#                             train/test divergence sweep; measure the
-#                             k-path profiler's training overhead against
-#                             the general path profiler from recorded
-#                             `profile` spans; drive a daemon with Pk2 and
-#                             Px4 loads (replies byte-verified, repeats
-#                             must hit the reply cache); records per-scheme
-#                             cycle ratios, profiling overhead, and serve
-#                             throughput in BENCH_kpath.json
+#                             train/test divergence sweep; pps-explore
+#                             traced on P4/Pk2/Pk3; drive a daemon with
+#                             Pk2 and Px4 loads (replies byte-verified,
+#                             repeats must hit the reply cache); prints
+#                             the mean Figure 4 ratios and serve
+#                             throughput
 #   ./ci.sh interp-bench      fig4 scale-4 smoke under the fast engine and
 #                             PPS_ENGINE=reference: outputs must be
-#                             byte-identical; writes BENCH_interp.json;
+#                             byte-identical; prints both wall times;
 #                             hard-fails only on a gross regression (fast
 #                             slower than the tree's own reference path)
 #   ./ci.sh telemetry-smoke   two loadgen passes, telemetry off then on;
@@ -60,9 +57,10 @@
 #                             the load runs (`pps-harness top --watch-json`
 #                             validates every exposition), assert non-zero
 #                             serve_latency_ms buckets, one access-log line
-#                             per reply, zero reply mismatches, and record
-#                             the on/off throughput delta in
-#                             BENCH_telemetry.json
+#                             per reply, zero reply mismatches, and fail
+#                             on a gross on/off throughput delta (printed)
+#
+# Performance is measured by perfbench/ (see BENCHMARK.json), not here.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -79,6 +77,30 @@ gate() {
 
   echo "== clippy =="
   cargo clippy --all-targets -- -D warnings
+  # crates/bench sits outside default-members; lint it so the API it
+  # calls stays compiled.
+  cargo clippy -p pps-bench --all-targets -- -D warnings
+}
+
+# boot LOG PORTFILES CMD...: starts a daemon (pps-serve or pps-shard) in
+# the background, its output to LOG ("-" keeps the terminal), and waits
+# until every file in the space-separated PORTFILES is non-empty. Sets
+# $booted to the daemon's pid. Fails if the daemon dies before binding.
+boot() {
+  local log="$1" ports="$2" f ready
+  shift 2
+  if [ "$log" = - ]; then "$@" & else "$@" > "$log" 2>&1 & fi
+  booted=$!
+  for _ in $(seq 1 100); do
+    ready=yes
+    for f in $ports; do [ -s "$f" ] || ready=""; done
+    [ -n "$ready" ] && return 0
+    if ! kill -0 "$booted" 2>/dev/null; then
+      echo "$1 died before binding"; [ "$log" = - ] || cat "$log"; exit 1
+    fi
+    sleep 0.1
+  done
+  echo "$1 never wrote its port file(s): $ports"; exit 1
 }
 
 obs_smoke() {
@@ -115,17 +137,10 @@ serve_smoke() {
   out="$(mktemp -d)"
   cargo build --release -p pps-serve -p pps-harness
 
-  ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port" \
-    --metrics-out "$out/serve-metrics.json" --log-level warn &
-  daemon=$!
-
   # The daemon writes its bound address atomically once listening.
-  for _ in $(seq 1 100); do
-    [ -s "$out/port" ] && break
-    kill -0 "$daemon" 2>/dev/null || { echo "daemon died before binding"; exit 1; }
-    sleep 0.1
-  done
-  [ -s "$out/port" ] || { echo "daemon never wrote its port file"; exit 1; }
+  boot - "$out/port" ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port" \
+    --metrics-out "$out/serve-metrics.json" --log-level warn
+  daemon=$booted
   addr="$(cat "$out/port")"
 
   # 64 requests over 64 connections, every reply verified byte-identical
@@ -156,18 +171,11 @@ drift_smoke() {
 
   # Fast sweep knobs so the loop closes in CI time: sweep every 50ms, no
   # recompile cooldown, drift-check once two profiles have merged.
-  ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port" \
+  boot "$out/daemon.log" "$out/port" \
+    ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port" \
     --pgo-interval-ms 50 --pgo-cooldown-ms 0 --pgo-min-samples 2 \
-    --metrics-out "$out/serve-metrics.json" --log-level info \
-    > "$out/daemon.log" 2>&1 &
-  daemon=$!
-
-  for _ in $(seq 1 100); do
-    [ -s "$out/port" ] && break
-    kill -0 "$daemon" 2>/dev/null || { echo "daemon died before binding"; exit 1; }
-    sleep 0.1
-  done
-  [ -s "$out/port" ] || { echo "daemon never wrote its port file"; exit 1; }
+    --metrics-out "$out/serve-metrics.json" --log-level info
+  daemon=$booted
   addr="$(cat "$out/port")"
 
   # Phase A: steady mix with true profiles. Phase B (--drift): the mix's
@@ -195,8 +203,7 @@ drift_smoke() {
     || { echo "daemon metrics missing pgo counters"; exit 1; }
   grep -q 'hot-swapped' "$out/daemon.log" || { echo "daemon log missing swap"; exit 1; }
 
-  cp "$out/loadgen.json" BENCH_drift.json
-  echo "drift smoke OK (BENCH_drift.json updated)"
+  echo "drift smoke OK (swaps $swaps)"
   rm -rf "$out"
 }
 
@@ -206,32 +213,18 @@ shard_smoke() {
   cargo build --release -p pps-serve -p pps-harness
 
   # Two shard daemons (reply caches on by default) on ephemeral ports.
-  ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port1" \
-    --log-level warn > "$out/shard1.log" 2>&1 &
-  shard1=$!
-  ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port2" \
-    --log-level warn > "$out/shard2.log" 2>&1 &
-  shard2=$!
-  for _ in $(seq 1 100); do
-    [ -s "$out/port1" ] && [ -s "$out/port2" ] && break
-    { kill -0 "$shard1" && kill -0 "$shard2"; } 2>/dev/null \
-      || { echo "a shard died before binding"; exit 1; }
-    sleep 0.1
-  done
-  { [ -s "$out/port1" ] && [ -s "$out/port2" ]; } \
-    || { echo "shards never wrote their port files"; exit 1; }
+  boot "$out/shard1.log" "$out/port1" \
+    ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port1" --log-level warn
+  shard1=$booted
+  boot "$out/shard2.log" "$out/port2" \
+    ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port2" --log-level warn
+  shard2=$booted
 
   # The router in front of both.
-  ./target/release/pps-shard --shard "$(cat "$out/port1")" --shard "$(cat "$out/port2")" \
-    --addr 127.0.0.1:0 --port-file "$out/rport" --log-level info \
-    > "$out/router.log" 2>&1 &
-  router=$!
-  for _ in $(seq 1 100); do
-    [ -s "$out/rport" ] && break
-    kill -0 "$router" 2>/dev/null || { echo "router died before binding"; exit 1; }
-    sleep 0.1
-  done
-  [ -s "$out/rport" ] || { echo "router never wrote its port file"; exit 1; }
+  boot "$out/router.log" "$out/rport" \
+    ./target/release/pps-shard --shard "$(cat "$out/port1")" --shard "$(cat "$out/port2")" \
+    --addr 127.0.0.1:0 --port-file "$out/rport" --log-level info
+  router=$booted
   raddr="$(cat "$out/rport")"
 
   # Repeat-heavy multi-artifact load through the router. Every reply is
@@ -275,23 +268,7 @@ shard_smoke() {
   wait "$router" || { echo "router exited nonzero"; cat "$out/router.log"; exit 1; }
   grep -q 'drained:' "$out/router.log" || { echo "router log missing drain summary"; exit 1; }
 
-  # Record the cluster measurement in BENCH_serve.json (single line,
-  # replacing any previous record).
-  q1="$(grep -o '"queue_depth":[0-9]*' "$out/ping1.json" | grep -o '[0-9]*$')"
-  q2="$(grep -o '"queue_depth":[0-9]*' "$out/ping2.json" | grep -o '[0-9]*$')"
-  r1="$(grep -o '"requests":[0-9]*' "$out/ping1.json" | grep -o '[0-9]*$')"
-  r2="$(grep -o '"requests":[0-9]*' "$out/ping2.json" | grep -o '[0-9]*$')"
-  hits="$(grep -o '"cache_hits": [0-9]*' "$out/loadgen.json" | grep -o '[0-9]*$')"
-  misses="$(grep -o '"cache_misses": [0-9]*' "$out/loadgen.json" | grep -o '[0-9]*$')"
-  cluster_line="$(printf '{"date": "%s", "shards": 2, "conns": 8, "requests": 96, "distinct_artifacts": 12, "aggregate_rps": %s, "cache_hit_rate": %s, "cache_hits": %s, "cache_misses": %s, "per_shard": [{"requests": %s, "queue_depth": %s}, {"requests": %s, "queue_depth": %s}]}' \
-    "$(date +%F)" "$rps" "$hit_rate" "$hits" "$misses" "$r1" "$q1" "$r2" "$q2")"
-  awk -v cluster="$cluster_line" '
-    /^  "cluster": / { next }
-    /^  "byte_identical_to_in_process"/ { print "  \"cluster\": " cluster ","; print; next }
-    { print }
-  ' BENCH_serve.json > "$out/bench.tmp" && mv "$out/bench.tmp" BENCH_serve.json
-  grep -q '"cluster":' BENCH_serve.json || { echo "BENCH_serve.json cluster record missing"; exit 1; }
-  echo "shard smoke OK (BENCH_serve.json cluster record updated: rps $rps, hit rate $hit_rate)"
+  echo "shard smoke OK (aggregate rps $rps, cluster hit rate $hit_rate)"
   rm -rf "$out"
 }
 
@@ -302,15 +279,9 @@ telemetry_smoke() {
 
   # Pass 1: telemetry fully off — the throughput baseline. Same loadgen
   # knobs as the telemetry-on pass so the two rps numbers are comparable.
-  ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port-off" \
-    --log-level warn > "$out/daemon-off.log" 2>&1 &
-  daemon=$!
-  for _ in $(seq 1 100); do
-    [ -s "$out/port-off" ] && break
-    kill -0 "$daemon" 2>/dev/null || { echo "daemon died before binding"; exit 1; }
-    sleep 0.1
-  done
-  [ -s "$out/port-off" ] || { echo "daemon never wrote its port file"; exit 1; }
+  boot "$out/daemon-off.log" "$out/port-off" \
+    ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port-off" --log-level warn
+  daemon=$booted
   ./target/release/pps-harness loadgen --addr "$(cat "$out/port-off")" \
     --conns 32 --requests 160 --bench wc --scale 1 --scheme P4 \
     --probe-malformed --shutdown --out "$out/loadgen-off.json" --log-level warn
@@ -320,19 +291,11 @@ telemetry_smoke() {
 
   # Pass 2: scrape listener + access log + tail sampler all on, scraped
   # concurrently with the same load.
-  ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port-on" \
+  boot "$out/daemon-on.log" "$out/port-on $out/tport" \
+    ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port-on" \
     --telemetry-addr 127.0.0.1:0 --telemetry-port-file "$out/tport" \
-    --access-log "$out/access.jsonl" --log-level info \
-    > "$out/daemon-on.log" 2>&1 &
-  daemon=$!
-  for _ in $(seq 1 100); do
-    [ -s "$out/port-on" ] && [ -s "$out/tport" ] && break
-    kill -0 "$daemon" 2>/dev/null \
-      || { echo "daemon died before binding"; cat "$out/daemon-on.log"; exit 1; }
-    sleep 0.1
-  done
-  { [ -s "$out/port-on" ] && [ -s "$out/tport" ]; } \
-    || { echo "daemon never wrote its port files"; exit 1; }
+    --access-log "$out/access.jsonl" --log-level info
+  daemon=$booted
   taddr="$(cat "$out/tport")"
 
   ./target/release/pps-harness loadgen --addr "$(cat "$out/port-on")" \
@@ -389,24 +352,16 @@ telemetry_smoke() {
   grep -q '"trace_id"' "$out/access.jsonl" || { echo "access log missing trace ids"; exit 1; }
   grep -q 'telemetry: ' "$out/daemon-on.log" || { echo "daemon telemetry summary missing"; exit 1; }
 
-  # Record the overhead. Target is 5%; this CI box pins the scraper and
-  # the workers to the same vCPU, so only a gross regression fails.
+  # The overhead target is 5%; a CI box may pin the scraper and the
+  # workers to the same vCPU, so only a gross regression (>25%) fails.
   rps_off="$(grep -o '"throughput_rps": [0-9.]*' "$out/loadgen-off.json" | grep -o '[0-9.]*$')"
   rps_on="$(grep -o '"throughput_rps": [0-9.]*' "$out/loadgen-on.json" | grep -o '[0-9.]*$')"
-  awk -v off="$rps_off" -v on="$rps_on" -v lines="$lines" -v scrape="$scrape_ms" 'BEGIN {
-    pct = (off > 0) ? (1 - on / off) * 100 : 0
-    printf "{\n"
-    printf "  \"schema\": \"pps-bench-telemetry\",\n"
-    printf "  \"rps_off\": %s,\n  \"rps_on\": %s,\n", off, on
-    printf "  \"overhead_pct\": %.2f,\n  \"target_pct\": 5.0,\n", pct
-    printf "  \"scrape_ms\": %s,\n", scrape
-    printf "  \"access_log_lines\": %s,\n", lines
-    printf "  \"note\": \"measured with concurrent curl+top scrapes on a 1-vCPU host; "
-    printf "the scraper competes with the workers, so only >25%% fails CI\"\n}\n"
-    exit !(pct <= 25.0)
-  }' > BENCH_telemetry.json \
-    || { echo "gross telemetry overhead"; cat BENCH_telemetry.json; exit 1; }
-  echo "telemetry smoke OK (BENCH_telemetry.json updated)"
+  pct="$(awk -v off="$rps_off" -v on="$rps_on" \
+    'BEGIN { printf "%.2f", (off > 0) ? (1 - on / off) * 100 : 0 }')"
+  echo "telemetry: rps off $rps_off, on $rps_on, overhead ${pct}%, scrape ${scrape_ms}ms, $lines access-log lines"
+  awk -v pct="$pct" 'BEGIN { exit !(pct <= 25.0) }' \
+    || { echo "gross telemetry overhead (${pct}% > 25%)"; exit 1; }
+  echo "telemetry smoke OK"
   rm -rf "$out"
 }
 
@@ -427,35 +382,22 @@ kpath_smoke() {
   grep -q 'inv/true' "$out/diverge.txt" || { echo "diverge missing ratio columns"; exit 1; }
   grep -q 'Pk2' "$out/diverge.txt" || { echo "diverge missing Pk2 rows"; exit 1; }
 
-  # Profiling overhead: identical pps-explore runs recording the
-  # `profile` span (training execution + profiler), general path profiler
-  # (P4) vs the k-path collectors.
+  # The explorer end to end under the general path profiler (P4) and the
+  # k-path collectors, recording a trace. (perfbench's profile-s4 workload
+  # measures the profilers' overhead.)
   for s in P4 Pk2 Pk3; do
     ./target/release/pps-explore --bench wc --scheme "$s" --scale 2 \
       --trace-out "$out/trace-$s.json" --log-level warn > /dev/null
   done
-  prof_us() {
-    grep -o '{"name":"profile"[^}]*}' "$1" | grep -o '"dur":[0-9.]*' \
-      | grep -o '[0-9.]*$' | awk '{ s += $1 } END { printf "%.1f", s }'
-  }
-  p4_us="$(prof_us "$out/trace-P4.json")"
-  pk2_us="$(prof_us "$out/trace-Pk2.json")"
-  pk3_us="$(prof_us "$out/trace-Pk3.json")"
 
   # The daemon end to end: a Pk2 load over one artifact (repeats must hit
   # the reply cache) and a Px4 load on a call-heavy benchmark (so the
   # inline phase actually fires server-side), every reply byte-verified
   # against the in-process pipeline. Scheme names arrive lowercased to
   # exercise canonicalization through the wire.
-  ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port" \
-    --log-level warn > "$out/daemon.log" 2>&1 &
-  daemon=$!
-  for _ in $(seq 1 100); do
-    [ -s "$out/port" ] && break
-    kill -0 "$daemon" 2>/dev/null || { echo "daemon died before binding"; exit 1; }
-    sleep 0.1
-  done
-  [ -s "$out/port" ] || { echo "daemon never wrote its port file"; exit 1; }
+  boot "$out/daemon.log" "$out/port" \
+    ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port" --log-level warn
+  daemon=$booted
   addr="$(cat "$out/port")"
 
   ./target/release/pps-harness loadgen --addr "$addr" \
@@ -485,21 +427,13 @@ kpath_smoke() {
 
   # Per-scheme cycle ratios averaged over the Figure 4 rows (columns:
   # benchmark, M4 cycles, P4, Pk2, Pk3, Px4, P4/M4, Pk2/M4, Px4/M4).
-  awk -v p4us="$p4_us" -v pk2us="$pk2_us" -v pk3us="$pk3_us" \
-      -v pk2rps="$pk2_rps" -v px4rps="$px4_rps" -v hits="$hits" -v misses="${misses:-0}" '
+  awk '
     NR > 3 && NF == 9 { n += 1; p4 += $7; pk2 += $8; px4 += $9 }
     END {
       if (n == 0) { print "no fig4 data rows" > "/dev/stderr"; exit 1 }
-      printf "{\n"
-      printf "  \"schema\": \"pps-bench-kpath\",\n  \"version\": 1,\n"
-      printf "  \"fig4_scale1\": { \"benchmarks\": %d, \"mean_p4_over_m4\": %.3f, \"mean_pk2_over_m4\": %.3f, \"mean_px4_over_m4\": %.3f },\n", n, p4 / n, pk2 / n, px4 / n
-      printf "  \"profiling_overhead\": { \"bench\": \"wc\", \"scale\": 2, \"profile_span_us\": { \"P4\": %s, \"Pk2\": %s, \"Pk3\": %s }, \"pk2_over_p4\": %.3f, \"pk3_over_p4\": %.3f },\n", p4us, pk2us, pk3us, pk2us / p4us, pk3us / p4us
-      printf "  \"serve\": { \"pk2_rps\": %s, \"px4_rps\": %s, \"cache_hits\": %s, \"cache_misses\": %s, \"hit_rate\": %.4f },\n", pk2rps, px4rps, hits, misses, hits / (hits + misses)
-      printf "  \"note\": \"see EXPERIMENTS.md: at scale 4 with the I-cache, Px4 beats P4e on 9 of 11 benchmarks; Pk2 wins on the call-dominated analogs\"\n"
-      printf "}\n"
-    }' "$out/fig4.txt" > BENCH_kpath.json \
-    || { echo "BENCH_kpath.json generation failed"; exit 1; }
-  echo "kpath smoke OK (BENCH_kpath.json updated: Pk2 ${pk2_rps} rps, hit rate $hits/$((hits + ${misses:-0})))"
+      printf "fig4 scale 1: %d benchmarks, mean P4/M4 %.3f, Pk2/M4 %.3f, Px4/M4 %.3f\n", n, p4 / n, pk2 / n, px4 / n
+    }' "$out/fig4.txt" || { echo "fig4 has no data rows"; exit 1; }
+  echo "kpath smoke OK (Pk2 ${pk2_rps} rps, Px4 ${px4_rps} rps, cache hits $hits/$((hits + ${misses:-0})))"
   rm -rf "$out"
 }
 
@@ -532,31 +466,12 @@ interp_bench() {
   diff -u "$out/fig4-fast.txt" "$out/fig4-ref.txt" \
     || { echo "fig4 output differs between engines"; exit 1; }
 
-  # The 3x acceptance target is against the pre-PR tree (old tree-walking
-  # engine, hashed profiler sinks, per-scheme retraining); those numbers
-  # are pinned below from an interleaved same-host measurement. CI boxes
-  # vary wildly, so the live gate is gross-regression-only: the fast
-  # engine must not lose to this tree's own reference path.
-  awk -v fast="$fast_ms" -v ref="$ref_ms" 'BEGIN {
-    printf "{\n"
-    printf "  \"schema\": \"pps-bench-interp\",\n  \"version\": 1,\n"
-    printf "  \"command\": \"target/release/pps-harness --experiment fig4 --scale 4 --jobs 1 --log-level off\",\n"
-    printf "  \"this_run\": { \"fast_ms\": %s, \"reference_ms\": %s, \"outputs_identical\": true },\n", fast, ref
-    printf "  \"pre_pr_baseline\": {\n"
-    printf "    \"date\": \"2026-08-07\",\n"
-    printf "    \"method\": \"pre-PR HEAD built in a clean clone, 5 interleaved runs against the post-PR tree on the same 1-vCPU host\",\n"
-    printf "    \"pre_pr_ms\": [18702, 18638, 17941, 16557, 13082],\n"
-    printf "    \"post_pr_ms\": [3897, 3732, 3853, 3921, 4123],\n"
-    printf "    \"median_speedup\": 4.6,\n"
-    printf "    \"worst_case_pairing_speedup\": 3.2\n"
-    printf "  },\n"
-    printf "  \"speedup_target\": 3.0,\n  \"target_met\": true,\n"
-    printf "  \"gate\": \"fast_ms <= 1.10 * reference_ms (gross-regression-only; CI hosts are too noisy to re-litigate the 3x claim per push)\"\n"
-    printf "}\n"
-    exit !(fast <= 1.10 * ref)
-  }' > BENCH_interp.json \
-    || { echo "fast engine grossly regressed vs reference"; cat BENCH_interp.json; exit 1; }
-  echo "interp bench OK (BENCH_interp.json updated: fast ${fast_ms}ms, reference ${ref_ms}ms)"
+  # CI hosts vary wildly, so the live gate is gross-regression-only: the
+  # fast engine must not lose to this tree's own reference path.
+  echo "fig4 scale 4: fast engine ${fast_ms}ms, reference engine ${ref_ms}ms"
+  awk -v fast="$fast_ms" -v ref="$ref_ms" 'BEGIN { exit !(fast <= 1.10 * ref) }' \
+    || { echo "fast engine grossly regressed vs reference"; exit 1; }
+  echo "interp bench OK"
   rm -rf "$out"
 }
 

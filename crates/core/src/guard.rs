@@ -36,7 +36,7 @@
 //! to prove every one is caught here and degraded away.
 
 use crate::config::{FormConfig, Scheme};
-use crate::pipeline::{form_proc_partition_obs, FormStats};
+use crate::pipeline::{form_proc, FormStats};
 use pps_compact::{
     try_compact_proc_obs, CompactConfig, CompactError, CompactedProc, CompactedProgram,
     SuperblockSpec,
@@ -345,7 +345,7 @@ pub fn guarded_form_and_compact(
     compact_config: &CompactConfig,
     guard: &GuardConfig,
 ) -> Result<GuardedResult, PipelineError> {
-    guarded_form_and_compact_obs(
+    guarded_form_and_compact_with(
         program,
         edge,
         path,
@@ -354,52 +354,25 @@ pub fn guarded_form_and_compact(
         compact_config,
         guard,
         &Obs::noop(),
+        None,
     )
 }
 
-/// [`guarded_form_and_compact`] with observability: per-procedure
-/// `schedule-proc` spans (with `form` / `compact` / `guard-verify`
-/// children), one `oracle` span per settle (with an `oracle-replay` child
-/// per procedure when the whole-program pass failed), `guard.incidents`
-/// counters labeled by failure kind and pass, `guard.degraded_procs`, and
-/// one `incident` trace event plus a warning log line per recovered
-/// failure.
+/// [`guarded_form_and_compact`] with observability and an optional
+/// post-pass hook.
 ///
-/// # Errors
-/// As [`guarded_form_and_compact`].
-#[allow(clippy::too_many_arguments)]
-pub fn guarded_form_and_compact_obs(
-    program: &mut Program,
-    edge: &EdgeProfile,
-    path: Option<&PathProfile>,
-    scheme: Scheme,
-    form_config: &FormConfig,
-    compact_config: &CompactConfig,
-    guard: &GuardConfig,
-    obs: &Obs,
-) -> Result<GuardedResult, PipelineError> {
-    guarded_impl(
-        program,
-        edge,
-        path,
-        scheme,
-        form_config,
-        compact_config,
-        guard,
-        obs,
-        &mut |_, _| {},
-        Settle::Deferred,
-    )
-}
-
-/// [`guarded_form_and_compact`] with a post-pass hook.
+/// `obs` receives per-procedure `schedule-proc` spans (with `form` /
+/// `compact` / `guard-verify` children), one `oracle` span per settle (with
+/// an `oracle-replay` child per procedure when the whole-program pass
+/// failed), `guard.incidents` counters labeled by failure kind and pass,
+/// `guard.degraded_procs`, and one `incident` trace event plus a warning
+/// log line per recovered failure.
 ///
 /// `post_pass` runs after each procedure's formation + compaction, *before*
 /// verification and the oracle — the seam the fault-injection harness uses
 /// to emulate a buggy pass (`pps_ir::fault::FaultInjector` corrupting the
 /// just-scheduled procedure). The hook must only mutate procedure `pid`:
 /// the recovery boundary snapshots and restores exactly that procedure.
-///
 /// The hook may read the whole program, so with a hook the oracle settles
 /// after every procedure: each call sees the earlier procedures in their
 /// final (accepted or degraded) form, and nothing pending.
@@ -407,39 +380,7 @@ pub fn guarded_form_and_compact_obs(
 /// # Errors
 /// As [`guarded_form_and_compact`].
 #[allow(clippy::too_many_arguments)]
-pub fn guarded_form_and_compact_hooked(
-    program: &mut Program,
-    edge: &EdgeProfile,
-    path: Option<&PathProfile>,
-    scheme: Scheme,
-    form_config: &FormConfig,
-    compact_config: &CompactConfig,
-    guard: &GuardConfig,
-    post_pass: &mut dyn FnMut(&mut Program, ProcId),
-) -> Result<GuardedResult, PipelineError> {
-    guarded_impl(
-        program,
-        edge,
-        path,
-        scheme,
-        form_config,
-        compact_config,
-        guard,
-        &Obs::noop(),
-        post_pass,
-        Settle::PerProc,
-    )
-}
-
-/// [`guarded_form_and_compact_hooked`] with observability (see
-/// [`guarded_form_and_compact_obs`]) — the fault-injection seam and the
-/// recording sinks together, used to test that injected faults surface as
-/// `guard.incidents` metrics and `incident` trace events.
-///
-/// # Errors
-/// As [`guarded_form_and_compact`].
-#[allow(clippy::too_many_arguments)]
-pub fn guarded_form_and_compact_hooked_obs(
+pub fn guarded_form_and_compact_with(
     program: &mut Program,
     edge: &EdgeProfile,
     path: Option<&PathProfile>,
@@ -448,13 +389,20 @@ pub fn guarded_form_and_compact_hooked_obs(
     compact_config: &CompactConfig,
     guard: &GuardConfig,
     obs: &Obs,
-    post_pass: &mut dyn FnMut(&mut Program, ProcId),
+    post_pass: Option<&mut PostPass<'_>>,
 ) -> Result<GuardedResult, PipelineError> {
+    let (post_pass, settle): (&mut PostPass<'_>, _) = match post_pass {
+        Some(hook) => (hook, Settle::PerProc),
+        None => (&mut |_, _| {}, Settle::Deferred),
+    };
     guarded_impl(
-        program, edge, path, scheme, form_config, compact_config, guard, obs, post_pass,
-        Settle::PerProc,
+        program, edge, path, scheme, form_config, compact_config, guard, obs, post_pass, settle,
     )
 }
+
+/// A post-pass hook for [`guarded_form_and_compact_with`]: called with the
+/// program and the id of the procedure just formed and compacted.
+pub type PostPass<'a> = dyn FnMut(&mut Program, ProcId) + 'a;
 
 /// When the differential oracle judges scheduled procedures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -478,7 +426,7 @@ fn guarded_impl(
     compact_config: &CompactConfig,
     guard: &GuardConfig,
     obs: &Obs,
-    post_pass: &mut dyn FnMut(&mut Program, ProcId),
+    post_pass: &mut PostPass<'_>,
     settle: Settle,
 ) -> Result<GuardedResult, PipelineError> {
     if scheme.needs_path_profile() && path.is_none() {
@@ -774,7 +722,7 @@ fn schedule_proc(
     form_config: &FormConfig,
     compact_config: &CompactConfig,
     stats: &mut FormStats,
-    post_pass: &mut dyn FnMut(&mut Program, ProcId),
+    post_pass: &mut PostPass<'_>,
     obs: &Obs,
 ) -> Result<(Vec<SuperblockSpec>, CompactedProc, u64), (Pass, PipelineError)> {
     let proc_name = program.proc(pid).name.clone();
@@ -784,9 +732,7 @@ fn schedule_proc(
     // failure) and `stats` (discarded likewise), so unwinding here cannot
     // leave broken shared state behind.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let (specs, _orig) =
-            form_proc_partition_obs(program, pid, edge, path, scheme, form_config, stats, obs)
-                .map_err(|e| (Pass::Formation, e))?;
+        let (specs, _) = form_proc(program, pid, edge, path, scheme, form_config, stats, obs);
         // Code-growth accounting happens on the formed procedure, before
         // compaction appends singleton stubs (same point `form_program`
         // measures `static_after`).
@@ -1066,7 +1012,7 @@ mod tests {
         let mut program = base.clone();
         let mut injector = FaultInjector::new(0xFA11);
         let mut injected = Vec::new();
-        let result = guarded_form_and_compact_hooked(
+        let result = guarded_form_and_compact_with(
             &mut program,
             &ep,
             Some(&pp),
@@ -1074,11 +1020,12 @@ mod tests {
             &FormConfig::default(),
             &CompactConfig::default(),
             &test_guard(GuardMode::Degrade),
-            &mut |prog, pid| {
+            &Obs::noop(),
+            Some(&mut |prog, pid| {
                 if let Some(r) = injector.inject_effective(prog, pid, &inputs, 500_000, 32) {
                     injected.push(r);
                 }
-            },
+            }),
         )
         .unwrap();
 
@@ -1107,7 +1054,7 @@ mod tests {
         let inputs = vec![vec![87], vec![13]];
         let mut program = base.clone();
         let mut injector = FaultInjector::new(7);
-        let err = guarded_form_and_compact_hooked(
+        let err = guarded_form_and_compact_with(
             &mut program,
             &ep,
             Some(&pp),
@@ -1115,9 +1062,10 @@ mod tests {
             &FormConfig::default(),
             &CompactConfig::default(),
             &test_guard(GuardMode::Strict),
-            &mut |prog, pid| {
+            &Obs::noop(),
+            Some(&mut |prog, pid| {
                 let _ = injector.inject_effective(prog, pid, &inputs, 500_000, 32);
-            },
+            }),
         )
         .unwrap_err();
         assert!(
@@ -1162,7 +1110,7 @@ mod tests {
         mode: GuardMode,
         settle: Settle,
         obs: &Obs,
-        hook: &mut dyn FnMut(&mut Program, ProcId),
+        hook: &mut PostPass<'_>,
     ) -> (Program, Result<GuardedResult, PipelineError>) {
         let mut program = workload();
         let (ep, pp) = profiles(&program, 150);
@@ -1261,7 +1209,7 @@ mod tests {
 
         // Unhooked: a single settle after the last procedure.
         let obs = recording();
-        let result = guarded_form_and_compact_obs(
+        let result = guarded_form_and_compact_with(
             &mut base.clone(),
             &ep,
             Some(&pp),
@@ -1270,6 +1218,7 @@ mod tests {
             &compact,
             &guard,
             &obs,
+            None,
         )
         .unwrap();
         assert!(result.report.clean());
@@ -1278,7 +1227,7 @@ mod tests {
 
         // Hooked: settled after every procedure.
         let obs = recording();
-        guarded_form_and_compact_hooked_obs(
+        guarded_form_and_compact_with(
             &mut base.clone(),
             &ep,
             Some(&pp),
@@ -1287,7 +1236,7 @@ mod tests {
             &compact,
             &guard,
             &obs,
-            &mut |_, _| {},
+            Some(&mut |_, _| {}),
         )
         .unwrap();
         assert_eq!(span_count(&obs, "oracle"), base.procs.len());

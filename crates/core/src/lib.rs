@@ -22,9 +22,16 @@
 //!    completion frequency is high, and capturing cross-iteration branch
 //!    correlation (Figure 3).
 //!
-//! [`pipeline`] packages formation + compaction behind one call, keyed by a
-//! [`config::Scheme`] (`BasicBlock`, `M4`/`M16` edge schemes, `P4`/`P4e`
-//! path schemes — the configurations of the paper's Figures 4–7).
+//! Every entry point is keyed by a [`config::Scheme`] (`BasicBlock`,
+//! `M4`/`M16` edge schemes, `P4`/`P4e` path schemes — the configurations
+//! of the paper's Figures 4–7). There are four:
+//!
+//! - [`form_program`] — formation only;
+//! - [`form_and_compact`] — formation + compaction, unguarded;
+//! - [`guarded_form_and_compact`] — the same inside the per-procedure
+//!   recovery boundary of [`guard`];
+//! - [`guarded_form_and_compact_with`] — that, plus an observability
+//!   handle and an optional post-pass hook.
 
 pub mod config;
 pub mod enlarge;
@@ -37,19 +44,14 @@ pub mod pool;
 pub mod select;
 pub mod swap;
 pub mod tail_dup;
-pub mod unit;
+mod unit;
 
 pub use config::{FormConfig, Scheme};
 pub use hash::{machine_hash, ArtifactKey};
 pub use inline::{inline_hot_calls, InlineConfig, InlineOutcome, InlinedSite};
 pub use guard::{
-    guarded_form_and_compact, guarded_form_and_compact_hooked,
-    guarded_form_and_compact_hooked_obs, guarded_form_and_compact_obs, GuardConfig, GuardMode,
-    GuardReport, GuardedResult, Incident, Pass, PipelineError,
+    guarded_form_and_compact, guarded_form_and_compact_with, GuardConfig, GuardMode, GuardReport,
+    GuardedResult, Incident, Pass, PipelineError,
 };
-pub use pipeline::{
-    form_and_compact, form_and_compact_obs, form_program, form_program_obs,
-    form_program_parallel, form_unit, FormStats, FormedProgram,
-};
+pub use pipeline::{form_and_compact, form_program, FormStats, FormedProgram};
 pub use swap::{SwapOutcome, SwapSlot};
-pub use unit::CompileUnit;

@@ -7,12 +7,10 @@ use crate::guard::PipelineError;
 use crate::select::{select_traces_edge, select_traces_path, Trace};
 use crate::tail_dup::tail_duplicate;
 use crate::unit::CompileUnit;
-use pps_compact::{try_compact_program_obs, CompactConfig, CompactedProgram, SuperblockSpec};
+use pps_compact::{try_compact_program, CompactConfig, CompactedProgram, SuperblockSpec};
 use pps_ir::{BlockId, ProcId, Program};
 use pps_obs::{ArgValue, Obs};
 use pps_profile::{EdgeProfile, PathProfile};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Aggregate statistics of one formation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,24 +72,6 @@ pub fn form_program(
     scheme: Scheme,
     config: &FormConfig,
 ) -> Result<FormedProgram, PipelineError> {
-    form_program_obs(program, edge, path, scheme, config, &Obs::noop())
-}
-
-/// [`form_program`] with observability: per-procedure `form` spans with
-/// child pass spans (`select` / `tail_dup` / `enlarge` / `fixup`),
-/// formation counters, and `form.trace_selected` / `form.enlarge_skipped`
-/// decision events flow into `obs`.
-///
-/// # Errors
-/// As [`form_program`].
-pub fn form_program_obs(
-    program: &mut Program,
-    edge: &EdgeProfile,
-    path: Option<&PathProfile>,
-    scheme: Scheme,
-    config: &FormConfig,
-    obs: &Obs,
-) -> Result<FormedProgram, PipelineError> {
     if scheme.needs_path_profile() && path.is_none() {
         return Err(PipelineError::MissingPathProfile { scheme: scheme.name() });
     }
@@ -101,15 +81,12 @@ pub fn form_program_obs(
     };
     let mut partition = Vec::with_capacity(program.procs.len());
     let mut orig_maps = Vec::with_capacity(program.procs.len());
+    let obs = Obs::noop();
 
     for pi in 0..program.procs.len() {
         let pid = ProcId::new(pi as u32);
-        let (sbs, orig_of) = form_proc(program, pid, edge, path, scheme, config, &mut stats, obs);
-        partition.push(
-            sbs.into_iter()
-                .map(|sb| SuperblockSpec::new(sb.blocks))
-                .collect(),
-        );
+        let (specs, orig_of) = form_proc(program, pid, edge, path, scheme, config, &mut stats, &obs);
+        partition.push(specs);
         orig_maps.push(orig_of);
     }
     stats.static_after = program.static_size() as u64;
@@ -117,124 +94,24 @@ pub fn form_program_obs(
     Ok(FormedProgram { partition, orig_of: orig_maps, stats })
 }
 
-/// [`form_program`] with the per-procedure work fanned out across `jobs`
-/// scoped worker threads.
+/// Forms superblocks for procedure `pid` alone — the per-procedure unit of
+/// work [`form_program`] iterates and the guard's recovery boundary
+/// ([`crate::guard`]) wraps, which must be able to form, validate, and on
+/// failure roll back one procedure at a time. The caller has already
+/// checked that a path scheme has its path profile.
 ///
-/// Every procedure is checked out as an independent [`CompileUnit`]
-/// (`Send`, owning its body and analysis cache) while the profiles are
-/// shared read-only. Workers claim units through an atomic index; results
-/// are merged back in procedure order, so the produced partition, original
-/// maps, and statistics are identical to the serial [`form_program`] for
-/// any `jobs` value. Formation on this path is unguarded (the guard's
-/// whole-program verification and its in-order oracle replay are serial)
-/// and unobserved per-procedure (workers run with no-op `Obs`).
+/// Checks the procedure out as a [`CompileUnit`] so every pass consumes its
+/// cached analyses; only mutations (which bump the procedure's generation)
+/// trigger recomputation. When `obs` records, the work runs under a `form`
+/// span scoped to the procedure, with formation counter deltas recorded
+/// around it.
 ///
-/// # Errors
-/// As [`form_program`].
-pub fn form_program_parallel(
-    program: &mut Program,
-    edge: &EdgeProfile,
-    path: Option<&PathProfile>,
-    scheme: Scheme,
-    config: &FormConfig,
-    jobs: usize,
-) -> Result<FormedProgram, PipelineError> {
-    if scheme.needs_path_profile() && path.is_none() {
-        return Err(PipelineError::MissingPathProfile { scheme: scheme.name() });
-    }
-    let jobs = jobs.max(1);
-    let n_procs = program.procs.len();
-    if jobs == 1 || n_procs <= 1 {
-        return form_program(program, edge, path, scheme, config);
-    }
-    let mut stats = FormStats {
-        static_before: program.static_size() as u64,
-        ..FormStats::default()
-    };
-
-    // Check every procedure out of the program; each unit is a
-    // self-contained work item.
-    let slots: Vec<Mutex<Option<CompileUnit>>> = (0..n_procs)
-        .map(|pi| {
-            let pid = ProcId::new(pi as u32);
-            Mutex::new(Some(CompileUnit::detach(program, pid)))
-        })
-        .collect();
-    type FormedUnit = (CompileUnit, Vec<SbBuild>, Vec<BlockId>, FormStats);
-    let results: Vec<Mutex<Option<FormedUnit>>> =
-        (0..n_procs).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n_procs) {
-            scope.spawn(|| {
-                let obs = Obs::noop();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_procs {
-                        break;
-                    }
-                    let mut unit = slots[i].lock().unwrap().take().expect("unclaimed unit");
-                    let mut local = FormStats::default();
-                    let (sbs, orig_of) =
-                        form_unit(&mut unit, edge, path, scheme, config, &mut local, &obs);
-                    *results[i].lock().unwrap() = Some((unit, sbs, orig_of, local));
-                }
-            });
-        }
-    });
-
-    // Reattach and merge in procedure order: deterministic regardless of
-    // which worker formed which unit.
-    let mut partition = Vec::with_capacity(n_procs);
-    let mut orig_maps = Vec::with_capacity(n_procs);
-    for slot in results {
-        let (unit, sbs, orig_of, local) =
-            slot.into_inner().unwrap().expect("worker completed unit");
-        unit.reattach(program);
-        partition.push(
-            sbs.into_iter()
-                .map(|sb| SuperblockSpec::new(sb.blocks))
-                .collect::<Vec<SuperblockSpec>>(),
-        );
-        orig_maps.push(orig_of);
-        stats.add_proc(&local);
-    }
-    stats.static_after = program.static_size() as u64;
-    stats.superblocks = partition.iter().map(|p: &Vec<SuperblockSpec>| p.len() as u64).sum();
-    Ok(FormedProgram { partition, orig_of: orig_maps, stats })
-}
-
-/// Forms superblocks for a single procedure — the per-procedure unit of
-/// work [`form_program`] iterates, exposed for the recovery boundary in
-/// [`crate::guard`], which must be able to form, validate, and on failure
-/// roll back one procedure at a time.
-///
-/// Only procedure `pid` is mutated. `stats` is updated in place (snapshot
-/// it before the call to support rollback); program-level fields
-/// (`static_before`/`static_after`/`superblocks`) are left to the caller.
-///
-/// # Errors
-/// Returns [`PipelineError::MissingPathProfile`] when `scheme` needs a path
-/// profile and `path` is `None`.
-pub fn form_proc_partition(
-    program: &mut Program,
-    pid: ProcId,
-    edge: &EdgeProfile,
-    path: Option<&PathProfile>,
-    scheme: Scheme,
-    config: &FormConfig,
-    stats: &mut FormStats,
-) -> Result<(Vec<SuperblockSpec>, Vec<BlockId>), PipelineError> {
-    form_proc_partition_obs(program, pid, edge, path, scheme, config, stats, &Obs::noop())
-}
-
-/// [`form_proc_partition`] with observability (see [`form_program_obs`]).
-///
-/// # Errors
-/// As [`form_proc_partition`].
+/// Only procedure `pid` is mutated. `stats` is updated in place (the guard
+/// passes a per-procedure copy so a rollback discards it); program-level
+/// fields (`static_before`/`static_after`/`superblocks`) are left to the
+/// caller.
 #[allow(clippy::too_many_arguments)]
-pub fn form_proc_partition_obs(
+pub(crate) fn form_proc(
     program: &mut Program,
     pid: ProcId,
     edge: &EdgeProfile,
@@ -243,79 +120,40 @@ pub fn form_proc_partition_obs(
     config: &FormConfig,
     stats: &mut FormStats,
     obs: &Obs,
-) -> Result<(Vec<SuperblockSpec>, Vec<BlockId>), PipelineError> {
-    if scheme.needs_path_profile() && path.is_none() {
-        return Err(PipelineError::MissingPathProfile { scheme: scheme.name() });
-    }
-    let (sbs, orig_of) = form_proc(program, pid, edge, path, scheme, config, stats, obs);
-    let specs = sbs
-        .into_iter()
-        .map(|sb| SuperblockSpec::new(sb.blocks))
-        .collect();
-    Ok((specs, orig_of))
-}
-
-/// Per-procedure formation entry used by [`form_program_obs`] and the
-/// guard boundary: checks the procedure out as a [`CompileUnit`], forms it,
-/// and checks it back in.
-#[allow(clippy::too_many_arguments)]
-fn form_proc(
-    program: &mut Program,
-    pid: ProcId,
-    edge: &EdgeProfile,
-    path: Option<&PathProfile>,
-    scheme: Scheme,
-    config: &FormConfig,
-    stats: &mut FormStats,
-    obs: &Obs,
-) -> (Vec<SbBuild>, Vec<BlockId>) {
+) -> (Vec<SuperblockSpec>, Vec<BlockId>) {
     let mut unit = CompileUnit::detach(program, pid);
-    let out = form_unit(&mut unit, edge, path, scheme, config, stats, obs);
+    let (sbs, orig_of) = if obs.is_recording() {
+        let obs = obs.with_label("proc", unit.proc().name.as_str());
+        let span = obs
+            .span("form")
+            .arg("proc", unit.proc().name.as_str())
+            .arg("scheme", scheme.name());
+        let before = *stats;
+        let out = form_unit(&mut unit, edge, path, scheme, config, stats, &obs);
+        obs.counter("form.superblocks", out.0.len() as u64);
+        obs.counter("form.tail_dup_blocks", stats.tail_dup_blocks - before.tail_dup_blocks);
+        obs.counter("form.enlarged_blocks", stats.enlarged_blocks - before.enlarged_blocks);
+        obs.counter(
+            "form.skipped_low_completion",
+            stats.skipped_low_completion - before.skipped_low_completion,
+        );
+        obs.counter("form.splits", stats.splits - before.splits);
+        let (hits, misses) = unit.cache_stats();
+        obs.counter("form.analysis_cache_hits", hits);
+        obs.counter("form.analysis_cache_misses", misses);
+        drop(span);
+        out
+    } else {
+        form_unit(&mut unit, edge, path, scheme, config, stats, obs)
+    };
     unit.reattach(program);
-    out
+    let specs = sbs.into_iter().map(|sb| SuperblockSpec::new(sb.blocks)).collect();
+    (specs, orig_of)
 }
 
-/// Forms superblocks for one compilation unit — the independent (`Send`)
-/// work item of the pipeline. Scopes `obs` to the procedure, opens the
-/// `form` span, and records formation counter deltas around the real work
-/// in [`form_unit_inner`]. Every pass consumes the unit's cached analyses;
-/// only mutations (which bump the procedure's generation) trigger
-/// recomputation.
-pub fn form_unit(
-    unit: &mut CompileUnit,
-    edge: &EdgeProfile,
-    path: Option<&PathProfile>,
-    scheme: Scheme,
-    config: &FormConfig,
-    stats: &mut FormStats,
-    obs: &Obs,
-) -> (Vec<SbBuild>, Vec<BlockId>) {
-    if !obs.is_recording() {
-        return form_unit_inner(unit, edge, path, scheme, config, stats, obs);
-    }
-    let obs = obs.with_label("proc", unit.proc().name.as_str());
-    let span = obs
-        .span("form")
-        .arg("proc", unit.proc().name.as_str())
-        .arg("scheme", scheme.name());
-    let before = *stats;
-    let out = form_unit_inner(unit, edge, path, scheme, config, stats, &obs);
-    obs.counter("form.superblocks", out.0.len() as u64);
-    obs.counter("form.tail_dup_blocks", stats.tail_dup_blocks - before.tail_dup_blocks);
-    obs.counter("form.enlarged_blocks", stats.enlarged_blocks - before.enlarged_blocks);
-    obs.counter(
-        "form.skipped_low_completion",
-        stats.skipped_low_completion - before.skipped_low_completion,
-    );
-    obs.counter("form.splits", stats.splits - before.splits);
-    let (hits, misses) = unit.cache_stats();
-    obs.counter("form.analysis_cache_hits", hits);
-    obs.counter("form.analysis_cache_misses", misses);
-    drop(span);
-    out
-}
-
-fn form_unit_inner(
+/// Select → tail duplication → enlargement → fixup over one checked-out
+/// procedure.
+fn form_unit(
     unit: &mut CompileUnit,
     edge: &EdgeProfile,
     path: Option<&PathProfile>,
@@ -490,11 +328,9 @@ fn form_unit_inner(
             }
             // Compensation chains are complete superblocks; they are not
             // themselves enlarged.
-            let n_before = sbs.len();
             sbs.extend(new_chains);
             pending.resize(sbs.len(), false);
             is_chain.resize(sbs.len(), true);
-            let _ = n_before;
             let cfg = unit.cfg();
             let (n, pieces) = split_side_entrances(&cfg, &mut sbs);
             stats.splits += n as u64;
@@ -537,25 +373,8 @@ pub fn form_and_compact(
     form_config: &FormConfig,
     compact_config: &CompactConfig,
 ) -> Result<(CompactedProgram, FormStats), PipelineError> {
-    form_and_compact_obs(program, edge, path, scheme, form_config, compact_config, &Obs::noop())
-}
-
-/// [`form_and_compact`] with observability threaded through both formation
-/// and compaction (see [`form_program_obs`]).
-///
-/// # Errors
-/// As [`form_and_compact`].
-pub fn form_and_compact_obs(
-    program: &mut Program,
-    edge: &EdgeProfile,
-    path: Option<&PathProfile>,
-    scheme: Scheme,
-    form_config: &FormConfig,
-    compact_config: &CompactConfig,
-    obs: &Obs,
-) -> Result<(CompactedProgram, FormStats), PipelineError> {
-    let formed = form_program_obs(program, edge, path, scheme, form_config, obs)?;
-    let compacted = try_compact_program_obs(program, &formed.partition, compact_config, obs)
+    let formed = form_program(program, edge, path, scheme, form_config)?;
+    let compacted = try_compact_program(program, &formed.partition, compact_config)
         .map_err(PipelineError::Compaction)?;
     Ok((compacted, formed.stats))
 }
@@ -713,26 +532,6 @@ mod tests {
         assert_eq!(before.output, after.output);
         assert!(stats.superblocks > 0);
         assert_eq!(compacted.procs.len(), p.procs.len());
-    }
-
-    #[test]
-    fn parallel_formation_matches_serial() {
-        for scheme in [Scheme::BasicBlock, Scheme::M4, Scheme::P4, Scheme::P4E] {
-            let mut serial_p = workload();
-            let mut parallel_p = workload();
-            let (ep, pp) = profiles(&serial_p, 150);
-            let config = FormConfig::default();
-            let serial =
-                form_program(&mut serial_p, &ep, Some(&pp), scheme, &config).unwrap();
-            let parallel =
-                form_program_parallel(&mut parallel_p, &ep, Some(&pp), scheme, &config, 4)
-                    .unwrap();
-            assert_eq!(serial.partition, parallel.partition, "{}", scheme.name());
-            assert_eq!(serial.orig_of, parallel.orig_of, "{}", scheme.name());
-            assert_eq!(serial.stats, parallel.stats, "{}", scheme.name());
-            assert_eq!(serial_p, parallel_p, "{}: transformed programs differ", scheme.name());
-            verify_program(&parallel_p).unwrap();
-        }
     }
 
     #[test]

@@ -7,34 +7,20 @@
 //! and queries go through [`CompileUnit::analysis`] / [`CompileUnit::cfg`],
 //! which recompute only when the body has actually changed since the last
 //! query.
-//!
-//! A unit owns everything it touches, so it is `Send`: the parallel
-//! formation path ([`crate::pipeline::form_program_parallel`]) detaches
-//! every procedure, fans the units out across scoped worker threads
-//! (profiles shared read-only), and reattaches them in procedure order.
 
-use crate::hash::ArtifactKey;
 use pps_ir::analysis::{Cfg, ProcAnalysis};
 use pps_ir::cache::UnitCache;
 use pps_ir::{Proc, ProcId, Program};
 use std::sync::Arc;
 
 /// One procedure checked out of a program for formation, carrying its
-/// analysis memos and, when the caller works content-addressed, the
-/// [`ArtifactKey`] naming the artifact this unit is being compiled for.
+/// analysis memos.
 #[derive(Debug)]
-pub struct CompileUnit {
+pub(crate) struct CompileUnit {
     pid: ProcId,
     proc: Proc,
     cache: UnitCache,
-    key: Option<ArtifactKey>,
 }
-
-// The parallel experiment engine moves units across worker threads.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<CompileUnit>();
-};
 
 impl CompileUnit {
     /// Checks procedure `pid` out of `program`, leaving an empty shell in
@@ -42,39 +28,7 @@ impl CompileUnit {
     /// snapshot) before the program is executed or verified again.
     pub fn detach(program: &mut Program, pid: ProcId) -> CompileUnit {
         let proc = std::mem::replace(program.proc_mut(pid), Proc::new(String::new(), 0));
-        CompileUnit { pid, proc, cache: UnitCache::new(), key: None }
-    }
-
-    /// A unit over an owned procedure (no program involved).
-    pub fn from_proc(pid: ProcId, proc: Proc) -> CompileUnit {
-        CompileUnit { pid, proc, cache: UnitCache::new(), key: None }
-    }
-
-    /// Attaches the content address of the artifact this unit belongs to.
-    /// The key rides along through detach/formation/reattach so every
-    /// layer (pipeline, cache, shard router) agrees on the identity
-    /// without recomputing it.
-    pub fn set_key(&mut self, key: ArtifactKey) {
-        self.key = Some(key);
-    }
-
-    /// Builder-style [`set_key`](Self::set_key).
-    pub fn with_key(mut self, key: ArtifactKey) -> CompileUnit {
-        self.key = Some(key);
-        self
-    }
-
-    /// The attached artifact key, if any.
-    pub fn key(&self) -> Option<&ArtifactKey> {
-        self.key.as_ref()
-    }
-
-    /// The canonical structural hash of the *current* body, memoized per
-    /// mutation generation. Unlike the generation nonce this survives
-    /// serialize/deserialize and process restarts, so it is the
-    /// per-procedure leg of cross-request identity.
-    pub fn structural_hash(&mut self) -> u64 {
-        self.cache.structural_hash(&self.proc)
+        CompileUnit { pid, proc, cache: UnitCache::new() }
     }
 
     /// Returns the procedure to its slot in `program`.
@@ -83,11 +37,6 @@ impl CompileUnit {
     /// Panics if `program` does not have the unit's procedure id.
     pub fn reattach(self, program: &mut Program) {
         *program.proc_mut(self.pid) = self.proc;
-    }
-
-    /// Consumes the unit, returning the owned procedure.
-    pub fn into_proc(self) -> Proc {
-        self.proc
     }
 
     /// The procedure's id in its program.
@@ -166,38 +115,6 @@ mod tests {
         assert_eq!(a1.cfg.len(), 2, "held Arc still describes the old body");
         let (hits, misses) = unit.cache_stats();
         assert_eq!((hits, misses), (1, 2));
-        unit.reattach(&mut p);
-    }
-
-    #[test]
-    fn key_rides_along_and_structural_hash_tracks_content() {
-        let mut p = program();
-        let key = ArtifactKey::new(1, 2, "P4", 3);
-        let mut unit =
-            { let entry = p.entry; CompileUnit::detach(&mut p, entry) }.with_key(key.clone());
-        assert_eq!(unit.key(), Some(&key));
-        let h1 = unit.structural_hash();
-        let h2 = unit.structural_hash();
-        assert_eq!(h1, h2, "memo hit returns the same hash");
-        unit.proc_mut()
-            .push_block(Block::new(vec![], Terminator::Return { value: None }));
-        assert_ne!(unit.structural_hash(), h1, "mutation changes content identity");
-        assert_eq!(unit.key(), Some(&key), "key survives mutation");
-        unit.reattach(&mut p);
-    }
-
-    #[test]
-    fn units_move_across_threads() {
-        let mut p = program();
-        let unit = { let entry = p.entry; CompileUnit::detach(&mut p, entry) };
-        let unit = std::thread::spawn(move || {
-            let mut unit = unit;
-            let a = unit.analysis();
-            assert_eq!(a.cfg.len(), 2);
-            unit
-        })
-        .join()
-        .unwrap();
         unit.reattach(&mut p);
     }
 }

@@ -3,13 +3,14 @@
 //! a scheme.
 
 use pps_compact::CompactConfig;
+use pps_core::guard::PostPass;
 use pps_core::{
-    guarded_form_and_compact_hooked_obs, guarded_form_and_compact_obs, FormConfig, FormStats,
-    GuardConfig, GuardReport, GuardedResult, InlineOutcome, PipelineError, Scheme,
+    guarded_form_and_compact_with, FormConfig, FormStats, GuardConfig, GuardReport,
+    GuardedResult, InlineOutcome, PipelineError, Scheme,
 };
 use pps_ir::interp::{DynCounts, ExecConfig, ExecError, Interp};
 use pps_ir::trace::TeeSink;
-use pps_ir::{Exec, FaultInjector, Program};
+use pps_ir::{Exec, FaultInjector, ProcId, Program};
 use pps_machine::MachineConfig;
 use pps_obs::Obs;
 use pps_profile::serialize::{edge_from_text, edge_to_text, path_from_text, path_to_text};
@@ -371,7 +372,7 @@ pub struct Compiled {
 ///    profiles the pipeline consumes must describe the blocks formation
 ///    will actually see.
 /// 2. **Form + compact** inside the recovery boundary
-///    ([`guarded_form_and_compact_obs`]). Empty
+///    ([`guarded_form_and_compact_with`]). Empty
 ///    [`GuardConfig::oracle_inputs`] become the training input, and
 ///    [`RunConfig::machine`] overrides the compactor's copy so latency-model
 ///    sweeps affect the schedules, not just the cache simulation. With
@@ -431,38 +432,27 @@ pub fn compile(
     if guard.oracle_inputs.is_empty() {
         guard.oracle_inputs = vec![bench.train_args.clone()];
     }
-    let guarded = match config.fault_seed {
-        None => guarded_form_and_compact_obs(
-            &mut program,
-            edge,
-            Some(path),
-            scheme,
-            &config.form,
-            &compact_config,
-            &guard,
-            obs,
-        ),
-        Some(seed) => {
-            // Seeded per (seed, benchmark) only — never per worker or run
-            // order — so fault routing is identical at any job count.
-            let mut injector = FaultInjector::new(seed ^ fnv1a(bench.name.as_bytes()));
-            let inputs = vec![bench.train_args.clone()];
-            let budget = guard.step_budget;
-            guarded_form_and_compact_hooked_obs(
-                &mut program,
-                edge,
-                Some(path),
-                scheme,
-                &config.form,
-                &compact_config,
-                &guard,
-                obs,
-                &mut |prog, pid| {
-                    let _ = injector.inject_effective(prog, pid, &inputs, budget, 32);
-                },
-            )
+    let mut inject = config.fault_seed.map(|seed| {
+        // Seeded per (seed, benchmark) only — never per worker or run
+        // order — so fault routing is identical at any job count.
+        let mut injector = FaultInjector::new(seed ^ fnv1a(bench.name.as_bytes()));
+        let inputs = vec![bench.train_args.clone()];
+        let budget = guard.step_budget;
+        move |prog: &mut Program, pid: ProcId| {
+            let _ = injector.inject_effective(prog, pid, &inputs, budget, 32);
         }
-    }
+    });
+    let guarded = guarded_form_and_compact_with(
+        &mut program,
+        edge,
+        Some(path),
+        scheme,
+        &config.form,
+        &compact_config,
+        &guard,
+        obs,
+        inject.as_mut().map(|f| f as &mut PostPass<'_>),
+    )
     .map_err(|error| RunError::Pipeline { bench: bench.name.to_string(), error })?;
     Ok(Compiled { program, inline, guarded })
 }
@@ -471,7 +461,7 @@ pub fn compile(
 /// train-profile → [`compile`] → train-layout → measure on test input.
 ///
 /// The formation + compaction step runs inside the pipeline's recovery
-/// boundary ([`guarded_form_and_compact_obs`]): in
+/// boundary ([`guarded_form_and_compact_with`]): in
 /// [`GuardMode::Degrade`](pps_core::GuardMode) a procedure that fails its
 /// post-pass checks falls back to basic-block scheduling and the run
 /// continues (see [`SchemeRun::guard`]); in strict mode the first incident

@@ -4,13 +4,14 @@
 //! benchmark × scheme matrix through a [`RunCtx`]. The context can service
 //! those walks three ways:
 //!
-//! - **Direct** — execute each cell inline (the serial path).
+//! - **Direct** — execute each cell inline (a bare [`RunCtx::paper`]
+//!   context, for callers that drive one driver by hand).
 //! - **Plan** — record which cells the driver asks for, returning
 //!   placeholder results. Driver control flow is data-independent, so one
 //!   plan walk discovers the exact cell list of the real run.
 //! - **Replay** — answer each cell from precomputed results.
 //!
-//! [`run_experiment_jobs`] composes them: plan the cells, execute the
+//! [`run_experiment_jobs_config`] composes them: plan the cells, execute the
 //! unique ones across a scoped-thread pool ([`crate::pool`]) with each cell
 //! recording into a private forked `Obs` sink, then replay the driver,
 //! absorbing each cell's sink in matrix order. Because replay order never
@@ -19,7 +20,7 @@
 
 use crate::pool;
 use crate::report::{incident_table, millions, percent, ratio, Table};
-use crate::runner::{run_scheme, run_scheme_obs, ProfileCache, RunConfig, RunError, SchemeRun};
+use crate::runner::{run_scheme_obs, ProfileCache, RunConfig, RunError, SchemeRun};
 use pps_core::config::Scheme;
 use pps_core::{GuardMode, Incident};
 use pps_machine::MachineConfig;
@@ -197,52 +198,6 @@ fn placeholder_run(scheme: Scheme) -> SchemeRun {
     }
 }
 
-/// Runs one experiment by id, returning the rendered tables. When any run
-/// degraded a procedure, an incident table is appended after the
-/// experiment's own tables.
-///
-/// # Errors
-/// Returns the first [`RunError`] — in [`GuardMode::Strict`] that includes
-/// any procedure failing its post-pass checks.
-///
-/// # Panics
-/// Panics on an unknown experiment id.
-pub fn run_experiment(
-    id: &str,
-    scale: Scale,
-    filter: Option<&str>,
-    mode: GuardMode,
-) -> Result<Vec<Table>, RunError> {
-    run_experiment_obs(id, scale, filter, mode, &Obs::noop())
-}
-
-/// [`run_experiment`] with observability: the experiment runs under an
-/// `experiment` span and every scheme run records its spans and metrics
-/// into `obs` (see [`run_scheme_obs`]).
-///
-/// # Errors
-/// As [`run_experiment`].
-///
-/// # Panics
-/// As [`run_experiment`].
-pub fn run_experiment_obs(
-    id: &str,
-    scale: Scale,
-    filter: Option<&str>,
-    mode: GuardMode,
-    obs: &Obs,
-) -> Result<Vec<Table>, RunError> {
-    let _span = obs.span("experiment").arg("id", id);
-    let benches = select_benchmarks(scale, filter);
-    let mut ctx = RunCtx::paper(mode);
-    ctx.obs = obs.clone();
-    let mut tables = build_tables(id, &benches, &mut ctx)?;
-    if !ctx.incidents.is_empty() {
-        tables.push(incident_table(&ctx.incidents));
-    }
-    Ok(tables)
-}
-
 /// Dispatches an experiment id to its driver under the given context.
 fn build_tables(
     id: &str,
@@ -264,38 +219,25 @@ fn build_tables(
     })
 }
 
-/// [`run_experiment_obs`] with the experiment's benchmark × scheme cells
-/// executed across `jobs` worker threads (see the module docs for the
-/// plan → execute → replay engine). Output — rendered tables, collected
-/// incidents, and the metrics merged into `obs` — is byte-identical for
-/// every `jobs` value, including 1.
+/// Runs one experiment by id under the base configuration `config`,
+/// returning the rendered tables. When any run degraded a procedure, an
+/// incident table is appended after the experiment's own tables.
+///
+/// The experiment's benchmark × scheme cells execute across `jobs` worker
+/// threads (see the module docs for the plan → execute → replay engine);
+/// `jobs = 1` runs every cell inline on the calling thread. The experiment
+/// runs under an `experiment` span and every cell records its spans and
+/// metrics into `obs` (see [`run_scheme_obs`]). Output — rendered tables,
+/// collected incidents, and the metrics merged into `obs` — is
+/// byte-identical for every `jobs` value.
 ///
 /// # Errors
-/// As [`run_experiment`]: the first failing cell in matrix order.
+/// Returns the first [`RunError`] in matrix order — in
+/// [`GuardMode::Strict`] that includes any procedure failing its post-pass
+/// checks.
 ///
 /// # Panics
-/// As [`run_experiment`].
-pub fn run_experiment_jobs(
-    id: &str,
-    scale: Scale,
-    filter: Option<&str>,
-    mode: GuardMode,
-    jobs: usize,
-    obs: &Obs,
-) -> Result<Vec<Table>, RunError> {
-    let mut config = RunConfig::paper();
-    config.guard.mode = mode;
-    run_experiment_jobs_config(id, scale, filter, &config, jobs, obs)
-}
-
-/// [`run_experiment_jobs`] with a caller-supplied base [`RunConfig`]
-/// (fault-injection seeds, machine variants) instead of the paper default.
-///
-/// # Errors
-/// As [`run_experiment_jobs`].
-///
-/// # Panics
-/// As [`run_experiment`].
+/// Panics on an unknown experiment id.
 pub fn run_experiment_jobs_config(
     id: &str,
     scale: Scale,
@@ -686,18 +628,6 @@ pub fn ablate(benches: &[Benchmark], ctx: &mut RunCtx) -> Result<Vec<Table>, Run
     Ok(tables)
 }
 
-/// Convenience: the four scheme runs of the paper's main comparison, for
-/// one benchmark (used by integration tests and examples).
-pub fn main_comparison(bench: &Benchmark) -> Result<[SchemeRun; 4], RunError> {
-    let config = RunConfig::paper();
-    Ok([
-        run_scheme(bench, Scheme::M4, &config)?,
-        run_scheme(bench, Scheme::M16, &config)?,
-        run_scheme(bench, Scheme::P4E, &config)?,
-        run_scheme(bench, Scheme::P4, &config)?,
-    ])
-}
-
 /// §6 extension: hardware trace-cache effectiveness over the block streams
 /// of the original and software-formed programs. Measures whether software
 /// superblock formation helps a Rotenberg-style trace cache.
@@ -806,12 +736,19 @@ pub fn predict(benches: &[Benchmark]) -> Result<Table, RunError> {
 mod tests {
     use super::*;
 
+    fn strict() -> RunConfig {
+        let mut config = RunConfig::paper();
+        config.guard.mode = GuardMode::Strict;
+        config
+    }
+
     #[test]
     fn experiment_ids_all_run_on_one_benchmark() {
         for id in EXPERIMENTS {
             // `ablate` is heavy; use the smallest scale and one benchmark.
             let tables =
-                run_experiment(id, Scale::quick(), Some("wc"), GuardMode::Strict).unwrap();
+                run_experiment_jobs_config(id, Scale::quick(), Some("wc"), &strict(), 1, &Obs::noop())
+                    .unwrap();
             assert!(!tables.is_empty(), "{id}");
             for t in &tables {
                 let rendered = t.render();
@@ -829,7 +766,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown experiment")]
     fn unknown_experiment_panics() {
-        let _ = run_experiment("nope", Scale::quick(), None, GuardMode::Degrade);
+        let _ = run_experiment_jobs_config("nope", Scale::quick(), None, &RunConfig::paper(), 1, &Obs::noop());
     }
 
     #[test]
@@ -872,7 +809,7 @@ mod tests {
     fn jobs_engine_matches_itself_across_job_counts() {
         let render = |jobs: usize| {
             let tables =
-                run_experiment_jobs("fig4", Scale::quick(), Some("wc"), GuardMode::Degrade, jobs, &Obs::noop())
+                run_experiment_jobs_config("fig4", Scale::quick(), Some("wc"), &RunConfig::paper(), jobs, &Obs::noop())
                     .unwrap();
             tables.iter().map(Table::render).collect::<Vec<_>>().join("\n")
         };

@@ -39,5 +39,5 @@ pub mod top;
 pub use pps_core::pool;
 pub use pps_eval::runner;
 
-pub use experiments::{run_experiment_jobs, run_experiment_jobs_config, RunCtx};
+pub use experiments::{run_experiment_jobs_config, RunCtx};
 pub use runner::{run_scheme, run_scheme_obs, RunConfig, RunError, SchemeRun};

@@ -113,11 +113,6 @@ impl<'p> Exec<'p> {
         Exec { program, config, decoded }
     }
 
-    /// Creates a fast-engine executor over an already-decoded program.
-    pub fn from_decoded(program: &'p Program, decoded: DecodedProgram, config: ExecConfig) -> Self {
-        Exec { program, config, decoded: Some(decoded) }
-    }
-
     /// The engine this executor dispatches to.
     pub fn engine(&self) -> Engine {
         if self.decoded.is_some() {

@@ -148,17 +148,6 @@ pub enum Operand {
     Imm(i64),
 }
 
-impl Operand {
-    /// Returns the register if this operand reads one.
-    #[inline]
-    pub fn as_reg(self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(r),
-            Operand::Imm(_) => None,
-        }
-    }
-}
-
 impl From<Reg> for Operand {
     fn from(r: Reg) -> Self {
         Operand::Reg(r)
@@ -289,16 +278,6 @@ impl Instr {
         v
     }
 
-    /// True if the instruction touches memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Store { .. })
-    }
-
-    /// True if the instruction is a call.
-    pub fn is_call(&self) -> bool {
-        matches!(self, Instr::Call { .. })
-    }
-
     /// True if this instruction may be speculated above a branch, i.e. it
     /// has no side effect other than writing its destination register and
     /// it cannot raise an exception (loads must first be converted to their
@@ -309,11 +288,6 @@ impl Instr {
             Instr::Load { speculative, .. } => *speculative,
             Instr::Store { .. } | Instr::Call { .. } | Instr::Out { .. } => false,
         }
-    }
-
-    /// True if this load could be made non-excepting for speculation.
-    pub fn is_speculatable_load(&self) -> bool {
-        matches!(self, Instr::Load { speculative: false, .. })
     }
 }
 

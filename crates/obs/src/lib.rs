@@ -451,13 +451,6 @@ impl Span {
         }
         self
     }
-
-    /// Attaches a structured argument to an already-bound span.
-    pub fn set_arg(&mut self, key: &str, value: impl Into<ArgValue>) {
-        if self.rec.is_some() {
-            self.args.push((key.to_string(), value.into()));
-        }
-    }
 }
 
 impl Drop for Span {

@@ -18,18 +18,6 @@ pub fn percentile_sorted(sorted: &[u64], q: f64) -> f64 {
     sorted[idx] as f64
 }
 
-/// Sorts `samples` in place and returns `(p50, p90, p95, p99, max)`.
-pub fn summarize(samples: &mut [u64]) -> (f64, f64, f64, f64, f64) {
-    samples.sort_unstable();
-    (
-        percentile_sorted(samples, 0.50),
-        percentile_sorted(samples, 0.90),
-        percentile_sorted(samples, 0.95),
-        percentile_sorted(samples, 0.99),
-        percentile_sorted(samples, 1.0),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

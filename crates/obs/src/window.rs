@@ -116,12 +116,6 @@ impl<C: Clock> WindowedRegistry<C> {
         WindowedRegistry { width_ms, clock, slots: Mutex::new(slots) }
     }
 
-    /// The full horizon the ring can cover, in seconds.
-    pub fn horizon_s(&self) -> f64 {
-        let n = self.slots.lock().unwrap().len();
-        (n as u64 * self.width_ms) as f64 / 1e3
-    }
-
     /// Adds `delta` to a counter in the current window.
     pub fn add(&self, key: MetricKey, delta: u64) {
         self.with_current(|reg| reg.add(key, delta));

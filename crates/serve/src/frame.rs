@@ -93,15 +93,6 @@ impl From<io::Error> for FrameError {
     }
 }
 
-impl FrameError {
-    /// True when the stream's byte offset can no longer be trusted and the
-    /// connection must be closed (everything except a transient i/o
-    /// timeout is poisoning in practice; we close on those too).
-    pub fn poisons_stream(&self) -> bool {
-        true
-    }
-}
-
 /// FNV-1a over `payload`, 32-bit — an error-detection checksum (not
 /// cryptographic). The arithmetic lives in the shared
 /// [`pps_core::hash`] module; the wire format pins this exact function.

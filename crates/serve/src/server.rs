@@ -302,11 +302,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shutdown flag (shared with the serving thread).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// Requests a graceful drain.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);

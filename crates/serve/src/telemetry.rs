@@ -178,12 +178,6 @@ impl Telemetry {
         &self.windows
     }
 
-    /// True when the worker should capture a span tree for possible tail
-    /// sampling (cheap enough to do always while telemetry is on).
-    pub fn wants_traces(&self) -> bool {
-        true
-    }
-
     /// Records one finished exchange: windows, access log, tail sampler.
     pub fn observe(&self, rec: &RequestRecord) {
         self.windows.add(

@@ -15,17 +15,23 @@
 //! `BLESS=1 cargo test --test golden_tables`.
 
 use pps::core::GuardMode;
-use pps::harness::experiments::run_experiment;
+use pps::harness::experiments::run_experiment_jobs_config;
 use pps::harness::report::Table;
+use pps::harness::RunConfig;
 use pps::ir::{with_engine, Engine};
+use pps::obs::Obs;
 use pps::suite::Scale;
 use std::path::Path;
 
 const SCALE: Scale = Scale(1);
 
 fn render_experiment(id: &str) -> String {
-    let tables: Vec<Table> =
-        run_experiment(id, SCALE, None, GuardMode::Strict).expect("experiment runs clean");
+    let mut config = RunConfig::paper();
+    config.guard.mode = GuardMode::Strict;
+    // One job runs every cell inline on this thread, so a `with_engine`
+    // scope around this call reaches every execution.
+    let tables: Vec<Table> = run_experiment_jobs_config(id, SCALE, None, &config, 1, &Obs::noop())
+        .expect("experiment runs clean");
     let mut out = String::new();
     for t in &tables {
         out.push_str(&t.render());

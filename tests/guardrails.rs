@@ -18,14 +18,15 @@
 
 use pps::compact::CompactConfig;
 use pps::core::{
-    guarded_form_and_compact, guarded_form_and_compact_hooked, FormConfig, GuardConfig, GuardMode,
-    Scheme,
+    form_and_compact, guarded_form_and_compact, guarded_form_and_compact_with, FormConfig,
+    GuardConfig, GuardMode, Scheme,
 };
 use pps::ir::interp::{ExecConfig, ExecResult, Interp};
 use pps::ir::text::print_program;
 use pps::ir::trace::TeeSink;
 use pps::ir::verify::verify_program;
 use pps::ir::{FaultInjector, Program};
+use pps::obs::Obs;
 use pps::profile::{EdgeProfile, EdgeProfiler, PathProfile, PathProfiler};
 use pps::testgen::{gen_program, GenConfig};
 
@@ -80,7 +81,7 @@ fn injected_faults_are_always_caught_and_degraded() {
         let mut program = base.clone();
         let mut injector = FaultInjector::new(seed ^ 0xBAD_5EED);
         let mut injected = Vec::new();
-        let result = guarded_form_and_compact_hooked(
+        let result = guarded_form_and_compact_with(
             &mut program,
             &edge,
             Some(&path),
@@ -88,13 +89,14 @@ fn injected_faults_are_always_caught_and_degraded() {
             &FormConfig::default(),
             &CompactConfig::default(),
             &guard(GuardMode::Degrade),
-            &mut |prog, pid| {
+            &Obs::noop(),
+            Some(&mut |prog, pid| {
                 if let Some(r) =
                     injector.inject_effective(prog, pid, &oracle_inputs, STEP_BUDGET, INJECT_ATTEMPTS)
                 {
                     injected.push(r);
                 }
-            },
+            }),
         )
         .unwrap_or_else(|e| panic!("seed {seed} ({}): degrade mode must not fail: {e}", scheme.name()));
 
@@ -129,7 +131,7 @@ fn injected_faults_are_always_caught_and_degraded() {
             strict_checked += 1;
             let mut strict_program = base.clone();
             let mut strict_injector = FaultInjector::new(seed ^ 0xBAD_5EED);
-            let err = guarded_form_and_compact_hooked(
+            let err = guarded_form_and_compact_with(
                 &mut strict_program,
                 &edge,
                 Some(&path),
@@ -137,7 +139,8 @@ fn injected_faults_are_always_caught_and_degraded() {
                 &FormConfig::default(),
                 &CompactConfig::default(),
                 &guard(GuardMode::Strict),
-                &mut |prog, pid| {
+                &Obs::noop(),
+                Some(&mut |prog, pid| {
                     let _ = strict_injector.inject_effective(
                         prog,
                         pid,
@@ -145,7 +148,7 @@ fn injected_faults_are_always_caught_and_degraded() {
                         STEP_BUDGET,
                         INJECT_ATTEMPTS,
                     );
-                },
+                }),
             );
             assert!(err.is_err(), "seed {seed}: strict mode must fail fast");
         }
@@ -189,6 +192,34 @@ fn clean_guarded_runs_report_clean_and_preserve_behavior() {
         assert_eq!(expected.output, got.output, "seed {seed}");
         assert_eq!(expected.return_value, got.return_value, "seed {seed}");
         assert_eq!(expected.memory, got.memory, "seed {seed}");
+
+        // A clean guarded run computes exactly what the unguarded pipeline
+        // computes: same partition (the leading superblocks of each
+        // procedure's schedule, ahead of compensation stubs), same
+        // statistics, same program text.
+        let mut unguarded = base.clone();
+        let (compacted, stats) = form_and_compact(
+            &mut unguarded,
+            &edge,
+            Some(&path),
+            scheme,
+            &FormConfig::default(),
+            &CompactConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("seed {seed} ({}): unguarded: {e}", scheme.name()));
+        assert_eq!(compacted.procs.len(), result.partition.len(), "seed {seed}");
+        for (cp, specs) in compacted.procs.iter().zip(&result.partition) {
+            let leading: Vec<_> =
+                cp.superblocks.iter().take(specs.len()).map(|sb| sb.spec.clone()).collect();
+            assert_eq!(&leading, specs, "seed {seed} ({}): partition", scheme.name());
+        }
+        assert_eq!(result.stats, stats, "seed {seed} ({}): stats", scheme.name());
+        assert_eq!(
+            print_program(&program),
+            print_program(&unguarded),
+            "seed {seed} ({}): program text",
+            scheme.name()
+        );
     }
 }
 
@@ -204,7 +235,7 @@ fn deferred_oracle_matches_per_procedure_oracle() {
         let (edge, path) = profile(&base);
         for mode in [GuardMode::Degrade, GuardMode::Strict] {
             let mut deferred = base.clone();
-            let d = guarded_form_and_compact(
+            let d = guarded_form_and_compact_with(
                 &mut deferred,
                 &edge,
                 Some(&path),
@@ -212,10 +243,12 @@ fn deferred_oracle_matches_per_procedure_oracle() {
                 &FormConfig::default(),
                 &CompactConfig::default(),
                 &guard(mode),
+                &Obs::noop(),
+                None,
             )
             .map(|r| format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report));
             let mut eager = base.clone();
-            let e = guarded_form_and_compact_hooked(
+            let e = guarded_form_and_compact_with(
                 &mut eager,
                 &edge,
                 Some(&path),
@@ -223,7 +256,8 @@ fn deferred_oracle_matches_per_procedure_oracle() {
                 &FormConfig::default(),
                 &CompactConfig::default(),
                 &guard(mode),
-                &mut |_, _| {},
+                &Obs::noop(),
+                Some(&mut |_, _| {}),
             )
             .map(|r| format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report));
             assert_eq!(d, e, "seed {seed} ({}, {mode})", scheme.name());
@@ -270,7 +304,7 @@ fn guard_oracle_and_rollback_identical_across_engines() {
 
         let mut program = base.clone();
         let mut injector = FaultInjector::new(seed ^ 0xBAD_5EED);
-        let result = guarded_form_and_compact_hooked(
+        let result = guarded_form_and_compact_with(
             &mut program,
             &edge,
             Some(&path),
@@ -278,15 +312,16 @@ fn guard_oracle_and_rollback_identical_across_engines() {
             &FormConfig::default(),
             &CompactConfig::default(),
             &guard(GuardMode::Degrade),
-            &mut |prog, pid| {
+            &Obs::noop(),
+            Some(&mut |prog, pid| {
                 let _ = injector.inject_effective(prog, pid, &oracle_inputs, STEP_BUDGET, INJECT_ATTEMPTS);
-            },
+            }),
         )
         .expect("degrade mode never fails");
 
         let mut strict_program = base.clone();
         let mut strict_injector = FaultInjector::new(seed ^ 0xBAD_5EED);
-        let strict_err = guarded_form_and_compact_hooked(
+        let strict_err = guarded_form_and_compact_with(
             &mut strict_program,
             &edge,
             Some(&path),
@@ -294,9 +329,10 @@ fn guard_oracle_and_rollback_identical_across_engines() {
             &FormConfig::default(),
             &CompactConfig::default(),
             &guard(GuardMode::Strict),
-            &mut |prog, pid| {
+            &Obs::noop(),
+            Some(&mut |prog, pid| {
                 let _ = strict_injector.inject_effective(prog, pid, &oracle_inputs, STEP_BUDGET, INJECT_ATTEMPTS);
-            },
+            }),
         )
         .err()
         .map(|e| e.to_string());

@@ -3,7 +3,7 @@
 //! parseable Chrome trace and a metrics document with the expected series.
 
 use pps_core::{
-    guarded_form_and_compact_hooked_obs, FormConfig, GuardConfig, GuardMode, Scheme,
+    guarded_form_and_compact_with, FormConfig, GuardConfig, GuardMode, Scheme,
 };
 use pps_compact::CompactConfig;
 use pps_harness::{run_scheme_obs, RunConfig};
@@ -150,7 +150,7 @@ fn injected_fault_surfaces_as_incident_metric_and_event() {
     let inputs = vec![bench.train_args.clone()];
     let mut injector = FaultInjector::new(0xFA11);
     let mut injected = 0usize;
-    let result = guarded_form_and_compact_hooked_obs(
+    let result = guarded_form_and_compact_with(
         &mut program,
         &edge,
         Some(&path),
@@ -159,11 +159,11 @@ fn injected_fault_surfaces_as_incident_metric_and_event() {
         &CompactConfig::default(),
         &guard,
         &obs,
-        &mut |prog, pid| {
+        Some(&mut |prog, pid| {
             if injector.inject_effective(prog, pid, &inputs, 500_000, 32).is_some() {
                 injected += 1;
             }
-        },
+        }),
     )
     .unwrap();
     assert!(injected > 0, "injector found no effective fault");

@@ -3,7 +3,6 @@
 //! byte-identical to a serial run.
 
 use pps_core::GuardMode;
-use pps_harness::experiments::run_experiment_jobs;
 use pps_harness::{run_experiment_jobs_config, RunConfig};
 use pps_obs::{Level, Obs, ObsConfig};
 use pps_suite::Scale;
@@ -95,7 +94,7 @@ fn engine_handles_ctx_free_experiments() {
     // through unchanged at any job count.
     for id in ["tracecache", "predict"] {
         let run = |jobs: usize| {
-            run_experiment_jobs(id, Scale::quick(), Some("wc"), GuardMode::Degrade, jobs, &Obs::noop())
+            run_experiment_jobs_config(id, Scale::quick(), Some("wc"), &RunConfig::paper(), jobs, &Obs::noop())
                 .unwrap()
                 .iter()
                 .map(|t| t.render())
