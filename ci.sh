@@ -4,13 +4,14 @@
 # shims/README.md), so `cargo` never touches a registry.
 #
 # Stages (run all by default):
-#   ./ci.sh gate              build + tests + clippy
+#   ./ci.sh gate              build + tests + clippy, and the layering
+#                             check: pps-harness must not link pps-serve
 #   ./ci.sh obs-smoke         one recorded benchmark run; fails on missing or
 #                             invalid --trace-out/--metrics-out JSON
 #   ./ci.sh parallel-harness  same experiment at --jobs 1 and --jobs 2;
 #                             fails if tables or metrics differ by a byte
 #   ./ci.sh serve-smoke       start the pps-serve daemon on an ephemeral
-#                             port, drive it with `pps-harness loadgen`
+#                             port, drive it with `pps-client loadgen`
 #                             (concurrent requests verified byte-identical
 #                             to the in-process pipeline, plus malformed-
 #                             frame probes), then drain it and assert a
@@ -54,7 +55,7 @@
 #                             slower than the tree's own reference path)
 #   ./ci.sh telemetry-smoke   two loadgen passes, telemetry off then on;
 #                             with it on, scrape /metrics + /health while
-#                             the load runs (`pps-harness top --watch-json`
+#                             the load runs (`pps-client top --watch-json`
 #                             validates every exposition), assert non-zero
 #                             serve_latency_ms buckets, one access-log line
 #                             per reply, zero reply mismatches, and fail
@@ -80,6 +81,14 @@ gate() {
   # crates/bench sits outside default-members; lint it so the API it
   # calls stays compiled.
   cargo clippy -p pps-bench --all-targets -- -D warnings
+
+  echo "== layering =="
+  # The offline paper reproduction must not link the TCP daemon: the
+  # protocol and every client of it live in pps-serve.
+  harness_deps="$(cargo tree -p pps-harness -e normal --offline --prefix none)"
+  if grep -q '^pps-serve ' <<< "$harness_deps"; then
+    echo "pps-harness depends on pps-serve"; exit 1
+  fi
 }
 
 # boot LOG PORTFILES CMD...: starts a daemon (pps-serve or pps-shard) in
@@ -135,7 +144,7 @@ parallel_harness() {
 serve_smoke() {
   echo "== serve smoke =="
   out="$(mktemp -d)"
-  cargo build --release -p pps-serve -p pps-harness
+  cargo build --release -p pps-serve
 
   # The daemon writes its bound address atomically once listening.
   boot - "$out/port" ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port" \
@@ -146,7 +155,7 @@ serve_smoke() {
   # 64 requests over 64 connections, every reply verified byte-identical
   # to the in-process pipeline; malformed frames must be rejected cleanly;
   # --shutdown drains the daemon via the in-band request.
-  ./target/release/pps-harness loadgen --addr "$addr" \
+  ./target/release/pps-client loadgen --addr "$addr" \
     --conns 64 --requests 64 --bench wc --scale 1 --scheme P4 \
     --probe-malformed --shutdown --out "$out/loadgen.json" --log-level warn
 
@@ -167,7 +176,7 @@ serve_smoke() {
 drift_smoke() {
   echo "== drift smoke (continuous PGO) =="
   out="$(mktemp -d)"
-  cargo build --release -p pps-serve -p pps-harness
+  cargo build --release -p pps-serve
 
   # Fast sweep knobs so the loop closes in CI time: sweep every 50ms, no
   # recompile cooldown, drift-check once two profiles have merged.
@@ -183,9 +192,9 @@ drift_smoke() {
   # aggregate until the sweeper recompiles and hot-swaps the unit. Every
   # reply in both phases is verified byte-identical to the in-process
   # pipeline; --shutdown then drains the daemon.
-  ./target/release/pps-harness loadgen --addr "$addr" \
+  ./target/release/pps-client loadgen --addr "$addr" \
     --conns 8 --requests 24 --bench wc --scale 1 --scheme P4 \
-    --drift --drift-timeout-s 120 --shutdown \
+    --drift --shutdown \
     --out "$out/loadgen.json" --log-level warn
 
   if ! wait "$daemon"; then
@@ -210,7 +219,7 @@ drift_smoke() {
 shard_smoke() {
   echo "== shard smoke (consistent-hash cluster) =="
   out="$(mktemp -d)"
-  cargo build --release -p pps-serve -p pps-harness
+  cargo build --release -p pps-serve
 
   # Two shard daemons (reply caches on by default) on ephemeral ports.
   boot "$out/shard1.log" "$out/port1" \
@@ -230,7 +239,7 @@ shard_smoke() {
   # Repeat-heavy multi-artifact load through the router. Every reply is
   # verified byte-identical to the in-process pipeline by loadgen; the
   # report carries the router's fanned-in cluster counters.
-  ./target/release/pps-harness loadgen --addr "$raddr" \
+  ./target/release/pps-client loadgen --addr "$raddr" \
     --cluster --conns 8 --requests 96 --scale 1 --scheme P4 \
     --out "$out/loadgen.json" --log-level warn
   grep -q '"mismatches": 0' "$out/loadgen.json" || { echo "cluster reply mismatches"; exit 1; }
@@ -243,8 +252,8 @@ shard_smoke() {
 
   # Per-shard counters straight from each daemon: consistent hashing must
   # give both shards some of the key set, and repeats must hit their cache.
-  ./target/release/pps-harness ping --addr "$(cat "$out/port1")" > "$out/ping1.json"
-  ./target/release/pps-harness ping --addr "$(cat "$out/port2")" > "$out/ping2.json"
+  ./target/release/pps-client ping --addr "$(cat "$out/port1")" > "$out/ping1.json"
+  ./target/release/pps-client ping --addr "$(cat "$out/port2")" > "$out/ping2.json"
   for f in "$out/ping1.json" "$out/ping2.json"; do
     reqs="$(grep -o '"requests":[0-9]*' "$f" | grep -o '[0-9]*$')"
     [ "${reqs:-0}" -gt 0 ] || { echo "a shard served nothing: $(cat "$f")"; exit 1; }
@@ -253,7 +262,7 @@ shard_smoke() {
   # The same repeat-heavy load pointed at one daemon directly must also
   # verify byte-identically — cluster and single-daemon deployments both
   # equal the in-process pipeline, hence each other.
-  ./target/release/pps-harness loadgen --addr "$(cat "$out/port1")" \
+  ./target/release/pps-client loadgen --addr "$(cat "$out/port1")" \
     --cluster --conns 4 --requests 24 --scale 1 --scheme P4 \
     --out "$out/loadgen-single.json" --log-level warn
   grep -q '"mismatches": 0' "$out/loadgen-single.json" \
@@ -261,7 +270,7 @@ shard_smoke() {
 
   # One in-band Shutdown through the router fans out and drains the whole
   # cluster: both daemons and the router must exit cleanly.
-  ./target/release/pps-harness loadgen --addr "$raddr" --requests 0 --conns 1 \
+  ./target/release/pps-client loadgen --addr "$raddr" --requests 0 --conns 1 \
     --bench wc --scale 1 --scheme P4 --shutdown --log-level warn
   wait "$shard1" || { echo "shard 1 exited nonzero"; cat "$out/shard1.log"; exit 1; }
   wait "$shard2" || { echo "shard 2 exited nonzero"; cat "$out/shard2.log"; exit 1; }
@@ -275,14 +284,14 @@ shard_smoke() {
 telemetry_smoke() {
   echo "== telemetry smoke =="
   out="$(mktemp -d)"
-  cargo build --release -p pps-serve -p pps-harness
+  cargo build --release -p pps-serve
 
   # Pass 1: telemetry fully off — the throughput baseline. Same loadgen
   # knobs as the telemetry-on pass so the two rps numbers are comparable.
   boot "$out/daemon-off.log" "$out/port-off" \
     ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port-off" --log-level warn
   daemon=$booted
-  ./target/release/pps-harness loadgen --addr "$(cat "$out/port-off")" \
+  ./target/release/pps-client loadgen --addr "$(cat "$out/port-off")" \
     --conns 32 --requests 160 --bench wc --scale 1 --scheme P4 \
     --probe-malformed --shutdown --out "$out/loadgen-off.json" --log-level warn
   if ! wait "$daemon"; then
@@ -298,7 +307,7 @@ telemetry_smoke() {
   daemon=$booted
   taddr="$(cat "$out/tport")"
 
-  ./target/release/pps-harness loadgen --addr "$(cat "$out/port-on")" \
+  ./target/release/pps-client loadgen --addr "$(cat "$out/port-on")" \
     --conns 32 --requests 160 --bench wc --scale 1 --scheme P4 \
     --probe-malformed --shutdown --out "$out/loadgen-on.json" --log-level warn &
   load=$!
@@ -327,9 +336,9 @@ telemetry_smoke() {
   # `top` polls /metrics + /health while loadgen drives; it hard-fails on
   # any exposition that does not parse and validate (monotone cumulative
   # buckets, +Inf == _count, finite numbers).
-  ./target/release/pps-harness top --addr "$taddr" \
+  ./target/release/pps-client top --addr "$taddr" \
     --interval-ms 100 --iterations 5 --watch-json > "$out/top.jsonl" \
-    || { echo "pps-harness top failed against the live daemon"; exit 1; }
+    || { echo "pps-client top failed against the live daemon"; exit 1; }
   [ "$(wc -l < "$out/top.jsonl")" -eq 5 ] || { echo "top --watch-json line count"; exit 1; }
   grep -q '"schema":"pps-top"' "$out/top.jsonl" || { echo "top lines missing schema"; exit 1; }
 
@@ -400,7 +409,7 @@ kpath_smoke() {
   daemon=$booted
   addr="$(cat "$out/port")"
 
-  ./target/release/pps-harness loadgen --addr "$addr" \
+  ./target/release/pps-client loadgen --addr "$addr" \
     --conns 8 --requests 48 --bench wc --scale 1 --scheme pk2 \
     --out "$out/loadgen-pk2.json" --log-level warn
   grep -q '"mismatches": 0' "$out/loadgen-pk2.json" || { echo "Pk2 reply mismatches"; exit 1; }
@@ -408,12 +417,12 @@ kpath_smoke() {
   grep -q '"scheme": "Pk2"' "$out/loadgen-pk2.json" \
     || { echo "lowercase pk2 did not canonicalize"; exit 1; }
 
-  ./target/release/pps-harness ping --addr "$addr" > "$out/ping.json"
+  ./target/release/pps-client ping --addr "$addr" > "$out/ping.json"
   hits="$(grep -o '"cache_hits":[0-9]*' "$out/ping.json" | grep -o '[0-9]*$')"
   misses="$(grep -o '"cache_misses":[0-9]*' "$out/ping.json" | grep -o '[0-9]*$')"
   [ "${hits:-0}" -gt 0 ] || { echo "Pk2 repeats never hit the reply cache"; exit 1; }
 
-  ./target/release/pps-harness loadgen --addr "$addr" \
+  ./target/release/pps-client loadgen --addr "$addr" \
     --conns 4 --requests 16 --bench li --scale 1 --scheme Px4 \
     --shutdown --out "$out/loadgen-px4.json" --log-level warn
   if ! wait "$daemon"; then

@@ -5,7 +5,6 @@
 //!             [--jobs N] [--profile-in DIR] [--profile-out DIR]
 //!             [--trace-out FILE] [--metrics-out FILE] [--log-level LEVEL]
 //! pps-harness --all
-//! pps-harness loadgen --addr HOST:PORT [--conns N] [--requests M] ...
 //! ```
 //!
 //! `--jobs N` runs each experiment's benchmark × scheme cells on N worker
@@ -20,14 +19,11 @@
 //! controls progress logging on stderr (off|error|warn|info|debug, default
 //! info).
 //!
-//! The `loadgen` subcommand drives a running `pps-serve` daemon and
-//! verifies replies byte-for-byte against the in-process pipeline; see
-//! `pps-harness loadgen --help`.
+//! The compile service's clients (`loadgen`, `top`, `ping`) live in the
+//! `pps-client` binary of `pps-serve`; this crate does not link the daemon.
 
 use pps_core::GuardMode;
 use pps_harness::experiments::{run_experiment_jobs_config, EXPERIMENTS};
-use pps_harness::loadgen::{self, LoadgenConfig};
-use pps_harness::top::{self, TopConfig};
 use pps_harness::pool::default_jobs;
 use pps_harness::runner::RunConfig;
 use pps_obs::{Level, Obs, ObsConfig};
@@ -40,9 +36,6 @@ fn usage() -> ! {
          \x20                  [--jobs N] [--profile-in DIR] [--profile-out DIR]\n\
          \x20                  [--trace-out FILE] [--metrics-out FILE] [--log-level off|error|warn|info|debug]\n\
          \x20      pps-harness --all [--scale N] [--csv] [--mode strict|degrade] [--jobs N]\n\
-         \x20      pps-harness loadgen --addr HOST:PORT [options]  (see `loadgen --help`)\n\
-         \x20      pps-harness ping --addr HOST:PORT  (one health snapshot as JSON)\n\
-         \x20      pps-harness top --addr HOST:PORT [options]      (see `top --help`)\n\
          experiments: {}\n\
          modes: strict  = abort on the first pipeline incident (CI, paper tables)\n\
          \x20      degrade = fall back to basic-block scheduling per failed procedure (default)\n\
@@ -56,312 +49,8 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn loadgen_usage() -> ! {
-    eprintln!(
-        "usage: pps-harness loadgen --addr HOST:PORT [--conns N] [--requests M]\n\
-         \x20                          [--bench NAME] [--scale N] [--scheme NAME]\n\
-         \x20                          [--probe-malformed] [--shutdown] [--out FILE]\n\
-         \x20                          [--retries N] [--retry-budget N]\n\
-         \x20                          [--busy-retries N]\n\
-         \x20                          [--drift] [--drift-timeout-s N] [--cluster]\n\
-         \x20                          [--log-level off|error|warn|info|debug]\n\
-         Drives a pps-serve daemon with a Profile/Compile/RunCell mix over N\n\
-         concurrent connections, verifying every reply byte-for-byte against\n\
-         the in-process pipeline. Busy replies, timeouts, and disconnects are\n\
-         retried with bounded backoff: --retries caps transport-fault attempts\n\
-         per request, --retry-budget caps total fault retries per run, and\n\
-         --busy-retries caps Busy (backpressure) waits per request, which\n\
-         don't draw on the fault budget. --probe-malformed also\n\
-         sends corrupt frames and asserts clean rejection; --shutdown drains\n\
-         the daemon afterwards; --drift phase-shifts the workload's profiles\n\
-         and waits up to --drift-timeout-s for a continuous-PGO hot-swap\n\
-         (needs a daemon with --pgo on); --cluster drives a repeat-heavy\n\
-         multi-artifact distribution (point --addr at a pps-shard router)\n\
-         and reports cluster-wide cache hit rate and routing stats;\n\
-         --out writes the report as JSON."
-    );
-    std::process::exit(2);
-}
-
-/// `pps-harness loadgen ...`: exit 0 only when every reply verified.
-fn loadgen_main(args: &[String]) -> ExitCode {
-    let mut config = LoadgenConfig::default();
-    let mut out: Option<String> = None;
-    let mut level = Level::Info;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => config.addr = it.next().unwrap_or_else(|| loadgen_usage()).clone(),
-            "--conns" => {
-                config.conns = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| loadgen_usage());
-            }
-            "--requests" => {
-                config.requests =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| loadgen_usage());
-            }
-            "--bench" => config.bench = it.next().unwrap_or_else(|| loadgen_usage()).clone(),
-            "--scale" => {
-                config.scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| loadgen_usage());
-            }
-            "--scheme" => {
-                // Canonicalize up front (`pk2` -> `Pk2`) so the report and
-                // every request carry the same name the daemon keys by.
-                config.scheme = it
-                    .next()
-                    .and_then(|v| pps_core::Scheme::parse(v))
-                    .unwrap_or_else(|| loadgen_usage())
-                    .name();
-            }
-            "--probe-malformed" => config.probe_malformed = true,
-            "--shutdown" => config.shutdown = true,
-            "--retries" => {
-                config.retry.max_attempts = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| loadgen_usage());
-            }
-            "--retry-budget" => {
-                config.retry.budget =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| loadgen_usage());
-            }
-            "--busy-retries" => {
-                config.retry.busy_attempts = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| loadgen_usage());
-            }
-            "--drift" => config.drift = true,
-            "--cluster" => config.cluster = true,
-            "--drift-timeout-s" => {
-                let s: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| loadgen_usage());
-                config.drift_timeout = std::time::Duration::from_secs(s);
-            }
-            "--out" => out = Some(it.next().unwrap_or_else(|| loadgen_usage()).clone()),
-            "--log-level" => {
-                level = Level::parse(it.next().unwrap_or_else(|| loadgen_usage()))
-                    .unwrap_or_else(|| loadgen_usage());
-            }
-            "--help" | "-h" => loadgen_usage(),
-            _ => loadgen_usage(),
-        }
-    }
-    if config.addr.is_empty() {
-        loadgen_usage();
-    }
-
-    let obs = Obs::recording(ObsConfig { level, trace: false, metrics: false });
-    let report = match loadgen::run(&config, &obs) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("[loadgen error] {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!(
-        "loadgen: {} ok, {} mismatches, {} errors, {} busy + {} transport retries \
-         in {:.2}s ({:.1} req/s; p50 {:.1}ms p95 {:.1}ms p99 {:.1}ms max {:.1}ms; \
-         probes {}/{})",
-        report.ok,
-        report.mismatches,
-        report.errors,
-        report.busy_retries,
-        report.transport_retries,
-        report.elapsed_s,
-        report.throughput_rps,
-        report.latency.p50,
-        report.latency.p95,
-        report.latency.p99,
-        report.latency.max,
-        report.probes_passed,
-        report.probes_run,
-    );
-    if let Some(d) = &report.drift {
-        println!(
-            "loadgen drift: swap after {:.2}s ({} recompiles, {} swaps, {} rollbacks, \
-             max generation {}, {} in flight at drain); runcell p50 {:.1}ms -> {:.1}ms",
-            d.swap_wait_s,
-            d.recompiles,
-            d.swaps,
-            d.rollbacks,
-            d.max_generation,
-            d.in_flight_final,
-            d.phase_a_runcell.p50,
-            d.phase_b_runcell.p50,
-        );
-    }
-    if let Some(c) = &report.cluster {
-        println!(
-            "loadgen cluster: {} shards, {} routed over {} artifacts; cache {} hits / {} \
-             misses ({:.0}% hit rate, {} entries), queue depth {}",
-            c.shards,
-            c.routed,
-            c.distinct_artifacts,
-            c.cache_hits,
-            c.cache_misses,
-            c.hit_rate * 100.0,
-            c.cache_entries,
-            c.queue_depth,
-        );
-    }
-    for f in &report.failures {
-        eprintln!("[loadgen failure] {f}");
-    }
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, report.to_json(&config)) {
-            eprintln!("[loadgen error] writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        obs.log(Level::Info, || format!("report written to {path}"));
-    }
-    if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn top_usage() -> ! {
-    eprintln!(
-        "usage: pps-harness top --addr HOST:PORT [--interval-ms N] [--iterations N]\n\
-         \x20                      [--watch-json]\n\
-         Live dashboard for a pps-serve daemon started with --telemetry-addr:\n\
-         polls /metrics (validated Prometheus exposition; rps from counter\n\
-         deltas) and /health (windowed rates + latency quantiles) every\n\
-         interval. --watch-json emits one machine-readable JSON line per poll\n\
-         (schema pps-top v1) instead of repainting; --iterations N exits after\n\
-         N polls (useful for scripts and CI)."
-    );
-    std::process::exit(2);
-}
-
-/// `pps-harness top ...`: exit 0 only while every poll scrapes cleanly.
-fn top_main(args: &[String]) -> ExitCode {
-    let mut config = TopConfig::default();
-    let mut addr_set = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => {
-                config.addr = it.next().unwrap_or_else(|| top_usage()).clone();
-                addr_set = true;
-            }
-            "--interval-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| top_usage());
-                config.interval = std::time::Duration::from_millis(ms);
-            }
-            "--iterations" => {
-                config.iterations = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &u64| n > 0)
-                        .unwrap_or_else(|| top_usage()),
-                );
-            }
-            "--watch-json" => config.json = true,
-            "--help" | "-h" => top_usage(),
-            _ => top_usage(),
-        }
-    }
-    if !addr_set {
-        top_usage();
-    }
-    let mut stdout = std::io::stdout();
-    match top::run(&config, &mut stdout) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("[top error] {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `pps-harness ping --addr HOST:PORT`: one PPSF `Ping` round-trip,
-/// printing the raw health snapshot as one JSON line. Pointed at a
-/// `pps-serve` daemon this is that shard's own counters; pointed at a
-/// `pps-shard` router it is the fanned-in cluster view.
-fn ping_main(args: &[String]) -> ExitCode {
-    let mut addr: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => addr = it.next().cloned(),
-            _ => {
-                eprintln!("usage: pps-harness ping --addr HOST:PORT");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(addr) = addr else {
-        eprintln!("usage: pps-harness ping --addr HOST:PORT");
-        return ExitCode::from(2);
-    };
-    let health = match pps_serve::Client::connect(&addr, Some(std::time::Duration::from_secs(10)))
-        .map_err(|e| e.to_string())
-        .and_then(|mut c| {
-            c.request(pps_serve::Request::Ping).map_err(|e| e.to_string())
-        }) {
-        Ok(pps_serve::Response::Pong { health }) => health,
-        Ok(other) => {
-            eprintln!("[ping error] expected Pong, got {}", other.outcome_name());
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("[ping error] {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "{{\"schema\":\"pps-ping\",\"proto_minor\":{},\"queue_depth\":{},\"queue_capacity\":{},\
-         \"workers\":{},\"connections\":{},\"requests\":{},\"cache_hits\":{},\"cache_misses\":{},\
-         \"cache_evictions\":{},\"cache_invalidations\":{},\"cache_entries\":{},\
-         \"routed\":{},\"shards\":{}}}",
-        health.proto_minor,
-        health.queue_depth,
-        health.queue_capacity,
-        health.workers,
-        health.connections,
-        health.requests,
-        health.cache_hits,
-        health.cache_misses,
-        health.cache_evictions,
-        health.cache_invalidations,
-        health.cache_entries,
-        health.routed,
-        health.shards,
-    );
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("loadgen") {
-        return loadgen_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        return top_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("ping") {
-        return ping_main(&args[1..]);
-    }
     let mut experiment: Option<String> = None;
     let mut scale = Scale::paper();
     let mut bench: Option<String> = None;

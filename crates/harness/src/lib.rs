@@ -28,9 +28,7 @@
 //! byte-identical to a serial run.
 
 pub mod experiments;
-pub mod loadgen;
 pub mod report;
-pub mod top;
 
 // The scoped-thread pool lives in `pps_core::pool` (the serve daemon shares
 // it) and the per-cell runner in `pps_eval::runner` (below both this crate

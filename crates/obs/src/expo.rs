@@ -1,6 +1,6 @@
 //! Prometheus text exposition (version 0.0.4): rendering a
 //! [`MetricsRegistry`] (plus gauges) into scrape output, and a small
-//! parser/validator used by `pps-harness top` and the CI telemetry smoke
+//! parser/validator used by `pps-client top` and the CI telemetry smoke
 //! stage to check what the daemon serves.
 //!
 //! Renderer conventions:

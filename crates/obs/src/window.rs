@@ -5,7 +5,7 @@
 //! The serving daemon records every request into both its cumulative
 //! registry (for Prometheus-style scraping, where the scraper differences
 //! counters itself) and a [`WindowedRegistry`] (for the `/health` endpoint
-//! and `pps-harness top`, which want "last N seconds" numbers directly).
+//! and `pps-client top`, which want "last N seconds" numbers directly).
 //!
 //! Time comes from an injected [`Clock`] so tests can drive rotation
 //! deterministically; merge semantics are those of

@@ -22,7 +22,7 @@
 use pps_obs::{Level, Obs, ObsConfig};
 use pps_serve::cache::CompileCache;
 use pps_serve::pgo::{PgoConfig, PgoFault, PgoRuntime, PgoState};
-use pps_serve::server::{serve_with_telemetry, ServeConfig};
+use pps_serve::server::{serve, write_port_file, ServeConfig};
 use pps_serve::service::PipelineHandler;
 use pps_serve::telemetry::{Telemetry, TelemetryConfig};
 use std::net::TcpListener;
@@ -38,8 +38,7 @@ fn usage() -> ! {
          \x20               [--telemetry-addr HOST:PORT] [--telemetry-port-file FILE]\n\
          \x20               [--access-log FILE]\n\
          \x20               [--pgo on|off] [--pgo-interval-ms N] [--pgo-min-samples N]\n\
-         \x20               [--pgo-enter X] [--pgo-exit X] [--pgo-cooldown-ms N]\n\
-         \x20               [--pgo-budget N] [--pgo-top-k N] [--pgo-fault none|panic|corrupt]\n\
+         \x20               [--pgo-cooldown-ms N] [--pgo-fault none|panic|corrupt]\n\
          \x20               [--cache-cap N]\n\
          Serves Profile/Compile/RunCell requests over the PPSF framed protocol.\n\
          Replies are cached by content address (program x profiles x scheme x\n\
@@ -89,28 +88,9 @@ fn main() -> ExitCode {
                 pgo.min_samples =
                     it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
             }
-            "--pgo-enter" => {
-                pgo.enter_threshold =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--pgo-exit" => {
-                pgo.exit_threshold =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
             "--pgo-cooldown-ms" => {
                 let ms: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
                 pgo.cooldown = Duration::from_millis(ms);
-            }
-            "--pgo-budget" => {
-                pgo.recompiles_per_sweep =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--pgo-top-k" => {
-                pgo.top_k = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| usage());
             }
             "--pgo-fault" => {
                 pgo.fault = it
@@ -188,11 +168,7 @@ fn main() -> ExitCode {
         )
     });
     if let Some(path) = &port_file {
-        // Write-then-rename so pollers never read a half-written address.
-        let tmp = format!("{path}.tmp.{}", std::process::id());
-        let write = std::fs::write(&tmp, format!("{local}\n"))
-            .and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(e) = write {
+        if let Err(e) = write_port_file(path, local) {
             eprintln!("[pps-serve error] port file {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -214,10 +190,7 @@ fn main() -> ExitCode {
         if let Some(scrape) = t.http_addr() {
             println!("pps-serve telemetry on {scrape}");
             if let Some(path) = &telemetry_port_file {
-                let tmp = format!("{path}.tmp.{}", std::process::id());
-                let write = std::fs::write(&tmp, format!("{scrape}\n"))
-                    .and_then(|()| std::fs::rename(&tmp, path));
-                if let Err(e) = write {
+                if let Err(e) = write_port_file(path, scrape) {
                     eprintln!("[pps-serve error] telemetry port file {path}: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -252,14 +225,7 @@ fn main() -> ExitCode {
     let handler = PipelineHandler::new(cache, state.clone());
     let runtime = state.map(PgoRuntime::start);
 
-    let stats = match serve_with_telemetry(
-        listener,
-        &config,
-        &handler,
-        &obs,
-        &shutdown,
-        telemetry.as_deref(),
-    ) {
+    let stats = match serve(listener, &config, &handler, &obs, &shutdown, telemetry.as_deref()) {
         Ok(stats) => stats,
         Err(e) => {
             eprintln!("[pps-serve error] serve: {e}");

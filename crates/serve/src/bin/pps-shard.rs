@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! pps-shard --shard HOST:PORT [--shard HOST:PORT ...]
-//!           [--addr HOST:PORT] [--vnodes N] [--port-file FILE]
-//!           [--reply-timeout-ms N] [--log-level LEVEL]
+//!           [--addr HOST:PORT] [--port-file FILE] [--log-level LEVEL]
 //! ```
 //!
 //! Binds the front-door address (default `127.0.0.1:0`), prints
@@ -16,18 +15,18 @@
 //! pass through from the owning shard byte-identically.
 
 use pps_obs::{Level, Obs, ObsConfig};
-use pps_serve::shard::{route, Router, RouterConfig, ShardRing, DEFAULT_VNODES};
+use pps_serve::server::write_port_file;
+use pps_serve::shard::{route, Router, RouterConfig, ShardRing, VNODES};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
         "usage: pps-shard --shard HOST:PORT [--shard HOST:PORT ...]\n\
-         \x20               [--addr HOST:PORT] [--vnodes N] [--port-file FILE]\n\
-         \x20               [--reply-timeout-ms N] [--log-level off|error|warn|info|debug]\n\
+         \x20               [--addr HOST:PORT] [--port-file FILE]\n\
+         \x20               [--log-level off|error|warn|info|debug]\n\
          Routes PPSF requests across pps-serve shards by content address\n\
          (consistent hashing over the artifact key), so repeats of one\n\
          artifact always land on the same daemon's reply cache. Ping\n\
@@ -40,9 +39,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:0".to_string();
     let mut shards: Vec<String> = Vec::new();
-    let mut vnodes = DEFAULT_VNODES;
     let mut port_file: Option<String> = None;
-    let mut config = RouterConfig::default();
     let mut level = Level::Info;
 
     let mut it = args.iter();
@@ -50,19 +47,7 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--shard" => shards.push(it.next().unwrap_or_else(|| usage()).clone()),
             "--addr" => addr = it.next().unwrap_or_else(|| usage()).clone(),
-            "--vnodes" => {
-                vnodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| usage());
-            }
             "--port-file" => port_file = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--reply-timeout-ms" => {
-                let ms: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-                config.reply_timeout =
-                    if ms == 0 { None } else { Some(Duration::from_millis(ms)) };
-            }
             "--log-level" => {
                 level = Level::parse(it.next().unwrap_or_else(|| usage())).unwrap_or_else(|| usage());
             }
@@ -95,20 +80,16 @@ fn main() -> ExitCode {
     };
     println!("pps-shard listening on {local}");
     obs.log(Level::Info, || {
-        format!("routing over {} shards, {vnodes} vnodes each: {shards:?}", shards.len())
+        format!("routing over {} shards, {VNODES} vnodes each: {shards:?}", shards.len())
     });
     if let Some(path) = &port_file {
-        // Write-then-rename so pollers never read a half-written address.
-        let tmp = format!("{path}.tmp.{}", std::process::id());
-        let write = std::fs::write(&tmp, format!("{local}\n"))
-            .and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(e) = write {
+        if let Err(e) = write_port_file(path, local) {
             eprintln!("[pps-shard error] port file {path}: {e}");
             return ExitCode::FAILURE;
         }
     }
 
-    let router = Router::new(ShardRing::new(shards, vnodes), config);
+    let router = Router::new(ShardRing::new(shards), RouterConfig::default());
     let stats = match route(listener, &router, &obs, &shutdown) {
         Ok(stats) => stats,
         Err(e) => {

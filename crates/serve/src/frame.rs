@@ -181,6 +181,35 @@ pub fn read_frame_after(first: u8, r: &mut impl Read) -> Result<Vec<u8>, FrameEr
     read_body(r, len, want)
 }
 
+/// What a listening peer's short-timeout poll for a frame's first byte
+/// saw: the byte, a clean close, no data yet, or a transport failure.
+pub(crate) enum First {
+    Byte(u8),
+    Eof,
+    TimedOut,
+    Err(io::Error),
+}
+
+/// Polls for the first byte of the next frame. The daemon and the router
+/// read with a short timeout here so they notice shutdown between
+/// requests, then finish the frame with [`read_frame_after`].
+pub(crate) fn read_first(r: &mut impl Read) -> First {
+    let mut b = [0u8; 1];
+    match r.read(&mut b) {
+        Ok(0) => First::Eof,
+        Ok(_) => First::Byte(b[0]),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            ) =>
+        {
+            First::TimedOut
+        }
+        Err(e) => First::Err(e),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

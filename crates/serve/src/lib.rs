@@ -1,11 +1,13 @@
 #![warn(missing_docs)]
 
-//! `pps-serve`: the compile service.
+//! `pps-serve`: the compile service, its wire protocol, and every program
+//! that speaks it.
 //!
 //! The CLI harness runs one-shot sweeps; real PGO deployments are
 //! services — profiles are collected in one place and consumed by many
 //! compile requests. This crate turns the reproduction into that shape
-//! without any external dependencies:
+//! without any external dependencies. The offline paper harness does not
+//! link it:
 //!
 //! - [`frame`] — length-prefixed, versioned, checksummed binary frames;
 //! - [`proto`] — the `Profile` / `Compile` / `RunCell` request set and
@@ -17,7 +19,10 @@
 //! - [`cache`] — a bounded content-addressed reply cache keyed by
 //!   [`pps_core::ArtifactKey`], consulted before the pipeline and
 //!   invalidated by PGO hot-swaps;
-//! - [`client`] — the blocking client used by `pps-harness loadgen`;
+//! - [`client`] — the blocking client;
+//! - [`loadgen`] — the load generator that byte-verifies every reply
+//!   against the in-process [`execute`] (`pps-client loadgen`);
+//! - [`top`] — the live telemetry dashboard (`pps-client top`);
 //! - [`service`] — `execute`, a pure function of the request so replies
 //!   are byte-comparable against in-process runs, and the daemon's one
 //!   handler over it (optional reply cache, optional PGO state). Requests
@@ -30,11 +35,14 @@
 //!   metrics, a `/metrics` / `/health` / `/trace` scrape listener, a
 //!   JSON-lines access log, and tail-sampled request traces.
 //!
-//! The `pps-serve` binary wires these together; see README §Serving.
+//! Three binaries wire these together: `pps-serve` (the daemon),
+//! `pps-shard` (the router), and `pps-client` (`loadgen`, `top`, `ping`);
+//! see README §Serving.
 
 pub mod cache;
 pub mod client;
 pub mod frame;
+pub mod loadgen;
 pub mod pgo;
 pub mod proto;
 pub mod server;
@@ -42,12 +50,13 @@ pub mod service;
 pub mod shard;
 pub mod signal;
 pub mod telemetry;
+pub mod top;
 
 pub use cache::{CacheClass, CacheKey, CompileCache};
 pub use client::{Client, ClientError};
 pub use pgo::{PgoConfig, PgoFault, PgoRuntime, PgoState};
 pub use proto::{Envelope, ErrorKind, HealthSnapshot, ProfileText, Request, Response};
-pub use server::{serve, serve_with_telemetry, Handler, ServeConfig, ServerHandle, ServerStats};
+pub use server::{serve, write_port_file, Handler, ServeConfig, ServerHandle, ServerStats};
 pub use service::{execute, PipelineHandler};
 pub use shard::{Router, RouterConfig, RouterHandle, RouterStats, ShardRing};
 pub use telemetry::{RequestRecord, Telemetry, TelemetryConfig};

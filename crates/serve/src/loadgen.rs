@@ -14,9 +14,9 @@
 //! a recompiled unit — with every reply still byte-verified.
 //!
 //! Transient failures — `Busy` backpressure, reply timeouts, mid-request
-//! disconnects — are absorbed by a bounded [`RetryPolicy`] (exponential
-//! backoff with deterministic jitter, per-run retry budget); everything
-//! retried is reported in the JSON summary.
+//! disconnects — are absorbed by bounded retry (exponential backoff with
+//! deterministic jitter, per-run retry budget); everything retried is
+//! reported in the JSON summary.
 //!
 //! **Cluster mode** (`--cluster`) targets a `pps-shard` router instead of
 //! a single daemon: it drives a repeat-heavy key distribution over a set
@@ -26,82 +26,75 @@
 //! reads the router's fanned-in health snapshot to report cluster-wide
 //! cache hit rate, routed counts, and queue depth.
 
+use crate::client::{Client, ClientError};
+use crate::frame::{self, FrameError, HEADER_LEN, MAX_PAYLOAD, VERSION};
+use crate::proto::{
+    decode_response, encode_response, Envelope, HealthSnapshot, ProfileText, Request, Response,
+};
+use crate::service::execute;
 use pps_ir::ProcId;
 use pps_obs::quantile::percentile_sorted;
 use pps_obs::{Level, Obs};
 use pps_profile::path::PathProfile;
 use pps_profile::serialize::{path_from_text, path_to_text};
-use pps_serve::frame::{self, FrameError, HEADER_LEN, MAX_PAYLOAD, VERSION};
-use pps_serve::proto::{encode_response, Envelope, HealthSnapshot, ProfileText, Request, Response};
-use pps_serve::service::execute;
-use pps_serve::{Client, ClientError};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Bounded retry for transient request failures. Two failure classes get
-/// separate bounds: *transport faults* (reply timeouts, mid-request
-/// disconnects) are capped at [`RetryPolicy::max_attempts`] per request
-/// and draw from a per-run [`RetryPolicy::budget`] shared across all
-/// connections — when it runs dry, failures surface instead of masking a
-/// sick daemon under infinite patience. `Busy` replies are backpressure,
-/// not faults: the daemon is healthy and explicitly asking the client to
-/// wait, so they get their own, much larger per-request cap
-/// ([`RetryPolicy::busy_attempts`]) and don't consume the fault budget.
-/// Backoff is exponential from [`RetryPolicy::base`] to
-/// [`RetryPolicy::cap`] with deterministic "equal jitter" (half fixed,
-/// half seeded by request index and attempt), so concurrent workers don't
-/// retry in lockstep yet runs stay reproducible.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Transport-fault attempts per request, including the first
-    /// (1 = no retry).
-    pub max_attempts: usize,
-    /// `Busy` replies tolerated per request before giving up. At the
-    /// backoff ceiling this bounds the per-request wait to roughly
-    /// `busy_attempts × cap`.
-    pub busy_attempts: usize,
-    /// First backoff delay.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
-    /// Total transport-fault retries allowed per run, shared across
-    /// connections.
-    pub budget: usize,
-}
+// Bounded retry for transient request failures. Two failure classes get
+// separate bounds: *transport faults* (reply timeouts, mid-request
+// disconnects) are capped at `MAX_ATTEMPTS` per request and draw from a
+// per-run `RETRY_BUDGET` shared across all connections — when it runs dry,
+// failures surface instead of masking a sick daemon under infinite
+// patience. `Busy` replies are backpressure, not faults: the daemon is
+// healthy and explicitly asking the client to wait, so they get their own,
+// much larger per-request cap (`BUSY_ATTEMPTS`) and don't consume the
+// fault budget. Backoff is exponential from `BACKOFF_BASE` to
+// `BACKOFF_CAP` with deterministic "equal jitter" (half fixed, half seeded
+// by request index and attempt), so concurrent workers don't retry in
+// lockstep yet runs stay reproducible.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            busy_attempts: 256,
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(200),
-            budget: 1024,
-        }
-    }
-}
+/// Transport-fault attempts per request, including the first.
+pub const MAX_ATTEMPTS: usize = 6;
+/// `Busy` replies tolerated per request before giving up. At the backoff
+/// ceiling this bounds the per-request wait to roughly
+/// `BUSY_ATTEMPTS × BACKOFF_CAP`.
+pub const BUSY_ATTEMPTS: usize = 256;
+/// Total transport-fault retries allowed per run, shared across
+/// connections.
+pub const RETRY_BUDGET: usize = 1024;
+/// First backoff delay. Unit tests shrink the backoff so a saturated fake
+/// daemon exhausts [`BUSY_ATTEMPTS`] in milliseconds.
+#[cfg(not(test))]
+const BACKOFF_BASE: Duration = Duration::from_millis(5);
+#[cfg(test)]
+const BACKOFF_BASE: Duration = Duration::from_micros(100);
+/// Backoff ceiling.
+#[cfg(not(test))]
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
+#[cfg(test)]
+const BACKOFF_CAP: Duration = Duration::from_millis(1);
+/// Per-reply timeout. Pipeline requests on a loaded box can take a while.
+pub const REPLY_TIMEOUT: Duration = Duration::from_secs(300);
+/// How long drift mode waits for the daemon to swap (and then to finish
+/// in-flight recompiles) before declaring failure.
+pub const DRIFT_TIMEOUT: Duration = Duration::from_secs(120);
 
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based) of request `index`:
-    /// exponential with deterministic equal jitter.
-    fn backoff(&self, index: usize, attempt: usize) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32 << attempt.min(16) as u32)
-            .min(self.cap);
-        // splitmix64 over (index, attempt) — no RNG dependency, and the
-        // same request retries with the same delays in every run.
-        let z = pps_core::hash::splitmix64(
-            (index as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(attempt as u64),
-        );
-        let jitter = (z % 1000) as f64 / 1000.0;
-        exp.mul_f64(0.5 + 0.5 * jitter)
-    }
+/// Backoff before retry number `attempt` (1-based) of request `index`:
+/// exponential with deterministic equal jitter.
+fn backoff(index: usize, attempt: usize) -> Duration {
+    let exp = BACKOFF_BASE.saturating_mul(1u32 << attempt.min(16) as u32).min(BACKOFF_CAP);
+    // splitmix64 over (index, attempt) — no RNG dependency, and the
+    // same request retries with the same delays in every run.
+    let z = pps_core::hash::splitmix64(
+        (index as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(attempt as u64),
+    );
+    let jitter = (z % 1000) as f64 / 1000.0;
+    exp.mul_f64(0.5 + 0.5 * jitter)
 }
 
 /// What to drive at the daemon.
@@ -123,17 +116,9 @@ pub struct LoadgenConfig {
     pub probe_malformed: bool,
     /// Send `Shutdown` after the run and expect `ShuttingDown`.
     pub shutdown: bool,
-    /// Per-reply timeout. Pipeline requests on a loaded box can take a
-    /// while; default 300s.
-    pub reply_timeout: Duration,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
     /// Drifting-workload mode: phase-shift to weight-inverted profiles
     /// after the steady phase and wait for a continuous-PGO hot-swap.
     pub drift: bool,
-    /// How long drift mode waits for the daemon to swap (and then to
-    /// finish in-flight recompiles) before declaring failure.
-    pub drift_timeout: Duration,
     /// Cluster mode: drive a repeat-heavy distribution over distinct
     /// artifacts (instead of the 3-slot mix) and report the cluster-wide
     /// cache/routing stats from the router's fanned-in health snapshot.
@@ -151,10 +136,7 @@ impl Default for LoadgenConfig {
             scheme: "P4".to_string(),
             probe_malformed: false,
             shutdown: false,
-            reply_timeout: Duration::from_secs(300),
-            retry: RetryPolicy::default(),
             drift: false,
-            drift_timeout: Duration::from_secs(120),
             cluster: false,
         }
     }
@@ -240,8 +222,6 @@ pub struct LoadgenReport {
     pub transport_retries: usize,
     /// Requests that failed because the per-run retry budget ran dry.
     pub budget_exhausted: usize,
-    /// The run's retry budget (from [`RetryPolicy::budget`]).
-    pub retry_budget: usize,
     /// Drift-mode observations (`None` unless `--drift`).
     pub drift: Option<DriftStats>,
     /// Cluster-mode observations (`None` unless `--cluster`).
@@ -342,7 +322,7 @@ impl LoadgenReport {
             errors = self.errors,
             busy = self.busy_retries,
             transport = self.transport_retries,
-            budget = self.retry_budget,
+            budget = RETRY_BUDGET,
             exhausted = self.budget_exhausted,
             elapsed = self.elapsed_s,
             rps = self.throughput_rps,
@@ -466,10 +446,7 @@ fn call_with_retry(
     env: &Envelope,
     index: usize,
 ) -> Result<(Response, Duration), String> {
-    let policy = &config.retry;
     let kind = env.request.kind_name();
-    let max_faults = policy.max_attempts.max(1);
-    let max_busy = policy.busy_attempts.max(1);
     // Failed transport attempts (including the initial try) and Busy
     // replies for this request, bounded separately — backpressure waits
     // must not eat into the fault allowance.
@@ -485,18 +462,18 @@ fn call_with_retry(
                 "request {index} ({kind}): retry budget exhausted after: {last}"
             ));
         }
-        std::thread::sleep(policy.backoff(index, attempt));
+        std::thread::sleep(backoff(index, attempt));
         Ok(())
     };
     loop {
         if client.is_none() {
-            match Client::connect(&config.addr, Some(config.reply_timeout)) {
+            match Client::connect(&config.addr, Some(REPLY_TIMEOUT)) {
                 Ok(c) => *client = Some(c),
                 Err(e) => {
                     faults += 1;
                     local.transport_retries += 1;
                     last_error = format!("reconnect: {e}");
-                    if faults >= max_faults {
+                    if faults >= MAX_ATTEMPTS {
                         break;
                     }
                     fault_backoff(local, faults, &last_error)?;
@@ -510,14 +487,14 @@ fn call_with_retry(
             Ok(Response::Busy) => {
                 local.busy_retries += 1;
                 busy += 1;
-                if busy >= max_busy {
+                if busy >= BUSY_ATTEMPTS {
                     return Err(format!(
-                        "request {index} ({kind}): still busy after {max_busy} replies"
+                        "request {index} ({kind}): still busy after {BUSY_ATTEMPTS} replies"
                     ));
                 }
                 // Backpressure, not a fault: wait out the queue without
                 // drawing the shared fault budget.
-                std::thread::sleep(policy.backoff(index, busy));
+                std::thread::sleep(backoff(index, busy));
             }
             Ok(resp) => return Ok((resp, start.elapsed())),
             Err(e) if retryable(&e) => {
@@ -526,7 +503,7 @@ fn call_with_retry(
                 faults += 1;
                 local.transport_retries += 1;
                 last_error = e.to_string();
-                if faults >= max_faults {
+                if faults >= MAX_ATTEMPTS {
                     break;
                 }
                 fault_backoff(local, faults, &last_error)?;
@@ -535,7 +512,7 @@ fn call_with_retry(
         }
     }
     Err(format!(
-        "request {index} ({kind}): {max_faults} attempts exhausted, last: {last_error}"
+        "request {index} ({kind}): {MAX_ATTEMPTS} attempts exhausted, last: {last_error}"
     ))
 }
 
@@ -758,7 +735,7 @@ fn run_cluster(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, Strin
 
     // Counter deltas, so a warm router/daemon doesn't skew the run.
     let base = poll_health(&config.addr)?;
-    let budget = AtomicUsize::new(config.retry.budget);
+    let budget = AtomicUsize::new(RETRY_BUDGET);
     obs.log(Level::Info, || {
         format!(
             "driving {} requests over {} connections across {} artifacts ...",
@@ -803,7 +780,6 @@ fn run_cluster(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, Strin
         busy_retries: tally.busy_retries,
         transport_retries: tally.transport_retries,
         budget_exhausted: tally.budget_exhausted,
-        retry_budget: config.retry.budget,
         drift: None,
         cluster: Some(cluster),
         elapsed_s: elapsed.as_secs_f64(),
@@ -888,7 +864,7 @@ fn drift_phase(
 
     // Wait for the hot-swap, then for the recompile tier to go idle.
     let shift = Instant::now();
-    let deadline = shift + config.drift_timeout;
+    let deadline = shift + DRIFT_TIMEOUT;
     let mut last;
     loop {
         last = poll_health(&config.addr)?;
@@ -901,7 +877,7 @@ fn drift_phase(
             return Err(format!(
                 "no hot-swap within {:?} (recompiles {}, swaps {}, rollbacks {}, \
                  profiles merged {}, drifted units {})",
-                config.drift_timeout,
+                DRIFT_TIMEOUT,
                 last.recompiles,
                 last.swaps,
                 last.rollbacks,
@@ -976,7 +952,7 @@ pub fn run(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, String> {
         encode_response(&execute(&req, &Obs::noop(), None, None))
     });
 
-    let budget = AtomicUsize::new(config.retry.budget);
+    let budget = AtomicUsize::new(RETRY_BUDGET);
     obs.log(Level::Info, || {
         format!("driving {} requests over {} connections ...", config.requests, config.conns)
     });
@@ -1007,7 +983,6 @@ pub fn run(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, String> {
         busy_retries: tally.busy_retries,
         transport_retries: tally.transport_retries,
         budget_exhausted: tally.budget_exhausted,
-        retry_budget: config.retry.budget,
         drift,
         cluster: None,
         elapsed_s: elapsed.as_secs_f64(),
@@ -1139,7 +1114,7 @@ fn run_probe(addr: &str, probe: &Probe) -> Result<(), String> {
     }
     let payload = frame::read_frame(&mut reply.as_slice())
         .map_err(|e| format!("reply frame: {e}"))?;
-    match pps_serve::proto::decode_response(&payload) {
+    match decode_response(&payload) {
         Ok(Response::Error { .. }) => Ok(()),
         Ok(other) => Err(format!("expected a structured error, got {}", other.outcome_name())),
         Err(e) => Err(format!("reply decode: {e}")),
@@ -1149,6 +1124,7 @@ fn run_probe(addr: &str, probe: &Probe) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::encode_request;
 
     #[test]
     fn percentiles_interpolate_sanely() {
@@ -1223,7 +1199,7 @@ mod tests {
         let requests = cluster_requests(&config);
         assert_eq!(requests.len(), 12, "4 benches x (2 compiles + 1 runcell)");
         let encoded: std::collections::HashSet<Vec<u8>> =
-            requests.iter().map(|r| pps_serve::proto::encode_request(&Envelope::new(r.clone()))).collect();
+            requests.iter().map(|r| encode_request(&Envelope::new(r.clone()))).collect();
         assert_eq!(encoded.len(), requests.len(), "artifacts must be distinct");
         // A scheme of "BB" collapses the two compile slots.
         let config = LoadgenConfig { scheme: "BB".into(), ..LoadgenConfig::default() };
@@ -1256,16 +1232,6 @@ mod tests {
         (addr, handle)
     }
 
-    fn fast_retry(max_attempts: usize, busy_attempts: usize, budget: usize) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts,
-            busy_attempts,
-            base: Duration::from_micros(100),
-            cap: Duration::from_millis(1),
-            budget,
-        }
-    }
-
     fn test_shared(budget: &AtomicUsize) -> Shared<'_> {
         Shared {
             next: AtomicUsize::new(0),
@@ -1277,23 +1243,20 @@ mod tests {
 
     #[test]
     fn busy_replies_are_not_bounded_by_fault_attempts_or_budget() {
-        // 10 Busy replies with max_attempts 2 and a ZERO fault budget:
+        // More Busy replies than MAX_ATTEMPTS, with a ZERO fault budget:
         // backpressure waits must succeed anyway, without touching either
         // bound.
-        let (addr, server) = busy_then_pong_server(10);
-        let config = LoadgenConfig {
-            addr,
-            retry: fast_retry(2, 256, 0),
-            ..LoadgenConfig::default()
-        };
-        let budget = AtomicUsize::new(config.retry.budget);
+        let busy_replies = MAX_ATTEMPTS + 4;
+        let (addr, server) = busy_then_pong_server(busy_replies);
+        let config = LoadgenConfig { addr, ..LoadgenConfig::default() };
+        let budget = AtomicUsize::new(0);
         let shared = test_shared(&budget);
         let mut local = WorkerTally::default();
         let mut client = None;
         let env = Envelope::new(Request::Ping);
         let got = call_with_retry(&config, &shared, &mut local, &mut client, &env, 0);
         assert!(matches!(got, Ok((Response::Pong { .. }, _))), "got {got:?}");
-        assert_eq!(local.busy_retries, 10);
+        assert_eq!(local.busy_retries, busy_replies);
         assert_eq!(local.transport_retries, 0);
         assert_eq!(local.budget_exhausted, 0);
         assert_eq!(budget.load(Ordering::Relaxed), 0, "Busy must not draw the fault budget");
@@ -1304,20 +1267,20 @@ mod tests {
     #[test]
     fn saturated_daemon_exhausts_the_busy_cap() {
         let (addr, server) = busy_then_pong_server(usize::MAX);
-        let config = LoadgenConfig {
-            addr,
-            retry: fast_retry(6, 5, 1024),
-            ..LoadgenConfig::default()
-        };
-        let budget = AtomicUsize::new(config.retry.budget);
+        let config = LoadgenConfig { addr, ..LoadgenConfig::default() };
+        let budget = AtomicUsize::new(RETRY_BUDGET);
         let shared = test_shared(&budget);
         let mut local = WorkerTally::default();
         let mut client = None;
         let env = Envelope::new(Request::Ping);
         let got = call_with_retry(&config, &shared, &mut local, &mut client, &env, 0);
         let err = got.expect_err("permanently busy daemon must fail the request");
-        assert!(err.contains("still busy after 5"), "unexpected error: {err}");
-        assert_eq!(local.busy_retries, 5);
+        assert!(
+            err.contains(&format!("still busy after {BUSY_ATTEMPTS}")),
+            "unexpected error: {err}"
+        );
+        assert_eq!(local.busy_retries, BUSY_ATTEMPTS);
+        assert_eq!(budget.load(Ordering::Relaxed), RETRY_BUDGET);
         drop(client);
         server.join().expect("server thread");
     }
@@ -1334,9 +1297,8 @@ mod tests {
             let _ = frame::read_frame(&mut stream);
             // Drop without replying: the client sees EOF.
         });
-        let config =
-            LoadgenConfig { addr, retry: fast_retry(6, 256, 0), ..LoadgenConfig::default() };
-        let budget = AtomicUsize::new(config.retry.budget);
+        let config = LoadgenConfig { addr, ..LoadgenConfig::default() };
+        let budget = AtomicUsize::new(0);
         let shared = test_shared(&budget);
         let mut local = WorkerTally::default();
         let mut client = None;

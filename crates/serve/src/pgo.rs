@@ -71,6 +71,10 @@ impl PgoFault {
     }
 }
 
+/// Hot windows the drift metric compares between a unit's compile-time
+/// profile and the live aggregate.
+pub const DRIFT_TOP_K: usize = 16;
+
 /// Tuning knobs of the continuous-PGO loop.
 #[derive(Debug, Clone)]
 pub struct PgoConfig {
@@ -79,8 +83,6 @@ pub struct PgoConfig {
     pub min_samples: u64,
     /// Background sweep period.
     pub interval: Duration,
-    /// Hot windows compared by the drift metric.
-    pub top_k: usize,
     /// Hysteresis: a unit enters the drifted set at or above this score.
     pub enter_threshold: f64,
     /// Hysteresis: a drifted unit exits below this score.
@@ -98,7 +100,6 @@ impl Default for PgoConfig {
         PgoConfig {
             min_samples: 2,
             interval: Duration::from_millis(500),
-            top_k: 16,
             enter_threshold: 0.5,
             exit_threshold: 0.25,
             cooldown: Duration::from_secs(5),
@@ -280,7 +281,7 @@ impl PgoState {
             let Some((agg_edge, agg_path, agg_epoch)) = snapshot else { continue };
 
             let (generation, unit) = entry.slot.load();
-            let drift = path_drift(&unit.path, &agg_path, self.config.top_k);
+            let drift = path_drift(&unit.path, &agg_path, DRIFT_TOP_K);
             report.evaluated += 1;
             self.obs.histogram("pgo.drift_score", drift.score);
 

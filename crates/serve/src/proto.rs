@@ -10,22 +10,6 @@
 
 use std::fmt;
 
-/// Protocol minor version, reported in the [`HealthSnapshot`] so clients
-/// can detect feature level in-band. Minor 1 added the health snapshot
-/// itself (the `Pong` reply was previously empty); minor 2 appended the
-/// telemetry fields (`telemetry_enabled`, `access_log_lines`,
-/// `traces_sampled`); minor 3 appended the compile-cache counters
-/// (`cache_hits`, `cache_misses`, `cache_evictions`,
-/// `cache_invalidations`, `cache_entries`) and the shard-router fields
-/// (`routed`, `shards`). The `Pong` payload is versioned by its own
-/// leading `proto_minor` field: encoders emit exactly the fields their
-/// declared minor defines, and decoders read fields up to
-/// `min(declared, ours)`, defaulting the rest and skipping unknown
-/// trailing bytes from newer servers. The frame-layer major version
-/// (`frame::VERSION`) is unchanged — old clients still frame and route
-/// replies correctly, they just carry more payload.
-pub const PROTO_MINOR: u32 = 3;
-
 /// A payload-decoding failure with the byte offset where it happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtoError {
@@ -210,14 +194,13 @@ impl fmt::Display for ErrorKind {
     }
 }
 
-/// In-band server health, carried by every `Pong` reply (protocol
-/// minor 1). Lets loadgen and ops observe the continuous-PGO loop state
-/// without a side channel: drift detection, swaps, and rollbacks are all
-/// visible through the same socket the work flows over.
+/// In-band server health, carried by every `Pong` reply. Lets loadgen and
+/// ops observe the continuous-PGO loop state without a side channel:
+/// drift detection, swaps, and rollbacks are all visible through the same
+/// socket the work flows over. The `Pong` payload is every field below in
+/// declaration order; a payload with fewer or more bytes is malformed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthSnapshot {
-    /// Server's [`PROTO_MINOR`].
-    pub proto_minor: u32,
     /// Requests currently waiting in the bounded queue.
     pub queue_depth: u32,
     /// The queue's capacity.
@@ -248,29 +231,28 @@ pub struct HealthSnapshot {
     /// Recompiles running right now (must be 0 after a clean drain).
     pub in_flight_recompiles: u32,
     /// Whether the live-telemetry layer (scrape endpoint / access log /
-    /// tail sampler) is active. Protocol minor 2.
+    /// tail sampler) is active.
     pub telemetry_enabled: bool,
-    /// Access-log lines written so far. Protocol minor 2.
+    /// Access-log lines written so far.
     pub access_log_lines: u64,
-    /// Span trees retained by the tail sampler so far. Protocol minor 2.
+    /// Span trees retained by the tail sampler so far.
     pub traces_sampled: u64,
     /// Compile-cache hits (requests answered without running the
-    /// pipeline). Protocol minor 3.
+    /// pipeline).
     pub cache_hits: u64,
-    /// Compile-cache misses. Protocol minor 3.
+    /// Compile-cache misses.
     pub cache_misses: u64,
-    /// Compile-cache entries evicted by the LRU bound. Protocol minor 3.
+    /// Compile-cache entries evicted by the LRU bound.
     pub cache_evictions: u64,
     /// Compile-cache entries invalidated by a PGO hot-swap epoch bump.
-    /// Protocol minor 3.
     pub cache_invalidations: u64,
-    /// Compile-cache entries currently resident. Protocol minor 3.
+    /// Compile-cache entries currently resident.
     pub cache_entries: u32,
     /// Requests this process routed to downstream shards (nonzero only on
-    /// a `pps-shard` router). Protocol minor 3.
+    /// a `pps-shard` router).
     pub routed: u64,
     /// Downstream shards behind this process (nonzero only on a
-    /// `pps-shard` router). Protocol minor 3.
+    /// `pps-shard` router).
     pub shards: u32,
 }
 
@@ -415,15 +397,6 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Consumes whatever is left (fields from a newer protocol minor).
-    fn skip_rest(&mut self) {
-        self.pos = self.buf.len();
-    }
-
     fn done(&self) -> Result<(), ProtoError> {
         if self.pos != self.buf.len() {
             return Err(ProtoError {
@@ -536,40 +509,30 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
         Response::Pong { health } => {
             buf.push(RESP_PONG);
-            // The Pong payload is versioned by its declared minor: a
-            // minor-0 Pong is the bare tag, minor 1 added the snapshot,
-            // minor 2 appended the telemetry fields.
-            if health.proto_minor >= 1 {
-                put_u32(&mut buf, health.proto_minor);
-                put_u32(&mut buf, health.queue_depth);
-                put_u32(&mut buf, health.queue_capacity);
-                put_u32(&mut buf, health.workers);
-                put_u64(&mut buf, health.connections);
-                put_u64(&mut buf, health.requests);
-                buf.push(u8::from(health.pgo_enabled));
-                put_u64(&mut buf, health.profiles_merged);
-                put_u32(&mut buf, health.units);
-                put_u64(&mut buf, health.max_generation);
-                put_u32(&mut buf, health.drifted_units);
-                put_u64(&mut buf, health.recompiles);
-                put_u64(&mut buf, health.swaps);
-                put_u64(&mut buf, health.rollbacks);
-                put_u32(&mut buf, health.in_flight_recompiles);
-            }
-            if health.proto_minor >= 2 {
-                buf.push(u8::from(health.telemetry_enabled));
-                put_u64(&mut buf, health.access_log_lines);
-                put_u64(&mut buf, health.traces_sampled);
-            }
-            if health.proto_minor >= 3 {
-                put_u64(&mut buf, health.cache_hits);
-                put_u64(&mut buf, health.cache_misses);
-                put_u64(&mut buf, health.cache_evictions);
-                put_u64(&mut buf, health.cache_invalidations);
-                put_u32(&mut buf, health.cache_entries);
-                put_u64(&mut buf, health.routed);
-                put_u32(&mut buf, health.shards);
-            }
+            put_u32(&mut buf, health.queue_depth);
+            put_u32(&mut buf, health.queue_capacity);
+            put_u32(&mut buf, health.workers);
+            put_u64(&mut buf, health.connections);
+            put_u64(&mut buf, health.requests);
+            buf.push(u8::from(health.pgo_enabled));
+            put_u64(&mut buf, health.profiles_merged);
+            put_u32(&mut buf, health.units);
+            put_u64(&mut buf, health.max_generation);
+            put_u32(&mut buf, health.drifted_units);
+            put_u64(&mut buf, health.recompiles);
+            put_u64(&mut buf, health.swaps);
+            put_u64(&mut buf, health.rollbacks);
+            put_u32(&mut buf, health.in_flight_recompiles);
+            buf.push(u8::from(health.telemetry_enabled));
+            put_u64(&mut buf, health.access_log_lines);
+            put_u64(&mut buf, health.traces_sampled);
+            put_u64(&mut buf, health.cache_hits);
+            put_u64(&mut buf, health.cache_misses);
+            put_u64(&mut buf, health.cache_evictions);
+            put_u64(&mut buf, health.cache_invalidations);
+            put_u32(&mut buf, health.cache_entries);
+            put_u64(&mut buf, health.routed);
+            put_u32(&mut buf, health.shards);
         }
         Response::Profile { edge, path } => {
             buf.push(RESP_PROFILE);
@@ -603,47 +566,34 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
     let mut c = Cursor::new(payload);
     let tag = c.u8()?;
     let resp = match tag {
-        RESP_PONG => {
-            // Tolerant by minor: a bare tag is a minor-0 Pong; fields a
-            // newer server appended past our minor are skipped; fields our
-            // minor defines but an older server omitted stay defaulted.
-            let mut health = HealthSnapshot::default();
-            if c.remaining() > 0 {
-                health.proto_minor = c.u32()?;
-                health.queue_depth = c.u32()?;
-                health.queue_capacity = c.u32()?;
-                health.workers = c.u32()?;
-                health.connections = c.u64()?;
-                health.requests = c.u64()?;
-                health.pgo_enabled = c.bool()?;
-                health.profiles_merged = c.u64()?;
-                health.units = c.u32()?;
-                health.max_generation = c.u64()?;
-                health.drifted_units = c.u32()?;
-                health.recompiles = c.u64()?;
-                health.swaps = c.u64()?;
-                health.rollbacks = c.u64()?;
-                health.in_flight_recompiles = c.u32()?;
-            }
-            if health.proto_minor >= 2 {
-                health.telemetry_enabled = c.bool()?;
-                health.access_log_lines = c.u64()?;
-                health.traces_sampled = c.u64()?;
-            }
-            if health.proto_minor >= 3 {
-                health.cache_hits = c.u64()?;
-                health.cache_misses = c.u64()?;
-                health.cache_evictions = c.u64()?;
-                health.cache_invalidations = c.u64()?;
-                health.cache_entries = c.u32()?;
-                health.routed = c.u64()?;
-                health.shards = c.u32()?;
-            }
-            if health.proto_minor > PROTO_MINOR {
-                c.skip_rest();
-            }
-            Response::Pong { health }
-        }
+        RESP_PONG => Response::Pong {
+            health: HealthSnapshot {
+                queue_depth: c.u32()?,
+                queue_capacity: c.u32()?,
+                workers: c.u32()?,
+                connections: c.u64()?,
+                requests: c.u64()?,
+                pgo_enabled: c.bool()?,
+                profiles_merged: c.u64()?,
+                units: c.u32()?,
+                max_generation: c.u64()?,
+                drifted_units: c.u32()?,
+                recompiles: c.u64()?,
+                swaps: c.u64()?,
+                rollbacks: c.u64()?,
+                in_flight_recompiles: c.u32()?,
+                telemetry_enabled: c.bool()?,
+                access_log_lines: c.u64()?,
+                traces_sampled: c.u64()?,
+                cache_hits: c.u64()?,
+                cache_misses: c.u64()?,
+                cache_evictions: c.u64()?,
+                cache_invalidations: c.u64()?,
+                cache_entries: c.u32()?,
+                routed: c.u64()?,
+                shards: c.u32()?,
+            },
+        },
         RESP_PROFILE => Response::Profile { edge: c.string()?, path: c.string()? },
         RESP_COMPILE => Response::Compile { report: c.string()? },
         RESP_RUNCELL => Response::RunCell { metrics_json: c.string()? },
@@ -709,37 +659,62 @@ mod tests {
         }
     }
 
+    /// A snapshot with every field non-zero, so a field the codec drops
+    /// or reorders cannot round-trip by accident.
+    fn full_snapshot() -> HealthSnapshot {
+        HealthSnapshot {
+            queue_depth: 3,
+            queue_capacity: 64,
+            workers: 4,
+            connections: 17,
+            requests: 123_456,
+            pgo_enabled: true,
+            profiles_merged: 99,
+            units: 6,
+            max_generation: 4,
+            drifted_units: 2,
+            recompiles: 11,
+            swaps: 9,
+            rollbacks: 2,
+            in_flight_recompiles: 1,
+            telemetry_enabled: true,
+            access_log_lines: 4321,
+            traces_sampled: 12,
+            cache_hits: 42,
+            cache_misses: 7,
+            cache_evictions: 3,
+            cache_invalidations: 2,
+            cache_entries: 5,
+            routed: 1000,
+            shards: 2,
+        }
+    }
+
     #[test]
     fn responses_round_trip() {
         let responses = vec![
             Response::Pong { health: HealthSnapshot::default() },
+            Response::Pong { health: full_snapshot() },
+            // The telemetry fields alone, and the cache and shard fields
+            // alone, each survive the trip.
             Response::Pong {
                 health: HealthSnapshot {
-                    proto_minor: PROTO_MINOR,
-                    queue_depth: 3,
-                    queue_capacity: 64,
-                    workers: 4,
-                    connections: 17,
-                    requests: 123_456,
-                    pgo_enabled: true,
-                    profiles_merged: 99,
-                    units: 6,
-                    max_generation: 4,
-                    drifted_units: 2,
-                    recompiles: 11,
-                    swaps: 9,
-                    rollbacks: 2,
-                    in_flight_recompiles: 1,
                     telemetry_enabled: true,
-                    access_log_lines: 4321,
-                    traces_sampled: 12,
-                    cache_hits: 42,
-                    cache_misses: 7,
-                    cache_evictions: 3,
-                    cache_invalidations: 2,
-                    cache_entries: 5,
-                    routed: 1000,
+                    access_log_lines: 99,
+                    traces_sampled: 3,
+                    ..HealthSnapshot::default()
+                },
+            },
+            Response::Pong {
+                health: HealthSnapshot {
+                    cache_hits: 12,
+                    cache_misses: 8,
+                    cache_evictions: 2,
+                    cache_invalidations: 1,
+                    cache_entries: 6,
+                    routed: 555,
                     shards: 2,
+                    ..HealthSnapshot::default()
                 },
             },
             Response::Profile { edge: "e".into(), path: "p".into() },
@@ -753,6 +728,24 @@ mod tests {
             let payload = encode_response(&resp);
             assert_eq!(decode_response(&payload).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn pong_decodes_only_at_its_exact_length() {
+        let payload = encode_response(&Response::Pong { health: full_snapshot() });
+        for cut in 0..payload.len() {
+            let got = decode_response(&payload[..cut]);
+            assert!(
+                matches!(got, Err(ProtoError { .. })),
+                "Pong cut at {cut} of {} decoded: {got:?}",
+                payload.len()
+            );
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        let e = decode_response(&long).unwrap_err();
+        assert!(e.message.contains("trailing"), "{e}");
+        assert_eq!(e.offset, payload.len());
     }
 
     #[test]
@@ -792,142 +785,5 @@ mod tests {
         assert_eq!(Response::ShuttingDown.retcode(), 2);
         let err = Response::Error { kind: ErrorKind::DeadlineExceeded, message: String::new() };
         assert_eq!(err.retcode(), 10 + u32::from(ErrorKind::DeadlineExceeded.code()));
-    }
-
-    fn minor2_snapshot() -> HealthSnapshot {
-        HealthSnapshot {
-            proto_minor: 2,
-            queue_depth: 1,
-            queue_capacity: 64,
-            workers: 4,
-            connections: 10,
-            requests: 100,
-            pgo_enabled: true,
-            profiles_merged: 7,
-            units: 3,
-            max_generation: 2,
-            drifted_units: 1,
-            recompiles: 5,
-            swaps: 4,
-            rollbacks: 1,
-            in_flight_recompiles: 0,
-            telemetry_enabled: true,
-            access_log_lines: 99,
-            traces_sampled: 3,
-            ..HealthSnapshot::default()
-        }
-    }
-
-    fn minor3_snapshot() -> HealthSnapshot {
-        HealthSnapshot {
-            proto_minor: 3,
-            cache_hits: 12,
-            cache_misses: 8,
-            cache_evictions: 2,
-            cache_invalidations: 1,
-            cache_entries: 6,
-            routed: 555,
-            shards: 2,
-            ..minor2_snapshot()
-        }
-    }
-
-    #[test]
-    fn minor0_pong_is_the_bare_tag_and_round_trips() {
-        // A minor-0 writer sent an empty Pong payload; we must still
-        // produce and accept exactly that shape.
-        let payload = encode_response(&Response::Pong { health: HealthSnapshot::default() });
-        assert_eq!(payload, vec![RESP_PONG]);
-        let decoded = decode_response(&payload).unwrap();
-        assert_eq!(decoded, Response::Pong { health: HealthSnapshot::default() });
-    }
-
-    #[test]
-    fn minor1_payload_decodes_with_telemetry_fields_defaulted() {
-        // A minor-1 server omits the minor-2 fields entirely; a minor-2
-        // client reads the rest and leaves them at their defaults.
-        let health = HealthSnapshot { proto_minor: 1, ..minor2_snapshot() };
-        let payload = encode_response(&Response::Pong { health });
-        let Response::Pong { health: decoded } = decode_response(&payload).unwrap() else {
-            panic!("not a Pong");
-        };
-        assert_eq!(decoded.requests, 100);
-        assert_eq!(decoded.swaps, 4);
-        assert!(!decoded.telemetry_enabled);
-        assert_eq!(decoded.access_log_lines, 0);
-        assert_eq!(decoded.traces_sampled, 0);
-    }
-
-    #[test]
-    fn minor2_telemetry_fields_round_trip() {
-        let resp = Response::Pong { health: minor2_snapshot() };
-        let Response::Pong { health } = decode_response(&encode_response(&resp)).unwrap() else {
-            panic!("not a Pong");
-        };
-        assert!(health.telemetry_enabled);
-        assert_eq!(health.access_log_lines, 99);
-        // A minor-2 writer never emitted the cache fields; they default.
-        assert_eq!(health.cache_hits, 0);
-        assert_eq!(health.shards, 0);
-    }
-
-    #[test]
-    fn minor2_payload_decodes_with_cache_fields_defaulted() {
-        // A minor-2 server omits the minor-3 fields entirely; a minor-3
-        // client reads the rest and leaves them at their defaults.
-        let health = HealthSnapshot { proto_minor: 2, ..minor3_snapshot() };
-        let payload = encode_response(&Response::Pong { health });
-        let Response::Pong { health: decoded } = decode_response(&payload).unwrap() else {
-            panic!("not a Pong");
-        };
-        assert_eq!(decoded.traces_sampled, 3);
-        assert_eq!(decoded.cache_hits, 0);
-        assert_eq!(decoded.cache_entries, 0);
-        assert_eq!(decoded.routed, 0);
-    }
-
-    #[test]
-    fn minor3_cache_and_shard_fields_round_trip() {
-        let resp = Response::Pong { health: minor3_snapshot() };
-        let decoded = decode_response(&encode_response(&resp)).unwrap();
-        assert_eq!(decoded, resp);
-    }
-
-    #[test]
-    fn future_minor_pong_skips_unknown_trailing_fields() {
-        // Simulate a minor-4 server: declare minor 4 and append bytes a
-        // minor-3 client has never heard of. Decode must read what it
-        // knows and ignore the rest rather than erroring on trailing data.
-        let mut payload =
-            encode_response(&Response::Pong { health: minor3_snapshot() });
-        payload[1..5].copy_from_slice(&4u32.to_be_bytes());
-        payload.extend_from_slice(&[0xAB; 13]);
-        let Response::Pong { health } = decode_response(&payload).unwrap() else {
-            panic!("not a Pong");
-        };
-        assert_eq!(health.proto_minor, 4);
-        assert_eq!(health.access_log_lines, 99);
-        assert_eq!(health.cache_hits, 12);
-        assert_eq!(health.routed, 555);
-    }
-
-    #[test]
-    fn declared_minor2_without_its_fields_is_malformed() {
-        let health = HealthSnapshot { proto_minor: 1, ..minor2_snapshot() };
-        let mut payload = encode_response(&Response::Pong { health });
-        // Claim minor 2 but ship a minor-1 body: truncated at the
-        // telemetry fields, and the decoder must say so.
-        payload[1..5].copy_from_slice(&2u32.to_be_bytes());
-        assert!(decode_response(&payload).is_err());
-    }
-
-    #[test]
-    fn declared_minor3_without_its_fields_is_malformed() {
-        let health = HealthSnapshot { proto_minor: 2, ..minor3_snapshot() };
-        let mut payload = encode_response(&Response::Pong { health });
-        // Claim minor 3 but ship a minor-2 body: truncated at the cache
-        // fields, and the decoder must say so.
-        payload[1..5].copy_from_slice(&3u32.to_be_bytes());
-        assert!(decode_response(&payload).is_err());
     }
 }

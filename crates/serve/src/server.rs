@@ -20,15 +20,14 @@
 //! drain everything already accepted before exiting — accepted work is
 //! never dropped.
 
-use crate::frame::{self, FrameError};
+use crate::frame::{self, read_first, First};
 use crate::proto::{
     decode_request, encode_response, Envelope, ErrorKind, HealthSnapshot, Request, Response,
-    PROTO_MINOR,
 };
 use crate::telemetry::{self, RequestRecord, Telemetry};
 use pps_core::pool::{BoundedQueue, PushError};
 use pps_obs::{Level, Obs, ObsConfig};
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -137,31 +136,16 @@ impl Finished {
 /// Runs the server on the calling thread until `shutdown` becomes true,
 /// then drains and returns the final stats.
 ///
+/// With `telemetry` attached, every reply is observed (windows, access
+/// log, tail sampler) and, when the [`Telemetry`] owns an HTTP listener, a
+/// scrape thread serves `/metrics`, `/health`, and `/trace` inside the
+/// same drain scope. Reply bytes are identical with and without telemetry
+/// — the layer is strictly observational.
+///
 /// # Errors
 /// Only listener setup errors; per-connection failures are absorbed into
 /// the stats.
 pub fn serve(
-    listener: TcpListener,
-    config: &ServeConfig,
-    handler: &dyn Handler,
-    obs: &Obs,
-    shutdown: &AtomicBool,
-) -> io::Result<ServerStats> {
-    serve_with_telemetry(listener, config, handler, obs, shutdown, None)
-}
-
-/// [`serve`], optionally with the live-telemetry layer attached: every
-/// reply is observed (windows, access log, tail sampler) and, when the
-/// [`Telemetry`] owns an HTTP listener, a scrape thread serves
-/// `/metrics`, `/health`, and `/trace` inside the same drain scope.
-///
-/// Reply bytes are identical with and without telemetry — the layer is
-/// strictly observational.
-///
-/// # Errors
-/// Only listener setup errors; per-connection failures are absorbed into
-/// the stats.
-pub fn serve_with_telemetry(
     listener: TcpListener,
     config: &ServeConfig,
     handler: &dyn Handler,
@@ -249,7 +233,8 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and serves
-    /// on a background thread.
+    /// on a background thread, with the live-telemetry layer when
+    /// `telemetry` is given (see [`serve`]).
     ///
     /// # Errors
     /// Bind/local-addr failures.
@@ -258,41 +243,14 @@ impl ServerHandle {
         config: ServeConfig,
         handler: Arc<dyn Handler>,
         obs: Obs,
+        telemetry: Option<Arc<Telemetry>>,
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let thread = std::thread::spawn(move || {
-            serve(listener, &config, handler.as_ref(), &obs, &flag)
-        });
-        Ok(ServerHandle { addr: local, shutdown, thread })
-    }
-
-    /// [`ServerHandle::spawn`] with the live-telemetry layer attached.
-    ///
-    /// # Errors
-    /// Bind/local-addr failures.
-    pub fn spawn_with_telemetry(
-        addr: &str,
-        config: ServeConfig,
-        handler: Arc<dyn Handler>,
-        obs: Obs,
-        telemetry: Arc<Telemetry>,
-    ) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let thread = std::thread::spawn(move || {
-            serve_with_telemetry(
-                listener,
-                &config,
-                handler.as_ref(),
-                &obs,
-                &flag,
-                Some(&telemetry),
-            )
+            serve(listener, &config, handler.as_ref(), &obs, &flag, telemetry.as_deref())
         });
         Ok(ServerHandle { addr: local, shutdown, thread })
     }
@@ -319,28 +277,17 @@ impl ServerHandle {
     }
 }
 
-enum First {
-    Byte(u8),
-    Eof,
-    TimedOut,
-    Err(io::Error),
-}
-
-fn read_first(stream: &mut TcpStream) -> First {
-    let mut b = [0u8; 1];
-    match stream.read(&mut b) {
-        Ok(0) => First::Eof,
-        Ok(_) => First::Byte(b[0]),
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-            ) =>
-        {
-            First::TimedOut
-        }
-        Err(e) => First::Err(e),
-    }
+/// Writes `addr` and a newline to `path` by write-then-rename, so a script
+/// polling the file never reads a half-written address. The daemon, its
+/// telemetry listener and the shard router all publish their bound
+/// ephemeral ports this way.
+///
+/// # Errors
+/// Write or rename failures.
+pub fn write_port_file(path: &str, addr: SocketAddr) -> io::Result<()> {
+    let tmp = format!("{path}.tmp.{}", std::process::id());
+    std::fs::write(&tmp, format!("{addr}\n"))?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Server-built part of the health snapshot, enriched by the handler
@@ -354,7 +301,6 @@ fn build_health(
     telemetry: Option<&Telemetry>,
 ) -> HealthSnapshot {
     let base = HealthSnapshot {
-        proto_minor: PROTO_MINOR,
         queue_depth: queue.len() as u32,
         queue_capacity: config.queue_capacity as u32,
         workers: config.workers as u32,
@@ -441,7 +387,7 @@ fn conn_loop(
                 stats.frame_errors.fetch_add(1, Ordering::Relaxed);
                 let resp = Response::Error {
                     kind: ErrorKind::BadFrame,
-                    message: frame_error_message(&e),
+                    message: e.to_string(),
                 };
                 let _ = emit_reply(
                     &mut stream, obs, stats, telemetry, trace_id, "frame", started,
@@ -505,10 +451,6 @@ fn conn_loop(
 
         emit_reply(&mut stream, obs, stats, telemetry, trace_id, kind, started, fin)?;
     }
-}
-
-fn frame_error_message(e: &FrameError) -> String {
-    format!("{e}")
 }
 
 /// Request-level instrumentation: one labeled counter tick and the

@@ -25,28 +25,28 @@
 //! (best effort) and then drains the router itself, so one in-band
 //! shutdown quiesces the whole cluster.
 
-use crate::frame::{self, FrameError};
+use crate::frame::{self, read_first, First, FrameError};
 use crate::proto::{
     decode_request, decode_response, encode_request, encode_response, Envelope, ErrorKind,
-    HealthSnapshot, Request, Response, PROTO_MINOR,
+    HealthSnapshot, Request, Response,
 };
-use pps_core::hash::{Fold};
+use pps_core::hash::Fold;
 use pps_core::{machine_hash, ArtifactKey, Scheme};
 use pps_machine::MachineConfig;
 use pps_obs::{Level, Obs};
 use pps_suite::{benchmark_by_name, Scale};
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default virtual nodes per shard — enough that removing one shard of a
-/// handful moves only its own share of keys.
-pub const DEFAULT_VNODES: usize = 64;
+/// Virtual nodes per shard — enough that removing one shard of a handful
+/// moves only its own share of keys.
+pub const VNODES: usize = 64;
 
-/// A consistent-hash ring: `vnodes` points per shard, placed by folding
+/// A consistent-hash ring: [`VNODES`] points per shard, placed by folding
 /// the shard address with the vnode index through splitmix64. A key owns
 /// the first point clockwise from its hash.
 #[derive(Debug, Clone)]
@@ -56,17 +56,16 @@ pub struct ShardRing {
 }
 
 impl ShardRing {
-    /// Builds the ring. `vnodes` is clamped to at least 1.
+    /// Builds the ring.
     ///
     /// # Panics
     /// Panics if `addrs` is empty — a router with no shards is a
     /// configuration error, not a runtime state.
-    pub fn new(addrs: Vec<String>, vnodes: usize) -> ShardRing {
+    pub fn new(addrs: Vec<String>) -> ShardRing {
         assert!(!addrs.is_empty(), "shard ring needs at least one shard");
-        let vnodes = vnodes.max(1);
-        let mut points = Vec::with_capacity(addrs.len() * vnodes);
+        let mut points = Vec::with_capacity(addrs.len() * VNODES);
         for (index, addr) in addrs.iter().enumerate() {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 let mut f = Fold::new();
                 f.str(addr).u64(v as u64);
                 points.push((f.finish(), index));
@@ -293,7 +292,6 @@ impl Router {
     /// `shards` always reports the configured ring size.
     pub fn aggregate_health(&self) -> HealthSnapshot {
         let mut agg = HealthSnapshot {
-            proto_minor: PROTO_MINOR,
             routed: self.routed(),
             shards: self.ring.len() as u32,
             ..HealthSnapshot::default()
@@ -347,30 +345,6 @@ impl Router {
 /// variants of one scheme place identically.
 fn canonical_scheme(scheme: &str) -> String {
     Scheme::parse(scheme).map_or_else(|| scheme.to_string(), |s| s.name())
-}
-
-enum First {
-    Byte(u8),
-    Eof,
-    TimedOut,
-    Err(io::Error),
-}
-
-fn read_first(stream: &mut TcpStream) -> First {
-    let mut b = [0u8; 1];
-    match stream.read(&mut b) {
-        Ok(0) => First::Eof,
-        Ok(_) => First::Byte(b[0]),
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-            ) =>
-        {
-            First::TimedOut
-        }
-        Err(e) => First::Err(e),
-    }
 }
 
 struct AtomicStats {
@@ -534,9 +508,7 @@ impl RouterHandle {
         let flag = Arc::clone(&shutdown);
         let router = Arc::new(router);
         let worker = Arc::clone(&router);
-        let thread =
-            std::thread::spawn(move || route(listener, worker.as_ref(), &Obs::noop(), &flag));
-        let _ = obs;
+        let thread = std::thread::spawn(move || route(listener, worker.as_ref(), &obs, &flag));
         Ok(RouterHandle { addr: local, shutdown, router, thread })
     }
 
@@ -573,15 +545,12 @@ mod tests {
     use crate::proto::ProfileText;
 
     fn ring2() -> ShardRing {
-        ShardRing::new(vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()], DEFAULT_VNODES)
+        ShardRing::new(vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()])
     }
 
     #[test]
     fn ring_placement_is_deterministic_and_covers_all_shards() {
-        let ring = ShardRing::new(
-            (0..4).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect(),
-            DEFAULT_VNODES,
-        );
+        let ring = ShardRing::new((0..4).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect());
         let mut seen = [0u64; 4];
         for k in 0..10_000u64 {
             let h = pps_core::hash::splitmix64(k);
@@ -600,8 +569,8 @@ mod tests {
     #[test]
     fn removing_a_shard_only_moves_its_own_keys() {
         let addrs: Vec<String> = (0..4).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect();
-        let full = ShardRing::new(addrs.clone(), DEFAULT_VNODES);
-        let reduced = ShardRing::new(addrs[..3].to_vec(), DEFAULT_VNODES);
+        let full = ShardRing::new(addrs.clone());
+        let reduced = ShardRing::new(addrs[..3].to_vec());
         let mut moved = 0u64;
         let total = 10_000u64;
         for k in 0..total {

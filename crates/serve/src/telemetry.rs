@@ -6,7 +6,7 @@
 //! byte-identity checks run with it enabled). One [`Telemetry`] instance
 //! is shared by the connection threads (which call [`Telemetry::observe`]
 //! once per reply) and the HTTP listener thread (spawned by
-//! `serve_with_telemetry`), which serves:
+//! [`crate::server::serve`] when telemetry is attached), which serves:
 //!
 //! - `GET /metrics` — the daemon's cumulative counters and bucketed
 //!   latency histograms in Prometheus text exposition
@@ -319,7 +319,7 @@ impl Telemetry {
         };
         let secs = seconds.max(1e-9);
         format!(
-            "{{\"schema\":\"pps-health\",\"proto_minor\":{},\"uptime_s\":{},\
+            "{{\"schema\":\"pps-health\",\"uptime_s\":{},\
              \"queue_depth\":{},\"queue_capacity\":{},\"workers\":{},\
              \"connections\":{},\"requests\":{},\
              \"pgo\":{{\"enabled\":{},\"profiles_merged\":{},\"units\":{},\"max_generation\":{},\
@@ -332,7 +332,6 @@ impl Telemetry {
              \"window\":{{\"seconds\":{},\"requests\":{},\"rps\":{},\"error_rps\":{},\"busy_rps\":{},\
              \"latency_ms\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p95\":{},\
              \"p99\":{},\"max\":{}}}}}}}\n",
-            h.proto_minor,
             json::number(self.started.elapsed().as_secs_f64()),
             h.queue_depth,
             h.queue_capacity,
@@ -598,7 +597,6 @@ mod tests {
         t.observe(&record("busy", 1, 0.1));
         t.observe(&record("exec", 16, 3.0));
         let health = HealthSnapshot {
-            proto_minor: 3,
             workers: 4,
             cache_hits: 7,
             cache_entries: 3,
@@ -630,7 +628,6 @@ mod tests {
         reg.add(MetricKey::new("serve.requests", &[("type", "ping"), ("outcome", "ok")]), 3);
         reg.record(MetricKey::new("serve.latency_ms", &[("type", "ping")]), 1.25);
         let health = HealthSnapshot {
-            proto_minor: 2,
             queue_depth: 2,
             queue_capacity: 64,
             workers: 4,

@@ -1,4 +1,4 @@
-//! `pps-harness top`: a live terminal dashboard for a `pps-serve` daemon
+//! `pps-client top`: a live terminal dashboard for a `pps-serve` daemon
 //! running with `--telemetry-addr`.
 //!
 //! Each poll does two HTTP GETs against the telemetry listener:
@@ -24,7 +24,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Dashboard configuration (`pps-harness top` flags).
+/// Dashboard configuration (`pps-client top` flags).
 #[derive(Debug, Clone)]
 pub struct TopConfig {
     /// Telemetry listener address (`HOST:PORT`).
@@ -286,7 +286,7 @@ pub fn render(addr: &str, v: &TopView) -> String {
         if v.queue_capacity > 0.0 { v.queue_depth / v.queue_capacity } else { 0.0 };
     format!(
         "\x1b[H\x1b[2J\
-         pps-harness top — {addr}   uptime {up:.1}s   series {series}\n\
+         pps-client top — {addr}   uptime {up:.1}s   series {series}\n\
          \n\
          rps      {rps:8.1}  (scrape Δ)    window {wrps:8.1}/s\n\
          errors   {erps:8.2}/s             busy   {brps:8.2}/s\n\
@@ -425,7 +425,7 @@ mod tests {
         let t0 = Instant::now();
         let s = sample(10.0, 0.0, t0, HEALTH);
         let frame = render("127.0.0.1:9", &view(None, &s));
-        for needle in ["pps-harness top", "latency", "queue", "workers", "pgo", "swaps 4"] {
+        for needle in ["pps-client top", "latency", "queue", "workers", "pgo", "swaps 4"] {
             assert!(frame.contains(needle), "missing {needle:?} in frame:\n{frame}");
         }
     }

@@ -170,6 +170,7 @@ fn daemon_reports_cache_counters_in_pong() {
         config,
         Arc::new(PipelineHandler::new(Some(Arc::clone(&cache)), None)),
         Obs::noop(),
+        None,
     )
     .expect("bind");
     let mut client =

@@ -211,6 +211,7 @@ fn daemon_serves_health_and_hot_swaps_under_drifting_traffic() {
         config,
         Arc::new(PipelineHandler::new(None, Some(Arc::clone(&state)))),
         Obs::noop(),
+        None,
     )
     .expect("bind");
     let mut client =

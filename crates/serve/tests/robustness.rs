@@ -59,7 +59,7 @@ fn test_config() -> ServeConfig {
 }
 
 fn spawn(handler: Arc<dyn Handler>, config: ServeConfig) -> ServerHandle {
-    ServerHandle::spawn("127.0.0.1:0", config, handler, Obs::noop()).expect("bind")
+    ServerHandle::spawn("127.0.0.1:0", config, handler, Obs::noop(), None).expect("bind")
 }
 
 /// Sends raw bytes, half-closes, and drains whatever comes back. Panics on

@@ -8,7 +8,7 @@ use pps_serve::cache::CompileCache;
 use pps_serve::proto::{encode_response, Request, Response};
 use pps_serve::server::{ServeConfig, ServerHandle};
 use pps_serve::service::{execute, PipelineHandler};
-use pps_serve::shard::{Router, RouterConfig, RouterHandle, ShardRing, DEFAULT_VNODES};
+use pps_serve::shard::{Router, RouterConfig, RouterHandle, ShardRing};
 use pps_serve::Client;
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,6 +21,7 @@ fn spawn_daemon() -> (ServerHandle, Arc<CompileCache>) {
         config,
         Arc::new(PipelineHandler::new(Some(Arc::clone(&cache)), None)),
         Obs::noop(),
+        None,
     )
     .expect("bind daemon");
     (server, cache)
@@ -30,10 +31,7 @@ fn spawn_daemon() -> (ServerHandle, Arc<CompileCache>) {
 fn cluster_is_byte_identical_and_fans_in_health() {
     let (s1, c1) = spawn_daemon();
     let (s2, c2) = spawn_daemon();
-    let ring = ShardRing::new(
-        vec![s1.addr().to_string(), s2.addr().to_string()],
-        DEFAULT_VNODES,
-    );
+    let ring = ShardRing::new(vec![s1.addr().to_string(), s2.addr().to_string()]);
     let router = RouterHandle::spawn(
         "127.0.0.1:0",
         Router::new(ring, RouterConfig::default()),
@@ -130,7 +128,7 @@ fn unreachable_shard_is_a_structured_error_not_a_hang() {
     let router = RouterHandle::spawn(
         "127.0.0.1:0",
         Router::new(
-            ShardRing::new(vec![dead_addr], DEFAULT_VNODES),
+            ShardRing::new(vec![dead_addr]),
             RouterConfig { reply_timeout: Some(Duration::from_secs(2)), ..RouterConfig::default() },
         ),
         Obs::noop(),

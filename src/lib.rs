@@ -19,8 +19,9 @@
 //! - [`eval`] — one benchmark × scheme cell end to end: the shared
 //!   train → inline → compile path, then layout and measurement;
 //! - [`harness`] — experiment drivers regenerating every table and figure;
-//! - [`serve`] — the compile-service daemon (framed protocol, bounded
-//!   queue, load-generating client via `pps-harness loadgen`).
+//! - [`serve`] — the compile service: the daemon (framed protocol,
+//!   bounded queue), the shard router, and the clients that speak the
+//!   protocol (`pps-client loadgen`, `top`, `ping`).
 //!
 //! [`testgen`] generates random structured programs for the differential
 //! property tests in `tests/`.

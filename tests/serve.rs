@@ -2,7 +2,7 @@
 //! thread) serving the real pipeline, driven concurrently, with every
 //! reply checked byte-for-byte against the in-process [`pps::serve::execute`].
 
-use pps::harness::loadgen::{self, LoadgenConfig};
+use pps::serve::loadgen::{self, LoadgenConfig};
 use pps::obs::Obs;
 use pps::serve::proto::{encode_response, Envelope, Request, Response};
 use pps::serve::server::{ServeConfig, ServerHandle};
@@ -13,8 +13,14 @@ use std::time::Duration;
 
 fn spawn_daemon() -> ServerHandle {
     let config = ServeConfig { poll: Duration::from_millis(5), ..ServeConfig::default() };
-    ServerHandle::spawn("127.0.0.1:0", config, Arc::new(PipelineHandler::default()), Obs::noop())
-        .expect("bind")
+    ServerHandle::spawn(
+        "127.0.0.1:0",
+        config,
+        Arc::new(PipelineHandler::default()),
+        Obs::noop(),
+        None,
+    )
+    .expect("bind")
 }
 
 #[test]

@@ -4,11 +4,11 @@
 //! that make telemetry safe to leave on: reply bytes are identical with
 //! it enabled, and every reply produces exactly one access-log line.
 
-use pps::harness::loadgen::{self, LoadgenConfig};
-use pps::harness::top::{self, TopConfig};
+use pps::serve::loadgen::{self, LoadgenConfig};
+use pps::serve::top::{self, TopConfig};
 use pps::obs::expo;
 use pps::obs::{json, Level, Obs, ObsConfig};
-use pps::serve::proto::{encode_response, Envelope, Request, Response, PROTO_MINOR};
+use pps::serve::proto::{encode_response, Envelope, Request, Response};
 use pps::serve::server::{ServeConfig, ServerHandle};
 use pps::serve::service::PipelineHandler;
 use pps::serve::telemetry::{Telemetry, TelemetryConfig};
@@ -32,12 +32,12 @@ fn spawn_daemon_with_telemetry(access_log: &str) -> (ServerHandle, Arc<Telemetry
     let scrape = telemetry.http_addr().expect("scrape addr").to_string();
     let obs = Obs::recording(ObsConfig { level: Level::Off, trace: false, metrics: true });
     let config = ServeConfig { poll: Duration::from_millis(5), ..ServeConfig::default() };
-    let server = ServerHandle::spawn_with_telemetry(
+    let server = ServerHandle::spawn(
         "127.0.0.1:0",
         config,
         Arc::new(PipelineHandler::default()),
         obs,
-        Arc::clone(&telemetry),
+        Some(Arc::clone(&telemetry)),
     )
     .expect("bind");
     (server, telemetry, scrape)
@@ -115,7 +115,7 @@ fn scrape_under_load_validates_and_access_log_matches_replies() {
 }
 
 #[test]
-fn replies_are_byte_identical_with_telemetry_on_and_pong_carries_minor() {
+fn replies_are_byte_identical_with_telemetry_on() {
     let log_path = temp_path("access-ident.jsonl");
     let (server, telemetry, scrape) = spawn_daemon_with_telemetry(&log_path.to_string_lossy());
     let addr = server.addr().to_string();
@@ -150,12 +150,11 @@ fn replies_are_byte_identical_with_telemetry_on_and_pong_carries_minor() {
         );
     }
 
-    // The health snapshot advertises the current protocol minor and the
-    // telemetry counters through the same socket the work flows over.
+    // The health snapshot advertises the telemetry counters through the
+    // same socket the work flows over.
     let Response::Pong { health } = client.request(Request::Ping).expect("ping") else {
         panic!("expected Pong");
     };
-    assert_eq!(health.proto_minor, PROTO_MINOR);
     assert!(health.telemetry_enabled);
     assert!(health.access_log_lines >= 4, "{health:?}");
     assert!(health.traces_sampled >= 1, "error reply must be tail-sampled");
@@ -165,10 +164,6 @@ fn replies_are_byte_identical_with_telemetry_on_and_pong_carries_minor() {
         &top::http_get(&scrape, "/health", Duration::from_secs(5)).expect("GET /health"),
     )
     .expect("health JSON");
-    assert_eq!(
-        health_doc.get("proto_minor").and_then(json::Json::as_num),
-        Some(f64::from(PROTO_MINOR))
-    );
     assert_eq!(
         health_doc.get("telemetry").and_then(|t| t.get("enabled")),
         Some(&json::Json::Bool(true))
@@ -183,7 +178,7 @@ fn replies_are_byte_identical_with_telemetry_on_and_pong_carries_minor() {
         .iter()
         .any(|t| t.get("reason").and_then(json::Json::as_str) == Some("error")));
 
-    // `pps-harness top --watch-json` over the live daemon: every line is
+    // `pps-client top --watch-json` over the live daemon: every line is
     // machine-readable and the poll validates the exposition en route.
     let mut out = Vec::new();
     let top_config = TopConfig {
