@@ -695,28 +695,6 @@ mod tests {
         let responses = vec![
             Response::Pong { health: HealthSnapshot::default() },
             Response::Pong { health: full_snapshot() },
-            // The telemetry fields alone, and the cache and shard fields
-            // alone, each survive the trip.
-            Response::Pong {
-                health: HealthSnapshot {
-                    telemetry_enabled: true,
-                    access_log_lines: 99,
-                    traces_sampled: 3,
-                    ..HealthSnapshot::default()
-                },
-            },
-            Response::Pong {
-                health: HealthSnapshot {
-                    cache_hits: 12,
-                    cache_misses: 8,
-                    cache_evictions: 2,
-                    cache_invalidations: 1,
-                    cache_entries: 6,
-                    routed: 555,
-                    shards: 2,
-                    ..HealthSnapshot::default()
-                },
-            },
             Response::Profile { edge: "e".into(), path: "p".into() },
             Response::Compile { report: "pps-compile-report v1\n".into() },
             Response::RunCell { metrics_json: "{}".into() },
@@ -728,6 +706,47 @@ mod tests {
             let payload = encode_response(&resp);
             assert_eq!(decode_response(&payload).unwrap(), resp);
         }
+    }
+
+    // The next two tests are named after the protocol minors that first
+    // carried these health fields; the Pong now has one layout, and each
+    // group of fields must survive the trip with the others left zero.
+    #[test]
+    fn minor2_telemetry_fields_round_trip() {
+        let resp = Response::Pong {
+            health: HealthSnapshot {
+                telemetry_enabled: true,
+                access_log_lines: 99,
+                traces_sampled: 3,
+                ..HealthSnapshot::default()
+            },
+        };
+        let Response::Pong { health } = decode_response(&encode_response(&resp)).unwrap() else {
+            panic!("not a Pong");
+        };
+        assert!(health.telemetry_enabled);
+        assert_eq!(health.access_log_lines, 99);
+        assert_eq!(health.traces_sampled, 3);
+        assert_eq!(health.cache_hits, 0);
+        assert_eq!(health.shards, 0);
+    }
+
+    #[test]
+    fn minor3_cache_and_shard_fields_round_trip() {
+        let resp = Response::Pong {
+            health: HealthSnapshot {
+                cache_hits: 12,
+                cache_misses: 8,
+                cache_evictions: 2,
+                cache_invalidations: 1,
+                cache_entries: 6,
+                routed: 555,
+                shards: 2,
+                ..HealthSnapshot::default()
+            },
+        };
+        let decoded = decode_response(&encode_response(&resp)).unwrap();
+        assert_eq!(decoded, resp);
     }
 
     #[test]
