@@ -20,90 +20,102 @@ use std::collections::HashMap;
 /// stay exact for any input.
 #[derive(Debug)]
 pub struct EdgeProfiler {
-    /// Per-procedure block frequencies.
-    block_freq: Vec<Vec<u64>>,
-    /// Per procedure, per block: `(successor, count)` for each static CFG
-    /// successor of the block's terminator (deduplicated).
-    succ_counts: Vec<Vec<Vec<(BlockId, u64)>>>,
-    /// Traversed edges not present in the static CFG.
-    overflow: Vec<HashMap<(BlockId, BlockId), u64>>,
-    /// Per-procedure stack of "previous block" for live activations.
-    prev: Vec<Vec<Option<BlockId>>>,
+    tables: Vec<EdgeTable>,
     /// Dynamic edge events observed (across all procedures).
     dyn_edges: u64,
+}
+
+/// "No previous block": the activation has not entered a block yet.
+const NO_PREV: u32 = u32::MAX;
+
+/// One procedure's counters, in flat arrays.
+#[derive(Debug)]
+struct EdgeTable {
+    block_freq: Vec<u64>,
+    /// Block `b`'s static successors are `succ_to[succ_start[b]..succ_start[b + 1]]`,
+    /// in terminator order, counted in the parallel `succ_count`.
+    succ_start: Vec<u32>,
+    succ_to: Vec<BlockId>,
+    succ_count: Vec<u64>,
+    /// Traversed edges not present in the static CFG.
+    overflow: HashMap<(BlockId, BlockId), u64>,
+    /// Previous block index of each live activation (`NO_PREV` before the
+    /// first block).
+    prev: Vec<u32>,
+}
+
+impl EdgeTable {
+    fn new(proc: &pps_ir::Proc) -> Self {
+        let mut succ_start = vec![0u32];
+        let mut succ_to = Vec::new();
+        for b in &proc.blocks {
+            succ_to.extend(b.term.successors());
+            succ_start.push(succ_to.len() as u32);
+        }
+        EdgeTable {
+            block_freq: vec![0; proc.blocks.len()],
+            succ_count: vec![0; succ_to.len()],
+            succ_start,
+            succ_to,
+            overflow: HashMap::new(),
+            prev: Vec::new(),
+        }
+    }
+
+    /// All traversed edges with their counts.
+    fn into_edge_freq(self) -> HashMap<(BlockId, BlockId), u64> {
+        let mut m = self.overflow;
+        for (from, range) in self.succ_start.windows(2).enumerate() {
+            for i in range[0] as usize..range[1] as usize {
+                if self.succ_count[i] > 0 {
+                    *m.entry((BlockId::new(from as u32), self.succ_to[i])).or_insert(0) +=
+                        self.succ_count[i];
+                }
+            }
+        }
+        m
+    }
 }
 
 impl EdgeProfiler {
     /// Creates a collector sized for `program`.
     pub fn new(program: &Program) -> Self {
-        EdgeProfiler {
-            block_freq: program.procs.iter().map(|p| vec![0; p.blocks.len()]).collect(),
-            succ_counts: program
-                .procs
-                .iter()
-                .map(|p| {
-                    p.blocks
-                        .iter()
-                        .map(|b| b.term.successors().into_iter().map(|s| (s, 0)).collect())
-                        .collect()
-                })
-                .collect(),
-            overflow: program.procs.iter().map(|_| HashMap::new()).collect(),
-            prev: program.procs.iter().map(|_| Vec::new()).collect(),
-            dyn_edges: 0,
-        }
+        EdgeProfiler { tables: program.procs.iter().map(EdgeTable::new).collect(), dyn_edges: 0 }
     }
 
     /// Freezes the collected counts into an [`EdgeProfile`].
     pub fn finish(self) -> EdgeProfile {
-        let edge_freq = self
-            .succ_counts
+        let (block_freq, edge_freq) = self
+            .tables
             .into_iter()
-            .zip(self.overflow)
-            .map(|(blocks, overflow)| {
-                let mut m = overflow;
-                for (from, succs) in blocks.into_iter().enumerate() {
-                    for (to, count) in succs {
-                        if count > 0 {
-                            *m.entry((BlockId::new(from as u32), to)).or_insert(0) += count;
-                        }
-                    }
-                }
-                m
-            })
-            .collect();
-        EdgeProfile {
-            block_freq: self.block_freq,
-            edge_freq,
-            dyn_edges: self.dyn_edges,
-        }
+            .map(|mut t| (std::mem::take(&mut t.block_freq), t.into_edge_freq()))
+            .unzip();
+        EdgeProfile { block_freq, edge_freq, dyn_edges: self.dyn_edges }
     }
 }
 
 impl TraceSink for EdgeProfiler {
     fn enter_proc(&mut self, proc: ProcId) {
-        self.prev[proc.index()].push(None);
+        self.tables[proc.index()].prev.push(NO_PREV);
     }
 
     fn exit_proc(&mut self, proc: ProcId) {
-        self.prev[proc.index()].pop();
+        self.tables[proc.index()].prev.pop();
     }
 
     fn block(&mut self, proc: ProcId, block: BlockId) {
-        let p = proc.index();
-        self.block_freq[p][block.index()] += 1;
-        let slot = self.prev[p].last_mut().expect("activation exists");
-        if let Some(prev) = *slot {
-            match self.succ_counts[p]
-                .get_mut(prev.index())
-                .and_then(|s| s.iter_mut().find(|(to, _)| *to == block))
-            {
-                Some((_, count)) => *count += 1,
-                None => *self.overflow[p].entry((prev, block)).or_insert(0) += 1,
+        let t = &mut self.tables[proc.index()];
+        t.block_freq[block.index()] += 1;
+        let slot = t.prev.last_mut().expect("activation exists");
+        let prev = std::mem::replace(slot, block.index() as u32);
+        if prev != NO_PREV {
+            let (lo, hi) = (t.succ_start[prev as usize], t.succ_start[prev as usize + 1]);
+            match t.succ_to[lo as usize..hi as usize].iter().position(|&to| to == block) {
+                Some(i) => t.succ_count[lo as usize + i] += 1,
+                None => *t.overflow.entry((BlockId::new(prev), block)).or_insert(0) += 1,
             }
             self.dyn_edges += 1;
         }
-        *slot = Some(block);
     }
 }
 

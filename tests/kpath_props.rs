@@ -12,15 +12,20 @@
 //!   aggregate relies on to fold worker shards in any order.
 //! - **Canonical text** — serialize → parse → serialize is a fixpoint and
 //!   preserves equality.
+//! - **Brute-force oracle** — for k = 1, 2, 3 with and without a block
+//!   cap, the collector's paths equal a naive chop of the recorded trace,
+//!   activation by activation.
 
 use pps::ir::interp::{ExecConfig, Interp};
 use pps::ir::trace::TeeSink;
-use pps::ir::BlockId;
+use pps::ir::analysis::ProcAnalysis;
+use pps::ir::{BlockEvent, BlockId, VecSink};
 use pps::profile::serialize::{kpath_from_text, kpath_to_text};
 use pps::profile::{merge_kpaths, ForwardPathProfiler, KPathProfile, KPathProfiler};
 use pps::suite::{all_benchmarks, Scale};
 use pps::testgen::{gen_program, GenConfig};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// Sorted `(path, count)` list — the order-free view both profilers must
 /// agree on.
@@ -144,6 +149,85 @@ proptest! {
                     seed, pid, window
                 );
             }
+        }
+    }
+}
+
+/// The k-path specification, applied naively: splits each activation's
+/// block sequence before the block that would be its `k`-th back-edge
+/// crossing, and before any block that would exceed `max_blocks` blocks
+/// (0 = no cap); a cap cut starts the crossing count afresh.
+fn naive_kpaths(
+    program: &pps::ir::Program,
+    events: &[BlockEvent],
+    k: usize,
+    max_blocks: usize,
+) -> Vec<HashMap<Vec<BlockId>, u64>> {
+    let back_edges: Vec<HashSet<(BlockId, BlockId)>> = program
+        .procs
+        .iter()
+        .map(|p| ProcAnalysis::compute(p).loops.back_edges.into_iter().collect())
+        .collect();
+    let mut counts: Vec<HashMap<Vec<BlockId>, u64>> =
+        program.procs.iter().map(|_| HashMap::new()).collect();
+    // Per-activation block sequences, completed at exit.
+    let mut stacks: Vec<Vec<Vec<BlockId>>> = program.procs.iter().map(|_| Vec::new()).collect();
+    for e in events {
+        match *e {
+            BlockEvent::Enter(p) => stacks[p.index()].push(Vec::new()),
+            BlockEvent::Block(p, b) => stacks[p.index()].last_mut().expect("activation").push(b),
+            BlockEvent::Exit(p) => {
+                let seq = stacks[p.index()].pop().expect("activation");
+                let (mut path, mut crossings) = (Vec::new(), 0);
+                for b in seq {
+                    if let Some(&last) = path.last() {
+                        let back = back_edges[p.index()].contains(&(last, b));
+                        let capped = max_blocks > 0 && path.len() >= max_blocks;
+                        if (back && crossings + 1 == k) || capped {
+                            *counts[p.index()].entry(std::mem::take(&mut path)).or_insert(0) += 1;
+                            crossings = 0;
+                        } else if back {
+                            crossings += 1;
+                        }
+                    }
+                    path.push(b);
+                }
+                if !path.is_empty() {
+                    *counts[p.index()].entry(path).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    counts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn kpaths_match_a_naive_chop_of_the_trace(
+        seed in 0u64..100_000,
+        k in 1usize..4,
+        capped in 0u32..2,
+    ) {
+        let max_blocks = if capped == 1 { 5 } else { 0 };
+        let program = gen_program(seed, GenConfig::default());
+        let mut tee = TeeSink::new(
+            VecSink::new(),
+            KPathProfiler::with_max_blocks(&program, k, max_blocks),
+        );
+        Interp::new(&program, ExecConfig::default()).run_traced(&[], &mut tee).unwrap();
+        let prof = tee.b.finish();
+        let naive = naive_kpaths(&program, &tee.a.events, k, max_blocks);
+        for pid in program.proc_ids() {
+            let mut want: Vec<(Vec<BlockId>, u64)> =
+                naive[pid.index()].iter().map(|(p, &c)| (p.clone(), c)).collect();
+            want.sort();
+            prop_assert_eq!(
+                sorted_paths(prof.iter_paths(pid)),
+                want,
+                "seed {} k {} max_blocks {} {:?}", seed, k, max_blocks, pid
+            );
         }
     }
 }
