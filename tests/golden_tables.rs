@@ -1,7 +1,9 @@
 //! Golden-table regression lockdown (ISSUE: flat pre-decoded interpreter).
 //!
 //! The committed snapshots under `tests/golden/` pin the harness's
-//! Table 1 and Figure 4 output at small scale **byte-for-byte**. Every
+//! Table 1, Figure 4 and Figure 5 output at small scale **byte-for-byte**.
+//! Figure 5 is the one that exercises code layout: its cycle counts
+//! include the I-cache penalties of the Pettis–Hansen placement. Every
 //! downstream equality check — the parallel experiment engine, the serve
 //! loadgen byte-verification, the PGO hot-swap verifier — assumes the
 //! pipeline is deterministic; this test catches any refactor (engine
@@ -83,4 +85,9 @@ fn table1_output_is_byte_stable() {
 #[test]
 fn fig4_output_is_byte_stable() {
     check_golden("fig4");
+}
+
+#[test]
+fn fig5_output_is_byte_stable() {
+    check_golden("fig5");
 }
