@@ -3,11 +3,13 @@
 //! Compiled-simulation analog (paper §3.2).
 //!
 //! The paper measures cycle counts by compiled simulation on a real Alpha.
-//! Here, the reference interpreter executes the *transformed* program (so
-//! semantics are exact) while a [`cycle::CycleSim`] trace sink charges
-//! cycles from the compacted schedules: every dynamic superblock traversal
-//! leaves through exactly one exit, and leaving through the terminator
-//! scheduled at cycle `c` costs `c + 1` cycles.
+//! Here, the execution engine ([`pps_ir::Exec`]: the fast engine unless
+//! `PPS_ENGINE=reference` selects the reference interpreter) executes the
+//! *transformed* program (so semantics are exact) while a
+//! [`cycle::CycleSim`] trace sink charges cycles from the compacted
+//! schedules: every dynamic superblock traversal leaves through exactly one
+//! exit, and leaving through the terminator scheduled at cycle `c` costs
+//! `c + 1` cycles.
 //!
 //! The instruction cache (32KB direct-mapped, 32-byte lines, 6-cycle miss
 //! penalty) is simulated over the fetch stream implied by the schedules:
@@ -115,6 +117,39 @@ pub fn simulate_obs(
     drop(span.arg("cycles", outcome.cycles));
     outcome.record_metrics(obs);
     Ok(outcome)
+}
+
+#[cfg(test)]
+mod test_programs {
+    use pps_compact::{compact_program, singleton_partition, CompactConfig, CompactedProgram};
+    use pps_ir::builder::ProgramBuilder;
+    use pps_ir::{ProcId, Program};
+
+    /// A program whose procedure `i` is a straight chain of `sizes[i]`
+    /// blocks, compacted as singletons: `sizes[i]` superblocks each, the
+    /// superblock of block `b` being `b`. Every block outputs its index,
+    /// so no superblock is empty.
+    pub(crate) fn chain_program(sizes: &[usize]) -> (Program, CompactedProgram) {
+        let mut pb = ProgramBuilder::new();
+        let ids: Vec<ProcId> =
+            (0..sizes.len()).map(|i| pb.declare_proc(format!("p{i}"), 0)).collect();
+        for (&id, &n) in ids.iter().zip(sizes) {
+            let mut f = pb.begin_declared(id);
+            for b in 1..n {
+                f.out(b as i64 - 1);
+                let next = f.new_block();
+                f.jump(next);
+                f.switch_to(next);
+            }
+            f.out(n as i64 - 1);
+            f.ret(None);
+            f.finish();
+        }
+        let mut p = pb.finish(ids[0]);
+        let part = singleton_partition(&p);
+        let compacted = compact_program(&mut p, &part, &CompactConfig::default());
+        (p, compacted)
+    }
 }
 
 #[cfg(test)]
