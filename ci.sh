@@ -89,6 +89,12 @@ gate() {
   if grep -q '^pps-serve ' <<< "$harness_deps"; then
     echo "pps-harness depends on pps-serve"; exit 1
   fi
+  # The simulator times whatever compacted program it is handed: it must
+  # not link superblock formation.
+  sim_deps="$(cargo tree -p pps-sim -e normal --offline --prefix none)"
+  if grep -q '^pps-core ' <<< "$sim_deps"; then
+    echo "pps-sim depends on pps-core"; exit 1
+  fi
 }
 
 # boot LOG PORTFILES CMD...: starts a daemon (pps-serve or pps-shard) in
