@@ -76,8 +76,9 @@ pub fn with_engine<R>(engine: Engine, f: impl FnOnce() -> R) -> R {
 }
 
 /// Engine-dispatching executor with the same API surface as
-/// [`Interp`]: `run`, `run_traced`, `run_bounded`. Construct once per
-/// program (decoding happens here) and run any number of inputs.
+/// [`Interp`]: `run`, `run_traced`, `run_bounded`, `run_bounded_traced`.
+/// Construct once per program (decoding happens here) and run any number
+/// of inputs.
 #[derive(Debug)]
 pub struct Exec<'p> {
     program: &'p Program,
@@ -153,9 +154,22 @@ impl<'p> Exec<'p> {
     /// # Errors
     /// As [`Interp::run_bounded`].
     pub fn run_bounded(&self, args: &[i64]) -> Result<BoundedRun, ExecError> {
+        self.run_bounded_traced(args, &mut NullSink)
+    }
+
+    /// [`run_bounded`](Self::run_bounded), reporting every block entry to
+    /// `sink`. A truncated run stops reporting where it stopped executing.
+    ///
+    /// # Errors
+    /// As [`Interp::run_bounded_traced`].
+    pub fn run_bounded_traced<S: TraceSink>(
+        &self,
+        args: &[i64],
+        sink: &mut S,
+    ) -> Result<BoundedRun, ExecError> {
         match &self.decoded {
-            Some(dp) => run_flat(self.program, dp, self.config, args, &mut NullSink),
-            None => Interp::new(self.program, self.config).run_bounded(args),
+            Some(dp) => run_flat(self.program, dp, self.config, args, sink),
+            None => Interp::new(self.program, self.config).run_bounded_traced(args, sink),
         }
     }
 }

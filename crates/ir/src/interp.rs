@@ -185,7 +185,20 @@ impl<'p> Interp<'p> {
     /// Returns an [`ExecError`] on memory faults, call-depth exhaustion, or
     /// an argument-count mismatch — never [`ExecError::InstrLimit`].
     pub fn run_bounded(&self, args: &[i64]) -> Result<BoundedRun, ExecError> {
-        self.exec(args, &mut NullSink)
+        self.run_bounded_traced(args, &mut NullSink)
+    }
+
+    /// [`run_bounded`](Self::run_bounded), reporting every block entry to
+    /// `sink`. A truncated run stops reporting where it stopped executing.
+    ///
+    /// # Errors
+    /// As [`run_bounded`](Self::run_bounded).
+    pub fn run_bounded_traced<S: TraceSink>(
+        &self,
+        args: &[i64],
+        sink: &mut S,
+    ) -> Result<BoundedRun, ExecError> {
+        self.exec(args, sink)
     }
 
     fn exec<S: TraceSink>(&self, args: &[i64], sink: &mut S) -> Result<BoundedRun, ExecError> {

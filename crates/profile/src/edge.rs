@@ -120,7 +120,7 @@ impl TraceSink for EdgeProfiler {
 }
 
 /// A frozen edge profile.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeProfile {
     block_freq: Vec<Vec<u64>>,
     edge_freq: Vec<HashMap<(BlockId, BlockId), u64>>,

@@ -42,7 +42,7 @@ impl EdgeTable {
         (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask
     }
 
-    fn bump(&mut self, key: u64) {
+    fn bump(&mut self, key: u64, count: u64) {
         if self.len * 2 >= self.slots.len() {
             self.grow();
         }
@@ -51,11 +51,11 @@ impl EdgeTable {
         loop {
             let slot = &mut self.slots[i];
             if slot.0 == key {
-                slot.1 += 1;
+                slot.1 += count;
                 return;
             }
             if slot.0 == EMPTY {
-                *slot = (key, 1);
+                *slot = (key, count);
                 self.len += 1;
                 return;
             }
@@ -125,12 +125,24 @@ impl Transitions {
     /// # Panics
     /// If `from_sb` or `to_sb` is not a superblock of `proc`.
     pub fn record(&mut self, proc: ProcId, from_sb: u32, to_sb: u32) {
+        self.record_n(proc, from_sb, to_sb, 1);
+    }
+
+    /// Records `count` (non-zero) transitions between superblocks of
+    /// `proc`.
+    pub(crate) fn record_n(&mut self, proc: ProcId, from_sb: u32, to_sb: u32, count: u64) {
         let table = &mut self.per_proc[proc.index()];
         assert!(
             from_sb < table.n && to_sb < table.n,
             "transition {from_sb} -> {to_sb} out of range"
         );
-        table.bump(u64::from(from_sb) << 32 | u64::from(to_sb));
+        table.bump(u64::from(from_sb) << 32 | u64::from(to_sb), count);
+    }
+
+    /// Records `count` activations of `proc`, each entering at `sb`.
+    pub(crate) fn record_activations(&mut self, proc: ProcId, sb: u32, count: u64) {
+        self.activation_counts[proc.index()] += count;
+        self.entry_counts[proc.index()][sb as usize] += count;
     }
 
     /// Records an activation-entry into `sb` of `proc`.

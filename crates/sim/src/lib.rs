@@ -19,12 +19,15 @@
 //!
 //! [`simulate`] packages one run; [`metrics`] aggregates the Figure 7
 //! statistics (dynamically-weighted blocks-executed-per-superblock and
-//! superblock size).
+//! superblock size). [`from_edge_profile`] derives what a run without a
+//! layout computes from an edge profile of that run, so the layout weights
+//! need no execution of their own.
 
 pub mod cycle;
 pub mod icache;
 pub mod layout;
 pub mod metrics;
+pub mod profiled;
 pub mod tracecache;
 
 use pps_compact::CompactedProgram;
@@ -37,6 +40,7 @@ pub use cycle::{CycleSim, Transitions};
 pub use icache::{CacheStats, DirectMappedICache};
 pub use layout::Layout;
 pub use metrics::SbDynStats;
+pub use profiled::{from_edge_profile, ProfiledRun};
 pub use tracecache::{TraceCacheConfig, TraceCacheSim, TraceCacheStats};
 
 /// The complete outcome of one simulated run.
@@ -70,16 +74,22 @@ impl SimOutcome {
     /// instruction-cache statistics (when simulated), and the dynamic
     /// superblock statistics behind Figure 7.
     pub fn record_metrics(&self, obs: &Obs) {
-        obs.counter("sim.cycles", self.cycles);
-        if let Some(ic) = &self.icache {
-            obs.counter("sim.icache.accesses", ic.accesses);
-            obs.counter("sim.icache.misses", ic.misses);
-            obs.counter("sim.icache.penalty_cycles", ic.penalty_cycles);
-        }
-        obs.counter("sim.sb.traversals", self.sb_stats.traversals);
-        obs.counter("sim.sb.blocks_executed", self.sb_stats.blocks_executed);
-        obs.counter("sim.sb.size_blocks", self.sb_stats.size_blocks);
+        record_sim_counters(obs, self.cycles, self.icache.as_ref(), &self.sb_stats);
     }
+}
+
+/// The `sim.*` counters of one run: cycles, instruction-cache statistics
+/// when simulated, and the Figure 7 statistics.
+fn record_sim_counters(obs: &Obs, cycles: u64, icache: Option<&CacheStats>, sb: &SbDynStats) {
+    obs.counter("sim.cycles", cycles);
+    if let Some(ic) = icache {
+        obs.counter("sim.icache.accesses", ic.accesses);
+        obs.counter("sim.icache.misses", ic.misses);
+        obs.counter("sim.icache.penalty_cycles", ic.penalty_cycles);
+    }
+    obs.counter("sim.sb.traversals", sb.traversals);
+    obs.counter("sim.sb.blocks_executed", sb.blocks_executed);
+    obs.counter("sim.sb.size_blocks", sb.size_blocks);
 }
 
 /// Runs `program` on `args`, charging cycles from `compacted`'s schedules.

@@ -225,10 +225,12 @@ fn clean_guarded_runs_report_clean_and_preserve_behavior() {
 
 /// Deferred-oracle exactness: the unhooked guard (one oracle pass over the
 /// whole program) and a guard with a no-op post-pass hook (oracle settled
-/// after every procedure) ship the same program, partition, statistics and
-/// report on every generated program, in both modes.
+/// after every procedure) ship the same program, partition, statistics,
+/// report and input-0 edge profile (present in both or neither, and equal)
+/// on every generated program, in both modes.
 #[test]
 fn deferred_oracle_matches_per_procedure_oracle() {
+    let mut profiled = 0;
     for seed in 0..SEEDS {
         let base = gen_program(seed, GenConfig::default());
         let scheme = schemes()[(seed % 4) as usize];
@@ -246,7 +248,7 @@ fn deferred_oracle_matches_per_procedure_oracle() {
                 &Obs::noop(),
                 None,
             )
-            .map(|r| format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report));
+            .map(|r| (format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report), r.profile));
             let mut eager = base.clone();
             let e = guarded_form_and_compact_with(
                 &mut eager,
@@ -259,7 +261,8 @@ fn deferred_oracle_matches_per_procedure_oracle() {
                 &Obs::noop(),
                 Some(&mut |_, _| {}),
             )
-            .map(|r| format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report));
+            .map(|r| (format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report), r.profile));
+            profiled += usize::from(matches!(&d, Ok((_, Some(_)))));
             assert_eq!(d, e, "seed {seed} ({}, {mode})", scheme.name());
             assert_eq!(
                 print_program(&deferred),
@@ -269,6 +272,7 @@ fn deferred_oracle_matches_per_procedure_oracle() {
             );
         }
     }
+    assert!(profiled > 0, "no guarded run handed back a profile");
 }
 
 /// Engine parity (ISSUE: flat pre-decoded interpreter): the guard's

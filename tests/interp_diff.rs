@@ -15,14 +15,26 @@
 //! - errors: the same `ExecError` on faulting programs, and when a broken
 //!   program panics the interpreter, both engines panic;
 //! - simulation: byte-identical cycle/I-cache/transition/Fig-7 tables when
-//!   each engine drives the cycle simulator.
+//!   each engine drives the cycle simulator;
+//! - layout weights: what [`from_edge_profile`] derives from an edge
+//!   profile of a run equals what the cycle simulator counts over that
+//!   run without a layout, under either engine, on generated programs and
+//!   on every suite benchmark.
 
-use pps::compact::{compact_program, singleton_partition, CompactConfig};
+use pps::compact::{compact_program, singleton_partition, CompactConfig, CompactedProgram};
+use pps::core::{form_and_compact, FormConfig, Scheme};
+use pps::eval::runner::{compile, train, RunConfig};
 use pps::ir::interp::{BoundedRun, ExecConfig, ExecError, ExecResult, Interp};
 use pps::ir::trace::VecSink;
-use pps::ir::{current_engine, Engine, Exec, FaultInjector, ProcId, Program};
+use pps::ir::builder::ProgramBuilder;
+use pps::ir::{
+    current_engine, AluOp, BlockId, Engine, Exec, FaultInjector, Operand, ProcId, Program, Reg,
+};
 use pps::machine::MachineConfig;
-use pps::sim::{CycleSim, Layout, SimOutcome};
+use pps::obs::Obs;
+use pps::profile::{EdgeProfiler, DEFAULT_PATH_DEPTH};
+use pps::sim::{from_edge_profile, CycleSim, Layout, SbDynStats, SimOutcome, Transitions};
+use pps::suite::{all_benchmarks, Scale};
 use pps::testgen::{gen_program, GenConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -85,6 +97,15 @@ fn engines_agree_on_bounded_prefixes() {
             let rr = Interp::new(&p, config).run_bounded(&[]);
             let fr = Exec::with_engine(&p, config, Engine::Fast).run_bounded(&[]);
             assert_eq!(fr, rr, "seed {seed} budget {budget}: bounded prefix diverges");
+
+            // The traced entry point stops both the run and its event
+            // stream at the same point on both engines.
+            let (mut rs, mut fs) = (VecSink::new(), VecSink::new());
+            let rt = Interp::new(&p, config).run_bounded_traced(&[], &mut rs);
+            let ft = Exec::with_engine(&p, config, Engine::Fast).run_bounded_traced(&[], &mut fs);
+            assert_eq!(ft, rt, "seed {seed} budget {budget}: traced bounded prefix diverges");
+            assert_eq!(rt, rr, "seed {seed} budget {budget}: tracing changed the run");
+            assert_eq!(fs, rs, "seed {seed} budget {budget}: truncated event stream diverges");
         }
     }
 }
@@ -214,5 +235,181 @@ fn engines_produce_identical_sim_tables() {
         let fast_ic = simulate_with(Engine::Fast, &p, &compacted, &machine, Some(&layout));
         assert_eq!(fast_ic, ref_ic, "seed {seed}: icache sim table diverges");
         assert!(fast_ic.icache.is_some());
+    }
+}
+
+/// The layout weights of one run without a layout: cycles, Figure 7
+/// statistics and every transition count, with entries listed for every
+/// superblock.
+#[derive(Debug, PartialEq)]
+struct LayoutWeights {
+    cycles: u64,
+    sb_stats: SbDynStats,
+    total: u64,
+    transitions: Vec<ProcTransitions>,
+}
+
+impl LayoutWeights {
+    fn capture(
+        compacted: &CompactedProgram,
+        cycles: u64,
+        sb_stats: SbDynStats,
+        transitions: &Transitions,
+    ) -> LayoutWeights {
+        let per_proc = compacted
+            .procs
+            .iter()
+            .enumerate()
+            .map(|(pi, cp)| {
+                let pid = ProcId::new(pi as u32);
+                let entries = (0..cp.superblocks.len() as u32)
+                    .map(|sb| transitions.entries(pid, sb))
+                    .collect();
+                (pi as u32, transitions.iter_proc(pid).collect(), entries, transitions.activations(pid))
+            })
+            .collect();
+        LayoutWeights { cycles, sb_stats, total: transitions.total(), transitions: per_proc }
+    }
+}
+
+/// Layout weights derived from an edge profile of `p` on `args`.
+fn derived_weights(
+    engine: Engine,
+    p: &Program,
+    compacted: &CompactedProgram,
+    args: &[i64],
+) -> LayoutWeights {
+    let mut profiler = EdgeProfiler::new(p);
+    Exec::with_engine(p, ExecConfig::default(), engine)
+        .run_traced(args, &mut profiler)
+        .expect("profiled run completes");
+    let run = from_edge_profile(p, compacted, &profiler.finish(), &Obs::noop());
+    LayoutWeights::capture(compacted, run.cycles, run.sb_stats, &run.transitions)
+}
+
+/// Layout weights counted by the cycle simulator running `p` on `args`.
+fn simulated_weights(
+    engine: Engine,
+    p: &Program,
+    compacted: &CompactedProgram,
+    args: &[i64],
+) -> LayoutWeights {
+    let mut sim = CycleSim::new(compacted, &MachineConfig::paper(), None);
+    let exec = Exec::with_engine(p, ExecConfig::default(), engine)
+        .run_traced(args, &mut sim)
+        .expect("simulated run completes");
+    let out = sim.finish(exec);
+    LayoutWeights::capture(compacted, out.cycles, out.sb_stats, &out.transitions)
+}
+
+/// `main(n)` calls `down(i)` for every `i < n`, and `down(k)` branches
+/// back into its own entry block `k` times: a procedure entered both by
+/// activations and by edges, which generated programs never have.
+fn reentrant_program() -> Program {
+    let mut pb = ProgramBuilder::new();
+    let down = pb.declare_proc("down", 1);
+    let mut d = pb.begin_declared(down);
+    let k = Reg::new(0);
+    let c = d.reg();
+    let done = d.new_block();
+    d.alu(AluOp::CmpLt, c, 0i64, Operand::Reg(k));
+    d.alu(AluOp::Sub, k, k, 1i64);
+    d.out(k);
+    d.branch(c, BlockId::new(0), done);
+    d.switch_to(done);
+    d.ret(None);
+    d.finish();
+    let mut f = pb.begin_proc("main", 1);
+    let n = Reg::new(0);
+    let (i, c) = (f.reg(), f.reg());
+    let head = f.new_block();
+    let body = f.new_block();
+    let exit = f.new_block();
+    f.mov(i, 0i64);
+    f.jump(head);
+    f.switch_to(head);
+    f.alu(AluOp::CmpLt, c, Operand::Reg(i), Operand::Reg(n));
+    f.branch(c, body, exit);
+    f.switch_to(body);
+    f.call(down, vec![Operand::Reg(i)], None);
+    f.alu(AluOp::Add, i, i, 1i64);
+    f.jump(head);
+    f.switch_to(exit);
+    f.ret(None);
+    let main = f.finish();
+    pb.finish(main)
+}
+
+/// `p` compacted as singleton superblocks, or formed under P4 from a
+/// training run on `args`, with the length of its longest superblock.
+fn compacted_for(p: &mut Program, args: &[i64], formed: bool) -> (CompactedProgram, usize) {
+    let compacted = if formed {
+        let trained = train(p, args, DEFAULT_PATH_DEPTH, None).unwrap();
+        form_and_compact(
+            p,
+            &trained.edge,
+            Some(&trained.path),
+            Scheme::P4,
+            &FormConfig::default(),
+            &CompactConfig::default(),
+        )
+        .unwrap()
+        .0
+    } else {
+        let part = singleton_partition(p);
+        compact_program(p, &part, &CompactConfig::default())
+    };
+    let longest = compacted.procs.iter().flat_map(|cp| &cp.superblocks).map(|sb| sb.spec.len());
+    let longest = longest.max().unwrap_or(0);
+    (compacted, longest)
+}
+
+#[test]
+fn edge_profile_derivation_matches_the_simulator() {
+    let mut programs: Vec<(String, Program, Vec<i64>)> = (0..SEEDS / 4)
+        .map(|seed| (format!("seed {seed}"), gen_program(seed, config_for(seed)), Vec::new()))
+        .collect();
+    programs.push(("reentrant".to_string(), reentrant_program(), vec![5]));
+    let mut multi_block = 0u64;
+    for (name, base, args) in &programs {
+        // Singleton superblocks, then P4-formed ones whose internal
+        // fall-throughs the derivation must not count as transitions.
+        for formed in [false, true] {
+            let mut p = base.clone();
+            let (compacted, longest) = compacted_for(&mut p, args, formed);
+            multi_block += u64::from(longest > 1);
+            for engine in [Engine::Reference, Engine::Fast] {
+                assert_eq!(
+                    derived_weights(engine, &p, &compacted, args),
+                    simulated_weights(engine, &p, &compacted, args),
+                    "{name} formed {formed} {engine:?}: derived layout weights diverge"
+                );
+            }
+        }
+    }
+    assert!(multi_block >= SEEDS / 8, "only {multi_block} formed programs had fall-throughs");
+}
+
+#[test]
+fn edge_profile_derivation_matches_the_simulator_on_the_suite() {
+    let config = RunConfig::paper();
+    for bench in all_benchmarks(Scale(1)) {
+        for scheme in [Scheme::BasicBlock, Scheme::M4, Scheme::P4, Scheme::PK2, Scheme::PX4] {
+            let trained =
+                train(&bench.program, &bench.train_args, DEFAULT_PATH_DEPTH, scheme.kpath_k())
+                    .unwrap();
+            let compiled =
+                compile(&bench, scheme, &trained.edge, &trained.path, &config, &Obs::noop())
+                    .unwrap();
+            let (p, compacted) = (&compiled.program, &compiled.guarded.compacted);
+            let engine = current_engine();
+            assert_eq!(
+                derived_weights(engine, p, compacted, &bench.train_args),
+                simulated_weights(engine, p, compacted, &bench.train_args),
+                "{} {}: derived layout weights diverge",
+                bench.name,
+                scheme.name()
+            );
+        }
     }
 }
