@@ -95,6 +95,12 @@ gate() {
   if grep -q '^pps-core ' <<< "$sim_deps"; then
     echo "pps-sim depends on pps-core"; exit 1
   fi
+  # The guard hands back a pps-profile edge profile, never simulator
+  # types: superblock formation must not link the simulator.
+  core_deps="$(cargo tree -p pps-core -e normal --offline --prefix none)"
+  if grep -q '^pps-sim ' <<< "$core_deps"; then
+    echo "pps-core depends on pps-sim"; exit 1
+  fi
 }
 
 # boot LOG PORTFILES CMD...: starts a daemon (pps-serve or pps-shard) in

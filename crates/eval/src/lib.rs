@@ -11,8 +11,9 @@
 //! 2. [`compile`] — for `Px4`, guarded inlining of the hottest call sites
 //!    and a retrain on the inlined program; then formation + compaction
 //!    behind the guard, with the training input as the oracle input;
-//! 3. [`run_scheme`] — the two steps above, then a layout run on the
-//!    training input and the measured run on the testing input.
+//! 3. [`run_scheme`] — the two steps above, then a code layout weighted
+//!    by the guard's edge profile of the transformed program on the
+//!    training input, and the measured run on the testing input.
 //!
 //! The crate sits below both `pps-harness` and `pps-serve`: the experiments
 //! reach the runner without going through the daemon.

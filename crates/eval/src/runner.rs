@@ -18,7 +18,7 @@ use pps_profile::{
     EdgeProfile, EdgeProfiler, KPathProfile, KPathProfiler, PathProfile, PathProfiler,
     DEFAULT_PATH_DEPTH,
 };
-use pps_sim::{simulate_obs, Layout, SbDynStats};
+use pps_sim::{from_edge_profile, simulate_obs, Layout, SbDynStats};
 use pps_suite::Benchmark;
 use std::collections::HashMap;
 use std::fmt;
@@ -30,12 +30,14 @@ use std::sync::{Arc, Mutex};
 /// attached so sweep-level reports can say *which* run failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
-    /// An interpreter/simulator run failed (`stage` is `train run`,
-    /// `layout run` or `test run`).
+    /// An interpreter/simulator run failed. `stage` is `train run`,
+    /// `inline retrain run` (`Px4`), `layout run` (the profiling run made
+    /// only when the guard hands back no training-input profile) or
+    /// `test run`.
     Exec {
         /// Benchmark being measured.
         bench: String,
-        /// Which of the three executions failed.
+        /// Which execution failed.
         stage: &'static str,
         /// The underlying interpreter error.
         error: ExecError,
@@ -458,7 +460,14 @@ pub fn compile(
 }
 
 /// Runs the complete methodology for `bench` under `scheme`:
-/// train-profile → [`compile`] → train-layout → measure on test input.
+/// train-profile → [`compile`] → lay out → measure on test input.
+///
+/// The layout weights come from an edge profile of the transformed program
+/// on the training input ([`pps_sim::from_edge_profile`]). That profile is
+/// the guard's own ([`GuardedResult::profile`]) when its first oracle input
+/// is the training input and its last oracle pass ran the shipped program
+/// to completion; otherwise one profiling run makes it. Either way the
+/// transformed program runs on the training input once.
 ///
 /// The formation + compaction step runs inside the pipeline's recovery
 /// boundary ([`guarded_form_and_compact_with`]): in
@@ -476,8 +485,11 @@ pub fn run_scheme(
 
 /// [`run_scheme`] with observability: the whole run executes under a
 /// `run-scheme` span (children: `profile`, the guarded pipeline's
-/// per-procedure spans, `layout`, and the two `simulate` runs), with
-/// metrics and decision events labeled `bench` and `scheme`.
+/// per-procedure spans, a `profile` span with `stage=layout` when the
+/// guard handed back no profile, `layout`, and the one `simulate` run, on
+/// the test input), with metrics and decision events labeled `bench` and
+/// `scheme`. The layout's `sim.*` counters carry `stage=layout`, the test
+/// run's `stage=test`.
 ///
 /// # Errors
 /// As [`run_scheme`].
@@ -544,19 +556,28 @@ pub fn run_scheme_obs(
     let compacted = guarded.compacted;
     let form_stats = guarded.stats;
 
-    // 3. Training-input run over the transformed code for layout weights.
-    let train_out = simulate_obs(
-        &program,
-        &compacted,
-        &config.machine,
-        None,
-        &bench.train_args,
-        &obs.with_label("stage", "layout"),
-    )
-    .map_err(exec_err("layout run"))?;
+    // 3. Layout weights from an edge profile of the transformed code on
+    // the training input: the guard's last oracle pass when it ran exactly
+    // that (`compile` makes the training input the oracle's input 0 unless
+    // the config names other inputs), otherwise one profiling run.
+    let oracle_trains =
+        config.guard.oracle_inputs.first().is_none_or(|args| *args == bench.train_args);
+    let profile = match guarded.profile.filter(|_| oracle_trains) {
+        Some(profile) => profile,
+        None => {
+            let _span = obs.span("profile").arg("stage", "layout");
+            let mut profiler = EdgeProfiler::new(&program);
+            Exec::new(&program, exec_config)
+                .run_traced(&bench.train_args, &mut profiler)
+                .map_err(exec_err("layout run"))?;
+            profiler.finish()
+        }
+    };
     let layout = {
         let _span = obs.span("layout");
-        Layout::build(&program, &compacted, &train_out.transitions, &config.machine)
+        let train =
+            from_edge_profile(&program, &compacted, &profile, &obs.with_label("stage", "layout"));
+        Layout::build(&program, &compacted, &train.transitions, &config.machine)
     };
 
     // 4. Measured run on the testing input.

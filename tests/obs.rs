@@ -187,3 +187,48 @@ fn injected_fault_surfaces_as_incident_metric_and_event() {
         .count();
     assert_eq!(incident_events, injected);
 }
+
+/// Spans named `name` in `obs`'s trace whose `key` argument is `value`.
+fn spans_with_arg(obs: &Obs, name: &str, key: &str, value: &json::Json) -> usize {
+    let doc = json::parse(&obs.export_trace_json().expect("tracing enabled")).unwrap();
+    doc.get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .unwrap()
+        .iter()
+        .filter(|e| {
+            e.get("ph").and_then(|v| v.as_str()) == Some("X")
+                && e.get("name").and_then(|v| v.as_str()) == Some(name)
+                && e.get("args").and_then(|a| a.get(key)) == Some(value)
+        })
+        .count()
+}
+
+#[test]
+fn a_cell_runs_the_transformed_program_once_per_input() {
+    let bench = benchmark_by_name("wc", Scale::quick()).unwrap();
+    let recording = || Obs::recording(ObsConfig { level: Level::Off, trace: true, metrics: true });
+    let layout_stage = json::Json::Str("layout".to_string());
+
+    // Clean: the layout is built from the guard's own oracle pass over
+    // the training input, so the only simulated run is the measured one.
+    let obs = recording();
+    let clean = run_scheme_obs(&bench, Scheme::P4, &RunConfig::paper(), &obs).unwrap();
+    assert!(clean.guard.clean(), "{:?}", clean.guard);
+    assert_eq!(spans_with_arg(&obs, "simulate", "icache", &json::Json::Bool(true)), 1);
+    assert_eq!(spans_with_arg(&obs, "simulate", "icache", &json::Json::Bool(false)), 0);
+    assert_eq!(spans_with_arg(&obs, "profile", "stage", &layout_stage), 0);
+
+    // An oracle on the test input profiles the wrong run, so the cell
+    // makes its own profiling run of the training input, and measures
+    // exactly the same.
+    assert_ne!(bench.test_args, bench.train_args);
+    let mut config = RunConfig::paper();
+    config.guard.oracle_inputs = vec![bench.test_args.clone()];
+    let obs = recording();
+    let fallback = run_scheme_obs(&bench, Scheme::P4, &config, &obs).unwrap();
+    assert!(fallback.guard.clean(), "{:?}", fallback.guard);
+    assert_eq!(spans_with_arg(&obs, "profile", "stage", &layout_stage), 1);
+    assert_eq!(spans_with_arg(&obs, "simulate", "icache", &json::Json::Bool(false)), 0);
+    assert_eq!(fallback.cycles, clean.cycles);
+    assert_eq!(fallback.cycles_icache, clean.cycles_icache);
+}
