@@ -10,6 +10,11 @@
 #                             invalid --trace-out/--metrics-out JSON
 #   ./ci.sh parallel-harness  same experiment at --jobs 1 and --jobs 2;
 #                             fails if tables or metrics differ by a byte
+#   ./ci.sh profile-io        saved profiles: table1 (basic-block cells
+#                             read no profile) runs from an empty
+#                             --profile-in directory; fig4 on wc saved with
+#                             --profile-out and reloaded with --profile-in
+#                             gives byte-identical tables and metrics
 #   ./ci.sh serve-smoke       start the pps-serve daemon on an ephemeral
 #                             port, drive it with `pps-client loadgen`
 #                             (concurrent requests verified byte-identical
@@ -150,6 +155,27 @@ parallel_harness() {
     || { echo "tables differ between --jobs 1 and --jobs 2"; exit 1; }
   diff -u "$out/metrics-j1.json" "$out/metrics-j2.json" \
     || { echo "metrics differ between --jobs 1 and --jobs 2"; exit 1; }
+  rm -rf "$out"
+}
+
+profile_io() {
+  echo "== profile io =="
+  out="$(mktemp -d)"
+  cargo build --release -p pps-harness
+  harness=./target/release/pps-harness
+  mkdir "$out/empty"
+  "$harness" --experiment table1 --scale 1 --mode strict \
+    --profile-in "$out/empty" --log-level warn > "$out/table1.txt" \
+    || { echo "table1 needed a saved profile"; exit 1; }
+  for pass in out in; do
+    "$harness" --experiment fig4 --bench wc --scale 1 --mode strict \
+      --"profile-$pass" "$out/saved" --metrics-out "$out/metrics-$pass.json" \
+      --log-level warn > "$out/tables-$pass.txt"
+  done
+  diff -u "$out/tables-out.txt" "$out/tables-in.txt" \
+    || { echo "tables differ between --profile-out and --profile-in"; exit 1; }
+  diff -u "$out/metrics-out.json" "$out/metrics-in.json" \
+    || { echo "metrics differ between --profile-out and --profile-in"; exit 1; }
   rm -rf "$out"
 }
 
@@ -500,6 +526,7 @@ case "$stage" in
   gate) gate ;;
   obs-smoke) obs_smoke ;;
   parallel-harness) parallel_harness ;;
+  profile-io) profile_io ;;
   serve-smoke) serve_smoke ;;
   drift-smoke) drift_smoke ;;
   shard-smoke) shard_smoke ;;
@@ -511,6 +538,7 @@ case "$stage" in
     gate
     obs_smoke
     parallel_harness
+    profile_io
     interp_diff
     interp_bench
     kpath_smoke
@@ -520,7 +548,7 @@ case "$stage" in
     telemetry_smoke
     ;;
   *)
-    echo "usage: ./ci.sh [gate|obs-smoke|parallel-harness|interp-diff|interp-bench|kpath-smoke|serve-smoke|drift-smoke|shard-smoke|telemetry-smoke|all]" >&2
+    echo "usage: ./ci.sh [gate|obs-smoke|parallel-harness|profile-io|interp-diff|interp-bench|kpath-smoke|serve-smoke|drift-smoke|shard-smoke|telemetry-smoke|all]" >&2
     exit 2
     ;;
 esac

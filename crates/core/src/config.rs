@@ -121,6 +121,12 @@ impl Scheme {
         None
     }
 
+    /// True when this scheme reads a training profile at all: every scheme
+    /// but `BB`, whose basic-block schedule is the same whatever ran.
+    pub fn needs_profile(&self) -> bool {
+        !matches!(self, Scheme::BasicBlock)
+    }
+
     /// True when this scheme consumes a path profile (for the `Pk*` and
     /// `Px*` schemes, one derived from the k-iteration / post-inline
     /// training run).
@@ -234,6 +240,10 @@ mod tests {
         assert!(!Scheme::BasicBlock.needs_path_profile());
         assert_eq!(Scheme::PK2.kpath_k(), Some(2));
         assert_eq!(Scheme::PX4.kpath_k(), None);
+        for scheme in Scheme::FAMILY {
+            assert_eq!(scheme.needs_profile(), scheme != Scheme::BasicBlock, "{}", scheme.name());
+            assert!(scheme.needs_profile() || !scheme.needs_path_profile(), "{}", scheme.name());
+        }
     }
 
     #[test]

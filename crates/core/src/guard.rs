@@ -42,11 +42,13 @@ use pps_compact::{
     SuperblockSpec,
 };
 use pps_ir::analysis::Cfg;
+use pps_ir::hash::program_hash;
 use pps_ir::interp::{BoundedRun, ExecConfig, ExecError};
 use pps_ir::verify::{verify_program, VerifyError};
 use pps_ir::{AnalysisCache, Exec, Proc, ProcId, Program};
 use pps_obs::{ArgValue, Level, Obs};
 use pps_profile::{EdgeProfile, EdgeProfiler, PathProfile};
+use std::borrow::Cow;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -216,6 +218,81 @@ impl Default for GuardConfig {
     }
 }
 
+/// The untransformed program's bounded behaviour on a list of oracle
+/// inputs: the ground truth the guard's differential oracle and the
+/// inliner's compare against, keyed by what determines it.
+///
+/// A program's baseline depends only on the program, the inputs and the
+/// step budget, so one computed ahead of time can serve every guarded run
+/// of the same program (every scheme of a benchmark). Consumers check the
+/// key with [`OracleBaseline::matches`] and compute their own on a
+/// mismatch: a baseline of another program would let the oracle judge the
+/// transformed code against the wrong behaviour.
+#[derive(Clone, PartialEq, Eq)]
+pub struct OracleBaseline {
+    program_hash: u64,
+    inputs: Vec<Vec<i64>>,
+    step_budget: u64,
+    runs: Vec<Result<BoundedRun, ExecError>>,
+}
+
+impl OracleBaseline {
+    /// Runs `program` on each of `inputs` under `step_budget` instructions
+    /// (longer runs stop early and are compared on output prefixes).
+    pub fn compute(program: &Program, inputs: &[Vec<i64>], step_budget: u64) -> Self {
+        let config = ExecConfig { max_instrs: step_budget, ..ExecConfig::default() };
+        let exec = Exec::new(program, config);
+        OracleBaseline {
+            program_hash: program_hash(program),
+            inputs: inputs.to_vec(),
+            step_budget,
+            runs: inputs.iter().map(|args| exec.run_bounded(args)).collect(),
+        }
+    }
+
+    /// True when this is `program`'s baseline on exactly `inputs` under
+    /// `step_budget` (structural program hash, inputs in order, budget).
+    pub fn matches(&self, program: &Program, inputs: &[Vec<i64>], step_budget: u64) -> bool {
+        self.step_budget == step_budget
+            && self.inputs == inputs
+            && self.program_hash == program_hash(program)
+    }
+
+    /// One bounded run per input, in input order.
+    pub fn runs(&self) -> &[Result<BoundedRun, ExecError>] {
+        &self.runs
+    }
+
+    /// `baseline` when it matches, else `program`'s own, computed under
+    /// an `oracle-baseline` span.
+    pub(crate) fn reuse_or_compute<'a>(
+        baseline: Option<&'a OracleBaseline>,
+        program: &Program,
+        inputs: &[Vec<i64>],
+        step_budget: u64,
+        obs: &Obs,
+    ) -> Cow<'a, OracleBaseline> {
+        match baseline.filter(|b| b.matches(program, inputs, step_budget)) {
+            Some(b) => Cow::Borrowed(b),
+            None => {
+                let _span = obs.span("oracle-baseline").arg("inputs", inputs.len());
+                Cow::Owned(OracleBaseline::compute(program, inputs, step_budget))
+            }
+        }
+    }
+}
+
+/// Prints the key only: the runs carry whole memory images.
+impl fmt::Debug for OracleBaseline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OracleBaseline")
+            .field("program_hash", &format_args!("{:016x}", self.program_hash))
+            .field("inputs", &self.inputs.len())
+            .field("step_budget", &self.step_budget)
+            .finish()
+    }
+}
+
 /// Which pass an incident was detected in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
@@ -359,13 +436,21 @@ pub fn guarded_form_and_compact(
         form_config,
         compact_config,
         guard,
+        None,
         &Obs::noop(),
         None,
     )
 }
 
-/// [`guarded_form_and_compact`] with observability and an optional
-/// post-pass hook.
+/// [`guarded_form_and_compact`] with a shared oracle baseline,
+/// observability and an optional post-pass hook.
+///
+/// `baseline` stands in for the guard's own bounded runs of the
+/// untransformed program when it [matches](OracleBaseline::matches)
+/// `program`, `guard.oracle_inputs` and `guard.step_budget`; otherwise (or
+/// when `None`) the guard computes its own under an `oracle-baseline` span,
+/// as a mismatched baseline would judge the wrong program. Either way the
+/// result is the same.
 ///
 /// `obs` receives per-procedure `schedule-proc` spans (with `form` /
 /// `compact` / `guard-verify` children), one `oracle` span per settle (with
@@ -394,6 +479,7 @@ pub fn guarded_form_and_compact_with(
     form_config: &FormConfig,
     compact_config: &CompactConfig,
     guard: &GuardConfig,
+    baseline: Option<&OracleBaseline>,
     obs: &Obs,
     post_pass: Option<&mut PostPass<'_>>,
 ) -> Result<GuardedResult, PipelineError> {
@@ -402,7 +488,17 @@ pub fn guarded_form_and_compact_with(
         None => (&mut |_, _| {}, Settle::Deferred),
     };
     guarded_impl(
-        program, edge, path, scheme, form_config, compact_config, guard, obs, post_pass, settle,
+        program,
+        edge,
+        path,
+        scheme,
+        form_config,
+        compact_config,
+        guard,
+        baseline,
+        obs,
+        post_pass,
+        settle,
     )
 }
 
@@ -431,6 +527,7 @@ fn guarded_impl(
     form_config: &FormConfig,
     compact_config: &CompactConfig,
     guard: &GuardConfig,
+    baseline: Option<&OracleBaseline>,
     obs: &Obs,
     post_pass: &mut PostPass<'_>,
     settle: Settle,
@@ -439,7 +536,7 @@ fn guarded_impl(
         return Err(PipelineError::MissingPathProfile { scheme: scheme.name() });
     }
 
-    let mut run = GuardRun::new(program, guard, compact_config, obs);
+    let mut run = GuardRun::new(program, guard, baseline, compact_config, obs);
     for pi in 0..program.procs.len() {
         let pid = ProcId::new(pi as u32);
         let name = program.proc(pid).name.clone();
@@ -497,8 +594,9 @@ struct GuardRun<'a> {
     guard: &'a GuardConfig,
     compact_config: &'a CompactConfig,
     obs: &'a Obs,
-    /// The untransformed program's behaviour, one run per oracle input.
-    baselines: Vec<Result<BoundedRun, ExecError>>,
+    /// The untransformed program's behaviour, one run per oracle input:
+    /// the caller's shared baseline when it matches, else the guard's own.
+    baseline: Cow<'a, OracleBaseline>,
     /// Decoded-stream cache for the oracle runs: between runs only the
     /// procedures that changed have new generations, so only they
     /// re-decode.
@@ -523,24 +621,23 @@ impl<'a> GuardRun<'a> {
     fn new(
         program: &Program,
         guard: &'a GuardConfig,
+        baseline: Option<&'a OracleBaseline>,
         compact_config: &'a CompactConfig,
         obs: &'a Obs,
     ) -> Self {
-        let baseline_config = ExecConfig {
-            max_instrs: guard.step_budget,
-            ..ExecConfig::default()
-        };
-        let baselines = {
-            let _span = obs.span("oracle-baseline").arg("inputs", guard.oracle_inputs.len());
-            let exec = Exec::new(program, baseline_config);
-            guard.oracle_inputs.iter().map(|args| exec.run_bounded(args)).collect()
-        };
+        let baseline = OracleBaseline::reuse_or_compute(
+            baseline,
+            program,
+            &guard.oracle_inputs,
+            guard.step_budget,
+            obs,
+        );
         let n = program.procs.len();
         GuardRun {
             guard,
             compact_config,
             obs,
-            baselines,
+            baseline,
             oracle_cache: AnalysisCache::new(),
             profile: None,
             pending: Vec::new(),
@@ -571,7 +668,7 @@ impl<'a> GuardRun<'a> {
         let mut profiler = EdgeProfiler::new(program);
         let mut profiled = false;
         let exec = Exec::new_cached(program, config, &mut self.oracle_cache);
-        for (input_index, baseline) in self.baselines.iter().enumerate() {
+        for (input_index, baseline) in self.baseline.runs().iter().enumerate() {
             let args = &self.guard.oracle_inputs[input_index];
             let run = if input_index == 0 {
                 let run = exec.run_bounded_traced(args, &mut profiler);
@@ -608,7 +705,7 @@ impl<'a> GuardRun<'a> {
         let _span = self
             .obs
             .span("oracle")
-            .arg("inputs", self.baselines.len())
+            .arg("inputs", self.baseline.runs().len())
             .arg("procs", pending.len());
         match self.oracle(program, &pending[pending.len() - 1].name) {
             Ok(()) => {
@@ -1051,6 +1148,7 @@ mod tests {
             &FormConfig::default(),
             &CompactConfig::default(),
             &test_guard(GuardMode::Degrade),
+            None,
             &Obs::noop(),
             Some(&mut |prog, pid| {
                 if let Some(r) = injector.inject_effective(prog, pid, &inputs, 500_000, 32) {
@@ -1093,6 +1191,7 @@ mod tests {
             &FormConfig::default(),
             &CompactConfig::default(),
             &test_guard(GuardMode::Strict),
+            None,
             &Obs::noop(),
             Some(&mut |prog, pid| {
                 let _ = injector.inject_effective(prog, pid, &inputs, 500_000, 32);
@@ -1153,6 +1252,7 @@ mod tests {
             &FormConfig::default(),
             &CompactConfig::default(),
             &test_guard(mode),
+            None,
             obs,
             hook,
             settle,
@@ -1248,6 +1348,7 @@ mod tests {
             &form,
             &compact,
             &guard,
+            None,
             &obs,
             None,
         )
@@ -1266,12 +1367,55 @@ mod tests {
             &form,
             &compact,
             &guard,
+            None,
             &obs,
             Some(&mut |_, _| {}),
         )
         .unwrap();
         assert_eq!(span_count(&obs, "oracle"), base.procs.len());
         assert_eq!(span_count(&obs, "oracle-replay"), 0);
+    }
+
+    #[test]
+    fn shared_baseline_is_used_only_when_its_key_matches() {
+        let base = workload();
+        let (ep, pp) = profiles(&base, 150);
+        let guard = test_guard(GuardMode::Strict);
+        let (inputs, budget) = (&guard.oracle_inputs, guard.step_budget);
+        let mut other = base.clone();
+        miscompile(&mut other, ProcId::new(0));
+        // (baseline, baselines the guard runs itself): only its own
+        // program's, on the same inputs and budget, is used. The others
+        // would reject the clean compile if the guard trusted them.
+        let cases = [
+            (None, 1),
+            (Some(OracleBaseline::compute(&base, inputs, budget)), 0),
+            (Some(OracleBaseline::compute(&other, inputs, budget)), 1),
+            (Some(OracleBaseline::compute(&base, &inputs[..1], budget)), 1),
+            (Some(OracleBaseline::compute(&base, inputs, budget * 2)), 1),
+        ];
+        let mut shipped = Vec::new();
+        for (baseline, own_runs) in &cases {
+            let obs = recording();
+            let mut program = base.clone();
+            let result = guarded_form_and_compact_with(
+                &mut program,
+                &ep,
+                Some(&pp),
+                Scheme::P4,
+                &FormConfig::default(),
+                &CompactConfig::default(),
+                &guard,
+                baseline.as_ref(),
+                &obs,
+                None,
+            )
+            .unwrap();
+            assert!(result.report.clean(), "{baseline:?}");
+            assert_eq!(span_count(&obs, "oracle-baseline"), *own_runs, "{baseline:?}");
+            shipped.push((print_program(&program), format!("{:?}", result.partition), result.profile));
+        }
+        assert!(shipped.iter().all(|s| *s == shipped[0]));
     }
 
     /// A fresh edge profile of `p` on `args`.

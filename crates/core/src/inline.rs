@@ -15,11 +15,12 @@
 //! blocks, so `Px4` re-trains its edge/path pair *after* this phase — the
 //! two-phase flow lives in the serve runner.
 
-use crate::guard::oracle_check;
+use crate::guard::{oracle_check, OracleBaseline};
 use pps_ir::inline::{call_sites, inline_call, REG_FILE_CAP};
 use pps_ir::interp::ExecConfig;
 use pps_ir::verify::verify_program;
 use pps_ir::{BlockId, Exec, ProcId, Program};
+use pps_obs::Obs;
 use pps_profile::EdgeProfile;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -93,6 +94,19 @@ pub fn inline_hot_calls(
     edge: &EdgeProfile,
     config: &InlineConfig,
 ) -> InlineOutcome {
+    inline_hot_calls_with(program, edge, config, None)
+}
+
+/// [`inline_hot_calls`] with a shared pre-inline oracle baseline. It is
+/// used only when it [matches](OracleBaseline::matches) `program`,
+/// [`InlineConfig::oracle_inputs`] and [`InlineConfig::step_budget`];
+/// otherwise the inliner runs its own, with the same outcome.
+pub fn inline_hot_calls_with(
+    program: &mut Program,
+    edge: &EdgeProfile,
+    config: &InlineConfig,
+    baseline: Option<&OracleBaseline>,
+) -> InlineOutcome {
     let mut outcome = InlineOutcome::default();
 
     // Rank every call site in the program.
@@ -136,11 +150,13 @@ pub fn inline_hot_calls(
     }
 
     // Oracle ground truth: the pre-inline program's bounded behaviour.
-    let baseline_config = ExecConfig { max_instrs: config.step_budget, ..ExecConfig::default() };
-    let baselines: Vec<_> = {
-        let exec = Exec::new(program, baseline_config);
-        config.oracle_inputs.iter().map(|args| exec.run_bounded(args)).collect()
-    };
+    let baseline = OracleBaseline::reuse_or_compute(
+        baseline,
+        program,
+        &config.oracle_inputs,
+        config.step_budget,
+        &Obs::noop(),
+    );
     let checked_config = ExecConfig {
         max_instrs: config.step_budget.saturating_mul(8),
         ..ExecConfig::default()
@@ -171,7 +187,7 @@ pub fn inline_hot_calls(
                 verify_program(program).is_ok() && {
                     let exec = Exec::new(program, checked_config);
                     let name = &program.proc(caller).name;
-                    baselines.iter().zip(&config.oracle_inputs).enumerate().all(
+                    baseline.runs().iter().zip(&config.oracle_inputs).enumerate().all(
                         |(input_index, (want, args))| {
                             oracle_check(name, input_index, want, &exec.run_bounded(args))
                                 .is_none()

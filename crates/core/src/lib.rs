@@ -48,10 +48,12 @@ mod unit;
 
 pub use config::{FormConfig, Scheme};
 pub use hash::{machine_hash, ArtifactKey};
-pub use inline::{inline_hot_calls, InlineConfig, InlineOutcome, InlinedSite};
+pub use inline::{
+    inline_hot_calls, inline_hot_calls_with, InlineConfig, InlineOutcome, InlinedSite,
+};
 pub use guard::{
     guarded_form_and_compact, guarded_form_and_compact_with, GuardConfig, GuardMode, GuardReport,
-    GuardedResult, Incident, Pass, PipelineError,
+    GuardedResult, Incident, OracleBaseline, Pass, PipelineError,
 };
 pub use pipeline::{form_and_compact, form_program, FormStats, FormedProgram};
 pub use swap::{SwapOutcome, SwapSlot};

@@ -6,14 +6,16 @@ use pps_compact::CompactConfig;
 use pps_core::guard::PostPass;
 use pps_core::{
     guarded_form_and_compact_with, FormConfig, FormStats, GuardConfig, GuardReport,
-    GuardedResult, InlineOutcome, PipelineError, Scheme,
+    GuardedResult, InlineOutcome, OracleBaseline, PipelineError, Scheme,
 };
 use pps_ir::interp::{DynCounts, ExecConfig, ExecError, Interp};
 use pps_ir::trace::TeeSink;
 use pps_ir::{Exec, FaultInjector, ProcId, Program};
 use pps_machine::MachineConfig;
 use pps_obs::Obs;
-use pps_profile::serialize::{edge_from_text, edge_to_text, path_from_text, path_to_text};
+use pps_profile::serialize::{
+    edge_from_text, edge_to_text, path_from_text, path_to_text_with_stats,
+};
 use pps_profile::{
     EdgeProfile, EdgeProfiler, KPathProfile, KPathProfiler, PathProfile, PathProfiler,
     DEFAULT_PATH_DEPTH,
@@ -104,11 +106,12 @@ pub struct RunConfig {
     /// the `pps_profile::serialize` text formats). When set, the training
     /// run is skipped and profiles are loaded instead; a missing pair is an
     /// error unless [`RunConfig::profile_out`] also points somewhere (then
-    /// the run falls back to training and saves — cache semantics).
+    /// the run falls back to training and saves — cache semantics). Only
+    /// schemes that read a profile ([`Scheme::needs_profile`]) look here.
     pub profile_in: Option<String>,
     /// Directory to save freshly collected profiles into (atomic
     /// write-then-rename, so concurrent cells of the same benchmark never
-    /// tear a file).
+    /// tear a file). Schemes that read no profile save none.
     pub profile_out: Option<String>,
     /// An already-collected profile pair to compile against, skipping both
     /// the training run and any [`RunConfig::profile_in`] lookup. The serve
@@ -116,6 +119,12 @@ pub struct RunConfig {
     /// aggregate, and still hand the *same object* to the pipeline — so
     /// metrics stay byte-identical to the train-inline path.
     pub preloaded: Option<std::sync::Arc<(EdgeProfile, PathProfile)>>,
+    /// The benchmark's bounded oracle baseline, shared by every scheme
+    /// compiled from it ([`ProfileCache::fill`] attaches it). The guard
+    /// and the `Px4` inliner use it only when its key matches the program
+    /// and inputs they check, and otherwise run their own; results are the
+    /// same either way.
+    pub baseline: Option<Arc<OracleBaseline>>,
 }
 
 impl RunConfig {
@@ -173,7 +182,7 @@ fn save_profiles(
     static NONCE: AtomicU64 = AtomicU64::new(0);
     std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     let (ep, pp) = profile_paths(dir, bench, suffix);
-    for (dest, text) in [(ep, edge_to_text(edge)), (pp, path_to_text(path))] {
+    for (dest, text) in [(ep, edge_to_text(edge)), (pp, path_to_text_with_stats(path))] {
         let tmp = format!(
             "{dest}.tmp.{}.{}",
             std::process::id(),
@@ -199,6 +208,16 @@ pub struct Trained {
 }
 
 impl Trained {
+    /// Empty profiles: what a scheme that reads none (`BB`) compiles
+    /// against, with no training run.
+    pub fn empty() -> Trained {
+        Trained {
+            edge: EdgeProfile::default(),
+            path: PathProfile::from_windows(DEFAULT_PATH_DEPTH, Vec::new()),
+            kpath: None,
+        }
+    }
+
     /// The `(edge, path)` pair formation consumes.
     pub fn into_pair(self) -> (EdgeProfile, PathProfile) {
         (self.edge, self.path)
@@ -253,22 +272,25 @@ fn train_bench(bench: &Benchmark, scheme: Scheme, depth: usize) -> Result<Traine
 
 /// Cross-run training cache: one trained `(edge, path)` profile pair per
 /// `(benchmark, depth, profile kind)`, where the kind is the standard
-/// forward profiler or a k-iteration derivation (`Pk*` schemes).
+/// forward profiler or a k-iteration derivation (`Pk*` schemes), and one
+/// bounded [`OracleBaseline`] per `(benchmark, oracle inputs, step budget)`.
 ///
 /// A profile pair depends only on the benchmark's program, its training
 /// input, the path depth, and — for k-iteration pairs — k; not on machine
 /// model, guard mode, or fault seed (faults are injected after profiling).
+/// A baseline depends only on the program, the inputs and the budget.
 /// Sweeps that fan one benchmark out across many schemes can therefore
-/// train once per kind and compile many times against the *same* profile
-/// objects; the profilers are deterministic, so results are byte-identical
-/// to retraining per cell.
+/// train and run the baseline once, and compile many times against the
+/// *same* objects; the profilers and the interpreter are deterministic, so
+/// results are byte-identical to recomputing per cell.
 ///
 /// Clones share the cache. The cache is thread-safe; when parallel workers
-/// race on an untrained benchmark, both train (outside the lock) and the
-/// first insert wins — either pair is the same value.
+/// race on a missing entry, one computes it while the others wait for it,
+/// so each entry is computed once.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileCache {
-    inner: Arc<Mutex<HashMap<ProfileKey, ProfilePair>>>,
+    pairs: Arc<Mutex<HashMap<ProfileKey, Slot<ProfilePair>>>>,
+    baselines: Arc<Mutex<HashMap<BaselineKey, Slot<Arc<OracleBaseline>>>>>,
 }
 
 /// Cache key: `(benchmark name, path depth, k-iteration bound)` — `None`
@@ -276,15 +298,43 @@ pub struct ProfileCache {
 type ProfileKey = (String, usize, Option<u32>);
 /// Shared, immutable trained profile pair.
 type ProfilePair = Arc<(EdgeProfile, PathProfile)>;
+/// Baseline key: `(benchmark name, oracle inputs, step budget)`.
+type BaselineKey = (String, Vec<Vec<i64>>, u64);
+/// One cache entry, locked on its own while it is computed.
+type Slot<V> = Arc<Mutex<Option<V>>>;
+
+/// The entry of `map` under `key`, computed by `make` on a miss. Only the
+/// entry stays locked while `make` runs: a worker wanting the same entry
+/// waits for it, one wanting another entry does not. A failed `make`
+/// leaves the entry empty.
+fn get_or_insert<K: std::hash::Hash + Eq, V: Clone, E>(
+    map: &Mutex<HashMap<K, Slot<V>>>,
+    key: K,
+    make: impl FnOnce() -> Result<V, E>,
+) -> Result<V, E> {
+    let slot = map.lock().expect("profile cache lock").entry(key).or_default().clone();
+    let mut entry = slot.lock().expect("profile cache entry lock");
+    if let Some(v) = &*entry {
+        return Ok(v.clone());
+    }
+    let v = make()?;
+    *entry = Some(v.clone());
+    Ok(v)
+}
 
 impl ProfileCache {
-    /// Returns `config` with [`RunConfig::preloaded`] filled from the
-    /// cache, training `bench` now on a miss. `scheme` selects the profile
-    /// kind: `Pk*` schemes get a pair whose path profile is derived from a
-    /// k-iteration training run (cached under a distinct key so standard
-    /// and k-iteration pairs never alias). Configs that already carry a
-    /// profile source (`preloaded`, `profile_in`) or want profiles saved
-    /// (`profile_out`) pass through untouched.
+    /// Returns `config` with [`RunConfig::baseline`] and
+    /// [`RunConfig::preloaded`] filled from the cache, computing either on
+    /// a miss under `obs` (an `oracle-baseline` span; a `profile` span
+    /// with `stage=train`, and `k` for `Pk*`).
+    ///
+    /// Every scheme and profile source gets the baseline: the guard's, on
+    /// the oracle inputs [`compile`] will use. Only schemes that read a
+    /// profile ([`Scheme::needs_profile`]) get a pair, and only when the
+    /// config carries no profile source of its own (`preloaded`,
+    /// `profile_in`) and wants none saved (`profile_out`). `Pk*` schemes
+    /// get a pair whose path profile is derived from a k-iteration training
+    /// run, cached under a distinct key so the two kinds never alias.
     ///
     /// # Errors
     /// [`RunError::Exec`] when the training run fails.
@@ -293,27 +343,44 @@ impl ProfileCache {
         bench: &Benchmark,
         scheme: Scheme,
         config: &RunConfig,
+        obs: &Obs,
     ) -> Result<RunConfig, RunError> {
-        if config.preloaded.is_some() || config.profile_in.is_some() || config.profile_out.is_some()
-        {
-            return Ok(config.clone());
+        let mut filled = config.clone();
+        if filled.baseline.is_none() {
+            let inputs = oracle_inputs(bench, config);
+            let budget = config.guard.step_budget;
+            let key = (bench.name.to_string(), inputs.clone(), budget);
+            filled.baseline = Some(
+                get_or_insert(&self.baselines, key, || {
+                    let _span = obs
+                        .span("oracle-baseline")
+                        .arg("bench", bench.name)
+                        .arg("inputs", inputs.len());
+                    Ok::<_, RunError>(Arc::new(OracleBaseline::compute(
+                        &bench.program,
+                        &inputs,
+                        budget,
+                    )))
+                })?,
+            );
         }
-        let depth = config.path_depth.unwrap_or(DEFAULT_PATH_DEPTH);
-        let key = (bench.name.to_string(), depth, scheme.kpath_k());
-        let cached = self.inner.lock().expect("profile cache lock").get(&key).cloned();
-        let pair = match cached {
-            Some(pair) => pair,
-            None => {
-                let trained = Arc::new(train_bench(bench, scheme, depth)?.into_pair());
-                self.inner
-                    .lock()
-                    .expect("profile cache lock")
-                    .entry(key)
-                    .or_insert_with(|| trained.clone())
-                    .clone()
-            }
-        };
-        Ok(RunConfig { preloaded: Some(pair), ..config.clone() })
+        let sourced = config.preloaded.is_some()
+            || config.profile_in.is_some()
+            || config.profile_out.is_some();
+        if scheme.needs_profile() && !sourced {
+            let depth = config.path_depth.unwrap_or(DEFAULT_PATH_DEPTH);
+            let key = (bench.name.to_string(), depth, scheme.kpath_k());
+            filled.preloaded = Some(get_or_insert(&self.pairs, key, || {
+                let mut span = obs.span("profile").arg("stage", "train").arg("bench", bench.name);
+                if let Some(k) = scheme.kpath_k() {
+                    span = span.arg("k", k);
+                }
+                let pair = Arc::new(train_bench(bench, scheme, depth)?.into_pair());
+                drop(span);
+                Ok(pair)
+            })?);
+        }
+        Ok(filled)
     }
 }
 
@@ -322,6 +389,16 @@ impl ProfileCache {
 /// [`pps_core::hash`].
 fn fnv1a(bytes: &[u8]) -> u64 {
     pps_core::hash::fnv1a64(bytes)
+}
+
+/// The guard's oracle inputs for `bench` under `config`: the configured
+/// ones, or the training input when none are.
+fn oracle_inputs(bench: &Benchmark, config: &RunConfig) -> Vec<Vec<i64>> {
+    if config.guard.oracle_inputs.is_empty() {
+        vec![bench.train_args.clone()]
+    } else {
+        config.guard.oracle_inputs.clone()
+    }
 }
 
 /// The measured result of one benchmark × scheme run.
@@ -369,8 +446,8 @@ pub struct Compiled {
 /// `pps-explore` share:
 ///
 /// 1. **Inline** (`Px4` only): guarded inlining of the hottest call sites
-///    ([`pps_core::inline_hot_calls`], training input as the oracle input),
-///    then a retrain of both profilers on the inlined program — the
+///    ([`pps_core::inline_hot_calls_with`], training input as the oracle
+///    input), then a retrain of both profilers on the inlined program — the
 ///    profiles the pipeline consumes must describe the blocks formation
 ///    will actually see.
 /// 2. **Form + compact** inside the recovery boundary
@@ -381,8 +458,14 @@ pub struct Compiled {
 ///    [`RunConfig::fault_seed`] set, a fault injector corrupts each
 ///    procedure after its passes (the guard's post-pass seam).
 ///
-/// Records `inline.*` counters and the consumed profiles' metrics into
-/// `obs`, under `inline` and `profile` (`stage=retrain`) spans.
+/// [`RunConfig::baseline`] goes to the inliner and the guard, which each
+/// use it only when it is the baseline of the program they check: a `Px4`
+/// program the inliner changed is no longer the benchmark's, so its guard
+/// runs its own. A scheme that reads no profile (`BB`) may be handed empty
+/// profiles.
+///
+/// Records `inline.*` counters and the consumed profiles' metrics (none for
+/// `BB`) into `obs`, under `inline` and `profile` (`stage=retrain`) spans.
 ///
 /// # Errors
 /// [`RunError::Exec`] when the retrain run fails; [`RunError::Pipeline`]
@@ -396,6 +479,7 @@ pub fn compile(
     obs: &Obs,
 ) -> Result<Compiled, RunError> {
     let mut program = bench.program.clone();
+    let baseline = config.baseline.as_deref();
     let mut inline = None;
     let mut retrained = None;
     if matches!(scheme, Scheme::Inter { .. }) {
@@ -405,7 +489,8 @@ pub fn compile(
             step_budget: config.guard.step_budget,
             ..pps_core::InlineConfig::default()
         };
-        let outcome = pps_core::inline_hot_calls(&mut program, edge, &inline_config);
+        let outcome =
+            pps_core::inline_hot_calls_with(&mut program, edge, &inline_config, baseline);
         if obs.is_recording() {
             obs.counter("inline.sites", outcome.inlined.len() as u64);
             obs.counter("inline.rolled_back", outcome.rolled_back as u64);
@@ -421,19 +506,19 @@ pub fn compile(
         }
         inline = Some(outcome);
     }
-    let (edge, path) = match &retrained {
-        Some(t) => (&t.edge, &t.path),
-        None => (edge, path),
+    let (edge, path, baseline) = match &retrained {
+        Some(t) => (&t.edge, &t.path, None),
+        None => (edge, path, baseline),
     };
-    edge.record_metrics(obs);
-    path.record_metrics(obs);
+    if scheme.needs_profile() {
+        edge.record_metrics(obs);
+        path.record_metrics(obs);
+    }
 
     let mut compact_config = config.compact;
     compact_config.machine = config.machine;
     let mut guard = config.guard.clone();
-    if guard.oracle_inputs.is_empty() {
-        guard.oracle_inputs = vec![bench.train_args.clone()];
-    }
+    guard.oracle_inputs = oracle_inputs(bench, config);
     let mut inject = config.fault_seed.map(|seed| {
         // Seeded per (seed, benchmark) only — never per worker or run
         // order — so fault routing is identical at any job count.
@@ -452,11 +537,57 @@ pub fn compile(
         &config.form,
         &compact_config,
         &guard,
+        baseline,
         obs,
         inject.as_mut().map(|f| f as &mut PostPass<'_>),
     )
     .map_err(|error| RunError::Pipeline { bench: bench.name.to_string(), error })?;
     Ok(Compiled { program, inline, guarded })
+}
+
+/// The profile pair `scheme` compiles against, under a `profile` span:
+/// [`RunConfig::preloaded`], else a pair loaded from
+/// [`RunConfig::profile_in`], else a training run (saved to
+/// [`RunConfig::profile_out`] when set).
+fn profile_pair(
+    bench: &Benchmark,
+    scheme: Scheme,
+    config: &RunConfig,
+    obs: &Obs,
+) -> Result<Arc<(EdgeProfile, PathProfile)>, RunError> {
+    let depth = config.path_depth.unwrap_or(DEFAULT_PATH_DEPTH);
+    let _span = obs.span("profile").arg("depth", depth);
+    let profile_err =
+        |message: String| RunError::Profile { bench: bench.name.to_string(), message };
+    // k-iteration schemes train a different profile kind (the path
+    // profile is derived from chopped k-paths); their saved pairs live
+    // under `.pk{k}` names so the two kinds never alias on disk. The
+    // preloaded seam is the caller's responsibility — the ProfileCache
+    // and the serve daemon both key on the scheme.
+    let suffix = scheme.kpath_k().map(|k| format!(".pk{k}")).unwrap_or_default();
+    if let Some(pair) = &config.preloaded {
+        return Ok(pair.clone());
+    }
+    if let Some(dir) = &config.profile_in {
+        match load_profiles(dir, bench.name, &suffix, depth).map_err(&profile_err)? {
+            Some(pair) => return Ok(Arc::new(pair)),
+            // With an output directory the missing pair is a cache miss:
+            // train below and save. Without one it is a user error.
+            None if config.profile_out.is_some() => {}
+            None => {
+                return Err(profile_err(format!(
+                    "no saved profile in {dir} (expected {name}{suffix}.edgeprof and \
+                     {name}{suffix}.pathprof); run with --profile-out first",
+                    name = bench.name
+                )))
+            }
+        }
+    }
+    let pair = train_bench(bench, scheme, depth)?.into_pair();
+    if let Some(dir) = &config.profile_out {
+        save_profiles(dir, bench.name, &suffix, &pair.0, &pair.1).map_err(&profile_err)?;
+    }
+    Ok(Arc::new(pair))
 }
 
 /// Runs the complete methodology for `bench` under `scheme`:
@@ -484,7 +615,8 @@ pub fn run_scheme(
 }
 
 /// [`run_scheme`] with observability: the whole run executes under a
-/// `run-scheme` span (children: `profile`, the guarded pipeline's
+/// `run-scheme` span (children: `profile` unless the scheme reads no
+/// profile, the guarded pipeline's
 /// per-procedure spans, a `profile` span with `stage=layout` when the
 /// guard handed back no profile, `layout`, and the one `simulate` run, on
 /// the test input), with metrics and decision events labeled `bench` and
@@ -509,47 +641,15 @@ pub fn run_scheme_obs(
         move |error: ExecError| RunError::Exec { bench: bench.name.to_string(), stage, error }
     };
 
-    // 1. Profiles: load a saved pair when configured, otherwise one
-    // training run feeds both profilers (optionally saving the pair so
-    // later runs — or a serve daemon's Compile requests — can reuse it).
-    let depth = config.path_depth.unwrap_or(DEFAULT_PATH_DEPTH);
-    let profile_span = obs.span("profile").arg("depth", depth);
-    let profile_err =
-        |message: String| RunError::Profile { bench: bench.name.to_string(), message };
-    // k-iteration schemes train a different profile kind (the path
-    // profile is derived from chopped k-paths); their saved pairs live
-    // under `.pk{k}` names so the two kinds never alias on disk. The
-    // preloaded seam is the caller's responsibility — the ProfileCache
-    // and the serve daemon both key on the scheme.
-    let suffix = scheme.kpath_k().map(|k| format!(".pk{k}")).unwrap_or_default();
-    let mut loaded: Option<Arc<(EdgeProfile, PathProfile)>> = config.preloaded.clone();
-    if let (None, Some(dir)) = (&loaded, &config.profile_in) {
-        match load_profiles(dir, bench.name, &suffix, depth).map_err(&profile_err)? {
-            Some(pair) => loaded = Some(Arc::new(pair)),
-            // With an output directory the missing pair is a cache miss:
-            // train below and save. Without one it is a user error.
-            None if config.profile_out.is_some() => {}
-            None => {
-                return Err(profile_err(format!(
-                    "no saved profile in {dir} (expected {name}{suffix}.edgeprof and \
-                     {name}{suffix}.pathprof); run with --profile-out first",
-                    name = bench.name
-                )))
-            }
-        }
-    }
-    let pair: Arc<(EdgeProfile, PathProfile)> = match loaded {
-        Some(pair) => pair,
-        None => {
-            let pair = train_bench(bench, scheme, depth)?.into_pair();
-            if let Some(dir) = &config.profile_out {
-                save_profiles(dir, bench.name, &suffix, &pair.0, &pair.1)
-                    .map_err(&profile_err)?;
-            }
-            Arc::new(pair)
-        }
+    // 1. Profiles: none for a scheme that reads none (`BB`); otherwise a
+    // saved pair when configured, else one training run feeding both
+    // profilers (optionally saving the pair so later runs — or a serve
+    // daemon's Compile requests — can reuse it).
+    let pair = if scheme.needs_profile() {
+        profile_pair(bench, scheme, config, &obs)?
+    } else {
+        Arc::new(Trained::empty().into_pair())
     };
-    drop(profile_span);
 
     // 2. Inline (`Px4`), form and compact under the recovery boundary.
     let Compiled { program, guarded, .. } = compile(bench, scheme, &pair.0, &pair.1, config, &obs)?;
@@ -674,6 +774,39 @@ mod tests {
         let err = run_scheme(&bench, Scheme::P4, &missing_cfg).unwrap_err();
         assert!(matches!(err, RunError::Profile { .. }), "{err}");
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn basic_block_cells_load_train_and_save_no_profile() {
+        let bench = benchmark_by_name("wc", Scale::quick()).unwrap();
+        let dir = std::env::temp_dir()
+            .join(format!("pps-bb-profile-io-{}", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        std::fs::create_dir_all(&dir).unwrap();
+        let plain = run_scheme(&bench, Scheme::BasicBlock, &RunConfig::paper()).unwrap();
+
+        // An empty profile directory is no error for a scheme that reads
+        // no profile, and saving writes nothing.
+        for config in [
+            RunConfig { profile_in: Some(dir.clone()), ..RunConfig::paper() },
+            RunConfig { profile_out: Some(dir.clone()), ..RunConfig::paper() },
+        ] {
+            let r = run_scheme(&bench, Scheme::BasicBlock, &config).unwrap();
+            assert_eq!(r.cycles, plain.cycles);
+            assert_eq!(r.cycles_icache, plain.cycles_icache);
+            assert_eq!(r.static_instrs, plain.static_instrs);
+            assert_eq!(r.sb_stats, plain.sb_stats);
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "BB saved a profile");
+
+        // The cache trains no pair for it either, but attaches the baseline.
+        let filled = ProfileCache::default()
+            .fill(&bench, Scheme::BasicBlock, &RunConfig::paper(), &Obs::noop())
+            .unwrap();
+        assert!(filled.preloaded.is_none());
+        assert!(filled.baseline.is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

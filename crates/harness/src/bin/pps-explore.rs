@@ -8,12 +8,13 @@
 //! Prints per-procedure superblock summaries (blocks, sizes, schedules) and
 //! optionally the transformed program's textual IR or Graphviz CFGs. The
 //! benchmark is compiled exactly as `pps-harness` and the daemon compile it
-//! (`pps_eval::runner::{train, compile}`: guarded, `Px4` inlined first).
+//! (`pps_eval::runner::{train, compile}`: guarded, `Px4` inlined first,
+//! no training run for `BB`).
 //! `--trace-out` / `--metrics-out` record the compile the same way
 //! `pps-harness` does (Chrome-trace JSON / metrics JSON).
 
 use pps_core::Scheme;
-use pps_eval::runner::{compile, train, Compiled, RunConfig};
+use pps_eval::runner::{compile, train, Compiled, RunConfig, Trained};
 use pps_obs::{Level, Obs, ObsConfig};
 use pps_profile::DEFAULT_PATH_DEPTH;
 use pps_suite::{benchmark_by_name, Scale};
@@ -79,9 +80,12 @@ fn main() -> ExitCode {
         .arg("scheme", scheme.name());
 
     // The one train → inline → compile path the harness and the daemon
-    // take: train the scheme's profile kind, then (`Px4`) inline and
-    // retrain, then form and compact behind the guard.
-    let trained = {
+    // take: train the scheme's profile kind (none for `BB`, which reads no
+    // profile), then (`Px4`) inline and retrain, then form and compact
+    // behind the guard.
+    let trained = if !scheme.needs_profile() {
+        Trained::empty()
+    } else {
         let _profile_span = obs.span("profile");
         match train(&bench.program, &bench.train_args, DEFAULT_PATH_DEPTH, scheme.kpath_k()) {
             Ok(trained) => trained,

@@ -13,7 +13,8 @@
 //! saves each benchmark's training profiles (`pps_profile::serialize` text
 //! formats) into DIR; `--profile-in DIR` loads them instead of re-running
 //! the training input (with `--profile-out` too, misses fall back to
-//! training and save — cache semantics). `--trace-out` writes a
+//! training and save — cache semantics). Only schemes that read a profile
+//! save or load one: `BB` reads none, so `table1` writes no files. `--trace-out` writes a
 //! Chrome-trace-event JSON file (open it at <https://ui.perfetto.dev>);
 //! `--metrics-out` writes the metrics registry as JSON; `--log-level`
 //! controls progress logging on stderr (off|error|warn|info|debug, default
@@ -42,6 +43,7 @@ fn usage() -> ! {
          parallelism: --jobs runs benchmark x scheme cells on N worker threads\n\
          \x20           (default: available parallelism; output is identical for every N)\n\
          profiles: --profile-out saves training profiles; --profile-in reuses them\n\
+         \x20         (only schemes that read profiles: table1's BB saves and loads none)\n\
          observability: --trace-out writes Chrome-trace JSON (view in Perfetto);\n\
          \x20             --metrics-out writes the counters/histograms registry as JSON",
         EXPERIMENTS.join(", ")

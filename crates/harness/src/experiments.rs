@@ -52,9 +52,9 @@ fn cell_key(bench: &Benchmark, scheme: Scheme, config: &RunConfig) -> CellKey {
 
 /// A deterministic identity string for a config variant. The derived
 /// `Debug` won't do for `preloaded` profiles: their `HashMap`s iterate in
-/// a per-instance order, and the plan / execute / replay walks each
-/// retrain their own instances — so the pair is keyed by its canonical
-/// content hash instead.
+/// a per-instance order — so the pair is keyed by its canonical content
+/// hash instead. The oracle baseline is left out: it is derived
+/// from the benchmark and the rest of the config, and changes no result.
 fn config_fingerprint(config: &RunConfig) -> String {
     let preloaded = config
         .preloaded
@@ -62,6 +62,7 @@ fn config_fingerprint(config: &RunConfig) -> String {
         .map(|p| pps_profile::profile_pair_hash(&p.0, &p.1));
     let mut slim = config.clone();
     slim.preloaded = None;
+    slim.baseline = None;
     format!("{slim:?} preloaded={preloaded:?}")
 }
 
@@ -104,8 +105,9 @@ pub struct RunCtx {
     pub incidents: Vec<(String, String, Incident)>,
     /// Observability handle every run records into (no-op by default).
     pub obs: Obs,
-    /// Per-benchmark trained-profile cache shared by every run of the
-    /// sweep: a benchmark fanned across several schemes trains once.
+    /// Per-benchmark trained-profile and oracle-baseline cache shared by
+    /// every run of the sweep: a benchmark fanned across several schemes
+    /// trains once per profile kind and runs its baseline once.
     pub profiles: ProfileCache,
     mode: CtxMode,
 }
@@ -134,7 +136,7 @@ impl RunCtx {
     ) -> Result<SchemeRun, RunError> {
         match &mut self.mode {
             CtxMode::Direct => {
-                let filled = self.profiles.fill(bench, scheme, config)?;
+                let filled = self.profiles.fill(bench, scheme, config, &self.obs)?;
                 let r = run_scheme_obs(bench, scheme, &filled, &self.obs)?;
                 for inc in &r.guard.incidents {
                     self.incidents
@@ -259,10 +261,17 @@ pub fn run_experiment_jobs_config(
         return Ok(vec![predict(&benches)?]);
     }
 
+    // One profile cache serves all three walks. Only `diverge` fills it
+    // while planning (its adversarial cells are keyed by profiles derived
+    // from the true pair); the execute and replay walks then reuse that.
+    let profiles = ProfileCache::default();
+
     // Pass 1 (plan): walk the driver with placeholder results to discover
     // the unique cells of its matrix, in matrix order.
     let mut plan_ctx = RunCtx {
         config: config.clone(),
+        obs: obs.clone(),
+        profiles: profiles.clone(),
         mode: CtxMode::Plan(Vec::new()),
         ..RunCtx::default()
     };
@@ -272,9 +281,9 @@ pub fn run_experiment_jobs_config(
     // Pass 2 (execute): run every unique cell across the pool. Each cell
     // records into a private fork of `obs`, so workers never contend on or
     // interleave into the parent sink. The profile cache is shared across
-    // workers: each benchmark trains once (per racing worker at worst) no
-    // matter how many schemes fan out from it.
-    let profiles = ProfileCache::default();
+    // workers: each benchmark trains once per profile kind and runs its
+    // oracle baseline once no matter how many schemes fan out from it; the
+    // cell that does so records it in its fork.
     let executed: Vec<(CellKey, ExecutedCell)> = pool::run_indexed(jobs, planned.len(), |i| {
         let cell = &planned[i];
         let bench = benches
@@ -283,7 +292,7 @@ pub fn run_experiment_jobs_config(
             .expect("planned bench selected");
         let fork = obs.fork_sink();
         let result = profiles
-            .fill(bench, cell.scheme, &cell.config)
+            .fill(bench, cell.scheme, &cell.config, &fork)
             .and_then(|filled| run_scheme_obs(bench, cell.scheme, &filled, &fork));
         (cell_key(bench, cell.scheme, &cell.config), ExecutedCell { result, fork, absorbed: false })
     });
@@ -294,6 +303,7 @@ pub fn run_experiment_jobs_config(
     let mut ctx = RunCtx {
         config: config.clone(),
         obs: obs.clone(),
+        profiles,
         mode: CtxMode::Replay(executed.into_iter().collect()),
         ..RunCtx::default()
     };
@@ -510,10 +520,10 @@ pub fn diverge(benches: &[Benchmark], ctx: &mut RunCtx) -> Result<Table, RunErro
         for scheme in [Scheme::P4, Scheme::PK2, Scheme::PK3] {
             let truth = ctx.run(b, scheme)?;
             // The adversarial pairs derive from the same training run the
-            // true regime used (the shared profile cache makes this one
-            // training run per scheme kind, deterministic across plan /
-            // execute / replay walks).
-            let filled = ctx.profiles.fill(b, scheme, &ctx.config)?;
+            // true regime used (the profile cache the plan, execute and
+            // replay walks share makes this one training run per scheme
+            // kind).
+            let filled = ctx.profiles.fill(b, scheme, &ctx.config, &ctx.obs)?;
             let pair = filled.preloaded.clone().expect("fill preloads a pair");
             let inverted = invert_path(&pair.1);
             let mixed = merge_paths(&pair.1, &inverted).expect("same program, same depth");
@@ -647,27 +657,21 @@ pub fn tracecache(benches: &[Benchmark]) -> Result<Table, RunError> {
         let mut cells = vec![b.name.to_string()];
         let mut hits = Vec::new();
         let mut covers = Vec::new();
+        // One training run per benchmark; every scheme forms from it.
+        let mut tee =
+            TeeSink::new(EdgeProfiler::new(&b.program), PathProfiler::new(&b.program, 15));
+        Exec::new(&b.program, ExecConfig::default())
+            .run_traced(&b.train_args, &mut tee)
+            .map_err(|error| RunError::Exec {
+                bench: b.name.to_string(),
+                stage: "train run",
+                error,
+            })?;
+        let (edge, path) = (tee.a.finish(), tee.b.finish());
         for scheme in [Scheme::BasicBlock, Scheme::M4, Scheme::P4] {
             let mut program = b.program.clone();
-            let mut tee = TeeSink::new(
-                EdgeProfiler::new(&program),
-                PathProfiler::new(&program, 15),
-            );
-            Exec::new(&program, ExecConfig::default())
-                .run_traced(&b.train_args, &mut tee)
-                .map_err(|error| RunError::Exec {
-                    bench: b.name.to_string(),
-                    stage: "train run",
-                    error,
-                })?;
-            form_program(
-                &mut program,
-                &tee.a.finish(),
-                Some(&tee.b.finish()),
-                scheme,
-                &FormConfig::default(),
-            )
-            .map_err(|error| RunError::Pipeline { bench: b.name.to_string(), error })?;
+            form_program(&mut program, &edge, Some(&path), scheme, &FormConfig::default())
+                .map_err(|error| RunError::Pipeline { bench: b.name.to_string(), error })?;
             let mut sim = TraceCacheSim::new(&program, TraceCacheConfig::default());
             Exec::new(&program, ExecConfig::default())
                 .run_traced(&b.test_args, &mut sim)

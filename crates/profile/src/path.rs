@@ -529,6 +529,12 @@ impl PathProfile {
         (t.cache_hits, t.cache_misses)
     }
 
+    /// Restores `proc`'s transition-cache statistics (a reloaded profile's).
+    pub(crate) fn set_cache_stats(&mut self, proc: ProcId, hits: u64, misses: u64) {
+        let t = &mut self.procs[proc.index()];
+        (t.cache_hits, t.cache_misses) = (hits, misses);
+    }
+
     /// Records profile summary metrics into `obs`: distinct paths and
     /// transition-cache totals across all procedures, plus the profiling
     /// depth, as `profile.path.*` counters.

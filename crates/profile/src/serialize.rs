@@ -17,6 +17,10 @@
 //! window 8000 1 2 4
 //! ...
 //! ```
+//!
+//! A saved path profile may also carry the profiler's transition-cache
+//! statistics, one `cache HITS MISSES` line after a `proc` line
+//! ([`path_to_text_with_stats`]).
 
 use crate::edge::EdgeProfile;
 use crate::kpath::KPathProfile;
@@ -133,10 +137,28 @@ pub fn edge_from_text(text: &str) -> Result<EdgeProfile, ProfileParseError> {
 
 /// Serializes a general path profile as its maximal-window counts.
 pub fn path_to_text(profile: &PathProfile) -> String {
+    write_path(profile, false)
+}
+
+/// [`path_to_text`] plus each procedure's transition-cache statistics
+/// (a `cache HITS MISSES` line after its `proc` line, when non-zero): the
+/// form a trained profile is saved to disk in, so a reloaded profile
+/// records the same `profile.path.cache_*` metrics as the one its training
+/// run built. The canonical form ([`path_to_text`], which content hashes
+/// and the serve protocol use) leaves them out.
+pub fn path_to_text_with_stats(profile: &PathProfile) -> String {
+    write_path(profile, true)
+}
+
+fn write_path(profile: &PathProfile, stats: bool) -> String {
     let mut s = format!("pps-path-profile v1 depth {}\n", profile.depth());
     for pi in 0..profile.num_procs() {
         let pid = ProcId::new(pi as u32);
         let _ = writeln!(s, "proc {pi}");
+        let (hits, misses) = profile.cache_stats(pid);
+        if stats && (hits, misses) != (0, 0) {
+            let _ = writeln!(s, "cache {hits} {misses}");
+        }
         let mut windows = profile.iter_maximal_windows(pid);
         windows.sort();
         for (window, count) in windows {
@@ -164,6 +186,7 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
         .and_then(|d| d.parse::<usize>().ok())
         .ok_or(ProfileParseError { line: ln, message: format!("bad header `{header}`") })?;
     let mut per_proc: Vec<Vec<(Vec<BlockId>, u64)>> = Vec::new();
+    let mut stats: Vec<(ProcId, u64, u64)> = Vec::new();
     for (ln, l) in lines {
         if l.is_empty() {
             continue;
@@ -176,6 +199,15 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
                 return err(ln, "procs must appear in order");
             }
             per_proc.push(Vec::new());
+        } else if let Some(rest) = l.strip_prefix("cache ") {
+            let Some(pi) = per_proc.len().checked_sub(1) else {
+                return err(ln, "cache before proc");
+            };
+            let counts: Vec<Option<u64>> = rest.split_whitespace().map(|t| t.parse().ok()).collect();
+            let [Some(hits), Some(misses)] = counts[..] else {
+                return err(ln, "bad cache statistics");
+            };
+            stats.push((ProcId::new(pi as u32), hits, misses));
         } else if let Some(rest) = l.strip_prefix("window ") {
             let Some(cur) = per_proc.last_mut() else {
                 return err(ln, "window before proc");
@@ -200,7 +232,11 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
             return err(ln, format!("unrecognized line `{l}`"));
         }
     }
-    Ok(PathProfile::from_windows(depth, per_proc))
+    let mut profile = PathProfile::from_windows(depth, per_proc);
+    for (pid, hits, misses) in stats {
+        profile.set_cache_stats(pid, hits, misses);
+    }
+    Ok(profile)
 }
 
 /// Serializes a k-iteration path profile as its completed-path counts.
@@ -355,6 +391,32 @@ mod tests {
         let pid = p.entry;
         for (window, _) in path.iter_maximal_windows(pid) {
             assert_eq!(back.freq(pid, &window), path.freq(pid, &window));
+        }
+    }
+
+    #[test]
+    fn saved_path_profile_keeps_its_cache_statistics() {
+        let p = sample();
+        let mut pp = PathProfiler::new(&p, 15);
+        Interp::new(&p, ExecConfig::default())
+            .run_traced(&[], &mut pp)
+            .unwrap();
+        let path = pp.finish();
+        let pid = p.entry;
+        assert_ne!(path.cache_stats(pid), (0, 0));
+        let saved = path_to_text_with_stats(&path);
+        assert!(saved.contains("\ncache "), "{saved}");
+        let back = path_from_text(&saved).unwrap();
+        assert_eq!(back.cache_stats(pid), path.cache_stats(pid));
+        // The canonical form is unchanged and leaves the statistics out.
+        assert_eq!(path_to_text(&back), path_to_text(&path));
+        assert_eq!(path_from_text(&path_to_text(&path)).unwrap().cache_stats(pid), (0, 0));
+        for bad in [
+            "pps-path-profile v1 depth 15\ncache 1 2",
+            "pps-path-profile v1 depth 15\nproc 0\ncache 1",
+            "pps-path-profile v1 depth 15\nproc 0\ncache 1 x 2",
+        ] {
+            assert!(path_from_text(bad).is_err(), "{bad}");
         }
     }
 

@@ -305,7 +305,9 @@ fn run_cell(
     // aggregate it, the cache to key on it — then hand the same objects to
     // the runner. The runner would train exactly this (the scheme's own
     // profile kind) itself, so the reply stays byte-for-byte equal to
-    // plain execution.
+    // plain execution; `BB` reads no profile, so the runner ignores the
+    // pair and the reply carries no `profile.*` counters. The daemon passes
+    // no shared oracle baseline: the guard runs its own.
     let trained = if pgo.is_some() || cache.is_some() {
         match train(&bench, DEFAULT_PATH_DEPTH, scheme.kpath_k()) {
             Ok(t) => Some(t),

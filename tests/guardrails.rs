@@ -19,15 +19,17 @@
 use pps::compact::CompactConfig;
 use pps::core::{
     form_and_compact, guarded_form_and_compact, guarded_form_and_compact_with, FormConfig,
-    GuardConfig, GuardMode, Scheme,
+    GuardConfig, GuardMode, OracleBaseline, Scheme,
 };
+use pps::eval::runner::{compile, Compiled, ProfileCache, RunConfig, Trained};
 use pps::ir::interp::{ExecConfig, ExecResult, Interp};
 use pps::ir::text::print_program;
 use pps::ir::trace::TeeSink;
 use pps::ir::verify::verify_program;
 use pps::ir::{FaultInjector, Program};
-use pps::obs::Obs;
+use pps::obs::{json, Level, Obs, ObsConfig};
 use pps::profile::{EdgeProfile, EdgeProfiler, PathProfile, PathProfiler};
+use pps::suite::{all_benchmarks, Benchmark, Scale};
 use pps::testgen::{gen_program, GenConfig};
 
 const SEEDS: u64 = 200;
@@ -89,6 +91,7 @@ fn injected_faults_are_always_caught_and_degraded() {
             &FormConfig::default(),
             &CompactConfig::default(),
             &guard(GuardMode::Degrade),
+            None,
             &Obs::noop(),
             Some(&mut |prog, pid| {
                 if let Some(r) =
@@ -139,6 +142,7 @@ fn injected_faults_are_always_caught_and_degraded() {
                 &FormConfig::default(),
                 &CompactConfig::default(),
                 &guard(GuardMode::Strict),
+                None,
                 &Obs::noop(),
                 Some(&mut |prog, pid| {
                     let _ = strict_injector.inject_effective(
@@ -225,9 +229,10 @@ fn clean_guarded_runs_report_clean_and_preserve_behavior() {
 
 /// Deferred-oracle exactness: the unhooked guard (one oracle pass over the
 /// whole program) and a guard with a no-op post-pass hook (oracle settled
-/// after every procedure) ship the same program, partition, statistics,
-/// report and input-0 edge profile (present in both or neither, and equal)
-/// on every generated program, in both modes.
+/// after every procedure), each with and without a precomputed shared
+/// oracle baseline, ship the same program, partition, statistics, report
+/// and input-0 edge profile (present in all or none, and equal) on every
+/// generated program, in both modes.
 #[test]
 fn deferred_oracle_matches_per_procedure_oracle() {
     let mut profiled = 0;
@@ -236,43 +241,182 @@ fn deferred_oracle_matches_per_procedure_oracle() {
         let scheme = schemes()[(seed % 4) as usize];
         let (edge, path) = profile(&base);
         for mode in [GuardMode::Degrade, GuardMode::Strict] {
-            let mut deferred = base.clone();
-            let d = guarded_form_and_compact_with(
-                &mut deferred,
-                &edge,
-                Some(&path),
-                scheme,
-                &FormConfig::default(),
-                &CompactConfig::default(),
-                &guard(mode),
-                &Obs::noop(),
-                None,
-            )
-            .map(|r| (format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report), r.profile));
-            let mut eager = base.clone();
-            let e = guarded_form_and_compact_with(
-                &mut eager,
-                &edge,
-                Some(&path),
-                scheme,
-                &FormConfig::default(),
-                &CompactConfig::default(),
-                &guard(mode),
-                &Obs::noop(),
-                Some(&mut |_, _| {}),
-            )
-            .map(|r| (format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report), r.profile));
-            profiled += usize::from(matches!(&d, Ok((_, Some(_)))));
-            assert_eq!(d, e, "seed {seed} ({}, {mode})", scheme.name());
-            assert_eq!(
-                print_program(&deferred),
-                print_program(&eager),
-                "seed {seed} ({}, {mode})",
-                scheme.name()
-            );
+            let config = guard(mode);
+            let shared = OracleBaseline::compute(&base, &config.oracle_inputs, config.step_budget);
+            let mut runs = Vec::new();
+            for baseline in [None, Some(&shared)] {
+                for hooked in [false, true] {
+                    let mut program = base.clone();
+                    let mut no_op = |_: &mut Program, _| {};
+                    let result = guarded_form_and_compact_with(
+                        &mut program,
+                        &edge,
+                        Some(&path),
+                        scheme,
+                        &FormConfig::default(),
+                        &CompactConfig::default(),
+                        &config,
+                        baseline,
+                        &Obs::noop(),
+                        if hooked { Some(&mut no_op) } else { None },
+                    )
+                    .map(|r| {
+                        (format!("{:?}\n{:?}\n{:?}", r.partition, r.stats, r.report), r.profile)
+                    });
+                    runs.push((result, print_program(&program)));
+                }
+            }
+            profiled += usize::from(matches!(&runs[0].0, Ok((_, Some(_)))));
+            for (i, run) in runs.iter().enumerate().skip(1) {
+                assert_eq!(
+                    run, &runs[0],
+                    "seed {seed} ({}, {mode}): run {i} (baseline {}, hooked {})",
+                    scheme.name(),
+                    i >= 2,
+                    i % 2 == 1
+                );
+            }
         }
     }
     assert!(profiled > 0, "no guarded run handed back a profile");
+}
+
+/// Number of `oracle-baseline` spans in `obs`'s trace: baselines some
+/// layer computed itself.
+fn baseline_spans(obs: &Obs) -> usize {
+    let doc = json::parse(&obs.export_trace_json().expect("tracing enabled")).unwrap();
+    doc.get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .unwrap()
+        .iter()
+        .filter(|e| {
+            e.get("ph").and_then(|v| v.as_str()) == Some("X")
+                && e.get("name").and_then(|v| v.as_str()) == Some("oracle-baseline")
+        })
+        .count()
+}
+
+fn tracing() -> Obs {
+    Obs::recording(ObsConfig { level: Level::Off, trace: true, metrics: false })
+}
+
+/// Everything a guarded compile ships, for comparison: the program, the
+/// inline outcome, the schedules, the statistics and the incidents in
+/// order, rendered; and the guard's input-0 profile (whose `Debug` order is
+/// per instance).
+fn shipped(compiled: &Compiled) -> (String, Option<EdgeProfile>) {
+    let g = &compiled.guarded;
+    let text = format!(
+        "{}\n{:?}\n{:?}\n{:?}\n{:?}",
+        print_program(&compiled.program),
+        compiled.inline,
+        g.compacted,
+        g.stats,
+        g.report.incidents,
+    );
+    (text, g.profile.clone())
+}
+
+/// `compile` of `bench` under `scheme` against the pair `config` carries
+/// (empty profiles for `BB`), with the number of baselines it ran itself.
+fn compile_counting(
+    bench: &Benchmark,
+    scheme: Scheme,
+    config: &RunConfig,
+) -> (Result<Compiled, String>, usize) {
+    let empty = Trained::empty().into_pair();
+    let pair = config.preloaded.as_deref().unwrap_or(&empty);
+    let obs = tracing();
+    let result = compile(bench, scheme, &pair.0, &pair.1, config, &obs).map_err(|e| e.to_string());
+    (result, baseline_spans(&obs))
+}
+
+/// One bounded oracle baseline per benchmark serves every scheme: over the
+/// suite at scale 1, for `BB`, `M4`, `P4`, `Pk2` and `Px4` with fault seeds
+/// none/1/7/42, a compile handed the `ProfileCache`'s baseline ships
+/// exactly what one without it ships — and runs no baseline of its own,
+/// except the guard of a `Px4` program the inliner changed. Two threads
+/// share the benchmark × scheme cells, costliest benchmarks first (the
+/// fault-seeded gcc cells dominate).
+#[test]
+fn shared_oracle_baseline_changes_no_guarded_result() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let mut benches = all_benchmarks(Scale(1));
+    benches.sort_by_key(|b| std::cmp::Reverse(b.program.static_size()));
+    let caches: Vec<ProfileCache> = benches.iter().map(|_| ProfileCache::default()).collect();
+    let schemes = [Scheme::BasicBlock, Scheme::M4, Scheme::P4, Scheme::PK2, Scheme::PX4];
+    let next = AtomicUsize::new(0);
+    let faulted: usize = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut faulted = 0;
+                    loop {
+                        let cell = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(bench) = benches.get(cell / schemes.len()) else {
+                            return faulted;
+                        };
+                        let cache = &caches[cell / schemes.len()];
+                        faulted += shared_baseline_cell(bench, schemes[cell % schemes.len()], cache);
+                    }
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("worker panicked")).sum()
+    });
+    assert!(faulted > 0, "no fault seed produced an incident");
+}
+
+/// One benchmark × scheme cell of
+/// [`shared_oracle_baseline_changes_no_guarded_result`]; returns how many
+/// of its fault seeds produced incidents.
+fn shared_baseline_cell(bench: &Benchmark, scheme: Scheme, cache: &ProfileCache) -> usize {
+    let shared = cache.fill(bench, scheme, &RunConfig::paper(), &Obs::noop()).unwrap();
+    assert!(shared.baseline.is_some(), "{} {}", bench.name, scheme.name());
+    assert_eq!(shared.preloaded.is_some(), scheme != Scheme::BasicBlock);
+    let mut faulted = 0;
+    for fault_seed in [None, Some(1), Some(7), Some(42)] {
+        let with = RunConfig { fault_seed, ..shared.clone() };
+        let without = RunConfig { baseline: None, ..with.clone() };
+        let what = format!("{} {} seed {fault_seed:?}", bench.name, scheme.name());
+        let (got, own_with) = compile_counting(bench, scheme, &with);
+        let (want, own_without) = compile_counting(bench, scheme, &without);
+        let (got, want) = (got.expect(&what), want.expect(&what));
+        assert_eq!(shipped(&got), shipped(&want), "{what}");
+        faulted += usize::from(!want.guarded.report.incidents.is_empty());
+        // Without a baseline the guard runs its own (the inliner's is
+        // unspanned); with one, only the guard of a program the inliner
+        // changed does.
+        assert_eq!(own_without, 1, "{what}");
+        let inlined = want.inline.as_ref().is_some_and(|o| !o.inlined.is_empty());
+        assert_eq!(own_with, usize::from(inlined), "{what}");
+    }
+    faulted
+}
+
+/// A baseline of another benchmark's program is never used: the guard
+/// runs its own and ships what it ships with none.
+#[test]
+fn another_benchmarks_baseline_is_ignored() {
+    let benches = all_benchmarks(Scale(1));
+    let budget = RunConfig::paper().guard.step_budget;
+    for (i, bench) in benches.iter().enumerate() {
+        let other = &benches[(i + 1) % benches.len()];
+        let inputs = vec![bench.train_args.clone()];
+        let foreign = OracleBaseline::compute(&other.program, &inputs, budget);
+        assert!(!foreign.matches(&bench.program, &inputs, budget), "{}", bench.name);
+        let own = OracleBaseline::compute(&bench.program, &inputs, budget);
+        assert!(own.matches(&bench.program, &inputs, budget), "{}", bench.name);
+
+        let filled = ProfileCache::default()
+            .fill(bench, Scheme::M4, &RunConfig::paper(), &Obs::noop())
+            .unwrap();
+        let mismatched = RunConfig { baseline: Some(foreign.into()), ..filled.clone() };
+        let (got, own_runs) = compile_counting(bench, Scheme::M4, &mismatched);
+        let (want, shared_runs) = compile_counting(bench, Scheme::M4, &filled);
+        assert_eq!(shipped(&got.unwrap()), shipped(&want.unwrap()), "{}", bench.name);
+        assert_eq!((own_runs, shared_runs), (1, 0), "{}", bench.name);
+    }
 }
 
 /// Engine parity (ISSUE: flat pre-decoded interpreter): the guard's
@@ -316,6 +460,7 @@ fn guard_oracle_and_rollback_identical_across_engines() {
             &FormConfig::default(),
             &CompactConfig::default(),
             &guard(GuardMode::Degrade),
+            None,
             &Obs::noop(),
             Some(&mut |prog, pid| {
                 let _ = injector.inject_effective(prog, pid, &oracle_inputs, STEP_BUDGET, INJECT_ATTEMPTS);
@@ -333,6 +478,7 @@ fn guard_oracle_and_rollback_identical_across_engines() {
             &FormConfig::default(),
             &CompactConfig::default(),
             &guard(GuardMode::Strict),
+            None,
             &Obs::noop(),
             Some(&mut |prog, pid| {
                 let _ = strict_injector.inject_effective(prog, pid, &oracle_inputs, STEP_BUDGET, INJECT_ATTEMPTS);

@@ -6,7 +6,8 @@ use pps_core::{
     guarded_form_and_compact_with, FormConfig, GuardConfig, GuardMode, Scheme,
 };
 use pps_compact::CompactConfig;
-use pps_harness::{run_scheme_obs, RunConfig};
+use pps_harness::experiments::run_experiment_jobs_config;
+use pps_harness::{run_scheme_obs, RunConfig, RunCtx};
 use pps_ir::fault::FaultInjector;
 use pps_ir::interp::{ExecConfig, Interp};
 use pps_ir::trace::TeeSink;
@@ -158,6 +159,7 @@ fn injected_fault_surfaces_as_incident_metric_and_event() {
         &FormConfig::default(),
         &CompactConfig::default(),
         &guard,
+        None,
         &obs,
         Some(&mut |prog, pid| {
             if injector.inject_effective(prog, pid, &inputs, 500_000, 32).is_some() {
@@ -231,4 +233,62 @@ fn a_cell_runs_the_transformed_program_once_per_input() {
     assert_eq!(spans_with_arg(&obs, "simulate", "icache", &json::Json::Bool(false)), 0);
     assert_eq!(fallback.cycles, clean.cycles);
     assert_eq!(fallback.cycles_icache, clean.cycles_icache);
+}
+
+#[test]
+fn a_scheme_that_reads_no_profile_records_none() {
+    let bench = benchmark_by_name("wc", Scale::quick()).unwrap();
+    let obs = Obs::recording(ObsConfig { level: Level::Off, trace: true, metrics: true });
+    run_scheme_obs(&bench, Scheme::BasicBlock, &RunConfig::paper(), &obs).unwrap();
+    let doc = json::parse(&obs.export_trace_json().unwrap()).unwrap();
+    let spans: Vec<&str> = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X"))
+        .filter_map(|e| e.get("name").and_then(|v| v.as_str()))
+        .collect();
+    assert!(spans.contains(&"run-scheme") && spans.contains(&"simulate"), "{spans:?}");
+    assert!(!spans.contains(&"profile"), "{spans:?}");
+    let metrics = obs.metrics_snapshot().unwrap().to_json();
+    assert!(metrics.contains("\"form.superblocks\""), "{metrics}");
+    assert!(!metrics.contains("\"profile."), "{metrics}");
+}
+
+#[test]
+fn a_fig4_sweep_trains_once_per_profile_kind() {
+    let bench = benchmark_by_name("wc", Scale::quick()).unwrap();
+    let recording = || Obs::recording(ObsConfig { level: Level::Off, trace: true, metrics: true });
+    let train = json::Json::Str("train".to_string());
+    let bench_arg = json::Json::Str("wc".to_string());
+    let check = |obs: &Obs, how: &str| {
+        // The standard pair (M4, P4, Px4), k = 2 and k = 3.
+        assert_eq!(spans_with_arg(obs, "profile", "stage", &train), 3, "{how}");
+        assert_eq!(spans_with_arg(obs, "profile", "k", &json::Json::Num(2.0)), 1, "{how}");
+        assert_eq!(spans_with_arg(obs, "profile", "k", &json::Json::Num(3.0)), 1, "{how}");
+        // One shared baseline for the benchmark.
+        assert_eq!(spans_with_arg(obs, "oracle-baseline", "bench", &bench_arg), 1, "{how}");
+    };
+
+    // Cell by cell through one sweep context, as `--jobs 1` runs them.
+    let obs = recording();
+    let mut ctx = RunCtx::paper(GuardMode::Strict);
+    ctx.obs = obs.clone();
+    for scheme in [Scheme::M4, Scheme::P4, Scheme::PK2, Scheme::PK3, Scheme::PX4] {
+        ctx.run(&bench, scheme).unwrap();
+    }
+    check(&obs, "RunCtx::run");
+
+    // The parallel engine records the same spans in the cells' forks,
+    // and spans leave the metrics alone.
+    let mut metrics = Vec::new();
+    for jobs in [1, 2] {
+        let obs = recording();
+        run_experiment_jobs_config("fig4", Scale::quick(), Some("wc"), &RunConfig::paper(), jobs, &obs)
+            .unwrap();
+        check(&obs, &format!("--jobs {jobs}"));
+        metrics.push(obs.export_metrics_json().unwrap());
+    }
+    assert_eq!(metrics[0], metrics[1]);
 }
