@@ -228,7 +228,7 @@ impl Default for GuardConfig {
 /// key with [`OracleBaseline::matches`] and compute their own on a
 /// mismatch: a baseline of another program would let the oracle judge the
 /// transformed code against the wrong behaviour.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct OracleBaseline {
     program_hash: u64,
     inputs: Vec<Vec<i64>>,
