@@ -5,7 +5,8 @@
 #
 # Stages (run all by default):
 #   ./ci.sh gate              build + tests + clippy, and the layering
-#                             check: pps-harness must not link pps-serve
+#                             check: pps-harness and pps-eval must not
+#                             link pps-serve
 #   ./ci.sh obs-smoke         one recorded benchmark run; fails on missing or
 #                             invalid --trace-out/--metrics-out JSON
 #   ./ci.sh parallel-harness  same experiment at --jobs 1 and --jobs 2;
@@ -93,6 +94,11 @@ gate() {
   harness_deps="$(cargo tree -p pps-harness -e normal --offline --prefix none)"
   if grep -q '^pps-serve ' <<< "$harness_deps"; then
     echo "pps-harness depends on pps-serve"; exit 1
+  fi
+  # The per-cell runner sits below both the harness and the daemon.
+  eval_deps="$(cargo tree -p pps-eval -e normal --offline --prefix none)"
+  if grep -q '^pps-serve ' <<< "$eval_deps"; then
+    echo "pps-eval depends on pps-serve"; exit 1
   fi
   # The simulator times whatever compacted program it is handed: it must
   # not link superblock formation.

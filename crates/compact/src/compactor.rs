@@ -29,8 +29,6 @@ pub struct CompactConfig {
     pub renaming: bool,
     /// Enable move renaming (forward substitution through moves).
     pub move_renaming: bool,
-    /// Validate superblock invariants and schedules (cheap; keep on).
-    pub validate: bool,
 }
 
 impl Default for CompactConfig {
@@ -40,7 +38,6 @@ impl Default for CompactConfig {
             speculate_loads: true,
             renaming: true,
             move_renaming: true,
-            validate: true,
         }
     }
 }
@@ -119,8 +116,8 @@ pub fn singleton_partition(program: &Program) -> Vec<Vec<SuperblockSpec>> {
 /// (validated by the differential tests).
 ///
 /// # Panics
-/// Panics when `validate` is set and a superblock violates its invariants,
-/// or when a produced schedule fails verification — both indicate formation
+/// Panics when a superblock violates its invariants, or when a produced
+/// schedule fails verification — both indicate formation
 /// or compaction bugs. Use [`try_compact_program`] to receive these as
 /// typed [`CompactError`]s instead.
 pub fn compact_program(
@@ -206,35 +203,33 @@ pub fn try_compact_proc_obs(
     };
     let base_reg_count = proc.reg_count;
     let cfg = Cfg::compute(proc);
-    if config.validate {
-        for spec in specs {
-            if let Err(e) = spec.validate(proc, &cfg) {
-                return Err(CompactError::InvalidSuperblock {
-                    proc: proc.name.clone(),
-                    detail: e.to_string(),
-                });
-            }
+    for spec in specs {
+        if let Err(e) = spec.validate(proc, &cfg) {
+            return Err(CompactError::InvalidSuperblock {
+                proc: proc.name.clone(),
+                detail: e.to_string(),
+            });
         }
-        // Coverage: every reachable block in exactly one superblock.
-        let mut seen = vec![false; proc.blocks.len()];
-        for spec in specs {
-            for &b in &spec.blocks {
-                if seen[b.index()] {
-                    return Err(CompactError::DuplicateBlock {
-                        proc: proc.name.clone(),
-                        block: b,
-                    });
-                }
-                seen[b.index()] = true;
-            }
-        }
-        for b in proc.block_ids() {
-            if cfg.is_reachable(b) && !seen[b.index()] {
-                return Err(CompactError::UncoveredBlock {
+    }
+    // Coverage: every reachable block in exactly one superblock.
+    let mut seen = vec![false; proc.blocks.len()];
+    for spec in specs {
+        for &b in &spec.blocks {
+            if seen[b.index()] {
+                return Err(CompactError::DuplicateBlock {
                     proc: proc.name.clone(),
                     block: b,
                 });
             }
+            seen[b.index()] = true;
+        }
+    }
+    for b in proc.block_ids() {
+        if cfg.is_reachable(b) && !seen[b.index()] {
+            return Err(CompactError::UncoveredBlock {
+                proc: proc.name.clone(),
+                block: b,
+            });
         }
     }
     let liveness = Liveness::compute(proc, &cfg);
@@ -248,13 +243,11 @@ pub fn try_compact_proc_obs(
         }
         let ddg = build_ddg(proc, spec, &rename.exit_reads, &config.machine, config.speculate_loads);
         let sched = schedule(&ddg, &config.machine);
-        if config.validate {
-            if let Err(e) = check_schedule(&ddg, &config.machine, &sched) {
-                return Err(CompactError::BadSchedule {
-                    proc: proc.name.clone(),
-                    detail: e.to_string(),
-                });
-            }
+        if let Err(e) = check_schedule(&ddg, &config.machine, &sched) {
+            return Err(CompactError::BadSchedule {
+                proc: proc.name.clone(),
+                detail: e.to_string(),
+            });
         }
         // Convert loads actually hoisted above an earlier exit to the
         // non-excepting (speculative) form.

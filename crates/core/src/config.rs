@@ -91,7 +91,7 @@ impl Scheme {
     /// Parses a scheme name, accepting any capitalization (`pk2`, `PK2` and
     /// `Pk2` are the same scheme). [`Scheme::name`] is the canonical
     /// spelling: every consumer that keys on scheme identity (reply cache,
-    /// shard router, `ArtifactKey`) must go through `parse(..).name()` so
+    /// shard router, artifact keys) must go through `parse(..).name()` so
     /// spelling variants cannot split cache entries or route apart.
     pub fn parse(name: &str) -> Option<Scheme> {
         let up = name.to_ascii_uppercase();
@@ -143,12 +143,21 @@ impl Scheme {
     }
 }
 
+/// Minimum fraction of the hottest block's frequency for a block to seed
+/// a trace; colder blocks become singleton superblocks.
+pub const SEED_FRACTION: f64 = 0.001;
+
+/// Edge probability for "likely" in the edge-based enlarger (branch target
+/// expansion, superblock-loop classification).
+pub const LIKELY_THRESHOLD: f64 = 0.70;
+
+/// Average trip count at or above which the edge-based enlarger unrolls
+/// rather than peels.
+pub const PEEL_MAX_AVG: f64 = 8.0;
+
 /// Tunable parameters of formation (paper defaults; see DESIGN.md §6).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FormConfig {
-    /// Minimum fraction of the hottest block's frequency for a block to
-    /// seed a trace; colder blocks become singleton superblocks.
-    pub seed_fraction: f64,
     /// Fraction of a superblock's head frequency with which it must
     /// complete for path-based enlargement to proceed ("user-specified high
     /// frequency"). The default admits dominant paths with a 2:1 internal
@@ -158,36 +167,20 @@ pub struct FormConfig {
     pub completion_threshold: f64,
     /// Maximum instructions per superblock after enlargement.
     pub max_superblock_instrs: usize,
-    /// Edge probability for "likely" in the edge-based enlarger (branch
-    /// target expansion, superblock-loop classification).
-    pub likely_threshold: f64,
-    /// Average trip count at or above which the edge-based enlarger unrolls
-    /// rather than peels.
-    pub peel_max_avg: f64,
     /// Grow path-selected traces upward (toward predecessors) as well as
     /// downward. The paper's implementation grows downward only; footnote 2
     /// predicts upward growth "will not noticeably improve the performance
     /// of our scheduled code" — this switch exists to test that prediction
     /// (see the `ablate` experiment).
     pub upward_growth: bool,
-    /// Enable tail duplication (disabling leaves traces as single-block
-    /// superblocks where side entrances exist; ablation only).
-    pub tail_duplication: bool,
-    /// Enable enlargement (ablation switch).
-    pub enlargement: bool,
 }
 
 impl Default for FormConfig {
     fn default() -> Self {
         FormConfig {
-            seed_fraction: 0.001,
             completion_threshold: 0.45,
             max_superblock_instrs: 512,
-            likely_threshold: 0.70,
-            peel_max_avg: 8.0,
             upward_growth: false,
-            tail_duplication: true,
-            enlargement: true,
         }
     }
 }
@@ -251,6 +244,5 @@ mod tests {
         let c = FormConfig::default();
         assert!(c.completion_threshold > 0.0 && c.completion_threshold <= 1.0);
         assert!(c.max_superblock_instrs >= 64);
-        assert!(c.tail_duplication && c.enlargement);
     }
 }

@@ -24,7 +24,7 @@
 //! point — where every dangling off-trace edge targets a superblock head —
 //! so enlargement never introduces side entrances.
 
-use crate::config::FormConfig;
+use crate::config::{FormConfig, LIKELY_THRESHOLD, PEEL_MAX_AVG};
 use pps_ir::analysis::ProcAnalysis;
 use pps_ir::{Block, BlockId, Proc, ProcId, Terminator};
 use pps_profile::{EdgeProfile, PathProfile};
@@ -104,7 +104,7 @@ impl SbIndex {
     ///
     /// A superblock is a *superblock loop* when its last block has an edge
     /// to its head and that edge is likely:
-    /// `f(last → head) >= likely_threshold * f(last)` on original ids.
+    /// `f(last → head) >= LIKELY_THRESHOLD * f(last)` on original ids.
     pub fn build(
         proc: &Proc,
         pid: ProcId,
@@ -112,7 +112,6 @@ impl SbIndex {
         chain_flags: &[bool],
         edge: &EdgeProfile,
         analysis: &ProcAnalysis,
-        config: &FormConfig,
     ) -> Self {
         debug_assert_eq!(chain_flags.len(), sbs.len());
         let mut head_of = vec![None; proc.blocks.len()];
@@ -140,7 +139,7 @@ impl SbIndex {
             let lik = if has_back {
                 let lf = edge.edge_freq(pid, *sb.orig.last().expect("non-empty"), sb.orig[0]);
                 let bf = edge.block_freq(pid, *sb.orig.last().expect("non-empty"));
-                bf > 0 && (lf as f64) >= config.likely_threshold * (bf as f64)
+                bf > 0 && (lf as f64) >= LIKELY_THRESHOLD * (bf as f64)
             } else {
                 false
             };
@@ -457,7 +456,7 @@ pub fn enlarge_edge(
         let avg_trip = head_f / entries;
         // High-trip loops unroll by the factor; low-trip loops "peel" the
         // expected iteration count (realized as unrolling by that count).
-        let bodies = if avg_trip >= config.peel_max_avg {
+        let bodies = if avg_trip >= PEEL_MAX_AVG {
             unroll
         } else {
             (avg_trip.round() as u32).clamp(1, unroll)
@@ -516,7 +515,7 @@ pub fn enlarge_edge(
                 });
             }
             let Some((s, f)) = best else { break };
-            if (f as f64) < config.likely_threshold * (bf as f64) {
+            if (f as f64) < LIKELY_THRESHOLD * (bf as f64) {
                 break;
             }
             let Some(target_idx) = index.headed_by(s) else { break };
@@ -630,7 +629,7 @@ mod tests {
         let config = FormConfig::default();
         let no_chains = vec![false; sbs.len()];
         let an = ProcAnalysis::compute(p.proc(pid));
-        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an, &config);
+        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an);
         assert!(index.is_loop[0], "loop classified");
         assert!(!index.is_loop[1]);
         let snap = snapshot_terms(p.proc(pid));
@@ -651,7 +650,7 @@ mod tests {
 
     #[test]
     fn edge_low_trip_loop_peels() {
-        // Average trip count 5 (< peel_max_avg 8): with a generous unroll
+        // Average trip count 5 (< PEEL_MAX_AVG 8): with a generous unroll
         // limit of 8, peeling appends bodies to match the trip count (5),
         // not the limit.
         let (mut p, [head, body, latch, exit]) = loop3(5);
@@ -666,7 +665,7 @@ mod tests {
         let config = FormConfig::default();
         let no_chains = vec![false; sbs.len()];
         let an = ProcAnalysis::compute(p.proc(pid));
-        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an, &config);
+        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an);
         assert!(index.is_loop[0], "trip-5 loop is likely (4/5 back-edge)");
         let snap = snapshot_terms(p.proc(pid));
         let snapshot: Vec<Vec<BlockId>> = sbs.iter().map(|s| s.blocks.clone()).collect();
@@ -693,7 +692,7 @@ mod tests {
         let config = FormConfig::default();
         let no_chains = vec![false; sbs.len()];
         let an = ProcAnalysis::compute(p.proc(pid));
-        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an, &config);
+        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an);
         let snap = snapshot_terms(p.proc(pid));
         let (stats, chains) = enlarge_path(
             p.proc_mut(pid), pid, &mut sbs[0], 0, &index, &snap, &pp, &mut orig_of,
@@ -758,7 +757,7 @@ mod tests {
         let config = FormConfig::default();
         let no_chains = vec![false; sbs.len()];
         let an = ProcAnalysis::compute(p.proc(pid));
-        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an, &config);
+        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an);
         let snap = snapshot_terms(p.proc(pid));
         let (stats, chains) = enlarge_path(
             p.proc_mut(pid), pid, &mut sbs[0], 0, &index, &snap, &pp, &mut orig_of,
@@ -784,7 +783,7 @@ mod tests {
         let config = FormConfig::default();
         let no_chains = vec![false; sbs.len()];
         let an = ProcAnalysis::compute(p.proc(pid));
-        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an, &config);
+        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an);
         let snap = snapshot_terms(p.proc(pid));
         let (stats, _chains) = enlarge_path(
             p.proc_mut(pid), pid, &mut sbs[0], 0, &index, &snap, &pp, &mut orig_of,
@@ -810,7 +809,7 @@ mod tests {
         let config = FormConfig { max_superblock_instrs: 14, ..Default::default() };
         let no_chains = vec![false; sbs.len()];
         let an = ProcAnalysis::compute(p.proc(pid));
-        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an, &config);
+        let index = SbIndex::build(p.proc(pid), pid, &sbs, &no_chains, &ep, &an);
         let snap = snapshot_terms(p.proc(pid));
         let (stats, chains) = enlarge_path(
             p.proc_mut(pid), pid, &mut sbs[0], 0, &index, &snap, &pp, &mut orig_of,

@@ -81,7 +81,7 @@ pub enum PipelineError {
         /// What differed (output / return value / memory).
         detail: String,
     },
-    /// The transformed program failed to finish within `budget_factor`
+    /// The transformed program failed to finish within [`BUDGET_FACTOR`]
     /// times the original's instruction budget — a miscompiled loop exit
     /// until proven otherwise.
     StepBudgetExceeded {
@@ -189,6 +189,12 @@ impl fmt::Display for GuardMode {
     }
 }
 
+/// The transformed program may use `BUDGET_FACTOR * step_budget`
+/// instructions before [`PipelineError::StepBudgetExceeded`] is raised
+/// (scheduling never changes dynamic instruction counts by much; the slack
+/// only needs to absorb compensation code).
+pub const BUDGET_FACTOR: u64 = 8;
+
 /// Configuration of the recovery boundary.
 #[derive(Debug, Clone)]
 pub struct GuardConfig {
@@ -200,11 +206,6 @@ pub struct GuardConfig {
     /// Instruction budget for the *original* program's oracle runs. Runs
     /// that exceed it are compared on output prefixes.
     pub step_budget: u64,
-    /// The transformed program may use `budget_factor * step_budget`
-    /// instructions before [`PipelineError::StepBudgetExceeded`] is raised
-    /// (scheduling never changes dynamic instruction counts by much; the
-    /// slack only needs to absorb compensation code).
-    pub budget_factor: u64,
 }
 
 impl Default for GuardConfig {
@@ -213,7 +214,6 @@ impl Default for GuardConfig {
             mode: GuardMode::Degrade,
             oracle_inputs: Vec::new(),
             step_budget: 1_000_000,
-            budget_factor: 8,
         }
     }
 }
@@ -662,7 +662,7 @@ impl<'a> GuardRun<'a> {
     fn oracle(&mut self, program: &Program, proc: &str) -> Result<(), PipelineError> {
         self.profile = None;
         let config = ExecConfig {
-            max_instrs: self.guard.step_budget.saturating_mul(self.guard.budget_factor.max(1)),
+            max_instrs: self.guard.step_budget.saturating_mul(BUDGET_FACTOR),
             ..ExecConfig::default()
         };
         let mut profiler = EdgeProfiler::new(program);
@@ -913,7 +913,7 @@ pub(crate) fn oracle_check(
             if b.completed {
                 if !r.completed {
                     // The original finished within the base budget; the
-                    // transformed program got `budget_factor` times that
+                    // transformed program got `BUDGET_FACTOR` times that
                     // and still didn't.
                     return Some(PipelineError::StepBudgetExceeded {
                         proc: proc.to_string(),
@@ -1062,7 +1062,6 @@ mod tests {
             mode,
             oracle_inputs: vec![vec![87], vec![13]],
             step_budget: 500_000,
-            budget_factor: 8,
         }
     }
 

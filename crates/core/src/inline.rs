@@ -25,6 +25,13 @@ use pps_profile::EdgeProfile;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// Total inlined sites per program (hottest first).
+pub const MAX_CALL_SITES: usize = 8;
+
+/// A site's block frequency must reach this fraction of the program's
+/// hottest block to qualify.
+pub const MIN_SITE_FRACTION: f64 = 0.05;
+
 /// Site-selection and safety knobs for [`inline_hot_calls`].
 #[derive(Debug, Clone)]
 pub struct InlineConfig {
@@ -32,11 +39,6 @@ pub struct InlineConfig {
     /// growth guard; the CFG-blowup knee is sharp for the switch-heavy
     /// benchmarks).
     pub max_callee_blocks: usize,
-    /// Total inlined sites per program (hottest first).
-    pub max_call_sites: usize,
-    /// A site's block frequency must reach this fraction of the program's
-    /// hottest block to qualify.
-    pub min_site_fraction: f64,
     /// Inputs for the differential oracle (empty disables it; verification
     /// and panic recovery still apply).
     pub oracle_inputs: Vec<Vec<i64>>,
@@ -50,8 +52,6 @@ impl Default for InlineConfig {
     fn default() -> Self {
         InlineConfig {
             max_callee_blocks: 24,
-            max_call_sites: 8,
-            min_site_fraction: 0.05,
             oracle_inputs: Vec::new(),
             step_budget: 1_000_000,
         }
@@ -85,7 +85,7 @@ pub struct InlineOutcome {
 ///
 /// Site selection is deterministic: candidates are ranked by profiled
 /// block frequency (ties broken by caller/block/instruction position), the
-/// top [`InlineConfig::max_call_sites`] survive, and each caller's sites
+/// top [`MAX_CALL_SITES`] survive, and each caller's sites
 /// are applied in reverse positional order so earlier splices never shift
 /// later sites. Every caller's batch is verified and oracle-checked before
 /// being accepted; failures roll that caller back to its snapshot.
@@ -118,7 +118,7 @@ pub fn inline_hot_calls_with(
         .map(|(pid, b)| edge.block_freq(pid, b))
         .max()
         .unwrap_or(0);
-    let threshold = (hottest as f64 * config.min_site_fraction).ceil() as u64;
+    let threshold = (hottest as f64 * MIN_SITE_FRACTION).ceil() as u64;
     let mut candidates: Vec<(u64, ProcId, BlockId, usize, ProcId)> = Vec::new();
     for caller in program.proc_ids() {
         for (block, idx, callee) in call_sites(program.proc(caller)) {
@@ -140,7 +140,7 @@ pub fn inline_hot_calls_with(
     candidates.sort_by(|a, b| {
         b.0.cmp(&a.0).then_with(|| (a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
     });
-    candidates.truncate(config.max_call_sites);
+    candidates.truncate(MAX_CALL_SITES);
 
     // Group by caller, keeping sites in reverse positional order so each
     // splice leaves the remaining (earlier) sites' coordinates intact.

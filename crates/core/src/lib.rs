@@ -32,22 +32,24 @@
 //!   recovery boundary of [`guard`];
 //! - [`guarded_form_and_compact_with`] — that, plus an observability
 //!   handle and an optional post-pass hook.
+//!
+//! Besides the three steps ([`select`], [`tail_dup`], [`enlarge`], with
+//! [`fixup`] splitting residual side entrances) the crate holds only what
+//! formation needs around them: [`config`], the [`pipeline`] driver, the
+//! recovery boundary ([`guard`]) and the `Px4` inliner ([`inline`]). The
+//! serving daemon's machinery lives in `pps-serve`.
 
 pub mod config;
 pub mod enlarge;
 pub mod fixup;
 pub mod guard;
-pub mod hash;
 pub mod inline;
 pub mod pipeline;
-pub mod pool;
 pub mod select;
-pub mod swap;
 pub mod tail_dup;
 mod unit;
 
 pub use config::{FormConfig, Scheme};
-pub use hash::{machine_hash, ArtifactKey};
 pub use inline::{
     inline_hot_calls, inline_hot_calls_with, InlineConfig, InlineOutcome, InlinedSite,
 };
@@ -56,4 +58,3 @@ pub use guard::{
     GuardedResult, Incident, OracleBaseline, Pass, PipelineError,
 };
 pub use pipeline::{form_and_compact, form_program, FormStats, FormedProgram};
-pub use swap::{SwapOutcome, SwapSlot};

@@ -180,7 +180,7 @@ fn form_unit(
     let select_span = obs.span("select").arg("scheme", scheme.name());
     let analysis = unit.analysis();
     let traces: Vec<Trace> = match scheme {
-        Scheme::Edge { .. } => select_traces_edge(unit.proc(), pid, &analysis, edge, config),
+        Scheme::Edge { .. } => select_traces_edge(unit.proc(), pid, &analysis, edge),
         // The Pk*/Px* schemes run the path selector over their derived
         // profile view (k-iteration substring counts / post-inline paths);
         // the fidelity difference lives entirely in the profile.
@@ -211,39 +211,20 @@ fn form_unit(
     let tail_span = obs.span("tail_dup");
     let mut sbs: Vec<SbBuild> = Vec::with_capacity(traces.len());
     let mut chains: Vec<SbBuild> = Vec::new();
-    if config.tail_duplication {
-        for trace in &traces {
-            // Each duplication rewires edges, so the cached CFG refreshes
-            // per trace; with no duplications it is a straight cache hit.
-            let cfg = unit.cfg();
-            let dup = tail_duplicate(unit.proc_mut(), trace, &cfg);
-            stats.tail_dup_blocks += dup.chain.len() as u64;
-            for (&c, &o) in dup.chain.iter().zip(dup.chain_orig.iter()) {
-                debug_assert_eq!(c.index(), orig_of.len());
-                orig_of.push(orig_of[o.index()]);
-            }
-            sbs.push(SbBuild { blocks: dup.main.clone(), orig: dup.main });
-            if !dup.chain.is_empty() {
-                let orig: Vec<BlockId> =
-                    dup.chain_orig.iter().map(|o| orig_of[o.index()]).collect();
-                chains.push(SbBuild { blocks: dup.chain, orig });
-            }
+    for trace in &traces {
+        // Each duplication rewires edges, so the cached CFG refreshes
+        // per trace; with no duplications it is a straight cache hit.
+        let cfg = unit.cfg();
+        let dup = tail_duplicate(unit.proc_mut(), trace, &cfg);
+        stats.tail_dup_blocks += dup.chain.len() as u64;
+        for (&c, &o) in dup.chain.iter().zip(dup.chain_orig.iter()) {
+            debug_assert_eq!(c.index(), orig_of.len());
+            orig_of.push(orig_of[o.index()]);
         }
-    } else {
-        // Ablation: keep only side-entrance-free traces whole; break the
-        // rest into singletons.
-        for trace in &traces {
-            let cfg = unit.cfg();
-            let clean = trace.blocks.iter().enumerate().skip(1).all(|(i, &b)| {
-                cfg.preds[b.index()].iter().all(|&p| p == trace.blocks[i - 1])
-            });
-            if clean {
-                sbs.push(SbBuild::from_original(trace.blocks.clone()));
-            } else {
-                for &b in &trace.blocks {
-                    sbs.push(SbBuild::from_original(vec![b]));
-                }
-            }
+        sbs.push(SbBuild { blocks: dup.main.clone(), orig: dup.main });
+        if !dup.chain.is_empty() {
+            let orig: Vec<BlockId> = dup.chain_orig.iter().map(|o| orig_of[o.index()]).collect();
+            chains.push(SbBuild { blocks: dup.chain, orig });
         }
     }
     let n_mains = sbs.len();
@@ -268,79 +249,77 @@ fn form_unit(
     // (whose heads the new classification now sees). Two to three passes
     // reach a fixpoint in practice; each superblock is enlarged at most
     // once.
-    if config.enlargement {
-        let mut pending: Vec<bool> = vec![true; sbs.len()];
-        for pass in 0..3 {
-            if !pending.iter().any(|&p| p) {
-                break;
-            }
-            let _enlarge_span = obs.span("enlarge").arg("pass", pass);
-            let analysis = unit.analysis();
-            let index = SbIndex::build(unit.proc(), pid, &sbs, &is_chain, edge, &analysis, config);
-            let snapshot: Vec<Vec<BlockId>> = sbs.iter().map(|s| s.blocks.clone()).collect();
-            let term_snapshot = snapshot_terms(unit.proc());
-            // Hot-first order by head frequency.
-            let mut order: Vec<usize> = (0..sbs.len()).filter(|&i| pending[i]).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(edge.block_freq(pid, sbs[i].orig[0])));
-            let proc = unit.proc_mut();
-            let mut new_chains: Vec<SbBuild> = Vec::new();
-            for i in order {
-                match scheme {
-                    Scheme::Edge { unroll } => {
-                        let (st, chains) = enlarge_edge(
-                            proc, pid, &mut sbs[i], i as u32, &index, &term_snapshot, &snapshot,
-                            edge, &mut orig_of, unroll, config,
-                        );
-                        stats.enlarged_blocks += u64::from(st.appended);
-                        new_chains.extend(chains);
-                    }
-                    Scheme::Path { .. } | Scheme::KPath { .. } | Scheme::Inter { .. } => {
-                        // Pk*/Px* enlarge exactly like P{n}: cross-iteration
-                        // and cross-call growth are bounded by where their
-                        // derived profiles have support, not by new rules.
-                        let (unroll, restrained) = match scheme {
-                            Scheme::Path { unroll, restrained } => (unroll, restrained),
-                            Scheme::KPath { unroll, .. } | Scheme::Inter { unroll } => {
-                                (unroll, false)
-                            }
-                            _ => unreachable!(),
-                        };
-                        let (st, chains) = enlarge_path(
-                            proc, pid, &mut sbs[i], i as u32, &index, &term_snapshot,
-                            path.expect("path profile"), &mut orig_of, unroll, restrained, config,
-                        );
-                        stats.enlarged_blocks += u64::from(st.appended);
-                        stats.skipped_low_completion += u64::from(st.skipped_low_completion);
-                        if st.skipped_low_completion {
-                            obs.decision(
-                                "form.enlarge_skipped",
-                                &[
-                                    ("sb", ArgValue::from(i)),
-                                    ("head", ArgValue::from(sbs[i].orig[0].index())),
-                                    ("reason", ArgValue::from("low_completion")),
-                                ],
-                            );
-                        }
-                        new_chains.extend(chains);
-                    }
-                    Scheme::BasicBlock => unreachable!(),
+    let mut pending: Vec<bool> = vec![true; sbs.len()];
+    for pass in 0..3 {
+        if !pending.iter().any(|&p| p) {
+            break;
+        }
+        let _enlarge_span = obs.span("enlarge").arg("pass", pass);
+        let analysis = unit.analysis();
+        let index = SbIndex::build(unit.proc(), pid, &sbs, &is_chain, edge, &analysis);
+        let snapshot: Vec<Vec<BlockId>> = sbs.iter().map(|s| s.blocks.clone()).collect();
+        let term_snapshot = snapshot_terms(unit.proc());
+        // Hot-first order by head frequency.
+        let mut order: Vec<usize> = (0..sbs.len()).filter(|&i| pending[i]).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(edge.block_freq(pid, sbs[i].orig[0])));
+        let proc = unit.proc_mut();
+        let mut new_chains: Vec<SbBuild> = Vec::new();
+        for i in order {
+            match scheme {
+                Scheme::Edge { unroll } => {
+                    let (st, chains) = enlarge_edge(
+                        proc, pid, &mut sbs[i], i as u32, &index, &term_snapshot, &snapshot,
+                        edge, &mut orig_of, unroll, config,
+                    );
+                    stats.enlarged_blocks += u64::from(st.appended);
+                    new_chains.extend(chains);
                 }
+                Scheme::Path { .. } | Scheme::KPath { .. } | Scheme::Inter { .. } => {
+                    // Pk*/Px* enlarge exactly like P{n}: cross-iteration
+                    // and cross-call growth are bounded by where their
+                    // derived profiles have support, not by new rules.
+                    let (unroll, restrained) = match scheme {
+                        Scheme::Path { unroll, restrained } => (unroll, restrained),
+                        Scheme::KPath { unroll, .. } | Scheme::Inter { unroll } => {
+                            (unroll, false)
+                        }
+                        _ => unreachable!(),
+                    };
+                    let (st, chains) = enlarge_path(
+                        proc, pid, &mut sbs[i], i as u32, &index, &term_snapshot,
+                        path.expect("path profile"), &mut orig_of, unroll, restrained, config,
+                    );
+                    stats.enlarged_blocks += u64::from(st.appended);
+                    stats.skipped_low_completion += u64::from(st.skipped_low_completion);
+                    if st.skipped_low_completion {
+                        obs.decision(
+                            "form.enlarge_skipped",
+                            &[
+                                ("sb", ArgValue::from(i)),
+                                ("head", ArgValue::from(sbs[i].orig[0].index())),
+                                ("reason", ArgValue::from("low_completion")),
+                            ],
+                        );
+                    }
+                    new_chains.extend(chains);
+                }
+                Scheme::BasicBlock => unreachable!(),
             }
-            // Compensation chains are complete superblocks; they are not
-            // themselves enlarged.
-            sbs.extend(new_chains);
-            pending.resize(sbs.len(), false);
-            is_chain.resize(sbs.len(), true);
-            let cfg = unit.cfg();
-            let (n, pieces) = split_side_entrances(&cfg, &mut sbs);
-            stats.splits += n as u64;
-            // Fresh fragments become enlargement candidates; everything
-            // else is done.
-            pending = pieces.iter().map(|p| p.fragment).collect();
-            is_chain = pieces.iter().map(|p| is_chain[p.origin]).collect();
-            if n == 0 {
-                break;
-            }
+        }
+        // Compensation chains are complete superblocks; they are not
+        // themselves enlarged.
+        sbs.extend(new_chains);
+        pending.resize(sbs.len(), false);
+        is_chain.resize(sbs.len(), true);
+        let cfg = unit.cfg();
+        let (n, pieces) = split_side_entrances(&cfg, &mut sbs);
+        stats.splits += n as u64;
+        // Fresh fragments become enlargement candidates; everything
+        // else is done.
+        pending = pieces.iter().map(|p| p.fragment).collect();
+        is_chain = pieces.iter().map(|p| is_chain[p.origin]).collect();
+        if n == 0 {
+            break;
         }
     }
 

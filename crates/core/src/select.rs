@@ -13,7 +13,7 @@
 //!   path frequency `f(t·s)` of the whole extended trace, so the selector
 //!   knows precisely how much execution would be lost by each extension.
 
-use crate::config::FormConfig;
+use crate::config::{FormConfig, SEED_FRACTION};
 use pps_ir::analysis::ProcAnalysis;
 use pps_ir::{BlockId, ProcId, Proc};
 use pps_profile::{EdgeProfile, PathProfile};
@@ -33,7 +33,6 @@ pub fn select_traces_edge(
     pid: ProcId,
     analysis: &ProcAnalysis,
     profile: &EdgeProfile,
-    config: &FormConfig,
 ) -> Vec<Trace> {
     let n = proc.blocks.len();
     let mut in_trace = vec![false; n];
@@ -41,7 +40,7 @@ pub fn select_traces_edge(
 
     let by_freq = profile.blocks_by_freq(pid);
     let max_freq = by_freq.first().map(|&(_, f)| f).unwrap_or(0);
-    let seed_min = ((max_freq as f64) * config.seed_fraction).max(1.0) as u64;
+    let seed_min = ((max_freq as f64) * SEED_FRACTION).max(1.0) as u64;
 
     for &(seed, freq) in &by_freq {
         if in_trace[seed.index()] || freq < seed_min {
@@ -151,7 +150,7 @@ pub fn select_traces_path(
         .collect();
     by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let max_freq = by_freq.first().map(|&(_, f)| f).unwrap_or(0);
-    let seed_min = ((max_freq as f64) * config.seed_fraction).max(1.0) as u64;
+    let seed_min = ((max_freq as f64) * SEED_FRACTION).max(1.0) as u64;
 
     for &(seed, freq) in &by_freq {
         if in_trace[seed.index()] || freq < seed_min {
@@ -311,7 +310,7 @@ mod tests {
     #[test]
     fn edge_selection_partitions_all_reachable_blocks() {
         let s = Setup::new(16);
-        let traces = select_traces_edge(s.proc(), s.entry(), &s.an, &s.ep, &FormConfig::default());
+        let traces = select_traces_edge(s.proc(), s.entry(), &s.an, &s.ep);
         let mut seen = std::collections::HashSet::new();
         for t in &traces {
             for &b in &t.blocks {
@@ -328,7 +327,7 @@ mod tests {
     #[test]
     fn edge_traces_never_contain_back_edges() {
         let s = Setup::new(16);
-        let traces = select_traces_edge(s.proc(), s.entry(), &s.an, &s.ep, &FormConfig::default());
+        let traces = select_traces_edge(s.proc(), s.entry(), &s.an, &s.ep);
         for t in &traces {
             for w in t.blocks.windows(2) {
                 assert!(!s.an.loops.is_back_edge(w[0], w[1]));
@@ -380,7 +379,7 @@ mod tests {
         // exit block (frequency 1 vs max 2) is above the default seed
         // fraction, so instead check never-executed blocks: none here; use
         // a tiny seed fraction program: with n=2, y executes once (i=1).
-        let te = select_traces_edge(s.proc(), s.entry(), &s.an, &s.ep, &FormConfig::default());
+        let te = select_traces_edge(s.proc(), s.entry(), &s.an, &s.ep);
         let tp = select_traces_path(s.proc(), s.entry(), &s.an, &s.pp, &FormConfig::default());
         for traces in [te, tp] {
             let total: usize = traces.iter().map(|t| t.blocks.len()).sum();

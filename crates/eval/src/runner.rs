@@ -8,6 +8,7 @@ use pps_core::{
     guarded_form_and_compact_with, FormConfig, FormStats, GuardConfig, GuardReport,
     GuardedResult, InlineOutcome, OracleBaseline, PipelineError, Scheme,
 };
+use pps_ir::hash::fnv1a64;
 use pps_ir::interp::{DynCounts, ExecConfig, ExecError, Interp};
 use pps_ir::trace::TeeSink;
 use pps_ir::{Exec, FaultInjector, ProcId, Program};
@@ -90,8 +91,6 @@ pub struct RunConfig {
     pub form: FormConfig,
     /// Compaction parameters.
     pub compact: CompactConfig,
-    /// Path-profile depth override (`None` = the paper's 15).
-    pub path_depth: Option<usize>,
     /// Recovery-boundary configuration. With empty `oracle_inputs` the
     /// runner substitutes the benchmark's training input, so every run gets
     /// a real differential check against the untransformed program.
@@ -145,12 +144,12 @@ fn profile_paths(dir: &str, bench: &str, suffix: &str) -> (String, String) {
     )
 }
 
-/// Loads a saved profile pair; `Ok(None)` when either file is absent.
+/// Loads a saved profile pair; `Ok(None)` when either file is absent. A
+/// path profile saved at any depth but [`DEFAULT_PATH_DEPTH`] is an error.
 fn load_profiles(
     dir: &str,
     bench: &str,
     suffix: &str,
-    depth: usize,
 ) -> Result<Option<(EdgeProfile, PathProfile)>, String> {
     let (ep, pp) = profile_paths(dir, bench, suffix);
     if !Path::new(&ep).exists() || !Path::new(&pp).exists() {
@@ -160,9 +159,9 @@ fn load_profiles(
     let edge = edge_from_text(&edge_text).map_err(|e| format!("{ep}: {e}"))?;
     let path_text = std::fs::read_to_string(&pp).map_err(|e| format!("{pp}: {e}"))?;
     let path = path_from_text(&path_text).map_err(|e| format!("{pp}: {e}"))?;
-    if path.depth() != depth {
+    if path.depth() != DEFAULT_PATH_DEPTH {
         return Err(format!(
-            "{pp}: saved at depth {}, this run wants depth {depth}",
+            "{pp}: saved at depth {}, this run wants depth {DEFAULT_PATH_DEPTH}",
             path.depth()
         ));
     }
@@ -264,19 +263,20 @@ pub fn train(
 }
 
 /// [`train`] on `bench`'s training input, for `scheme`'s profile kind.
-fn train_bench(bench: &Benchmark, scheme: Scheme, depth: usize) -> Result<Trained, RunError> {
-    train(&bench.program, &bench.train_args, depth, scheme.kpath_k()).map_err(|error| {
+fn train_bench(bench: &Benchmark, scheme: Scheme) -> Result<Trained, RunError> {
+    let k = scheme.kpath_k();
+    train(&bench.program, &bench.train_args, DEFAULT_PATH_DEPTH, k).map_err(|error| {
         RunError::Exec { bench: bench.name.to_string(), stage: "train run", error }
     })
 }
 
 /// Cross-run training cache: one trained `(edge, path)` profile pair per
-/// `(benchmark, depth, profile kind)`, where the kind is the standard
+/// `(benchmark, profile kind)`, where the kind is the standard
 /// forward profiler or a k-iteration derivation (`Pk*` schemes), and one
 /// bounded [`OracleBaseline`] per `(benchmark, oracle inputs, step budget)`.
 ///
 /// A profile pair depends only on the benchmark's program, its training
-/// input, the path depth, and — for k-iteration pairs — k; not on machine
+/// input, and — for k-iteration pairs — k; not on machine
 /// model, guard mode, or fault seed (faults are injected after profiling).
 /// A baseline depends only on the program, the inputs and the budget.
 /// Sweeps that fan one benchmark out across many schemes can therefore
@@ -293,9 +293,9 @@ pub struct ProfileCache {
     baselines: Arc<Mutex<HashMap<BaselineKey, Slot<Arc<OracleBaseline>>>>>,
 }
 
-/// Cache key: `(benchmark name, path depth, k-iteration bound)` — `None`
-/// for the standard forward pair.
-type ProfileKey = (String, usize, Option<u32>);
+/// Cache key: `(benchmark name, k-iteration bound)` — `None` for the
+/// standard forward pair.
+type ProfileKey = (String, Option<u32>);
 /// Shared, immutable trained profile pair.
 type ProfilePair = Arc<(EdgeProfile, PathProfile)>;
 /// Baseline key: `(benchmark name, oracle inputs, step budget)`.
@@ -368,27 +368,19 @@ impl ProfileCache {
             || config.profile_in.is_some()
             || config.profile_out.is_some();
         if scheme.needs_profile() && !sourced {
-            let depth = config.path_depth.unwrap_or(DEFAULT_PATH_DEPTH);
-            let key = (bench.name.to_string(), depth, scheme.kpath_k());
+            let key = (bench.name.to_string(), scheme.kpath_k());
             filled.preloaded = Some(get_or_insert(&self.pairs, key, || {
                 let mut span = obs.span("profile").arg("stage", "train").arg("bench", bench.name);
                 if let Some(k) = scheme.kpath_k() {
                     span = span.arg("k", k);
                 }
-                let pair = Arc::new(train_bench(bench, scheme, depth)?.into_pair());
+                let pair = Arc::new(train_bench(bench, scheme)?.into_pair());
                 drop(span);
                 Ok(pair)
             })?);
         }
         Ok(filled)
     }
-}
-
-/// FNV-1a over `bytes` — stable benchmark-name hashing for fault seeds
-/// (`std`'s hasher is randomized per process). Shared arithmetic from
-/// [`pps_core::hash`].
-fn fnv1a(bytes: &[u8]) -> u64 {
-    pps_core::hash::fnv1a64(bytes)
 }
 
 /// The guard's oracle inputs for `bench` under `config`: the configured
@@ -499,8 +491,8 @@ pub fn compile(
         drop(inline_span);
         if !outcome.inlined.is_empty() {
             let _retrain_span = obs.span("profile").arg("stage", "retrain");
-            let depth = config.path_depth.unwrap_or(DEFAULT_PATH_DEPTH);
-            retrained = Some(train(&program, &bench.train_args, depth, None).map_err(|error| {
+            let args = &bench.train_args;
+            retrained = Some(train(&program, args, DEFAULT_PATH_DEPTH, None).map_err(|error| {
                 RunError::Exec { bench: bench.name.to_string(), stage: "inline retrain run", error }
             })?);
         }
@@ -521,8 +513,9 @@ pub fn compile(
     guard.oracle_inputs = oracle_inputs(bench, config);
     let mut inject = config.fault_seed.map(|seed| {
         // Seeded per (seed, benchmark) only — never per worker or run
-        // order — so fault routing is identical at any job count.
-        let mut injector = FaultInjector::new(seed ^ fnv1a(bench.name.as_bytes()));
+        // order — so fault routing is identical at any job count; FNV-1a
+        // because `std`'s hasher is randomized per process.
+        let mut injector = FaultInjector::new(seed ^ fnv1a64(bench.name.as_bytes()));
         let inputs = vec![bench.train_args.clone()];
         let budget = guard.step_budget;
         move |prog: &mut Program, pid: ProcId| {
@@ -555,8 +548,7 @@ fn profile_pair(
     config: &RunConfig,
     obs: &Obs,
 ) -> Result<Arc<(EdgeProfile, PathProfile)>, RunError> {
-    let depth = config.path_depth.unwrap_or(DEFAULT_PATH_DEPTH);
-    let _span = obs.span("profile").arg("depth", depth);
+    let _span = obs.span("profile").arg("depth", DEFAULT_PATH_DEPTH);
     let profile_err =
         |message: String| RunError::Profile { bench: bench.name.to_string(), message };
     // k-iteration schemes train a different profile kind (the path
@@ -569,7 +561,7 @@ fn profile_pair(
         return Ok(pair.clone());
     }
     if let Some(dir) = &config.profile_in {
-        match load_profiles(dir, bench.name, &suffix, depth).map_err(&profile_err)? {
+        match load_profiles(dir, bench.name, &suffix).map_err(&profile_err)? {
             Some(pair) => return Ok(Arc::new(pair)),
             // With an output directory the missing pair is a cache miss:
             // train below and save. Without one it is a user error.
@@ -583,7 +575,7 @@ fn profile_pair(
             }
         }
     }
-    let pair = train_bench(bench, scheme, depth)?.into_pair();
+    let pair = train_bench(bench, scheme)?.into_pair();
     if let Some(dir) = &config.profile_out {
         save_profiles(dir, bench.name, &suffix, &pair.0, &pair.1).map_err(&profile_err)?;
     }
@@ -773,6 +765,13 @@ mod tests {
         missing_cfg.profile_in = Some(format!("{dir}/nowhere"));
         let err = run_scheme(&bench, Scheme::P4, &missing_cfg).unwrap_err();
         assert!(matches!(err, RunError::Profile { .. }), "{err}");
+
+        // A path profile saved at another depth is an error, not a reuse.
+        let shallow = train(&bench.program, &bench.train_args, 4, None).unwrap();
+        std::fs::write(format!("{dir}/wc.pathprof"), path_to_text_with_stats(&shallow.path))
+            .unwrap();
+        let err = run_scheme(&bench, Scheme::P4, &load_cfg).unwrap_err();
+        assert!(err.to_string().contains("saved at depth 4"), "{err}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }

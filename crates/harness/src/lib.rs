@@ -28,13 +28,12 @@
 //! byte-identical to a serial run.
 
 pub mod experiments;
+pub mod pool;
 pub mod report;
 
-// The scoped-thread pool lives in `pps_core::pool` (the serve daemon shares
-// it) and the per-cell runner in `pps_eval::runner` (below both this crate
-// and the daemon); both keep their `pps_harness::` paths through these
-// re-exports.
-pub use pps_core::pool;
+// The per-cell runner lives in `pps_eval::runner` (below both this crate
+// and the daemon); it keeps its `pps_harness::` path through this
+// re-export.
 pub use pps_eval::runner;
 
 pub use experiments::{run_experiment_jobs_config, RunCtx};

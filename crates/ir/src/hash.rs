@@ -6,8 +6,8 @@
 //! 1. **Primitives** — [`fnv1a32`], [`fnv1a64`] and [`splitmix64`] are the
 //!    one shared home for the FNV-1a / splitmix64 arithmetic that used to
 //!    be copied independently into the serve frame checksum, the harness
-//!    fault seed, and the loadgen retry jitter. `pps_core::hash` re-exports
-//!    them for the higher layers.
+//!    fault seed, and the loadgen retry jitter; every layer imports them
+//!    from here.
 //! 2. **Structural hashing** — [`proc_hash`] / [`program_hash`] give a
 //!    [`Proc`]/[`Program`] a canonical 64-bit content identity: two values
 //!    hash equal iff they compare equal, which means the hash covers

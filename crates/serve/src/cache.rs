@@ -1,14 +1,14 @@
 //! Bounded, content-addressed caching of compile artifacts.
 //!
 //! Every `Compile`/`RunCell` reply is a pure function of the request, and
-//! the request's semantic content is captured by its
-//! [`ArtifactKey`](pps_core::ArtifactKey) — canonical program hash,
-//! canonical profile hash, scheme, machine hash — plus the residual
-//! request class (which benchmark cell and guard mode selected the
-//! oracle/measurement inputs). [`CompileCache`] memoizes replies under
-//! exactly that identity: a hit returns the `Arc`'d reply whose encoding
-//! is byte-identical to re-running the pipeline, because the key pins
-//! every input the pipeline reads.
+//! the request's semantic content is captured by its [`ArtifactKey`] —
+//! canonical program hash, canonical profile hash, scheme, machine hash
+//! ([`machine_hash`]) — plus the residual request class (which benchmark
+//! cell and guard mode selected the oracle/measurement inputs).
+//! [`CompileCache`] memoizes replies under exactly that identity: a hit
+//! returns the `Arc`'d reply whose encoding is byte-identical to
+//! re-running the pipeline, because the key pins every input the pipeline
+//! reads.
 //!
 //! # Coherence with PGO hot-swap
 //!
@@ -26,10 +26,83 @@
 //! Pong snapshot.
 
 use crate::proto::{HealthSnapshot, Response};
-use pps_core::ArtifactKey;
+use pps_ir::hash::Fold;
+use pps_machine::{LatencyModel, MachineConfig};
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Canonical hash of a machine model. Folds every field that affects
+/// scheduling or timing, so any config change yields a new artifact
+/// identity.
+pub fn machine_hash(m: &MachineConfig) -> u64 {
+    let mut f = Fold::new();
+    f.u64(m.issue_width as u64)
+        .u64(m.control_per_cycle as u64)
+        .u32(m.num_registers)
+        .tag(match m.latency {
+            LatencyModel::Unit => 0,
+            LatencyModel::Realistic => 1,
+        })
+        .u64(m.icache.size_bytes as u64)
+        .u64(m.icache.line_bytes as u64)
+        .u64(m.icache.miss_penalty)
+        .u64(m.icache.instr_bytes as u64);
+    f.finish()
+}
+
+/// The content address of one compile artifact.
+///
+/// A key is stable across processes and machines: every component is a
+/// canonical content hash (or the scheme's canonical name), never a
+/// process-local nonce. [`CompileCache`] keys on it, and the shard router
+/// places it on the consistent-hash ring via [`ArtifactKey::route_hash`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ArtifactKey {
+    /// Canonical structural hash of the program.
+    pub program_hash: u64,
+    /// Canonical hash of the training profile(s).
+    pub profile_hash: u64,
+    /// Formation scheme name (`BB`, `M4`, `P4`, `P4e`, …).
+    pub scheme: String,
+    /// Canonical hash of the machine model.
+    pub machine_hash: u64,
+}
+
+impl ArtifactKey {
+    /// Builds a key from already-computed component hashes.
+    pub fn new(
+        program_hash: u64,
+        profile_hash: u64,
+        scheme: impl Into<String>,
+        machine_hash: u64,
+    ) -> Self {
+        ArtifactKey { program_hash, profile_hash, scheme: scheme.into(), machine_hash }
+    }
+
+    /// One 64-bit digest of the whole key: the value consistent-hash
+    /// routing and cache bucketing use. Folds all four components
+    /// order-sensitively.
+    pub fn route_hash(&self) -> u64 {
+        let mut f = Fold::new();
+        f.u64(self.program_hash)
+            .u64(self.profile_hash)
+            .str(&self.scheme)
+            .u64(self.machine_hash);
+        f.finish()
+    }
+}
+
+impl fmt::Display for ArtifactKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:016x}-{:016x}-{}-{:016x}",
+            self.program_hash, self.profile_hash, self.scheme, self.machine_hash
+        )
+    }
+}
 
 /// Default entry budget of the daemon's cache.
 pub const DEFAULT_CAPACITY: usize = 128;
@@ -239,6 +312,7 @@ impl Default for CompileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pps_machine::ICacheConfig;
 
     fn key(n: u64, scheme: &str) -> CacheKey {
         CacheKey {
@@ -337,5 +411,45 @@ mod tests {
         assert_eq!(h.cache_hits, 1);
         assert_eq!(h.cache_misses, 1);
         assert_eq!(h.cache_entries, 1);
+    }
+
+    #[test]
+    fn machine_hash_covers_every_field() {
+        let base = MachineConfig::paper();
+        let h = machine_hash(&base);
+        let variants = [
+            MachineConfig { issue_width: 4, ..base },
+            MachineConfig { control_per_cycle: 2, ..base },
+            MachineConfig { num_registers: 64, ..base },
+            MachineConfig { latency: LatencyModel::Realistic, ..base },
+            MachineConfig {
+                icache: ICacheConfig { size_bytes: 64 * 1024, ..base.icache },
+                ..base
+            },
+            MachineConfig {
+                icache: ICacheConfig { miss_penalty: 12, ..base.icache },
+                ..base
+            },
+        ];
+        for v in &variants {
+            assert_ne!(machine_hash(v), h, "field change must change the hash: {v:?}");
+        }
+        assert_eq!(machine_hash(&base), h, "hash is deterministic");
+    }
+
+    #[test]
+    fn route_hash_distinguishes_components() {
+        let k = ArtifactKey::new(1, 2, "P4", 3);
+        assert_ne!(k.route_hash(), ArtifactKey::new(2, 1, "P4", 3).route_hash());
+        assert_ne!(k.route_hash(), ArtifactKey::new(1, 2, "P4e", 3).route_hash());
+        assert_ne!(k.route_hash(), ArtifactKey::new(1, 2, "P4", 4).route_hash());
+        assert_eq!(k.route_hash(), k.clone().route_hash());
+    }
+
+    #[test]
+    fn display_is_compact_and_ordered() {
+        let k = ArtifactKey::new(0xAB, 0xCD, "M16", 0xEF);
+        let s = k.to_string();
+        assert!(s.starts_with("00000000000000ab-00000000000000cd-M16-"));
     }
 }

@@ -94,10 +94,10 @@ impl From<io::Error> for FrameError {
 }
 
 /// FNV-1a over `payload`, 32-bit — an error-detection checksum (not
-/// cryptographic). The arithmetic lives in the shared
-/// [`pps_core::hash`] module; the wire format pins this exact function.
+/// cryptographic). The arithmetic lives in the shared [`pps_ir::hash`]
+/// module; the wire format pins this exact function.
 pub fn checksum(payload: &[u8]) -> u32 {
-    pps_core::hash::fnv1a32(payload)
+    pps_ir::hash::fnv1a32(payload)
 }
 
 /// Encodes a complete frame (header + payload) into one buffer.

@@ -13,11 +13,11 @@
 //! - [`proto`] — the `Profile` / `Compile` / `RunCell` request set and
 //!   structured error replies, with a bounds-checked binary codec;
 //! - [`server`] — a `TcpListener` daemon: bounded queue with `Busy`
-//!   backpressure ([`pps_core::pool::BoundedQueue`]), a scoped worker
-//!   team, per-request queue-wait deadlines, and graceful drain on
-//!   SIGTERM / in-band `Shutdown`;
+//!   backpressure ([`pool::BoundedQueue`]), a scoped worker team,
+//!   per-request queue-wait deadlines, and graceful drain on SIGTERM /
+//!   in-band `Shutdown`;
 //! - [`cache`] — a bounded content-addressed reply cache keyed by
-//!   [`pps_core::ArtifactKey`], consulted before the pipeline and
+//!   [`cache::ArtifactKey`], consulted before the pipeline and
 //!   invalidated by PGO hot-swaps;
 //! - [`client`] — the blocking client;
 //! - [`loadgen`] — the load generator that byte-verifies every reply
@@ -44,11 +44,13 @@ pub mod client;
 pub mod frame;
 pub mod loadgen;
 pub mod pgo;
+pub mod pool;
 pub mod proto;
 pub mod server;
 pub mod service;
 pub mod shard;
 pub mod signal;
+pub mod swap;
 pub mod telemetry;
 pub mod top;
 

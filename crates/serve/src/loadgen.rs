@@ -88,7 +88,7 @@ fn backoff(index: usize, attempt: usize) -> Duration {
     let exp = BACKOFF_BASE.saturating_mul(1u32 << attempt.min(16) as u32).min(BACKOFF_CAP);
     // splitmix64 over (index, attempt) — no RNG dependency, and the
     // same request retries with the same delays in every run.
-    let z = pps_core::hash::splitmix64(
+    let z = pps_ir::hash::splitmix64(
         (index as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(attempt as u64),
@@ -658,7 +658,7 @@ fn cluster_requests(config: &LoadgenConfig) -> Vec<Request> {
 fn pick_artifact(i: usize, n: usize) -> usize {
     debug_assert!(n > 0);
     let total = (n * (n + 1) / 2) as u64;
-    let mut r = pps_core::hash::splitmix64(i as u64) % total;
+    let mut r = pps_ir::hash::splitmix64(i as u64) % total;
     for k in 0..n {
         let w = (n - k) as u64;
         if r < w {

@@ -20,12 +20,12 @@
 //!   against an aggregate snapshot inside `catch_unwind`, through the same
 //!   train → inline → compile path as the request path
 //!   ([`pps_eval::runner::compile`]) behind the strict guard (structural
-//!   verifier + differential oracle). Only a
-//!   fully verified unit is published, through a generation-stamped CAS
-//!   ([`pps_core::SwapSlot::swap_if`]): a stale recompile (another swap
-//!   landed first) or any fault rolls back — the old unit keeps serving,
-//!   untouched. A per-sweep recompile budget plus a per-unit cooldown
-//!   bound churn under oscillating workloads.
+//!   verifier + differential oracle). Only a fully verified unit is
+//!   published, through a generation-stamped CAS ([`SwapSlot::swap_if`]):
+//!   a stale recompile (another swap landed first) or any fault rolls
+//!   back — the old unit keeps serving, untouched. A per-sweep recompile
+//!   budget plus a per-unit cooldown bound churn under oscillating
+//!   workloads.
 //!
 //! [`PgoRuntime`] runs [`PgoState::sweep`] on a background thread;
 //! [`PgoRuntime::shutdown`] drains it — the swap is a single slot
@@ -33,7 +33,8 @@
 
 use crate::cache::CompileCache;
 use crate::proto::HealthSnapshot;
-use pps_core::{GuardMode, Scheme, SwapOutcome, SwapSlot};
+use crate::swap::{SwapOutcome, SwapSlot};
+use pps_core::{GuardMode, Scheme};
 use pps_eval::runner::{self, RunConfig};
 use pps_obs::{Level, Obs};
 use pps_profile::{merge_edges, merge_paths, path_drift, EdgeProfile, PathProfile};

@@ -7,7 +7,7 @@
 //!   listener, polling the shutdown flag between accepts;
 //! - each connection gets a **connection thread** that reads frames,
 //!   answers `Ping`/`Shutdown` inline, and pushes real work onto the
-//!   bounded queue ([`pps_core::pool::BoundedQueue`]) — a full queue is an
+//!   bounded queue ([`crate::pool::BoundedQueue`]) — a full queue is an
 //!   immediate [`Response::Busy`], never a blocked producer;
 //! - a fixed team of **worker threads** pops jobs, enforces each request's
 //!   queue-wait deadline, runs the [`Handler`], and hands the response back
@@ -24,8 +24,8 @@ use crate::frame::{self, read_first, First};
 use crate::proto::{
     decode_request, encode_response, Envelope, ErrorKind, HealthSnapshot, Request, Response,
 };
+use crate::pool::{BoundedQueue, PushError};
 use crate::telemetry::{self, RequestRecord, Telemetry};
-use pps_core::pool::{BoundedQueue, PushError};
 use pps_obs::{Level, Obs, ObsConfig};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,7 +64,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let workers = pps_core::pool::default_jobs();
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         ServeConfig {
             workers,
             queue_capacity: (workers * 8).max(16),

@@ -7,11 +7,11 @@
 //! request compiles through the one train → inline → compile path of
 //! [`pps_eval::runner`], the path the harness and `pps-explore` take.
 
-use crate::cache::{CacheClass, CacheKey, CompileCache};
+use crate::cache::{machine_hash, ArtifactKey, CacheClass, CacheKey, CompileCache};
 use crate::pgo::PgoState;
 use crate::proto::{ErrorKind, HealthSnapshot, ProfileText, Request, Response};
 use crate::server::Handler;
-use pps_core::{machine_hash, ArtifactKey, GuardMode, Scheme};
+use pps_core::{GuardMode, Scheme};
 use pps_eval::runner::{self, RunConfig, RunError, Trained};
 use pps_machine::MachineConfig;
 use pps_obs::{Level, Obs, ObsConfig};
@@ -198,16 +198,24 @@ fn compile(
                 Ok(p) => p,
                 Err(e) => return error(ErrorKind::BadProfile, format!("path profile: {e}")),
             };
-            Trained { edge, path, kpath: None }
+            Some(Trained { edge, path, kpath: None })
         }
         // No supplied pair: one training run of the scheme's profile kind
         // (k-iteration for `Pk*`, whose k-path profile the artifact key
         // folds in).
-        None => match train(&bench, DEFAULT_PATH_DEPTH, scheme.kpath_k()) {
-            Ok(t) => t,
-            Err(r) => return r,
-        },
+        None if scheme.needs_profile() => {
+            match train(&bench, DEFAULT_PATH_DEPTH, scheme.kpath_k()) {
+                Ok(t) => Some(t),
+                Err(r) => return r,
+            }
+        }
+        None => None,
     };
+    // A scheme that reads no profile (`BB`) and carries none trains none:
+    // it compiles and keys the cache against empty profiles, and PGO has
+    // nothing to aggregate or track.
+    let pgo = pgo.filter(|_| trained.is_some());
+    let trained = trained.unwrap_or_else(Trained::empty);
     if let Some(pgo) = pgo {
         pgo.publish(bench.name, scale, &trained.edge, &trained.path);
     }
@@ -305,10 +313,10 @@ fn run_cell(
     // aggregate it, the cache to key on it — then hand the same objects to
     // the runner. The runner would train exactly this (the scheme's own
     // profile kind) itself, so the reply stays byte-for-byte equal to
-    // plain execution; `BB` reads no profile, so the runner ignores the
-    // pair and the reply carries no `profile.*` counters. The daemon passes
-    // no shared oracle baseline: the guard runs its own.
-    let trained = if pgo.is_some() || cache.is_some() {
+    // plain execution. `BB` reads no profile: it trains none, keys the
+    // cache on empty profiles and gives PGO nothing. The daemon passes no
+    // shared oracle baseline: the guard runs its own.
+    let trained = if scheme.needs_profile() && (pgo.is_some() || cache.is_some()) {
         match train(&bench, DEFAULT_PATH_DEPTH, scheme.kpath_k()) {
             Ok(t) => Some(t),
             Err(r) => return r,
@@ -320,15 +328,17 @@ fn run_cell(
         pgo.publish(bench.name, scale, &t.edge, &t.path);
         pgo.observe_unit(bench.name, scale, &scheme_name, &t.path);
     }
-    let key = match (&trained, cache) {
-        (Some(t), Some(_)) => Some(CacheKey {
-            artifact: artifact_key(&bench, t, scheme, &config.machine),
-            class: CacheClass::RunCell { strict },
-            bench: bench.name.to_string(),
-            scale,
-        }),
-        _ => None,
-    };
+    let key = cache.map(|_| CacheKey {
+        artifact: artifact_key(
+            &bench,
+            trained.as_ref().unwrap_or(&Trained::empty()),
+            scheme,
+            &config.machine,
+        ),
+        class: CacheClass::RunCell { strict },
+        bench: bench.name.to_string(),
+        scale,
+    });
     if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
         if let Some(reply) = cache.get(key) {
             return (*reply).clone();

@@ -25,13 +25,14 @@
 //! (best effort) and then drains the router itself, so one in-band
 //! shutdown quiesces the whole cluster.
 
+use crate::cache::{machine_hash, ArtifactKey};
 use crate::frame::{self, read_first, First, FrameError};
 use crate::proto::{
     decode_request, decode_response, encode_request, encode_response, Envelope, ErrorKind,
     HealthSnapshot, Request, Response,
 };
-use pps_core::hash::Fold;
-use pps_core::{machine_hash, ArtifactKey, Scheme};
+use pps_core::Scheme;
+use pps_ir::hash::Fold;
 use pps_machine::MachineConfig;
 use pps_obs::{Level, Obs};
 use pps_suite::{benchmark_by_name, Scale};
@@ -187,7 +188,7 @@ impl Router {
         // produce the identical structured error.
         let h = match benchmark_by_name(bench, Scale(scale)) {
             Some(b) => pps_ir::hash::program_hash(&b.program),
-            None => pps_core::hash::fnv1a64(bench.as_bytes()),
+            None => pps_ir::hash::fnv1a64(bench.as_bytes()),
         };
         memo.insert(key, h);
         h
@@ -553,7 +554,7 @@ mod tests {
         let ring = ShardRing::new((0..4).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect());
         let mut seen = [0u64; 4];
         for k in 0..10_000u64 {
-            let h = pps_core::hash::splitmix64(k);
+            let h = pps_ir::hash::splitmix64(k);
             let s = ring.shard_for(h);
             assert_eq!(s, ring.shard_for(h), "placement must be deterministic");
             seen[s] += 1;
@@ -574,7 +575,7 @@ mod tests {
         let mut moved = 0u64;
         let total = 10_000u64;
         for k in 0..total {
-            let h = pps_core::hash::splitmix64(k);
+            let h = pps_ir::hash::splitmix64(k);
             let before = full.shard_for(h);
             let after = reduced.shard_for(h);
             if before < 3 && before != after {

@@ -78,6 +78,26 @@ fn repeated_requests_hit_the_cache_byte_identically() {
 }
 
 #[test]
+fn basic_block_requests_train_nothing_for_pgo_or_the_cache() {
+    let cache = CompileCache::new(8);
+    let state = PgoState::new(fast_config(), Obs::noop());
+    let obs = Obs::noop();
+    for request in [
+        Request::Compile { bench: "wc".into(), scale: 1, scheme: "BB".into(), profile: None },
+        Request::RunCell { bench: "wc".into(), scale: 1, scheme: "BB".into(), strict: true },
+    ] {
+        let plain = encode_response(&execute(&request, &obs, None, None));
+        for _ in 0..2 {
+            let served = encode_response(&execute(&request, &obs, Some(&state), Some(&cache)));
+            assert_eq!(plain, served, "cache or PGO changed a BB reply: {request:?}");
+        }
+    }
+    assert_eq!(cache.stats().0, 2, "the second of each request is a hit");
+    assert_eq!(state.aggregate_stats("wc").map_or(0, |(samples, _)| samples), 0);
+    assert_eq!(state.fill_health(Default::default()).units, 0, "no PGO unit for BB");
+}
+
+#[test]
 fn strictness_is_part_of_runcell_identity_and_errors_are_never_cached() {
     let cache = CompileCache::new(8);
     let obs = Obs::noop();

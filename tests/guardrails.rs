@@ -60,7 +60,6 @@ fn guard(mode: GuardMode) -> GuardConfig {
         mode,
         oracle_inputs: vec![vec![]],
         step_budget: STEP_BUDGET,
-        budget_factor: 8,
     }
 }
 

@@ -14,9 +14,8 @@ use pps::sim::simulate;
 use pps::testgen::{gen_program, GenConfig};
 use proptest::prelude::*;
 
-// `compact_program` runs `check_schedule` on every superblock when
-// `validate` is set (the default); these tests lean on that and assert the
-// higher-level accounting.
+// `compact_program` runs `check_schedule` on every superblock; these tests
+// lean on that and assert the higher-level accounting.
 
 fn form_and_check(seed: u64, scheme: Scheme, machine: MachineConfig) {
     let mut program = gen_program(seed, GenConfig::default());
@@ -32,7 +31,7 @@ fn form_and_check(seed: u64, scheme: Scheme, machine: MachineConfig) {
         &FormConfig::default(),
     )
     .unwrap();
-    let cc = CompactConfig { machine, validate: true, ..Default::default() };
+    let cc = CompactConfig { machine, ..Default::default() };
     let compacted = compact_program(&mut program, &formed.partition, &cc);
 
     // Schedule-level invariants beyond the checker: exits cost at least 1
