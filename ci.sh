@@ -4,9 +4,10 @@
 # shims/README.md), so `cargo` never touches a registry.
 #
 # Stages (run all by default):
-#   ./ci.sh gate              build + tests + clippy, and the layering
-#                             check: pps-harness and pps-eval must not
-#                             link pps-serve
+#   ./ci.sh gate              build + tests + clippy + rustdoc with
+#                             warnings denied, and the layering check:
+#                             pps-harness and pps-eval must not link
+#                             pps-serve
 #   ./ci.sh obs-smoke         one recorded benchmark run; fails on missing or
 #                             invalid --trace-out/--metrics-out JSON
 #   ./ci.sh parallel-harness  same experiment at --jobs 1 and --jobs 2;
@@ -87,6 +88,10 @@ gate() {
   # crates/bench sits outside default-members; lint it so the API it
   # calls stays compiled.
   cargo clippy -p pps-bench --all-targets -- -D warnings
+
+  echo "== rustdoc =="
+  # Broken or private intra-doc links fail the gate.
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
   echo "== layering =="
   # The offline paper reproduction must not link the TCP daemon: the

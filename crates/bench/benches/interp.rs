@@ -38,8 +38,8 @@ fn bench_interp(c: &mut Criterion) {
     }
     group.finish();
 
-    // Decode cost: amortized away by the generation-keyed cache in real
-    // runs, but it bounds the cold-start latency of a cache miss.
+    // Decode cost: every fast-engine `Exec::new` pays it once, before any
+    // run (the guard's oracle decodes the whole program per pass).
     let mut decode = c.benchmark_group("decode");
     for name in ["wc", "gcc", "perl"] {
         let bench = benchmark_by_name(name, Scale(2)).expect("benchmark exists");

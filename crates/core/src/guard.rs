@@ -23,7 +23,7 @@
 //!
 //! The oracle compares observable behaviour (output stream, return value,
 //! final memory) of the original and transformed program on configurable
-//! inputs under an instruction budget, using [`Interp::run_bounded`] so
+//! inputs under an instruction budget, using [`Exec::run_bounded`] so
 //! long-running programs are compared on output *prefixes* instead of being
 //! misreported as failures. A transformed procedure that blows through a
 //! generous multiple of the original's budget is reported as
@@ -45,7 +45,7 @@ use pps_ir::analysis::Cfg;
 use pps_ir::hash::program_hash;
 use pps_ir::interp::{BoundedRun, ExecConfig, ExecError};
 use pps_ir::verify::{verify_program, VerifyError};
-use pps_ir::{AnalysisCache, Exec, Proc, ProcId, Program};
+use pps_ir::{Exec, Proc, ProcId, Program};
 use pps_obs::{ArgValue, Level, Obs};
 use pps_profile::{EdgeProfile, EdgeProfiler, PathProfile};
 use std::borrow::Cow;
@@ -597,10 +597,6 @@ struct GuardRun<'a> {
     /// The untransformed program's behaviour, one run per oracle input:
     /// the caller's shared baseline when it matches, else the guard's own.
     baseline: Cow<'a, OracleBaseline>,
-    /// Decoded-stream cache for the oracle runs: between runs only the
-    /// procedures that changed have new generations, so only they
-    /// re-decode.
-    oracle_cache: AnalysisCache,
     /// Edge profile of oracle input 0 from the last oracle pass. Every
     /// later change to the program is either judged by another pass or
     /// rejected, and a rejection clears it, so at [`GuardRun::finish`] it
@@ -638,7 +634,6 @@ impl<'a> GuardRun<'a> {
             compact_config,
             obs,
             baseline,
-            oracle_cache: AnalysisCache::new(),
             profile: None,
             pending: Vec::new(),
             stats: FormStats {
@@ -667,7 +662,7 @@ impl<'a> GuardRun<'a> {
         };
         let mut profiler = EdgeProfiler::new(program);
         let mut profiled = false;
-        let exec = Exec::new_cached(program, config, &mut self.oracle_cache);
+        let exec = Exec::new(program, config);
         for (input_index, baseline) in self.baseline.runs().iter().enumerate() {
             let args = &self.guard.oracle_inputs[input_index];
             let run = if input_index == 0 {

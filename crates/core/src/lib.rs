@@ -47,7 +47,6 @@ pub mod inline;
 pub mod pipeline;
 pub mod select;
 pub mod tail_dup;
-mod unit;
 
 pub use config::{FormConfig, Scheme};
 pub use inline::{

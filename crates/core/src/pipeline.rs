@@ -6,9 +6,9 @@ use crate::fixup::split_side_entrances;
 use crate::guard::PipelineError;
 use crate::select::{select_traces_edge, select_traces_path, Trace};
 use crate::tail_dup::tail_duplicate;
-use crate::unit::CompileUnit;
 use pps_compact::{try_compact_program, CompactConfig, CompactedProgram, SuperblockSpec};
-use pps_ir::{BlockId, ProcId, Program};
+use pps_ir::analysis::{Cfg, ProcAnalysis};
+use pps_ir::{BlockId, Proc, ProcId, Program};
 use pps_obs::{ArgValue, Obs};
 use pps_profile::{EdgeProfile, PathProfile};
 
@@ -100,11 +100,10 @@ pub fn form_program(
 /// failure roll back one procedure at a time. The caller has already
 /// checked that a path scheme has its path profile.
 ///
-/// Checks the procedure out as a [`CompileUnit`] so every pass consumes its
-/// cached analyses; only mutations (which bump the procedure's generation)
-/// trigger recomputation. When `obs` records, the work runs under a `form`
-/// span scoped to the procedure, with formation counter deltas recorded
-/// around it.
+/// Formation sees only `program.proc_mut(pid)`, so it can neither read nor
+/// mutate any other procedure. When `obs` records, the work runs under a
+/// `form` span scoped to the procedure, with formation counter deltas
+/// recorded around it.
 ///
 /// Only procedure `pid` is mutated. `stats` is updated in place (the guard
 /// passes a per-procedure copy so a rollback discards it); program-level
@@ -121,15 +120,12 @@ pub(crate) fn form_proc(
     stats: &mut FormStats,
     obs: &Obs,
 ) -> (Vec<SuperblockSpec>, Vec<BlockId>) {
-    let mut unit = CompileUnit::detach(program, pid);
+    let proc = program.proc_mut(pid);
     let (sbs, orig_of) = if obs.is_recording() {
-        let obs = obs.with_label("proc", unit.proc().name.as_str());
-        let span = obs
-            .span("form")
-            .arg("proc", unit.proc().name.as_str())
-            .arg("scheme", scheme.name());
+        let obs = obs.with_label("proc", proc.name.as_str());
+        let span = obs.span("form").arg("proc", proc.name.as_str()).arg("scheme", scheme.name());
         let before = *stats;
-        let out = form_unit(&mut unit, edge, path, scheme, config, stats, &obs);
+        let out = form_unit(proc, pid, edge, path, scheme, config, stats, &obs);
         obs.counter("form.superblocks", out.0.len() as u64);
         obs.counter("form.tail_dup_blocks", stats.tail_dup_blocks - before.tail_dup_blocks);
         obs.counter("form.enlarged_blocks", stats.enlarged_blocks - before.enlarged_blocks);
@@ -138,23 +134,21 @@ pub(crate) fn form_proc(
             stats.skipped_low_completion - before.skipped_low_completion,
         );
         obs.counter("form.splits", stats.splits - before.splits);
-        let (hits, misses) = unit.cache_stats();
-        obs.counter("form.analysis_cache_hits", hits);
-        obs.counter("form.analysis_cache_misses", misses);
         drop(span);
         out
     } else {
-        form_unit(&mut unit, edge, path, scheme, config, stats, obs)
+        form_unit(proc, pid, edge, path, scheme, config, stats, obs)
     };
-    unit.reattach(program);
     let specs = sbs.into_iter().map(|sb| SuperblockSpec::new(sb.blocks)).collect();
     (specs, orig_of)
 }
 
-/// Select → tail duplication → enlargement → fixup over one checked-out
-/// procedure.
+/// Select → tail duplication → enlargement → fixup over procedure `pid`.
+/// Each step computes the CFG or analysis bundle of the body it works on.
+#[allow(clippy::too_many_arguments)]
 fn form_unit(
-    unit: &mut CompileUnit,
+    proc: &mut Proc,
+    pid: ProcId,
     edge: &EdgeProfile,
     path: Option<&PathProfile>,
     scheme: Scheme,
@@ -162,13 +156,11 @@ fn form_unit(
     stats: &mut FormStats,
     obs: &Obs,
 ) -> (Vec<SbBuild>, Vec<BlockId>) {
-    let pid = unit.pid();
-    let mut orig_of: Vec<BlockId> = unit.proc().block_ids().collect();
+    let mut orig_of: Vec<BlockId> = proc.block_ids().collect();
 
     if scheme == Scheme::BasicBlock {
-        let cfg = unit.cfg();
-        let sbs = unit
-            .proc()
+        let cfg = Cfg::compute(proc);
+        let sbs = proc
             .block_ids()
             .filter(|b| cfg.is_reachable(*b))
             .map(|b| SbBuild::from_original(vec![b]))
@@ -178,14 +170,14 @@ fn form_unit(
 
     // 1. Trace selection.
     let select_span = obs.span("select").arg("scheme", scheme.name());
-    let analysis = unit.analysis();
+    let analysis = ProcAnalysis::compute(proc);
     let traces: Vec<Trace> = match scheme {
-        Scheme::Edge { .. } => select_traces_edge(unit.proc(), pid, &analysis, edge),
+        Scheme::Edge { .. } => select_traces_edge(proc, pid, &analysis, edge),
         // The Pk*/Px* schemes run the path selector over their derived
         // profile view (k-iteration substring counts / post-inline paths);
         // the fidelity difference lives entirely in the profile.
         Scheme::Path { .. } | Scheme::KPath { .. } | Scheme::Inter { .. } => {
-            select_traces_path(unit.proc(), pid, &analysis, path.expect("path profile"), config)
+            select_traces_path(proc, pid, &analysis, path.expect("path profile"), config)
         }
         Scheme::BasicBlock => unreachable!(),
     };
@@ -207,15 +199,18 @@ fn form_unit(
         }
     }
 
-    // 2. Tail duplication.
+    // 2. Tail duplication. A trace with no side entrance is left as it
+    // is; one that copies blocks rewires edges, so the next trace needs
+    // the CFG recomputed.
     let tail_span = obs.span("tail_dup");
+    let mut cfg = analysis.cfg;
     let mut sbs: Vec<SbBuild> = Vec::with_capacity(traces.len());
     let mut chains: Vec<SbBuild> = Vec::new();
     for trace in &traces {
-        // Each duplication rewires edges, so the cached CFG refreshes
-        // per trace; with no duplications it is a straight cache hit.
-        let cfg = unit.cfg();
-        let dup = tail_duplicate(unit.proc_mut(), trace, &cfg);
+        let dup = tail_duplicate(proc, trace, &cfg);
+        if !dup.chain.is_empty() {
+            cfg = Cfg::compute(proc);
+        }
         stats.tail_dup_blocks += dup.chain.len() as u64;
         for (&c, &o) in dup.chain.iter().zip(dup.chain_orig.iter()) {
             debug_assert_eq!(c.index(), orig_of.len());
@@ -236,7 +231,6 @@ fn form_unit(
     // Split any residual side entrances before classification (tail
     // duplication of later traces may have redirected edges into earlier
     // copy chains).
-    let cfg = unit.cfg();
     let (n, pieces) = split_side_entrances(&cfg, &mut sbs);
     stats.splits += n as u64;
     is_chain = pieces.iter().map(|p| is_chain[p.origin]).collect();
@@ -255,14 +249,13 @@ fn form_unit(
             break;
         }
         let _enlarge_span = obs.span("enlarge").arg("pass", pass);
-        let analysis = unit.analysis();
-        let index = SbIndex::build(unit.proc(), pid, &sbs, &is_chain, edge, &analysis);
+        let analysis = ProcAnalysis::compute(proc);
+        let index = SbIndex::build(proc, pid, &sbs, &is_chain, edge, &analysis);
         let snapshot: Vec<Vec<BlockId>> = sbs.iter().map(|s| s.blocks.clone()).collect();
-        let term_snapshot = snapshot_terms(unit.proc());
+        let term_snapshot = snapshot_terms(proc);
         // Hot-first order by head frequency.
         let mut order: Vec<usize> = (0..sbs.len()).filter(|&i| pending[i]).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(edge.block_freq(pid, sbs[i].orig[0])));
-        let proc = unit.proc_mut();
         let mut new_chains: Vec<SbBuild> = Vec::new();
         for i in order {
             match scheme {
@@ -311,7 +304,7 @@ fn form_unit(
         sbs.extend(new_chains);
         pending.resize(sbs.len(), false);
         is_chain.resize(sbs.len(), true);
-        let cfg = unit.cfg();
+        let cfg = Cfg::compute(proc);
         let (n, pieces) = split_side_entrances(&cfg, &mut sbs);
         stats.splits += n as u64;
         // Fresh fragments become enlargement candidates; everything
@@ -325,7 +318,7 @@ fn form_unit(
 
     // Final fixup (harmless if already clean).
     let fixup_span = obs.span("fixup");
-    let cfg = unit.cfg();
+    let cfg = Cfg::compute(proc);
     let (n, _) = split_side_entrances(&cfg, &mut sbs);
     stats.splits += n as u64;
     drop(fixup_span.arg("splits", n));

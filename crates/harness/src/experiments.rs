@@ -696,7 +696,7 @@ pub fn tracecache(benches: &[Benchmark]) -> Result<Table, RunError> {
 
 /// Companion-work extension: static branch prediction accuracy, edge
 /// majority vs path-context (Young & Smith, ASPLOS 1994 — the paper's
-/// reference [20] and the origin of the `corr` microbenchmark). Trained on
+/// reference \[20\] and the origin of the `corr` microbenchmark). Trained on
 /// the training input, evaluated on the testing input.
 pub fn predict(benches: &[Benchmark]) -> Result<Table, RunError> {
     use pps_ir::interp::ExecConfig;

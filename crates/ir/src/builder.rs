@@ -273,7 +273,6 @@ impl FuncBuilder<'_> {
         let block = &mut self.proc.blocks[idx];
         block.instrs = std::mem::take(&mut self.pending);
         block.term = term;
-        self.proc.touch();
         self.closed[idx] = true;
     }
 

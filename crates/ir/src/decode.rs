@@ -5,20 +5,20 @@
 //! is the clearest possible statement of the semantics, but it costs two
 //! bounds-checked indirections plus an operand-shape match per executed
 //! instruction. [`DecodedProc`] flattens a procedure into one contiguous
-//! [`Op`] array with:
+//! `Op` array with:
 //!
 //! - **dense program counters** — every block's body is laid out
 //!   back-to-back, terminator included, and control transfers carry the
-//!   *resolved* target pc (plus the original [`BlockId`] so trace sinks see
-//!   exactly the events the reference engine emits);
+//!   *resolved* target pc (plus the original [`BlockId`](crate::BlockId)
+//!   so trace sinks see exactly the events the reference engine emits);
 //! - **operand-shape specialization** — `reg op reg`, `reg op imm`,
 //!   `imm op reg` and constant-foldable forms decode to distinct opcodes,
 //!   so the hot dispatch loop is a single match with no nested operand
-//!   test (an `Alu` over two immediates decodes to a [`Op::MovImm`] of the
+//!   test (an `Alu` over two immediates decodes to an `Op::MovImm` of the
 //!   folded value: still one dynamic instruction, same register effect);
 //! - **side-table arenas** — call argument lists and switch target tables
 //!   live in per-procedure arenas referenced by `(start, len)`, keeping
-//!   [`Op`] `Copy` and free of heap payloads.
+//!   `Op` `Copy` and free of heap payloads.
 //!
 //! Decoding is *total*: it never inspects whether the procedure would pass
 //! the verifier. A control transfer to an out-of-range block decodes to an
@@ -26,14 +26,13 @@
 //! matching the reference engine, which also fails lazily, so
 //! fault-injected programs behave identically under both engines.
 //!
-//! A decoded procedure is a pure function of the procedure body, so it is
-//! memoized by [`Proc::generation`] in [`crate::cache::UnitCache`] exactly
-//! like CFGs and analyses.
+//! A decoded procedure is a pure function of the procedure body, and
+//! decoding is cheap next to running it: [`crate::exec::Exec::new`]
+//! decodes the whole program afresh each time.
 
 use crate::instr::{AluOp, Instr, Operand, Terminator};
 use crate::proc::Proc;
 use crate::program::{ProcId, Program};
-use std::sync::Arc;
 
 /// Sentinel meaning "no register" / "unresolved pc".
 pub(crate) const NONE: u32 = u32::MAX;
@@ -127,8 +126,6 @@ pub struct DecodedProc {
     pub(crate) window: u32,
     /// Parameter count, checked against the entry argument vector.
     pub(crate) num_params: u32,
-    /// Generation of the procedure body this was decoded from.
-    generation: u64,
 }
 
 impl DecodedProc {
@@ -258,13 +255,7 @@ impl DecodedProc {
             entry: resolve(proc.entry),
             window: proc.reg_count.max(1),
             num_params: proc.num_params,
-            generation: proc.generation(),
         }
-    }
-
-    /// Generation of the procedure body this stream was decoded from.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Number of decoded ops (instructions + terminators).
@@ -277,32 +268,16 @@ impl DecodedProc {
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     /// Decoded procedures, indexed like `Program::procs`.
-    pub(crate) procs: Vec<Arc<DecodedProc>>,
+    pub(crate) procs: Vec<DecodedProc>,
     /// Entry procedure.
     pub(crate) entry: ProcId,
 }
 
 impl DecodedProgram {
-    /// Decodes every procedure of `program` from scratch.
+    /// Decodes every procedure of `program`.
     pub fn decode(program: &Program) -> DecodedProgram {
         DecodedProgram {
-            procs: program
-                .procs
-                .iter()
-                .map(|p| Arc::new(DecodedProc::decode(p)))
-                .collect(),
-            entry: program.entry,
-        }
-    }
-
-    /// Decodes through `cache`: procedures whose generation is unchanged
-    /// reuse the memoized stream; only mutated procedures re-decode.
-    pub fn decode_cached(program: &Program, cache: &mut crate::cache::AnalysisCache) -> DecodedProgram {
-        DecodedProgram {
-            procs: program
-                .iter_procs()
-                .map(|(pid, proc)| cache.unit_mut(pid).decoded(proc))
-                .collect(),
+            procs: program.procs.iter().map(DecodedProc::decode).collect(),
             entry: program.entry,
         }
     }
@@ -364,19 +339,5 @@ mod tests {
         ));
         let d = DecodedProc::decode(&proc);
         assert_eq!(d.code[0], Op::Jump { t: Target { pc: NONE, block: 99 } });
-    }
-
-    #[test]
-    fn decode_tracks_generation() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.begin_proc("main", 0);
-        f.ret(None);
-        let main = f.finish();
-        let mut p = pb.finish(main);
-        let d1 = DecodedProc::decode(p.proc(p.entry));
-        assert_eq!(d1.generation(), p.proc(p.entry).generation());
-        p.proc_mut(p.entry).touch();
-        let d2 = DecodedProc::decode(p.proc(p.entry));
-        assert_ne!(d1.generation(), d2.generation());
     }
 }

@@ -24,7 +24,6 @@
 //! tests). The thread-local override takes precedence over the
 //! environment.
 
-use crate::cache::AnalysisCache;
 use crate::decode::{DecodedProgram, Op, Src, NONE};
 use crate::interp::{BoundedRun, DynCounts, ExecConfig, ExecError, ExecResult, Interp};
 use crate::proc::BlockId;
@@ -97,18 +96,6 @@ impl<'p> Exec<'p> {
     pub fn with_engine(program: &'p Program, config: ExecConfig, engine: Engine) -> Self {
         let decoded = match engine {
             Engine::Fast => Some(DecodedProgram::decode(program)),
-            Engine::Reference => None,
-        };
-        Exec { program, config, decoded }
-    }
-
-    /// Creates an executor using [`current_engine`], decoding through
-    /// `cache` so unchanged procedures reuse their memoized streams (the
-    /// guard's oracle re-runs the program as procedures are reinstalled or
-    /// rolled back; only the changed procedures re-decode).
-    pub fn new_cached(program: &'p Program, config: ExecConfig, cache: &mut AnalysisCache) -> Self {
-        let decoded = match current_engine() {
-            Engine::Fast => Some(DecodedProgram::decode_cached(program, cache)),
             Engine::Reference => None,
         };
         Exec { program, config, decoded }
@@ -191,7 +178,7 @@ macro_rules! ret_transfer {
                     $regs[$base + f.ret_dst as usize] = v.unwrap_or(0);
                 }
                 $cur_proc = f.proc;
-                $cur = &*$dp.procs[f.proc as usize];
+                $cur = &$dp.procs[f.proc as usize];
                 $pc = f.pc;
             }
             None => $top,
@@ -244,7 +231,7 @@ fn run_flat<S: TraceSink>(
     let mut arg_buf: Vec<i64> = Vec::new();
 
     let mut cur_proc: u32 = entry_id.index() as u32;
-    let mut cur = &**entry;
+    let mut cur = entry;
     let mut base: usize = 0;
     let mut pc: u32 = cur.entry.pc;
 
@@ -368,7 +355,7 @@ fn run_flat<S: TraceSink>(
                 regs.resize(base + cd.window as usize, 0);
                 regs[base..base + arg_buf.len()].copy_from_slice(&arg_buf);
                 cur_proc = callee;
-                cur = &**cd;
+                cur = cd;
                 pc = cur.entry.pc;
                 counts.calls += 1;
                 let callee_id = ProcId::new(callee);
@@ -496,16 +483,5 @@ mod tests {
         let p = sum_to(3);
         let e = with_engine(Engine::Reference, || Exec::new(&p, ExecConfig::default()).engine());
         assert_eq!(e, Engine::Reference);
-    }
-
-    #[test]
-    fn cached_decode_reuses_streams() {
-        let p = sum_to(5);
-        let mut cache = AnalysisCache::new();
-        let a = Exec::new_cached(&p, ExecConfig::default(), &mut cache);
-        let b = Exec::new_cached(&p, ExecConfig::default(), &mut cache);
-        assert_eq!(a.run(&[]).unwrap(), b.run(&[]).unwrap());
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (1, 1), "second decode hits the memo");
     }
 }

@@ -222,7 +222,6 @@ impl FaultInjector {
             return None;
         }
         *successor_slot_mut(&mut proc.blocks[bi].term, slot) = new;
-        proc.touch();
         Some(FaultRecord {
             proc: pid,
             block: BlockId::new(bi as u32),
@@ -257,7 +256,6 @@ impl FaultInjector {
         if let Instr::Alu { op, lhs, rhs, .. } = &mut proc.blocks[bi].instrs[ii] {
             std::mem::swap(lhs, rhs);
             let detail = format!("instr {ii}: swapped operands of {op:?}");
-            proc.touch();
             return Some(FaultRecord {
                 proc: pid,
                 block: BlockId::new(bi as u32),
@@ -287,7 +285,6 @@ impl FaultInjector {
         }
         let (bi, ii) = sites[self.pick(sites.len())];
         let old = std::mem::replace(&mut proc.blocks[bi].instrs[ii], Instr::Nop);
-        proc.touch();
         Some(FaultRecord {
             proc: pid,
             block: BlockId::new(bi as u32),
@@ -324,14 +321,12 @@ impl FaultInjector {
             Instr::Alu { dst, .. } | Instr::Mov { dst, .. } | Instr::Load { dst, .. } => {
                 let old = *dst;
                 *dst = bad;
-                let record = Some(FaultRecord {
+                Some(FaultRecord {
                     proc: pid,
                     block: BlockId::new(bi as u32),
                     kind: FaultKind::ClobberReg,
                     detail: format!("instr {ii}: dst {old} -> out-of-range {bad}"),
-                });
-                proc.touch();
-                record
+                })
             }
             _ => unreachable!("site list only contains register-writing instructions"),
         }
@@ -361,7 +356,6 @@ impl FaultInjector {
         let bad = BlockId::new((n_blocks + 3) as u32);
         let old = successor_slot(&proc.blocks[bi].term, slot);
         *successor_slot_mut(&mut proc.blocks[bi].term, slot) = bad;
-        proc.touch();
         Some(FaultRecord {
             proc: pid,
             block: BlockId::new(bi as u32),

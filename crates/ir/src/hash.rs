@@ -12,16 +12,9 @@
 //!    [`Proc`]/[`Program`] a canonical 64-bit content identity: two values
 //!    hash equal iff they compare equal, which means the hash covers
 //!    exactly what `PartialEq` covers (name, params, register count,
-//!    blocks, entry) and deliberately ignores the mutation generation
-//!    nonce. The fold walks the IR in its defined order with a type tag
-//!    per node, so the hash is stable across clone, text serialize →
-//!    deserialize, and process restarts — unlike the generation nonce,
-//!    which is process-local and never repeats.
-//!
-//! The structural hash is what [`crate::cache::UnitCache::structural_hash`]
-//! memoizes per mutation generation: recomputing it costs a full IR walk,
-//! but within one generation the body cannot have changed, so the memo is
-//! exact.
+//!    blocks, entry). The fold walks the IR in its defined order with a
+//!    type tag per node, so the hash is stable across clone, text
+//!    serialize → deserialize, and process restarts.
 
 use crate::instr::{Instr, Operand, Terminator};
 use crate::proc::{Block, Proc};
@@ -250,10 +243,8 @@ pub fn fold_proc(f: &mut Fold, p: &Proc) {
 
 /// Canonical structural hash of one procedure.
 ///
-/// Equal procedures (by `PartialEq`, which ignores the mutation
-/// generation) hash equal; the hash survives clone, text round-trips, and
-/// process restarts. Prefer the memoized
-/// [`crate::cache::UnitCache::structural_hash`] when a cache is at hand.
+/// Equal procedures (by `PartialEq`) hash equal; the hash survives clone,
+/// text round-trips, and process restarts.
 pub fn proc_hash(p: &Proc) -> u64 {
     let mut f = Fold::new();
     fold_proc(&mut f, p);
@@ -261,36 +252,18 @@ pub fn proc_hash(p: &Proc) -> u64 {
 }
 
 /// Canonical structural hash of a whole program: the per-procedure hashes
-/// in procedure order, then the entry id, memory size, and data section.
-///
-/// Built from [`proc_hash`] values (rather than one flat fold) so a
-/// caller holding memoized per-procedure hashes can combine them with
-/// [`combine_program_hash`] and get the identical result.
+/// in procedure order, then the procedure count, entry id, memory size,
+/// and data section.
 pub fn program_hash(p: &Program) -> u64 {
-    combine_program_hash(
-        p.procs.iter().map(proc_hash),
-        p.entry.index() as u32,
-        p.mem_size,
-        &p.data,
-    )
-}
-
-/// Combines already-computed per-procedure hashes into the program hash.
-/// `program_hash` is exactly this over freshly computed [`proc_hash`]es.
-pub fn combine_program_hash(
-    proc_hashes: impl Iterator<Item = u64>,
-    entry_index: u32,
-    mem_size: usize,
-    data: &[i64],
-) -> u64 {
     let mut f = Fold::new();
-    let mut n: u64 = 0;
-    for h in proc_hashes {
-        f.u64(h);
-        n += 1;
+    for proc in &p.procs {
+        f.u64(proc_hash(proc));
     }
-    f.u64(n).u32(entry_index).u64(mem_size as u64).u64(data.len() as u64);
-    for &d in data {
+    f.u64(p.procs.len() as u64)
+        .u32(p.entry.index() as u32)
+        .u64(p.mem_size as u64)
+        .u64(p.data.len() as u64);
+    for &d in &p.data {
         f.i64(d);
     }
     f.finish()
@@ -335,13 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn clone_and_touch_preserve_hash() {
+    fn clone_preserves_hash() {
         let p = sample();
-        let h = program_hash(&p);
-        let mut q = p.clone();
-        assert_eq!(program_hash(&q), h, "clone hashes identically");
-        q.proc_mut(q.entry).touch();
-        assert_eq!(program_hash(&q), h, "generation churn does not change content");
+        assert_eq!(program_hash(&p.clone()), program_hash(&p), "clone hashes identically");
     }
 
     #[test]
@@ -361,18 +330,6 @@ mod tests {
         let mut b = Fold::new();
         b.str("a").str("bc");
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn combine_matches_flat_program_hash() {
-        let p = sample();
-        let combined = combine_program_hash(
-            p.procs.iter().map(proc_hash),
-            p.entry.index() as u32,
-            p.mem_size,
-            &p.data,
-        );
-        assert_eq!(combined, program_hash(&p));
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! into the renumbered parameter registers, and every `Return` becomes a
 //! jump to the continuation block (writing the call's destination register
 //! first — 0 when the callee returns nothing, matching the interpreter's
-//! call semantics). Only the caller is mutated; generation stamping happens
-//! automatically through [`Proc::push_block`] / [`Proc::block_mut`], so
-//! memoized analyses invalidate themselves.
+//! call semantics). Only the caller is mutated.
 //!
 //! Inlining is one level deep by construction: calls *inside* the cloned
 //! body still call their callees normally, which also makes inlining a

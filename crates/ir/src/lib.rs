@@ -40,7 +40,6 @@
 
 pub mod analysis;
 pub mod builder;
-pub mod cache;
 pub mod decode;
 pub mod dot;
 pub mod exec;
@@ -55,7 +54,6 @@ pub mod text;
 pub mod trace;
 pub mod verify;
 
-pub use cache::{AnalysisCache, UnitCache};
 pub use decode::{DecodedProc, DecodedProgram};
 pub use exec::{current_engine, with_engine, Engine, Exec};
 pub use fault::{FaultInjector, FaultKind, FaultRecord};

@@ -2,18 +2,6 @@
 
 use crate::instr::{Instr, Terminator};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-global source of mutation generations. Every mutation stamps the
-/// procedure with a nonce that has never been handed out before, so a
-/// generation number names exactly one observed body — even across
-/// clone/rollback cycles (a restored snapshot keeps the generation its
-/// content was stamped with, and any later mutation gets a fresh one).
-static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_generation() -> u64 {
-    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A virtual/architectural integer register within a procedure.
 ///
@@ -90,7 +78,7 @@ impl Block {
 }
 
 /// A procedure: an entry block plus a control-flow graph of basic blocks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Proc {
     /// Human-readable name (for reports and dot output).
     pub name: String,
@@ -102,23 +90,7 @@ pub struct Proc {
     pub blocks: Vec<Block>,
     /// Entry block.
     pub entry: BlockId,
-    /// Mutation generation (see [`Proc::generation`]). Not part of the
-    /// procedure's identity: equality ignores it, clones keep it (a clone
-    /// has the same body, so analyses cached for it stay valid).
-    generation: u64,
 }
-
-impl PartialEq for Proc {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.num_params == other.num_params
-            && self.reg_count == other.reg_count
-            && self.blocks == other.blocks
-            && self.entry == other.entry
-    }
-}
-
-impl Eq for Proc {}
 
 impl Proc {
     /// Creates an empty procedure shell. Blocks must be added before use.
@@ -129,26 +101,7 @@ impl Proc {
             reg_count: num_params,
             blocks: Vec::new(),
             entry: BlockId::new(0),
-            generation: fresh_generation(),
         }
-    }
-
-    /// The procedure's mutation generation: a process-unique nonce that
-    /// changes on every mutating access ([`Proc::block_mut`],
-    /// [`Proc::push_block`], [`Proc::touch`]). Two observations of the same
-    /// generation on the same procedure are guaranteed to have seen the
-    /// same body, which makes CFG analyses cacheable
-    /// (see [`crate::cache::AnalysisCache`]).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Stamps a fresh generation. Call after mutating `blocks` directly
-    /// (the field is public); the tracked mutators call this themselves.
-    #[inline]
-    pub fn touch(&mut self) {
-        self.generation = fresh_generation();
     }
 
     /// Shared access to a block.
@@ -166,13 +119,11 @@ impl Proc {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        self.touch();
         &mut self.blocks[id.index()]
     }
 
     /// Appends a block and returns its id.
     pub fn push_block(&mut self, block: Block) -> BlockId {
-        self.touch();
         let id = BlockId::new(self.blocks.len() as u32);
         self.blocks.push(block);
         id
@@ -225,34 +176,6 @@ mod tests {
         let r = p.fresh_reg();
         assert_eq!(r, Reg::new(2));
         assert_eq!(p.reg_count, 3);
-    }
-
-    #[test]
-    fn generation_changes_on_mutation_and_is_process_unique() {
-        let mut p = Proc::new("f", 0);
-        let g0 = p.generation();
-        p.push_block(Block::new(vec![], Terminator::Return { value: None }));
-        let g1 = p.generation();
-        assert_ne!(g0, g1);
-        let _ = p.block_mut(BlockId::new(0));
-        let g2 = p.generation();
-        assert_ne!(g1, g2);
-        // Shared access leaves the generation alone.
-        let _ = p.block(BlockId::new(0));
-        assert_eq!(p.generation(), g2);
-        // Clones keep the generation (same body), and equality ignores it.
-        let mut q = p.clone();
-        assert_eq!(q.generation(), g2);
-        assert_eq!(p, q);
-        q.touch();
-        assert_ne!(q.generation(), g2);
-        assert_eq!(p, q, "touch alone does not change identity");
-        // A rolled-back snapshot never aliases a post-mutation generation.
-        let snapshot = p.clone();
-        let _ = p.block_mut(BlockId::new(0));
-        assert_ne!(p.generation(), snapshot.generation());
-        p = snapshot;
-        assert_eq!(p.generation(), g2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Static branch prediction from profiles — the companion application of
-//! path profiles (Young & Smith, ASPLOS 1994, cited as [20] and the origin
+//! path profiles (Young & Smith, ASPLOS 1994, cited as \[20\] and the origin
 //! of the `corr` microbenchmark).
 //!
 //! Two predictors over the same training profile:

@@ -211,10 +211,10 @@ fn compile(
         }
         None => None,
     };
-    // A scheme that reads no profile (`BB`) and carries none trains none:
-    // it compiles and keys the cache against empty profiles, and PGO has
-    // nothing to aggregate or track.
-    let pgo = pgo.filter(|_| trained.is_some());
+    // A scheme that reads no profile (`BB`) trains none, and no profile
+    // can change its compile: PGO gets nothing to aggregate or track,
+    // whether or not the request carries a profile.
+    let pgo = pgo.filter(|_| scheme.needs_profile());
     let trained = trained.unwrap_or_else(Trained::empty);
     if let Some(pgo) = pgo {
         pgo.publish(bench.name, scale, &trained.edge, &trained.path);

@@ -82,8 +82,12 @@ fn basic_block_requests_train_nothing_for_pgo_or_the_cache() {
     let cache = CompileCache::new(8);
     let state = PgoState::new(fast_config(), Obs::noop());
     let obs = Obs::noop();
+    // A carried profile changes nothing either: BB reads none.
+    let (edge, path) = train("wc", 1, DEFAULT_PATH_DEPTH);
+    let carried = ProfileText { edge: edge_to_text(&edge), path: path_to_text(&path) };
     for request in [
         Request::Compile { bench: "wc".into(), scale: 1, scheme: "BB".into(), profile: None },
+        Request::Compile { bench: "wc".into(), scale: 1, scheme: "BB".into(), profile: Some(carried) },
         Request::RunCell { bench: "wc".into(), scale: 1, scheme: "BB".into(), strict: true },
     ] {
         let plain = encode_response(&execute(&request, &obs, None, None));
@@ -92,7 +96,7 @@ fn basic_block_requests_train_nothing_for_pgo_or_the_cache() {
             assert_eq!(plain, served, "cache or PGO changed a BB reply: {request:?}");
         }
     }
-    assert_eq!(cache.stats().0, 2, "the second of each request is a hit");
+    assert_eq!(cache.stats().0, 3, "the second of each request is a hit");
     assert_eq!(state.aggregate_stats("wc").map_or(0, |(samples, _)| samples), 0);
     assert_eq!(state.fill_health(Default::default()).units, 0, "no PGO unit for BB");
 }

@@ -1,16 +1,13 @@
 //! Property tests for canonical content hashing — the identity layer
 //! under the serving stack's `ArtifactKey`. Over random multi-procedure
 //! programs: structural hashes must survive text serialize → deserialize
-//! and mutation-generation churn (clone, `touch()`), the memoized
-//! [`AnalysisCache`] path must agree with the direct walk, any actual
-//! touched mutation must change the hash, and profile hashes (depth 15)
-//! must survive their own serialize round-trip.
+//! and clone, any actual mutation must change the hash, and profile hashes
+//! (depth 15) must survive their own serialize round-trip.
 
 use pps::ir::hash::{proc_hash, program_hash};
 use pps::ir::interp::{ExecConfig, Interp};
 use pps::ir::text::{parse_program, print_program};
 use pps::ir::trace::TeeSink;
-use pps::ir::AnalysisCache;
 use pps::profile::serialize::{
     edge_from_text, edge_to_text, kpath_from_text, kpath_to_text, path_from_text, path_to_text,
 };
@@ -25,40 +22,27 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The structural hash is a content address: parsing the printed
-    /// program yields fresh generation nonces but the same body, and
-    /// `touch()` churns the generation without changing the body. Neither
-    /// may move the hash, and the memoized cache must agree throughout.
+    /// program and cloning it both yield the same body, so neither may
+    /// move the hash.
     #[test]
-    fn program_hash_survives_round_trip_and_generation_churn(seed in 0u64..1_000_000) {
+    fn program_hash_survives_round_trip_and_clone(seed in 0u64..1_000_000) {
         let p = gen_program(seed, GenConfig::default());
         let h = program_hash(&p);
 
-        // Text round-trip: same body, brand-new generations.
+        // Text round-trip: same body, rebuilt from scratch.
         let q = parse_program(&print_program(&p)).unwrap();
         prop_assert_eq!(program_hash(&q), h, "seed {}", seed);
         for (a, b) in p.procs.iter().zip(&q.procs) {
             prop_assert_eq!(proc_hash(a), proc_hash(b), "seed {}", seed);
         }
 
-        // Generation churn: clone keeps generations, touch replaces them;
-        // the hash ignores both.
-        let mut r = p.clone();
-        for proc in &mut r.procs {
-            let before = proc.generation();
-            proc.touch();
-            prop_assert_ne!(proc.generation(), before, "touch must churn");
-        }
+        // Clone: same body, same hash, per procedure and for the whole
+        // program.
+        let r = p.clone();
         prop_assert_eq!(program_hash(&r), h, "seed {}", seed);
-
-        // The memoized path is exact: it matches the direct walk before
-        // and after churn, per procedure and for the whole program.
-        let mut cache = AnalysisCache::new();
-        prop_assert_eq!(cache.program_hash(&p), h);
-        prop_assert_eq!(cache.program_hash(&p), h, "memo hit must not drift");
-        for pid in p.proc_ids() {
-            prop_assert_eq!(cache.structural_hash(&p, pid), proc_hash(p.proc(pid)));
+        for (a, b) in p.procs.iter().zip(&r.procs) {
+            prop_assert_eq!(proc_hash(a), proc_hash(b), "seed {}", seed);
         }
-        prop_assert_eq!(cache.program_hash(&r), h, "churned program, same content");
     }
 
     /// Any touched mutation that changes the body must change the hash of
@@ -74,14 +58,8 @@ proptest! {
 
         let proc = &mut p.procs[victim];
         match kind {
-            0 => {
-                proc.name.push('_');
-                proc.touch();
-            }
-            1 => {
-                proc.reg_count += 1;
-                proc.touch();
-            }
+            0 => proc.name.push('_'),
+            1 => proc.reg_count += 1,
             _ => {
                 // Drop the last instruction of some non-empty block;
                 // fall back to a rename when every block is bare.
@@ -92,10 +70,7 @@ proptest! {
                     Some(b) => {
                         proc.block_mut(b).instrs.pop();
                     }
-                    None => {
-                        proc.name.push('_');
-                        proc.touch();
-                    }
+                    None => proc.name.push('_'),
                 }
             }
         }
