@@ -51,8 +51,9 @@
 #                             table with the Pk2/Pk3/Px4 columns and one
 #                             train/test divergence sweep; pps-explore
 #                             traced on P4/Pk2/Pk3; drive a daemon with
-#                             Pk2 and Px4 loads (replies byte-verified,
-#                             repeats must hit the reply cache); prints
+#                             P4, Pk2 and Px4 loads (replies byte-verified,
+#                             repeats must hit the reply cache, the steady
+#                             P4/Pk2 loads recompile nothing); prints
 #                             the mean Figure 4 ratios and serve
 #                             throughput
 #   ./ci.sh interp-bench      fig4 scale-4 smoke under the fast engine and
@@ -448,15 +449,24 @@ kpath_smoke() {
       --trace-out "$out/trace-$s.json" --log-level warn > /dev/null
   done
 
-  # The daemon end to end: a Pk2 load over one artifact (repeats must hit
-  # the reply cache) and a Px4 load on a call-heavy benchmark (so the
-  # inline phase actually fires server-side), every reply byte-verified
-  # against the in-process pipeline. Scheme names arrive lowercased to
-  # exercise canonicalization through the wire.
+  # The daemon end to end: a P4 and then a Pk2 load over one benchmark
+  # (repeats must hit the reply cache), and a Px4 load on a call-heavy
+  # benchmark (so the inline phase actually fires server-side), every
+  # reply byte-verified against the in-process pipeline. Scheme names
+  # arrive lowercased to exercise canonicalization through the wire.
+  # Continuous PGO sweeps every 50 ms: the two steady loads bring profiles
+  # of two kinds, and PGO keeps one aggregate per kind, so nothing drifts.
   boot "$out/daemon.log" "$out/port" \
-    ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port" --log-level warn
+    ./target/release/pps-serve --addr 127.0.0.1:0 --port-file "$out/port" \
+    --pgo-interval-ms 50 --log-level warn
   daemon=$booted
   addr="$(cat "$out/port")"
+
+  ./target/release/pps-client loadgen --addr "$addr" \
+    --conns 8 --requests 48 --bench wc --scale 1 --scheme p4 \
+    --out "$out/loadgen-p4.json" --log-level warn
+  grep -q '"mismatches": 0' "$out/loadgen-p4.json" || { echo "P4 reply mismatches"; exit 1; }
+  grep -q '"errors": 0' "$out/loadgen-p4.json" || { echo "P4 loadgen errors"; exit 1; }
 
   ./target/release/pps-client loadgen --addr "$addr" \
     --conns 8 --requests 48 --bench wc --scale 1 --scheme pk2 \
@@ -470,6 +480,13 @@ kpath_smoke() {
   hits="$(grep -o '"cache_hits":[0-9]*' "$out/ping.json" | grep -o '[0-9]*$')"
   misses="$(grep -o '"cache_misses":[0-9]*' "$out/ping.json" | grep -o '[0-9]*$')"
   [ "${hits:-0}" -gt 0 ] || { echo "Pk2 repeats never hit the reply cache"; exit 1; }
+
+  # Four sweep intervals after the steady loads, nothing has recompiled.
+  sleep 0.2
+  ./target/release/pps-client ping --addr "$addr" > "$out/ping-pgo.json"
+  recompiles="$(grep -o '"recompiles":[0-9]*' "$out/ping-pgo.json" | grep -o '[0-9]*$')"
+  [ -n "$recompiles" ] || { echo "ping reports no recompiles count"; exit 1; }
+  [ "$recompiles" -eq 0 ] || { echo "steady P4/Pk2 loads recompiled $recompiles units"; exit 1; }
 
   ./target/release/pps-client loadgen --addr "$addr" \
     --conns 4 --requests 16 --bench li --scale 1 --scheme Px4 \

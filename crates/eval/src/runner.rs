@@ -114,10 +114,11 @@ pub struct RunConfig {
     pub profile_out: Option<String>,
     /// An already-collected profile pair to compile against, skipping both
     /// the training run and any [`RunConfig::profile_in`] lookup. The serve
-    /// daemon uses this to train once, fold the pair into its live
-    /// aggregate, and still hand the *same object* to the pipeline — so
-    /// metrics stay byte-identical to the train-inline path.
-    pub preloaded: Option<std::sync::Arc<(EdgeProfile, PathProfile)>>,
+    /// daemon uses this to train once (or take the pair from its memo),
+    /// fold the pair into its live aggregate, and still hand the *same
+    /// object* to the pipeline — so metrics stay byte-identical to the
+    /// train-inline path.
+    pub preloaded: Option<ProfilePair>,
     /// The benchmark's bounded oracle baseline, shared by every scheme
     /// compiled from it ([`ProfileCache::fill`] attaches it). The guard
     /// and the `Px4` inliner use it only when its key matches the program
@@ -297,17 +298,18 @@ pub struct ProfileCache {
 /// standard forward pair.
 type ProfileKey = (String, Option<u32>);
 /// Shared, immutable trained profile pair.
-type ProfilePair = Arc<(EdgeProfile, PathProfile)>;
+pub type ProfilePair = Arc<(EdgeProfile, PathProfile)>;
 /// Baseline key: `(benchmark name, oracle inputs, step budget)`.
 type BaselineKey = (String, Vec<Vec<i64>>, u64);
-/// One cache entry, locked on its own while it is computed.
-type Slot<V> = Arc<Mutex<Option<V>>>;
+/// One single-flight memo entry, locked on its own while it is computed.
+pub type Slot<V> = Arc<Mutex<Option<V>>>;
 
 /// The entry of `map` under `key`, computed by `make` on a miss. Only the
 /// entry stays locked while `make` runs: a worker wanting the same entry
 /// waits for it, one wanting another entry does not. A failed `make`
-/// leaves the entry empty.
-fn get_or_insert<K: std::hash::Hash + Eq, V: Clone, E>(
+/// leaves the entry empty. [`ProfileCache`] and the serve daemon's memo
+/// both fill their entries through it.
+pub fn get_or_insert<K: std::hash::Hash + Eq, V: Clone, E>(
     map: &Mutex<HashMap<K, Slot<V>>>,
     key: K,
     make: impl FnOnce() -> Result<V, E>,
@@ -547,7 +549,7 @@ fn profile_pair(
     scheme: Scheme,
     config: &RunConfig,
     obs: &Obs,
-) -> Result<Arc<(EdgeProfile, PathProfile)>, RunError> {
+) -> Result<ProfilePair, RunError> {
     let _span = obs.span("profile").arg("depth", DEFAULT_PATH_DEPTH);
     let profile_err =
         |message: String| RunError::Profile { bench: bench.name.to_string(), message };

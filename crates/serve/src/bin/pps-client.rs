@@ -269,7 +269,7 @@ fn ping_main(args: &[String]) -> ExitCode {
         "{{\"schema\":\"pps-ping\",\"queue_depth\":{},\"queue_capacity\":{},\
          \"workers\":{},\"connections\":{},\"requests\":{},\"cache_hits\":{},\"cache_misses\":{},\
          \"cache_evictions\":{},\"cache_invalidations\":{},\"cache_entries\":{},\
-         \"routed\":{},\"shards\":{}}}",
+         \"recompiles\":{},\"swaps\":{},\"routed\":{},\"shards\":{}}}",
         health.queue_depth,
         health.queue_capacity,
         health.workers,
@@ -280,6 +280,8 @@ fn ping_main(args: &[String]) -> ExitCode {
         health.cache_evictions,
         health.cache_invalidations,
         health.cache_entries,
+        health.recompiles,
+        health.swaps,
         health.routed,
         health.shards,
     );

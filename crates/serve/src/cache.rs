@@ -24,10 +24,39 @@
 //! Eviction is LRU over a fixed entry budget; counters (hits, misses,
 //! evictions, invalidations) feed `/metrics`, `/health`, and the minor-3
 //! Pong snapshot.
+//!
+//! # The memo of trained state
+//!
+//! Computing a key is most of a request's cost: building the benchmark,
+//! training its profiles and hashing them. Beside the replies, the cache
+//! therefore memoizes that deterministic state per [`MemoKey`] —
+//! `(bench, scale, profile kind)` — as a [`Prepared`]: the built
+//! benchmark, its program hash, the trained pair, the artifact profile
+//! hash and the oracle baseline ([`CompileCache::prepared`]). A reply-cache
+//! hit is one memo lookup plus [`CompileCache::get`]; a miss compiles
+//! against the memo's pair and baseline. Entries are filled single-flight
+//! (`pps_eval::runner::get_or_insert`), the kinds of one benchmark and
+//! scale share its built benchmark and baseline, and a PGO hot-swap leaves
+//! the memo alone (training does not change). With the cache off
+//! (`--cache-cap 0`) there is no memo either.
+//!
+//! The memo holds at most [`MEMO_CAPACITY`] (64) entries, least recently
+//! used out first: every key of every suite benchmark at one scale (a
+//! `Profile` at any depth but the default is not memoized). Its worst case
+//! at one scale is therefore every key resident, measured as live heap on
+//! the suite: about 32 MB at scale 1 and 102 MB at scale 4. Both are
+//! dominated by `gcc`'s depth-15 path profile (21 MB and 80 MB), which a
+//! request without the memo builds too, but holds only while it runs.
+//! Serving the 8 benchmarks × 2 kinds of perfbench's `serve-hot` takes
+//! about 6 MB.
 
 use crate::proto::{HealthSnapshot, Response};
+use pps_core::{OracleBaseline, Scheme};
+use pps_eval::runner::{get_or_insert, ProfilePair, Slot};
 use pps_ir::hash::Fold;
 use pps_machine::{LatencyModel, MachineConfig};
+use pps_profile::DEFAULT_PATH_DEPTH;
+use pps_suite::Benchmark;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,6 +136,62 @@ impl fmt::Display for ArtifactKey {
 /// Default entry budget of the daemon's cache.
 pub const DEFAULT_CAPACITY: usize = 128;
 
+/// Entry budget of the memo of trained state ([`CompileCache::prepared`]):
+/// every key of every suite benchmark at one scale (14 benchmarks × 4
+/// kinds: untrained, depth 15, k = 2 and k = 3).
+pub const MEMO_CAPACITY: usize = 64;
+
+/// Which profile a training run collects: a path profile of `depth`, from
+/// the general-path profiler (`k: None`) or derived from a k-iteration
+/// run. The memo and the PGO aggregates are keyed by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ProfileKind {
+    /// Path-profile depth.
+    pub depth: usize,
+    /// k-iteration bound (`Pk*` schemes), `None` for the general profiler.
+    pub k: Option<u32>,
+}
+
+impl ProfileKind {
+    /// The kind `scheme` trains, at [`DEFAULT_PATH_DEPTH`]; `None` for a
+    /// scheme that reads no profile (`BB`).
+    pub fn of(scheme: Scheme) -> Option<ProfileKind> {
+        scheme
+            .needs_profile()
+            .then(|| ProfileKind { depth: DEFAULT_PATH_DEPTH, k: scheme.kpath_k() })
+    }
+}
+
+/// Key of one memo entry: a benchmark at a scale, trained for one profile
+/// kind or (`kind: None`) not trained at all.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct MemoKey {
+    /// Benchmark name, as the suite spells it.
+    pub bench: &'static str,
+    /// Suite scale.
+    pub scale: u32,
+    /// Profile kind trained, if any.
+    pub kind: Option<ProfileKind>,
+}
+
+/// The deterministic per-request state of one [`MemoKey`]: what every
+/// `Compile`/`RunCell`/`Profile` of it would otherwise rebuild.
+#[derive(Debug)]
+pub struct Prepared {
+    /// The built benchmark.
+    pub bench: Arc<Benchmark>,
+    /// Canonical structural hash of its program.
+    pub program_hash: u64,
+    /// Its bounded oracle baseline on the training input, which the guard
+    /// and the `Px4` inliner reuse instead of running their own.
+    pub baseline: Arc<OracleBaseline>,
+    /// The trained `(edge, path)` pair; `None` for an untrained key.
+    pub pair: Option<ProfilePair>,
+    /// The artifact profile hash of the training run (the pair's, or the
+    /// triple's for a k-iteration run), or of empty profiles when untrained.
+    pub profile_hash: u64,
+}
+
 /// Which request class produced (and may reuse) a cached artifact. Two
 /// classes never share entries even under an equal [`ArtifactKey`]: the
 /// reply shapes differ, and `RunCell` additionally folds the guard mode
@@ -171,12 +256,23 @@ struct Inner {
     tick: u64,
 }
 
-/// A bounded LRU of compile artifacts keyed by content. Shared across
+/// The memo's entries and their last-use ticks.
+#[derive(Debug, Default)]
+struct Memo {
+    slots: Mutex<HashMap<MemoKey, Slot<Arc<Prepared>>>>,
+    /// `(tick, last use per key)`, for LRU eviction.
+    used: Mutex<(u64, HashMap<MemoKey, u64>)>,
+    fills: AtomicU64,
+}
+
+/// A bounded LRU of compile artifacts keyed by content, beside a bounded
+/// memo of the trained state the keys are computed from. Shared across
 /// worker threads behind an `Arc`; all methods take `&self`.
 #[derive(Debug)]
 pub struct CompileCache {
     capacity: usize,
     inner: Mutex<Inner>,
+    memo: Memo,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -189,6 +285,7 @@ impl CompileCache {
         CompileCache {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner::default()),
+            memo: Memo::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -278,6 +375,60 @@ impl CompileCache {
         if dropped > 0 {
             self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         }
+    }
+
+    /// The memo entry of `key`, filled by `fill` on a miss. Single-flight:
+    /// a worker wanting an entry that is being filled waits for it.
+    /// `fill` gets an entry of the same benchmark and scale when one is
+    /// resident, so kinds share one built benchmark and one baseline. At
+    /// most [`MEMO_CAPACITY`] entries stay, least recently used out first;
+    /// a failed fill leaves none.
+    ///
+    /// # Errors
+    /// `fill`'s error.
+    pub fn prepared<E>(
+        &self,
+        key: &MemoKey,
+        fill: impl FnOnce(Option<Arc<Prepared>>) -> Result<Prepared, E>,
+    ) -> Result<Arc<Prepared>, E> {
+        let memo = &self.memo;
+        let filled = get_or_insert(&memo.slots, key.clone(), || {
+            let sibling = memo.slots.lock().expect("memo lock").iter().find_map(|(k, slot)| {
+                if (k.bench, k.scale) != (key.bench, key.scale) {
+                    return None;
+                }
+                // An entry being filled is locked: skip it rather than wait.
+                slot.try_lock().ok()?.clone()
+            });
+            let prepared = fill(sibling)?;
+            memo.fills.fetch_add(1, Ordering::Relaxed);
+            Ok(Arc::new(prepared))
+        });
+        let mut slots = memo.slots.lock().expect("memo lock");
+        let mut used = memo.used.lock().expect("memo lock");
+        if filled.is_err() {
+            // Unless a waiter has filled it since, the entry stays empty.
+            if slots.get(key).is_some_and(|s| s.try_lock().is_ok_and(|v| v.is_none())) {
+                slots.remove(key);
+            }
+            return filled;
+        }
+        used.0 += 1;
+        let tick = used.0;
+        used.1.insert(key.clone(), tick);
+        while used.1.len() > MEMO_CAPACITY {
+            let victim = used.1.iter().min_by_key(|(_, t)| **t).map(|(k, _)| k.clone());
+            let Some(victim) = victim else { break };
+            used.1.remove(&victim);
+            slots.remove(&victim);
+        }
+        filled
+    }
+
+    /// How many memo entries have been filled (trained, built, hashed):
+    /// a repeat of a request whose entry is resident fills none.
+    pub fn memo_fills(&self) -> u64 {
+        self.memo.fills.load(Ordering::Relaxed)
     }
 
     /// `(hits, misses, evictions, invalidations, entries)` right now.
@@ -411,6 +562,46 @@ mod tests {
         assert_eq!(h.cache_hits, 1);
         assert_eq!(h.cache_misses, 1);
         assert_eq!(h.cache_entries, 1);
+    }
+
+    #[test]
+    fn memo_is_a_bounded_lru_that_keeps_no_failed_fill() {
+        let bench = Arc::new(pps_suite::micro::alt(pps_suite::Scale(1)));
+        let baseline = Arc::new(OracleBaseline::compute(&bench.program, &[], 1));
+        let prepared = || Prepared {
+            bench: Arc::clone(&bench),
+            program_hash: 1,
+            baseline: Arc::clone(&baseline),
+            pair: None,
+            profile_hash: 2,
+        };
+        let key = |scale| MemoKey { bench: "alt", scale, kind: None };
+        let cache = CompileCache::new(1);
+
+        // A failed fill leaves no entry behind: the next lookup fills.
+        assert!(cache.prepared(&key(0), |_| Err::<Prepared, _>("no")).is_err());
+        assert_eq!(cache.memo_fills(), 0);
+        for scale in 0..MEMO_CAPACITY as u32 {
+            cache.prepared(&key(scale), |_| Ok::<_, ()>(prepared())).unwrap();
+        }
+        assert_eq!(cache.memo_fills(), MEMO_CAPACITY as u64);
+
+        // Touch key 0, so key 1 is the least recently used; one more key
+        // evicts it and only it.
+        cache.prepared::<()>(&key(0), |_| panic!("resident entry refilled")).unwrap();
+        cache.prepared(&key(MEMO_CAPACITY as u32), |_| Ok::<_, ()>(prepared())).unwrap();
+        cache.prepared::<()>(&key(0), |_| panic!("resident entry refilled")).unwrap();
+        let fills = cache.memo_fills();
+        cache.prepared(&key(1), |_| Ok::<_, ()>(prepared())).unwrap();
+        assert_eq!(cache.memo_fills(), fills + 1, "the evicted entry fills again");
+
+        // Another kind of a resident benchmark and scale is filled from it.
+        let kind = Some(ProfileKind { depth: DEFAULT_PATH_DEPTH, k: Some(2) });
+        let trained = MemoKey { bench: "alt", scale: 0, kind };
+        let got = cache
+            .prepared(&trained, |sibling| sibling.map(|_| prepared()).ok_or("no sibling"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&got.bench, &bench));
     }
 
     #[test]

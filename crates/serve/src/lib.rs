@@ -18,7 +18,8 @@
 //!   in-band `Shutdown`;
 //! - [`cache`] — a bounded content-addressed reply cache keyed by
 //!   [`cache::ArtifactKey`], consulted before the pipeline and
-//!   invalidated by PGO hot-swaps;
+//!   invalidated by PGO hot-swaps, beside a bounded memo of the trained
+//!   state each key is computed from;
 //! - [`client`] — the blocking client;
 //! - [`loadgen`] — the load generator that byte-verifies every reply
 //!   against the in-process [`execute`] (`pps-client loadgen`);

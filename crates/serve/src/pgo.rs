@@ -5,17 +5,30 @@
 //! training run steering *future* runs):
 //!
 //! - **Aggregation** — [`crate::service::execute`] hands [`PgoState`]
-//!   every profile a request trains or carries (`Profile`, `Compile`,
-//!   `RunCell`), and [`PgoState::publish`] folds it into a per-bench live
-//!   aggregate by counter addition ([`pps_profile::merge`]). Publishing is
-//!   a pure side effect: replies stay byte-identical to execution without
-//!   the PGO state.
-//! - **Drift detection** — each serving unit remembers the path profile it
-//!   was compiled against; [`PgoState::sweep`] scores the live aggregate
-//!   against it ([`pps_profile::path_drift`]: top-k overlap + weight
-//!   divergence) with hysteresis (enter above `enter_threshold`, exit
-//!   below `exit_threshold`) so a unit oscillating near the line doesn't
-//!   flap.
+//!   the profiles of `Profile`, `Compile` and `RunCell` requests, and they
+//!   are folded by counter addition ([`pps_profile::merge`]) into a live
+//!   aggregate per `(bench, scale, profile kind)`
+//!   ([`crate::cache::ProfileKind`]: path depth and k-iteration bound), so
+//!   a general-path profile never mixes with a k-path-derived one. The
+//!   pair the server trains is of the scheme's kind (the requested depth
+//!   for `Profile`) and deterministic: [`PgoState::publish_trained`]
+//!   merges it once per aggregate, as a second copy adds no information
+//!   and would only dilute what clients carry. A carried pair says nothing
+//!   of a k-iteration run, so it counts as a general path profile of its
+//!   depth, and [`PgoState::publish`] merges every one. Aggregates and
+//!   units share the request path's `Arc`s (the cache's memo) rather than
+//!   copying profiles. Publishing is a pure side effect: replies stay
+//!   byte-identical to execution without the PGO state.
+//! - **Drift detection** — each serving unit remembers the pair it was
+//!   compiled against and its kind; [`PgoState::sweep`] scores the live
+//!   aggregate of that kind against it ([`pps_profile::path_drift`]:
+//!   top-k overlap + weight divergence) with hysteresis (enter above
+//!   `enter_threshold`, exit below `exit_threshold`) so a unit oscillating
+//!   near the line doesn't flap. A sweep snapshots each aggregate once and
+//!   scores a unit only when its aggregate epoch or its slot generation
+//!   moved, so an idle sweeper scores nothing. A steady server-trained
+//!   load leaves one sample per aggregate, below any useful
+//!   `min_samples`: nothing is scored or recompiled.
 //! - **Fault-isolated recompile + swap** — drifted units are rebuilt
 //!   against an aggregate snapshot inside `catch_unwind`, through the same
 //!   train → inline → compile path as the request path
@@ -31,13 +44,13 @@
 //! [`PgoRuntime::shutdown`] drains it — the swap is a single slot
 //! operation, so shutdown can never observe a half-swapped unit.
 
-use crate::cache::CompileCache;
+use crate::cache::{CompileCache, ProfileKind};
 use crate::proto::HealthSnapshot;
 use crate::swap::{SwapOutcome, SwapSlot};
 use pps_core::{GuardMode, Scheme};
-use pps_eval::runner::{self, RunConfig};
+use pps_eval::runner::{self, ProfilePair, RunConfig};
 use pps_obs::{Level, Obs};
-use pps_profile::{merge_edges, merge_paths, path_drift, EdgeProfile, PathProfile};
+use pps_profile::{merge_edges, merge_paths, path_drift};
 use pps_suite::{benchmark_by_name, Scale};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -115,11 +128,10 @@ impl Default for PgoConfig {
 /// aggregate epoch it snapshotted.
 #[derive(Debug, Clone)]
 pub struct ServingUnit {
-    /// Edge profile the unit was compiled against.
-    pub edge: EdgeProfile,
-    /// Path profile the unit was compiled against — drift is measured
-    /// from this.
-    pub path: PathProfile,
+    /// The `(edge, path)` pair the unit was compiled against, shared with
+    /// the request or aggregate it came from. Drift is measured from the
+    /// path profile.
+    pub profiles: ProfilePair,
     /// Deterministic compile report (`pps-compile-report v1`), empty for
     /// the initial request-path unit (its report went to the client).
     pub report: String,
@@ -127,23 +139,35 @@ pub struct ServingUnit {
     pub epoch: u64,
 }
 
-/// Live merged profiles for one benchmark.
+/// An aggregate's key: benchmark, scale and the profile kind it merges.
+type AggregateKey = (String, u32, ProfileKind);
+
+/// Live merged profiles for one benchmark, scale and profile kind.
 struct Aggregate {
-    edge: EdgeProfile,
-    path: PathProfile,
+    /// The merged pair; a sweep snapshots it by cloning the `Arc`.
+    pair: ProfilePair,
     samples: u64,
-    /// Bumped on every merge, so sweeps can skip unchanged aggregates.
+    /// Bumped on every merge, so sweeps can reuse the scores of units
+    /// whose aggregate is unchanged.
     epoch: u64,
+    /// The server's own trained pair has been merged: it is deterministic,
+    /// so merging it again would add no information.
+    trained: bool,
 }
 
 /// Sweep-owned drift bookkeeping for one unit.
 struct UnitMeta {
     drifted: bool,
-    last_score: f64,
+    /// `(aggregate epoch, slot generation)` of the last drift score, which
+    /// `drifted` holds the verdict of.
+    scored_at: Option<(u64, u64)>,
     last_recompile: Option<Instant>,
 }
 
 struct UnitEntry {
+    /// The kind of the pair the unit was compiled against, whose aggregate
+    /// it is scored against.
+    kind: ProfileKind,
     slot: SwapSlot<ServingUnit>,
     meta: Mutex<UnitMeta>,
 }
@@ -170,7 +194,7 @@ pub struct SweepReport {
 /// background sweeper, and the health snapshot.
 pub struct PgoState {
     config: PgoConfig,
-    aggregates: Mutex<HashMap<String, Aggregate>>,
+    aggregates: Mutex<HashMap<AggregateKey, Aggregate>>,
     units: Mutex<HashMap<(String, u32, String), Arc<UnitEntry>>>,
     profiles_merged: AtomicU64,
     merges_skipped: AtomicU64,
@@ -217,11 +241,16 @@ impl PgoState {
         &self.config
     }
 
-    /// `(samples, epoch)` of a bench's aggregate, if any — test/ops
-    /// introspection.
-    pub fn aggregate_stats(&self, bench: &str) -> Option<(u64, u64)> {
+    /// `(samples, epoch)` of the aggregate of `(bench, scale, kind)`, if
+    /// any — test/ops introspection.
+    pub fn aggregate_stats(
+        &self,
+        bench: &str,
+        scale: u32,
+        kind: ProfileKind,
+    ) -> Option<(u64, u64)> {
         let aggs = self.aggregates.lock().unwrap();
-        aggs.get(bench).map(|a| (a.samples, a.epoch))
+        aggs.get(&(bench.to_string(), scale, kind)).map(|a| (a.samples, a.epoch))
     }
 
     /// Current generation of a unit's swap slot, if the unit is tracked.
@@ -262,44 +291,52 @@ impl PgoState {
     /// One pass of the drift detector + recompile tier. The background
     /// runtime calls this on its interval; tests call it directly for a
     /// fully synchronous loop.
+    ///
+    /// Each aggregate is snapshotted once, as an `Arc`. A unit whose
+    /// aggregate epoch and slot generation are what it was last scored at
+    /// keeps its last score and is not scored again; its recompile is
+    /// still reconsidered, so a unit deferred by cooldown or budget gets
+    /// its turn.
     pub fn sweep(&self) -> SweepReport {
         let mut report = SweepReport::default();
+        let snapshots: HashMap<AggregateKey, (ProfilePair, u64)> = {
+            let aggs = self.aggregates.lock().unwrap();
+            aggs.iter()
+                .filter(|(_, a)| a.samples >= self.config.min_samples)
+                .map(|(k, a)| (k.clone(), (Arc::clone(&a.pair), a.epoch)))
+                .collect()
+        };
         let entries: Vec<((String, u32, String), Arc<UnitEntry>)> = {
             let units = self.units.lock().unwrap();
             units.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
         };
         let mut budget = self.config.recompiles_per_sweep;
         for ((bench, scale, scheme), entry) in entries {
-            let snapshot = {
-                let aggs = self.aggregates.lock().unwrap();
-                match aggs.get(&bench) {
-                    Some(a) if a.samples >= self.config.min_samples => {
-                        Some((a.edge.clone(), a.path.clone(), a.epoch))
-                    }
-                    _ => None,
-                }
+            let Some((agg, agg_epoch)) = snapshots.get(&(bench.clone(), scale, entry.kind)) else {
+                continue;
             };
-            let Some((agg_edge, agg_path, agg_epoch)) = snapshot else { continue };
-
+            let agg_epoch = *agg_epoch;
             let (generation, unit) = entry.slot.load();
-            let drift = path_drift(&unit.path, &agg_path, DRIFT_TOP_K);
-            report.evaluated += 1;
-            self.obs.histogram("pgo.drift_score", drift.score);
 
             let wants_recompile = {
                 let mut meta = entry.meta.lock().unwrap();
-                meta.last_score = drift.score;
-                if !meta.drifted && drift.score >= self.config.enter_threshold {
-                    meta.drifted = true;
-                    self.obs.log(Level::Info, || {
-                        format!(
-                            "pgo: {bench}/{scale}/{scheme} drifted \
-                             (score {:.3}, overlap {:.3}, divergence {:.3})",
-                            drift.score, drift.top_k_overlap, drift.weight_divergence
-                        )
-                    });
-                } else if meta.drifted && drift.score < self.config.exit_threshold {
-                    meta.drifted = false;
+                if meta.scored_at != Some((agg_epoch, generation)) {
+                    let drift = path_drift(&unit.profiles.1, &agg.1, DRIFT_TOP_K);
+                    report.evaluated += 1;
+                    self.obs.histogram("pgo.drift_score", drift.score);
+                    meta.scored_at = Some((agg_epoch, generation));
+                    if !meta.drifted && drift.score >= self.config.enter_threshold {
+                        meta.drifted = true;
+                        self.obs.log(Level::Info, || {
+                            format!(
+                                "pgo: {bench}/{scale}/{scheme} drifted \
+                                 (score {:.3}, overlap {:.3}, divergence {:.3})",
+                                drift.score, drift.top_k_overlap, drift.weight_divergence
+                            )
+                        });
+                    } else if meta.drifted && drift.score < self.config.exit_threshold {
+                        meta.drifted = false;
+                    }
                 }
                 // Already serving this aggregate epoch: a fresh recompile
                 // would rebuild the same unit.
@@ -319,7 +356,13 @@ impl PgoState {
                     report.recompiles += 1;
                     entry.meta.lock().unwrap().last_recompile = Some(Instant::now());
                     let swapped = self.recompile(
-                        &bench, scale, &scheme, &entry, generation, agg_edge, agg_path, agg_epoch,
+                        &bench,
+                        scale,
+                        &scheme,
+                        &entry,
+                        generation,
+                        Arc::clone(agg),
+                        agg_epoch,
                     );
                     if swapped {
                         report.swaps += 1;
@@ -349,8 +392,7 @@ impl PgoState {
         scheme_name: &str,
         entry: &UnitEntry,
         observed_gen: u64,
-        edge: EdgeProfile,
-        path: PathProfile,
+        profiles: ProfilePair,
         epoch: u64,
     ) -> bool {
         self.recompiles.fetch_add(1, Ordering::Relaxed);
@@ -358,7 +400,7 @@ impl PgoState {
         let fault = self.config.fault;
         let obs = self.obs.clone();
         let built = catch_unwind(AssertUnwindSafe(|| {
-            build_unit(bench_name, scale, scheme_name, &edge, &path, epoch, fault, &obs)
+            build_unit(bench_name, scale, scheme_name, profiles, epoch, fault, &obs)
         }));
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
 
@@ -418,13 +460,11 @@ const CORRUPT_SEED: u64 = 0xD81F;
 /// through [`runner::compile`] — the path request-path compiles take, so a
 /// recompiled `Px4` unit inlines exactly as the one it replaces. Runs
 /// inside the caller's `catch_unwind`.
-#[allow(clippy::too_many_arguments)]
 fn build_unit(
     bench_name: &str,
     scale: u32,
     scheme_name: &str,
-    edge: &EdgeProfile,
-    path: &PathProfile,
+    profiles: ProfilePair,
     epoch: u64,
     fault: PgoFault,
     obs: &Obs,
@@ -441,6 +481,7 @@ fn build_unit(
     // The injector probes the whole program, so a corrupt recompile takes
     // the hooked guard (oracle settled after every procedure).
     config.fault_seed = (fault == PgoFault::Corrupt).then_some(CORRUPT_SEED);
+    let (edge, path) = &*profiles;
     let compiled =
         runner::compile(&bench, scheme, edge, path, &config, obs).map_err(|e| e.to_string())?;
     let stats = &compiled.guarded.stats;
@@ -454,31 +495,42 @@ fn build_unit(
         superblocks = stats.superblocks,
         after = stats.static_after,
     );
-    Ok(ServingUnit { edge: edge.clone(), path: path.clone(), report, epoch })
+    Ok(ServingUnit { profiles, report, epoch })
 }
 
 impl PgoState {
-    /// Folds a profile pair for `bench`, trained or accepted during request
-    /// execution, into the bench's live aggregate.
-    pub fn publish(&self, bench: &str, _scale: u32, edge: &EdgeProfile, path: &PathProfile) {
+    /// Folds a profile pair that a request carried into the live aggregate
+    /// of `(bench, scale, kind)`. Every carried pair is merged.
+    pub fn publish(&self, bench: &str, scale: u32, kind: ProfileKind, pair: &ProfilePair) {
+        self.fold(bench, scale, kind, pair, false);
+    }
+
+    /// Folds the pair the server trained for `(bench, scale, kind)` into
+    /// that aggregate, once: training is deterministic, so later copies
+    /// would add no information and only dilute what clients carried.
+    pub fn publish_trained(&self, bench: &str, scale: u32, kind: ProfileKind, pair: &ProfilePair) {
+        self.fold(bench, scale, kind, pair, true);
+    }
+
+    fn fold(&self, bench: &str, scale: u32, kind: ProfileKind, pair: &ProfilePair, trained: bool) {
         let mut aggs = self.aggregates.lock().unwrap();
-        match aggs.get_mut(bench) {
+        let key = (bench.to_string(), scale, kind);
+        match aggs.get_mut(&key) {
             None => {
-                aggs.insert(
-                    bench.to_string(),
-                    Aggregate { edge: edge.clone(), path: path.clone(), samples: 1, epoch: 1 },
-                );
+                let pair = Arc::clone(pair);
+                aggs.insert(key, Aggregate { pair, samples: 1, epoch: 1, trained });
             }
+            Some(agg) if trained && agg.trained => return,
             Some(agg) => {
-                // Different collection depths (or a shape change) make the
-                // pair unmergeable; count and skip rather than poison the
-                // aggregate.
-                match (merge_edges(&agg.edge, edge), merge_paths(&agg.path, path)) {
+                // A different collection depth (or a shape change) makes
+                // the pair unmergeable; count and skip rather than poison
+                // the aggregate.
+                match (merge_edges(&agg.pair.0, &pair.0), merge_paths(&agg.pair.1, &pair.1)) {
                     (Ok(e), Ok(p)) => {
-                        agg.edge = e;
-                        agg.path = p;
+                        agg.pair = Arc::new((e, p));
                         agg.samples += 1;
                         agg.epoch += 1;
+                        agg.trained |= trained;
                     }
                     (_, Err(e)) | (Err(e), _) => {
                         self.merges_skipped.fetch_add(1, Ordering::Relaxed);
@@ -495,31 +547,37 @@ impl PgoState {
         self.obs.counter("pgo.profiles_merged", 1);
     }
 
-    /// Registers the unit `(bench, scale, scheme)`, compiled against `path`,
-    /// for drift tracking: `path` is the reference drift is measured from.
-    /// A unit already tracked keeps its serving copy.
-    pub fn observe_unit(&self, bench: &str, scale: u32, scheme: &str, path: &PathProfile) {
+    /// Registers the unit `(bench, scale, scheme)`, compiled against
+    /// `pair` of profile kind `kind`, for drift tracking: the pair's path
+    /// profile is the reference drift is measured from, against the
+    /// aggregate of `kind`. A unit already tracked keeps its serving copy.
+    pub fn observe_unit(
+        &self,
+        bench: &str,
+        scale: u32,
+        scheme: &str,
+        kind: ProfileKind,
+        pair: &ProfilePair,
+    ) {
         let key = (bench.to_string(), scale, scheme.to_string());
         let mut units = self.units.lock().unwrap();
         if units.contains_key(&key) {
             return;
         }
         // The request path already compiled (and replied with) this unit;
-        // the tier only needs its drift reference. The edge half is not
-        // used by the drift metric, so an empty placeholder suffices until
-        // the first recompile stores the real pair.
+        // the tier only needs its drift reference.
         units.insert(
             key,
             Arc::new(UnitEntry {
+                kind,
                 slot: SwapSlot::new(ServingUnit {
-                    edge: EdgeProfile::default(),
-                    path: path.clone(),
+                    profiles: Arc::clone(pair),
                     report: String::new(),
                     epoch: 0,
                 }),
                 meta: Mutex::new(UnitMeta {
                     drifted: false,
-                    last_score: 0.0,
+                    scored_at: None,
                     last_recompile: None,
                 }),
             }),
@@ -642,17 +700,9 @@ mod tests {
             let Response::Compile { report } = reply else {
                 panic!("{}: compile failed: {reply:?}", scheme.name())
             };
-            let unit = build_unit(
-                "eqn",
-                1,
-                &scheme.name(),
-                &edge,
-                &path,
-                1,
-                PgoFault::None,
-                &Obs::noop(),
-            )
-            .expect("recompile");
+            let pair = Arc::new((edge.clone(), path.clone()));
+            let unit = build_unit("eqn", 1, &scheme.name(), pair, 1, PgoFault::None, &Obs::noop())
+                .expect("recompile");
             assert_eq!(shape(&unit.report), shape(&report), "{}", scheme.name());
         }
     }

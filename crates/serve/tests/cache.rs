@@ -8,7 +8,8 @@ use pps_ir::ProcId;
 use pps_obs::Obs;
 use pps_profile::serialize::{edge_to_text, path_to_text};
 use pps_profile::{EdgeProfile, EdgeProfiler, PathProfile, PathProfiler, DEFAULT_PATH_DEPTH};
-use pps_serve::cache::CompileCache;
+use pps_eval::runner::ProfilePair;
+use pps_serve::cache::{CompileCache, ProfileKind};
 use pps_serve::pgo::{PgoConfig, PgoState};
 use pps_serve::proto::{encode_response, ProfileText, Request, Response};
 use pps_serve::server::{Handler, ServeConfig, ServerHandle};
@@ -17,6 +18,14 @@ use pps_serve::Client;
 use pps_suite::{benchmark_by_name, Scale};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The profile kind `P4` (and `M4`, `Px4`) trains and is scored against.
+const P4: ProfileKind = ProfileKind { depth: DEFAULT_PATH_DEPTH, k: None };
+
+/// A shared profile pair, as the request path hands it to PGO.
+fn pair(edge: &EdgeProfile, path: &PathProfile) -> ProfilePair {
+    Arc::new((edge.clone(), path.clone()))
+}
 
 fn train(bench: &str, scale: u32, depth: usize) -> (EdgeProfile, PathProfile) {
     let b = benchmark_by_name(bench, Scale(scale)).expect("bench");
@@ -97,7 +106,7 @@ fn basic_block_requests_train_nothing_for_pgo_or_the_cache() {
         }
     }
     assert_eq!(cache.stats().0, 3, "the second of each request is a hit");
-    assert_eq!(state.aggregate_stats("wc").map_or(0, |(samples, _)| samples), 0);
+    assert_eq!(state.aggregate_stats("wc", 1, P4).map_or(0, |(samples, _)| samples), 0);
     assert_eq!(state.fill_health(Default::default()).units, 0, "no PGO unit for BB");
 }
 
@@ -157,7 +166,7 @@ fn hot_swap_invalidates_the_swapped_groups_cache_entries() {
     assert_eq!(entries, 2);
 
     // Drift the aggregate; the sweep recompiles and hot-swaps P4.
-    state.publish("wc", 1, &edge, &inverted(&path));
+    state.publish("wc", 1, P4, &pair(&edge, &inverted(&path)));
     let report = state.sweep();
     assert_eq!(report.swaps, 1, "{report:?}");
 
@@ -229,4 +238,43 @@ fn daemon_reports_cache_counters_in_pong() {
     drop(client);
     server.shutdown();
     server.join().expect("clean drain");
+}
+
+#[test]
+fn repeated_requests_train_nothing_once_the_memo_is_filled() {
+    let cache = CompileCache::new(64);
+    let state = PgoState::new(fast_config(), Obs::noop());
+    let obs = Obs::noop();
+    let mut requests = vec![Request::Profile { bench: "wc".into(), scale: 1, depth: 0 }];
+    for scheme in ["BB", "M4", "P4", "Pk2", "Px4"] {
+        requests.push(Request::Compile {
+            bench: "wc".into(),
+            scale: 1,
+            scheme: scheme.into(),
+            profile: None,
+        });
+        requests.push(Request::RunCell {
+            bench: "wc".into(),
+            scale: 1,
+            scheme: scheme.into(),
+            strict: true,
+        });
+    }
+    let first: Vec<_> = requests
+        .iter()
+        .map(|r| encode_response(&execute(r, &obs, Some(&state), Some(&cache))))
+        .collect();
+    // One entry per profile kind, shared by every scheme and request kind
+    // that trains it: untrained (`BB`), depth 15, and k = 2.
+    let fills = cache.memo_fills();
+    assert_eq!(fills, 3);
+    for (request, reply) in requests.iter().zip(&first) {
+        let again = encode_response(&execute(request, &obs, Some(&state), Some(&cache)));
+        assert_eq!(&again, reply, "memoized state changed the reply of {request:?}");
+        let plain = encode_response(&execute(request, &obs, None, None));
+        assert_eq!(&plain, reply, "memoized state changed the reply of {request:?}");
+    }
+    assert_eq!(cache.memo_fills(), fills, "a repeated request trained again");
+    let (hits, misses, ..) = cache.stats();
+    assert_eq!((hits, misses), (10, 10), "every repeated Compile/RunCell is a hit");
 }

@@ -11,6 +11,8 @@ use pps_profile::serialize::{edge_to_text, path_to_text};
 use pps_profile::{
     EdgeProfile, EdgeProfiler, PathProfile, PathProfiler, DEFAULT_PATH_DEPTH,
 };
+use pps_eval::runner::ProfilePair;
+use pps_serve::cache::{CompileCache, ProfileKind, DEFAULT_CAPACITY};
 use pps_serve::pgo::{PgoConfig, PgoFault, PgoRuntime, PgoState, SweepReport};
 use pps_serve::proto::{encode_response, ProfileText, Request, Response};
 use pps_serve::server::{ServeConfig, ServerHandle};
@@ -19,6 +21,14 @@ use pps_serve::Client;
 use pps_suite::{benchmark_by_name, Scale};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The profile kind `P4` (and `M4`, `Px4`) trains and is scored against.
+const P4: ProfileKind = ProfileKind { depth: DEFAULT_PATH_DEPTH, k: None };
+
+/// A shared profile pair, as the request path hands it to PGO.
+fn pair(edge: &EdgeProfile, path: &PathProfile) -> ProfilePair {
+    Arc::new((edge.clone(), path.clone()))
+}
 
 fn train(bench: &str, scale: u32, depth: usize) -> (EdgeProfile, PathProfile) {
     let b = benchmark_by_name(bench, Scale(scale)).expect("bench");
@@ -65,9 +75,9 @@ fn fast_config() -> PgoConfig {
 fn drifted_state(config: PgoConfig) -> (PgoState, EdgeProfile, PathProfile) {
     let state = PgoState::new(config, Obs::noop());
     let (edge, path) = train("wc", 1, DEFAULT_PATH_DEPTH);
-    state.observe_unit("wc", 1, "P4", &path);
-    state.publish("wc", 1, &edge, &path);
-    state.publish("wc", 1, &edge, &inverted(&path));
+    state.observe_unit("wc", 1, "P4", P4, &pair(&edge, &path));
+    state.publish("wc", 1, P4, &pair(&edge, &path));
+    state.publish("wc", 1, P4, &pair(&edge, &inverted(&path)));
     (state, edge, path)
 }
 
@@ -75,14 +85,14 @@ fn drifted_state(config: PgoConfig) -> (PgoState, EdgeProfile, PathProfile) {
 fn publish_folds_profiles_and_skips_unmergeable_ones() {
     let state = PgoState::new(fast_config(), Obs::noop());
     let (edge, path) = train("wc", 1, DEFAULT_PATH_DEPTH);
-    state.publish("wc", 1, &edge, &path);
-    state.publish("wc", 1, &edge, &path);
-    assert_eq!(state.aggregate_stats("wc"), Some((2, 2)));
+    state.publish("wc", 1, P4, &pair(&edge, &path));
+    state.publish("wc", 1, P4, &pair(&edge, &path));
+    assert_eq!(state.aggregate_stats("wc", 1, P4), Some((2, 2)));
 
     // A different collection depth is unmergeable: skipped, not poisoned.
     let (_, shallow) = train("wc", 1, 4);
-    state.publish("wc", 1, &edge, &shallow);
-    assert_eq!(state.aggregate_stats("wc"), Some((2, 2)));
+    state.publish("wc", 1, P4, &pair(&edge, &shallow));
+    assert_eq!(state.aggregate_stats("wc", 1, P4), Some((2, 2)));
 }
 
 #[test]
@@ -93,21 +103,21 @@ fn sweep_detects_drift_recompiles_and_hot_swaps() {
     // Nothing registered, nothing aggregated: a sweep is a no-op.
     assert_eq!(state.sweep(), SweepReport::default());
 
-    state.observe_unit("wc", 1, "P4", &path);
+    state.observe_unit("wc", 1, "P4", P4, &pair(&edge, &path));
     assert_eq!(state.unit_generation("wc", 1, "P4"), Some(1));
     // Duplicate observations don't reset the serving unit.
-    state.observe_unit("wc", 1, "P4", &path);
+    state.observe_unit("wc", 1, "P4", P4, &pair(&edge, &path));
     assert_eq!(state.unit_generation("wc", 1, "P4"), Some(1));
 
     // Aggregate matches the compiled-against profile: no drift, no churn.
-    state.publish("wc", 1, &edge, &path);
+    state.publish("wc", 1, P4, &pair(&edge, &path));
     let steady = state.sweep();
     assert_eq!(steady.evaluated, 1);
     assert_eq!(steady.drifted, 0);
     assert_eq!(steady.recompiles, 0);
 
     // The hot set flips: the sweep must recompile and swap atomically.
-    state.publish("wc", 1, &edge, &inverted(&path));
+    state.publish("wc", 1, P4, &pair(&edge, &inverted(&path)));
     let drifted = state.sweep();
     assert_eq!(drifted.recompiles, 1, "{drifted:?}");
     assert_eq!(drifted.swaps, 1, "{drifted:?}");
@@ -116,7 +126,7 @@ fn sweep_detects_drift_recompiles_and_hot_swaps() {
     let (generation, unit) = state.unit("wc", 1, "P4").expect("unit tracked");
     assert_eq!(generation, 2, "swap bumps the generation");
     assert!(unit.report.starts_with("pps-compile-report v1\n"), "{}", unit.report);
-    let (_, epoch) = state.aggregate_stats("wc").unwrap();
+    let (_, epoch) = state.aggregate_stats("wc", 1, P4).unwrap();
     assert_eq!(unit.epoch, epoch, "new unit serves the aggregate epoch");
 
     // The swapped unit now matches the aggregate: hysteresis exits and the
@@ -140,7 +150,7 @@ fn injected_panic_is_contained_and_rolls_back() {
     let (generation, unit) = state.unit("wc", 1, "P4").unwrap();
     assert_eq!(generation, 1);
     assert_eq!(unit.epoch, 0);
-    assert_eq!(path_to_text(&unit.path), path_to_text(&path));
+    assert_eq!(path_to_text(&unit.profiles.1), path_to_text(&path));
 
     let health = state.fill_health(Default::default());
     assert_eq!(health.rollbacks, 1);
@@ -183,6 +193,65 @@ fn churn_budget_and_cooldown_defer_recompiles() {
 }
 
 #[test]
+fn a_sweep_over_unchanged_state_scores_nothing_and_decides_the_same() {
+    // Budget zero: the drifted unit stays deferred, sweep after sweep.
+    let (state, edge, path) =
+        drifted_state(PgoConfig { recompiles_per_sweep: 0, ..fast_config() });
+    let first = state.sweep();
+    assert_eq!((first.evaluated, first.drifted, first.deferred), (1, 1, 1), "{first:?}");
+    let second = state.sweep();
+    assert_eq!(second.evaluated, 0, "unchanged aggregate and unit: {second:?}");
+    assert_eq!(SweepReport { evaluated: 1, ..second }, first, "same decisions");
+
+    // A merge moves the aggregate epoch: the unit is scored again.
+    state.publish("wc", 1, P4, &pair(&edge, &inverted(&path)));
+    let third = state.sweep();
+    assert_eq!(third, first, "{third:?}");
+}
+
+/// A steady load of server-trained requests over every profile kind
+/// carries one profile per kind, so no unit drifts and nothing
+/// recompiles. These benchmarks drifted and hot-swapped units under this
+/// load while the aggregates mixed the kinds and merged the server's own
+/// pair again on every request.
+#[test]
+fn steady_server_trained_mixed_scheme_load_recompiles_nothing() {
+    let cache = CompileCache::new(DEFAULT_CAPACITY);
+    let state = PgoState::new(PgoConfig { min_samples: 1, ..fast_config() }, Obs::noop());
+    let obs = Obs::noop();
+    for bench in ["wc", "m88k"] {
+        for _ in 0..2 {
+            for scheme in ["M4", "P4", "Pk2", "Px4"] {
+                let compile = Request::Compile {
+                    bench: bench.into(),
+                    scale: 1,
+                    scheme: scheme.into(),
+                    profile: None,
+                };
+                let run_cell = Request::RunCell {
+                    bench: bench.into(),
+                    scale: 1,
+                    scheme: scheme.into(),
+                    strict: true,
+                };
+                for request in [compile, run_cell] {
+                    let reply = execute(&request, &obs, Some(&state), Some(&cache));
+                    assert!(!matches!(reply, Response::Error { .. }), "{request:?}: {reply:?}");
+                }
+            }
+        }
+    }
+    let first = state.sweep();
+    assert_eq!(first.evaluated, 8, "every unit is scored: {first:?}");
+    for report in std::iter::once(first).chain((0..3).map(|_| state.sweep())) {
+        assert_eq!((report.drifted, report.recompiles), (0, 0), "{report:?}");
+    }
+    let health = state.fill_health(Default::default());
+    assert_eq!((health.recompiles, health.swaps), (0, 0), "{health:?}");
+    assert_eq!(health.units, 8, "{health:?}");
+}
+
+#[test]
 fn profile_sink_never_changes_reply_bytes() {
     let state = PgoState::new(fast_config(), Obs::noop());
     let requests = [
@@ -196,9 +265,10 @@ fn profile_sink_never_changes_reply_bytes() {
             encode_response(&execute(request, &Obs::noop(), Some(&state), None));
         assert_eq!(plain, observed, "sink changed bytes of {request:?}");
     }
-    // ... while actually having observed the traffic.
+    // ... while actually having observed the traffic: the one pair the
+    // server trains for all three requests, merged once.
     let health = state.fill_health(Default::default());
-    assert!(health.profiles_merged >= 3, "{health:?}");
+    assert_eq!(health.profiles_merged, 1, "{health:?}");
     assert!(health.units >= 1, "{health:?}");
 }
 

@@ -47,29 +47,42 @@ pub mod wc;
 
 pub use util::{Benchmark, Category, Scale};
 
+/// Builds one benchmark at the given scale.
+pub type Build = fn(Scale) -> Benchmark;
+
+/// Every benchmark of Table 1 by name, with its builder, in table order.
+/// The one list behind [`all_benchmarks`] and [`benchmark_by_name`].
+pub const BENCHMARKS: [(&str, Build); 14] = [
+    ("alt", micro::alt),
+    ("ph", micro::ph),
+    ("corr", micro::corr),
+    ("wc", wc::build),
+    ("com", com::build),
+    ("eqn", eqn::build),
+    ("esp", esp::build),
+    ("gcc", gcc::build),
+    ("go", go::build),
+    ("ijpeg", ijpeg::build),
+    ("li", li::build),
+    ("m88k", m88k::build),
+    ("perl", perl::build),
+    ("vortex", vortex::build),
+];
+
 /// Builds all fourteen benchmarks of Table 1 at the given scale.
 pub fn all_benchmarks(scale: Scale) -> Vec<Benchmark> {
-    vec![
-        micro::alt(scale),
-        micro::ph(scale),
-        micro::corr(scale),
-        wc::build(scale),
-        com::build(scale),
-        eqn::build(scale),
-        esp::build(scale),
-        gcc::build(scale),
-        go::build(scale),
-        ijpeg::build(scale),
-        li::build(scale),
-        m88k::build(scale),
-        perl::build(scale),
-        vortex::build(scale),
-    ]
+    BENCHMARKS.iter().map(|(_, build)| build(scale)).collect()
 }
 
-/// Finds a benchmark by name.
+/// The table entry of the benchmark called `name`: its canonical name and
+/// its builder. Builds nothing.
+pub fn lookup(name: &str) -> Option<(&'static str, Build)> {
+    BENCHMARKS.iter().copied().find(|(n, _)| *n == name)
+}
+
+/// Builds the benchmark called `name`, and only that one.
 pub fn benchmark_by_name(name: &str, scale: Scale) -> Option<Benchmark> {
-    all_benchmarks(scale).into_iter().find(|b| b.name == name)
+    lookup(name).map(|(_, build)| build(scale))
 }
 
 #[cfg(test)]
@@ -141,5 +154,24 @@ mod tests {
     fn lookup_by_name() {
         assert!(benchmark_by_name("gcc", Scale::quick()).is_some());
         assert!(benchmark_by_name("nonesuch", Scale::quick()).is_none());
+    }
+
+    #[test]
+    fn lookup_by_name_builds_what_all_benchmarks_builds() {
+        use pps_ir::hash::program_hash;
+        for scale in [Scale(1), Scale(2)] {
+            let all = all_benchmarks(scale);
+            assert_eq!(all.len(), BENCHMARKS.len());
+            for (b, (name, _)) in all.iter().zip(BENCHMARKS) {
+                assert_eq!(b.name, name, "table order is all_benchmarks order");
+                let one = benchmark_by_name(name, scale).expect("listed name builds");
+                assert_eq!(one.name, b.name);
+                assert_eq!(program_hash(&one.program), program_hash(&b.program), "{name}");
+                assert_eq!(one.train_args, b.train_args, "{name}");
+                assert_eq!(one.test_args, b.test_args, "{name}");
+            }
+            assert!(benchmark_by_name("nonesuch", scale).is_none());
+            assert!(benchmark_by_name("", scale).is_none());
+        }
     }
 }
