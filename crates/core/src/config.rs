@@ -91,8 +91,8 @@ impl Scheme {
     /// Parses a scheme name, accepting any capitalization (`pk2`, `PK2` and
     /// `Pk2` are the same scheme). [`Scheme::name`] is the canonical
     /// spelling: every consumer that keys on scheme identity (reply cache,
-    /// shard router, artifact keys) must go through `parse(..).name()` so
-    /// spelling variants cannot split cache entries or route apart.
+    /// artifact keys, PGO units) must go through `parse(..).name()` so
+    /// spelling variants cannot split cache entries.
     pub fn parse(name: &str) -> Option<Scheme> {
         let up = name.to_ascii_uppercase();
         if up == "BB" {
@@ -203,7 +203,7 @@ mod tests {
 
     /// The whole scheme family round-trips through its canonical name in
     /// any capitalization, and canonical names are pairwise distinct — the
-    /// property that keeps cache keys and shard routing collision-free.
+    /// property that keeps cache keys collision-free.
     #[test]
     fn scheme_family_round_trips_canonically() {
         let mut seen = std::collections::HashSet::new();

@@ -6,8 +6,7 @@
 //! pps-client ping --addr HOST:PORT
 //! ```
 //!
-//! `loadgen` drives a running `pps-serve` daemon (or a `pps-shard` router)
-//! and verifies replies byte-for-byte against the in-process pipeline;
+//! `loadgen` drives a running `pps-serve` daemon and verifies replies byte-for-byte against the in-process pipeline;
 //! `top` is the live dashboard over a daemon's telemetry listener; `ping`
 //! prints one health snapshot as JSON. See `pps-client <command> --help`.
 
@@ -32,7 +31,7 @@ fn loadgen_usage() -> ! {
         "usage: pps-client loadgen --addr HOST:PORT [--conns N] [--requests M]\n\
          \x20                         [--bench NAME] [--scale N] [--scheme NAME]\n\
          \x20                         [--probe-malformed] [--shutdown] [--out FILE]\n\
-         \x20                         [--drift] [--cluster]\n\
+         \x20                         [--drift]\n\
          \x20                         [--log-level off|error|warn|info|debug]\n\
          Drives a pps-serve daemon with a Profile/Compile/RunCell mix over N\n\
          concurrent connections, verifying every reply byte-for-byte against\n\
@@ -43,10 +42,8 @@ fn loadgen_usage() -> ! {
          budget. --probe-malformed also sends corrupt frames and asserts clean\n\
          rejection; --shutdown drains the daemon afterwards; --drift\n\
          phase-shifts the workload's profiles and waits up to {}s for a\n\
-         continuous-PGO hot-swap (needs a daemon with --pgo on); --cluster\n\
-         drives a repeat-heavy multi-artifact distribution (point --addr at a\n\
-         pps-shard router) and reports cluster-wide cache hit rate and routing\n\
-         stats; --out writes the report as JSON.",
+         continuous-PGO hot-swap (needs a daemon with --pgo on); --out writes\n\
+         the report as JSON.",
         loadgen::MAX_ATTEMPTS,
         loadgen::RETRY_BUDGET,
         loadgen::BUSY_ATTEMPTS,
@@ -95,7 +92,6 @@ fn loadgen_main(args: &[String]) -> ExitCode {
             "--probe-malformed" => config.probe_malformed = true,
             "--shutdown" => config.shutdown = true,
             "--drift" => config.drift = true,
-            "--cluster" => config.cluster = true,
             "--out" => out = Some(it.next().unwrap_or_else(|| loadgen_usage()).clone()),
             "--log-level" => {
                 level = Level::parse(it.next().unwrap_or_else(|| loadgen_usage()))
@@ -147,20 +143,6 @@ fn loadgen_main(args: &[String]) -> ExitCode {
             d.in_flight_final,
             d.phase_a_runcell.p50,
             d.phase_b_runcell.p50,
-        );
-    }
-    if let Some(c) = &report.cluster {
-        println!(
-            "loadgen cluster: {} shards, {} routed over {} artifacts; cache {} hits / {} \
-             misses ({:.0}% hit rate, {} entries), queue depth {}",
-            c.shards,
-            c.routed,
-            c.distinct_artifacts,
-            c.cache_hits,
-            c.cache_misses,
-            c.hit_rate * 100.0,
-            c.cache_entries,
-            c.queue_depth,
         );
     }
     for f in &report.failures {
@@ -239,9 +221,7 @@ fn top_main(args: &[String]) -> ExitCode {
 }
 
 /// `pps-client ping --addr HOST:PORT`: one PPSF `Ping` round-trip,
-/// printing the raw health snapshot as one JSON line. Pointed at a
-/// `pps-serve` daemon this is that shard's own counters; pointed at a
-/// `pps-shard` router it is the fanned-in cluster view.
+/// printing the daemon's raw health snapshot as one JSON line.
 fn ping_main(args: &[String]) -> ExitCode {
     let ping_usage = || {
         eprintln!("usage: pps-client ping --addr HOST:PORT");
@@ -269,7 +249,7 @@ fn ping_main(args: &[String]) -> ExitCode {
         "{{\"schema\":\"pps-ping\",\"queue_depth\":{},\"queue_capacity\":{},\
          \"workers\":{},\"connections\":{},\"requests\":{},\"cache_hits\":{},\"cache_misses\":{},\
          \"cache_evictions\":{},\"cache_invalidations\":{},\"cache_entries\":{},\
-         \"recompiles\":{},\"swaps\":{},\"routed\":{},\"shards\":{}}}",
+         \"recompiles\":{},\"swaps\":{}}}",
         health.queue_depth,
         health.queue_capacity,
         health.workers,
@@ -282,8 +262,6 @@ fn ping_main(args: &[String]) -> ExitCode {
         health.cache_entries,
         health.recompiles,
         health.swaps,
-        health.routed,
-        health.shards,
     );
     ExitCode::SUCCESS
 }

@@ -22,8 +22,8 @@
 //! miss recompiles against the same key and produces the same bytes.)
 //!
 //! Eviction is LRU over a fixed entry budget; counters (hits, misses,
-//! evictions, invalidations) feed `/metrics`, `/health`, and the minor-3
-//! Pong snapshot.
+//! evictions, invalidations) feed `/metrics`, `/health`, and the Pong
+//! snapshot.
 //!
 //! # The memo of trained state
 //!
@@ -58,7 +58,6 @@ use pps_machine::{LatencyModel, MachineConfig};
 use pps_profile::DEFAULT_PATH_DEPTH;
 use pps_suite::Benchmark;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -85,8 +84,7 @@ pub fn machine_hash(m: &MachineConfig) -> u64 {
 ///
 /// A key is stable across processes and machines: every component is a
 /// canonical content hash (or the scheme's canonical name), never a
-/// process-local nonce. [`CompileCache`] keys on it, and the shard router
-/// places it on the consistent-hash ring via [`ArtifactKey::route_hash`].
+/// process-local nonce. [`CompileCache`] keys on it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArtifactKey {
     /// Canonical structural hash of the program.
@@ -108,28 +106,6 @@ impl ArtifactKey {
         machine_hash: u64,
     ) -> Self {
         ArtifactKey { program_hash, profile_hash, scheme: scheme.into(), machine_hash }
-    }
-
-    /// One 64-bit digest of the whole key: the value consistent-hash
-    /// routing and cache bucketing use. Folds all four components
-    /// order-sensitively.
-    pub fn route_hash(&self) -> u64 {
-        let mut f = Fold::new();
-        f.u64(self.program_hash)
-            .u64(self.profile_hash)
-            .str(&self.scheme)
-            .u64(self.machine_hash);
-        f.finish()
-    }
-}
-
-impl fmt::Display for ArtifactKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:016x}-{:016x}-{}-{:016x}",
-            self.program_hash, self.profile_hash, self.scheme, self.machine_hash
-        )
     }
 }
 
@@ -443,7 +419,7 @@ impl CompileCache {
         )
     }
 
-    /// Copies the counters into a health snapshot (the minor-3 fields).
+    /// Copies the counters into a health snapshot (its cache fields).
     pub fn fill_health(&self, h: &mut HealthSnapshot) {
         let (hits, misses, evictions, invalidations, entries) = self.stats();
         h.cache_hits = hits;
@@ -626,21 +602,5 @@ mod tests {
             assert_ne!(machine_hash(v), h, "field change must change the hash: {v:?}");
         }
         assert_eq!(machine_hash(&base), h, "hash is deterministic");
-    }
-
-    #[test]
-    fn route_hash_distinguishes_components() {
-        let k = ArtifactKey::new(1, 2, "P4", 3);
-        assert_ne!(k.route_hash(), ArtifactKey::new(2, 1, "P4", 3).route_hash());
-        assert_ne!(k.route_hash(), ArtifactKey::new(1, 2, "P4e", 3).route_hash());
-        assert_ne!(k.route_hash(), ArtifactKey::new(1, 2, "P4", 4).route_hash());
-        assert_eq!(k.route_hash(), k.clone().route_hash());
-    }
-
-    #[test]
-    fn display_is_compact_and_ordered() {
-        let k = ArtifactKey::new(0xAB, 0xCD, "M16", 0xEF);
-        let s = k.to_string();
-        assert!(s.starts_with("00000000000000ab-00000000000000cd-M16-"));
     }
 }

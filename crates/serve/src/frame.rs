@@ -190,9 +190,9 @@ pub(crate) enum First {
     Err(io::Error),
 }
 
-/// Polls for the first byte of the next frame. The daemon and the router
-/// read with a short timeout here so they notice shutdown between
-/// requests, then finish the frame with [`read_frame_after`].
+/// Polls for the first byte of the next frame. The daemon reads with a
+/// short timeout here so it notices shutdown between requests, then
+/// finishes the frame with [`read_frame_after`].
 pub(crate) fn read_first(r: &mut impl Read) -> First {
     let mut b = [0u8; 1];
     match r.read(&mut b) {

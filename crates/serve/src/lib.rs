@@ -28,17 +28,13 @@
 //!   are byte-comparable against in-process runs, and the daemon's one
 //!   handler over it (optional reply cache, optional PGO state). Requests
 //!   compile through `pps_eval::runner`, the path the harness takes;
-//! - [`shard`] — the consistent-hash shard router (`pps-shard`): one
-//!   PPSF front door placing requests on N daemons by artifact identity,
-//!   with health fan-in on `Ping`;
 //! - [`signal`] — SIGTERM/SIGINT → shutdown flag (Unix);
 //! - [`telemetry`] — the live-observability layer: rolling-window
 //!   metrics, a `/metrics` / `/health` / `/trace` scrape listener, a
 //!   JSON-lines access log, and tail-sampled request traces.
 //!
-//! Three binaries wire these together: `pps-serve` (the daemon),
-//! `pps-shard` (the router), and `pps-client` (`loadgen`, `top`, `ping`);
-//! see README §Serving.
+//! Two binaries wire these together: `pps-serve` (the daemon) and
+//! `pps-client` (`loadgen`, `top`, `ping`); see README §Serving.
 
 pub mod cache;
 pub mod client;
@@ -49,7 +45,6 @@ pub mod pool;
 pub mod proto;
 pub mod server;
 pub mod service;
-pub mod shard;
 pub mod signal;
 pub mod swap;
 pub mod telemetry;
@@ -61,5 +56,4 @@ pub use pgo::{PgoConfig, PgoFault, PgoRuntime, PgoState};
 pub use proto::{Envelope, ErrorKind, HealthSnapshot, ProfileText, Request, Response};
 pub use server::{serve, write_port_file, Handler, ServeConfig, ServerHandle, ServerStats};
 pub use service::{execute, PipelineHandler};
-pub use shard::{Router, RouterConfig, RouterHandle, RouterStats, ShardRing};
 pub use telemetry::{RequestRecord, Telemetry, TelemetryConfig};

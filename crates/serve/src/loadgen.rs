@@ -17,14 +17,6 @@
 //! disconnects — are absorbed by bounded retry (exponential backoff with
 //! deterministic jitter, per-run retry budget); everything retried is
 //! reported in the JSON summary.
-//!
-//! **Cluster mode** (`--cluster`) targets a `pps-shard` router instead of
-//! a single daemon: it drives a repeat-heavy key distribution over a set
-//! of distinct artifacts (several benchmarks × schemes, picked with a
-//! skewed deterministic distribution so a few artifacts dominate), still
-//! byte-verifying every reply against the in-process pipeline, and then
-//! reads the router's fanned-in health snapshot to report cluster-wide
-//! cache hit rate, routed counts, and queue depth.
 
 use crate::client::{Client, ClientError};
 use crate::frame::{self, FrameError, HEADER_LEN, MAX_PAYLOAD, VERSION};
@@ -119,10 +111,6 @@ pub struct LoadgenConfig {
     /// Drifting-workload mode: phase-shift to weight-inverted profiles
     /// after the steady phase and wait for a continuous-PGO hot-swap.
     pub drift: bool,
-    /// Cluster mode: drive a repeat-heavy distribution over distinct
-    /// artifacts (instead of the 3-slot mix) and report the cluster-wide
-    /// cache/routing stats from the router's fanned-in health snapshot.
-    pub cluster: bool,
 }
 
 impl Default for LoadgenConfig {
@@ -137,7 +125,6 @@ impl Default for LoadgenConfig {
             probe_malformed: false,
             shutdown: false,
             drift: false,
-            cluster: false,
         }
     }
 }
@@ -183,29 +170,6 @@ pub struct DriftStats {
     pub swap_wait_s: f64,
 }
 
-/// Cluster-mode observations: deltas of the router's fanned-in counters
-/// over the measured phase, plus the shape of the driven key set.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterStats {
-    /// Distinct artifacts (benchmark × scheme × request-class) driven.
-    pub distinct_artifacts: usize,
-    /// Shards behind the router (0 when pointed at a single daemon).
-    pub shards: u32,
-    /// Requests the router relayed during the run.
-    pub routed: u64,
-    /// Cluster-wide compile-cache hits during the run.
-    pub cache_hits: u64,
-    /// Cluster-wide compile-cache misses during the run.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)` over the run; with repeats per artifact
-    /// this must be well above zero.
-    pub hit_rate: f64,
-    /// Cache entries resident cluster-wide at run end.
-    pub cache_entries: u32,
-    /// Summed queue depth across shards at the final health poll.
-    pub queue_depth: u32,
-}
-
 /// Outcome of one load run.
 #[derive(Debug, Clone, Default)]
 pub struct LoadgenReport {
@@ -224,8 +188,6 @@ pub struct LoadgenReport {
     pub budget_exhausted: usize,
     /// Drift-mode observations (`None` unless `--drift`).
     pub drift: Option<DriftStats>,
-    /// Cluster-mode observations (`None` unless `--cluster`).
-    pub cluster: Option<ClusterStats>,
     /// Wall-clock for the measured request phase, seconds.
     pub elapsed_s: f64,
     /// `ok / elapsed_s`.
@@ -283,22 +245,6 @@ impl LoadgenReport {
                 wait = d.swap_wait_s,
             ),
         };
-        let cluster = match &self.cluster {
-            None => "null".to_string(),
-            Some(c) => format!(
-                "{{\"distinct_artifacts\": {}, \"shards\": {}, \"routed\": {}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \"hit_rate\": {:.4}, \
-                 \"cache_entries\": {}, \"queue_depth\": {}}}",
-                c.distinct_artifacts,
-                c.shards,
-                c.routed,
-                c.cache_hits,
-                c.cache_misses,
-                c.hit_rate,
-                c.cache_entries,
-                c.queue_depth,
-            ),
-        };
         format!(
             "{{\n  \"bench\": \"{bench}\",\n  \"scale\": {scale},\n  \"scheme\": \"{scheme}\",\n  \
              \"conns\": {conns},\n  \"requests\": {requests},\n  \"ok\": {ok},\n  \
@@ -310,7 +256,6 @@ impl LoadgenReport {
              \"mix\": {{\"profile\": {m0}, \"compile\": {m1}, \"runcell\": {m2}}},\n  \
              \"probes\": {{\"run\": {pr}, \"passed\": {pp}}},\n  \
              \"drift\": {drift},\n  \
-             \"cluster\": {cluster},\n  \
              \"failures\": [{failures}]\n}}\n",
             bench = config.bench,
             scale = config.scale,
@@ -614,192 +559,6 @@ fn poll_health(addr: &str) -> Result<HealthSnapshot, String> {
     }
 }
 
-/// The distinct artifacts cluster mode drives: for each of a handful of
-/// benchmarks (the micro suite, plus `config.bench` when different), a
-/// profile-guided `Compile`, a baseline `Compile`, and a `RunCell` —
-/// distinct artifact keys that spread across the ring while every repeat
-/// of one key lands on the same shard's cache.
-fn cluster_requests(config: &LoadgenConfig) -> Vec<Request> {
-    let mut benches: Vec<String> =
-        ["alt", "ph", "corr", "wc"].iter().map(|s| s.to_string()).collect();
-    if !benches.contains(&config.bench) {
-        benches.push(config.bench.clone());
-    }
-    let mut requests = Vec::new();
-    for bench in &benches {
-        requests.push(Request::Compile {
-            bench: bench.clone(),
-            scale: config.scale,
-            scheme: config.scheme.clone(),
-            profile: None,
-        });
-        if config.scheme != "BB" {
-            requests.push(Request::Compile {
-                bench: bench.clone(),
-                scale: config.scale,
-                scheme: "BB".to_string(),
-                profile: None,
-            });
-        }
-        requests.push(Request::RunCell {
-            bench: bench.clone(),
-            scale: config.scale,
-            scheme: config.scheme.clone(),
-            strict: false,
-        });
-    }
-    requests
-}
-
-/// Repeat-heavy pick: request `i` draws artifact `k` with triangular
-/// weight `n - k`, so artifact 0 is roughly `n` times hotter than the
-/// coldest — a skewed, deterministic key distribution (splitmix64 over
-/// the request index; no RNG dependency, identical in every run).
-fn pick_artifact(i: usize, n: usize) -> usize {
-    debug_assert!(n > 0);
-    let total = (n * (n + 1) / 2) as u64;
-    let mut r = pps_ir::hash::splitmix64(i as u64) % total;
-    for k in 0..n {
-        let w = (n - k) as u64;
-        if r < w {
-            return k;
-        }
-        r -= w;
-    }
-    n - 1
-}
-
-/// Cluster-mode worker: like [`worker`], but over the artifact table with
-/// the skewed pick instead of the 3-slot round-robin mix.
-fn cluster_worker(config: &LoadgenConfig, shared: &Shared, artifacts: &[(Envelope, Vec<u8>)]) {
-    let mut client: Option<Client> = None;
-    let mut local = WorkerTally::default();
-    loop {
-        let i = shared.next.fetch_add(1, Ordering::Relaxed);
-        if i >= shared.total {
-            break;
-        }
-        let (env, expected) = &artifacts[pick_artifact(i, artifacts.len())];
-        match call_with_retry(config, shared, &mut local, &mut client, env, i) {
-            Ok((resp, elapsed)) => {
-                let got = encode_response(&resp);
-                if got == *expected {
-                    local.ok += 1;
-                    local.latencies_us.push(elapsed.as_micros() as u64);
-                } else {
-                    local.mismatches += 1;
-                    if local.failures.len() < 5 {
-                        local.failures.push(format!(
-                            "request {i} ({}): cluster reply bytes differ from in-process \
-                             pipeline ({} vs {} bytes, outcome {})",
-                            env.request.kind_name(),
-                            got.len(),
-                            expected.len(),
-                            resp.outcome_name(),
-                        ));
-                    }
-                }
-            }
-            Err(msg) => {
-                local.errors += 1;
-                if local.failures.len() < 5 {
-                    local.failures.push(msg);
-                }
-            }
-        }
-    }
-    shared.results.lock().unwrap().absorb(local);
-}
-
-/// Cluster mode: precompute expected bytes for every distinct artifact,
-/// drive the repeat-heavy distribution through the router, and report the
-/// delta of the fanned-in cluster counters over the run.
-fn run_cluster(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, String> {
-    let _span = obs
-        .span("loadgen-cluster")
-        .arg("conns", config.conns as u64)
-        .arg("requests", config.requests as u64);
-
-    let requests = cluster_requests(config);
-    obs.log(Level::Info, || {
-        format!("precomputing expected replies for {} distinct artifacts ...", requests.len())
-    });
-    let mut artifacts: Vec<(Envelope, Vec<u8>)> = Vec::with_capacity(requests.len());
-    for req in requests {
-        let resp = execute(&req, &Obs::noop(), None, None);
-        if let Response::Error { message, .. } = &resp {
-            return Err(format!("artifact precompute failed ({}): {message}", req.kind_name()));
-        }
-        artifacts.push((Envelope::new(req), encode_response(&resp)));
-    }
-
-    // Counter deltas, so a warm router/daemon doesn't skew the run.
-    let base = poll_health(&config.addr)?;
-    let budget = AtomicUsize::new(RETRY_BUDGET);
-    obs.log(Level::Info, || {
-        format!(
-            "driving {} requests over {} connections across {} artifacts ...",
-            config.requests,
-            config.conns,
-            artifacts.len()
-        )
-    });
-    let shared = Shared {
-        next: AtomicUsize::new(0),
-        total: config.requests,
-        retry_budget: &budget,
-        results: Mutex::new(WorkerTally::default()),
-    };
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..config.conns.max(1) {
-            scope.spawn(|| cluster_worker(config, &shared, &artifacts));
-        }
-    });
-    let elapsed = start.elapsed();
-    let mut tally = shared.results.into_inner().unwrap();
-
-    let last = poll_health(&config.addr)?;
-    let hits = last.cache_hits.saturating_sub(base.cache_hits);
-    let misses = last.cache_misses.saturating_sub(base.cache_misses);
-    let cluster = ClusterStats {
-        distinct_artifacts: artifacts.len(),
-        shards: last.shards,
-        routed: last.routed.saturating_sub(base.routed),
-        cache_hits: hits,
-        cache_misses: misses,
-        hit_rate: hits as f64 / ((hits + misses).max(1)) as f64,
-        cache_entries: last.cache_entries,
-        queue_depth: last.queue_depth,
-    };
-
-    let mut report = LoadgenReport {
-        ok: tally.ok,
-        mismatches: tally.mismatches,
-        errors: tally.errors,
-        busy_retries: tally.busy_retries,
-        transport_retries: tally.transport_retries,
-        budget_exhausted: tally.budget_exhausted,
-        drift: None,
-        cluster: Some(cluster),
-        elapsed_s: elapsed.as_secs_f64(),
-        throughput_rps: tally.ok as f64 / elapsed.as_secs_f64().max(1e-9),
-        latency: latency_ms(&mut tally.latencies_us),
-        mix: tally.mix,
-        probes_run: 0,
-        probes_passed: 0,
-        failures: std::mem::take(&mut tally.failures),
-    };
-
-    if config.probe_malformed {
-        probe_malformed(config, &mut report, obs);
-    }
-    if config.shutdown {
-        shutdown_daemon(config, &mut report, obs);
-    }
-    Ok(report)
-}
-
 /// Weight-inverts the path profile so its hot set becomes its cold set:
 /// every maximal window's count becomes `(max + 1 - count) * BOOST`. The
 /// boost makes the inverted mass dominate the daemon's aggregate even
@@ -923,9 +682,6 @@ fn drift_phase(
 /// Panics if a worker thread panics (it holds no locks across request
 /// handling, so this indicates a bug in loadgen itself).
 pub fn run(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, String> {
-    if config.cluster {
-        return run_cluster(config, obs);
-    }
     let _span = obs.span("loadgen").arg("conns", config.conns as u64).arg(
         "requests",
         config.requests as u64,
@@ -984,7 +740,6 @@ pub fn run(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, String> {
         transport_retries: tally.transport_retries,
         budget_exhausted: tally.budget_exhausted,
         drift,
-        cluster: None,
         elapsed_s: elapsed.as_secs_f64(),
         throughput_rps: tally.ok as f64 / elapsed.as_secs_f64().max(1e-9),
         latency: latency_ms(&mut tally.latencies_us),
@@ -1005,8 +760,7 @@ pub fn run(config: &LoadgenConfig, obs: &Obs) -> Result<LoadgenReport, String> {
     Ok(report)
 }
 
-/// Sends `Shutdown` and expects `ShuttingDown`; through a router this
-/// fans out and drains the whole cluster.
+/// Sends `Shutdown` and expects `ShuttingDown`.
 fn shutdown_daemon(config: &LoadgenConfig, report: &mut LoadgenReport, obs: &Obs) {
     match Client::connect(&config.addr, Some(Duration::from_secs(10)))
         .map_err(|e| e.to_string())
@@ -1124,7 +878,6 @@ fn run_probe(addr: &str, probe: &Probe) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::encode_request;
 
     #[test]
     fn percentiles_interpolate_sanely() {
@@ -1162,48 +915,6 @@ mod tests {
         report.failures.push("a \"quoted\" failure".to_string());
         let json = report.to_json(&config);
         pps_obs::json::parse(&json).expect("loadgen report JSON parses");
-        // With cluster stats attached, still parseable.
-        report.cluster = Some(ClusterStats {
-            distinct_artifacts: 12,
-            shards: 2,
-            routed: 64,
-            cache_hits: 52,
-            cache_misses: 12,
-            hit_rate: 52.0 / 64.0,
-            cache_entries: 12,
-            queue_depth: 0,
-        });
-        pps_obs::json::parse(&report.to_json(&config)).expect("cluster report JSON parses");
-    }
-
-    #[test]
-    fn artifact_pick_is_skewed_deterministic_and_in_range() {
-        let n = 12;
-        let mut counts = vec![0usize; n];
-        for i in 0..4096 {
-            let k = pick_artifact(i, n);
-            assert!(k < n);
-            assert_eq!(k, pick_artifact(i, n), "pick must be deterministic");
-            counts[k] += 1;
-        }
-        assert!(counts.iter().all(|&c| c > 0), "every artifact repeats: {counts:?}");
-        assert!(
-            counts[0] > counts[n - 1] * 3,
-            "hot artifact must dominate the cold one: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn cluster_request_set_is_distinct_and_covers_classes() {
-        let config = LoadgenConfig { scheme: "P4".into(), ..LoadgenConfig::default() };
-        let requests = cluster_requests(&config);
-        assert_eq!(requests.len(), 12, "4 benches x (2 compiles + 1 runcell)");
-        let encoded: std::collections::HashSet<Vec<u8>> =
-            requests.iter().map(|r| encode_request(&Envelope::new(r.clone()))).collect();
-        assert_eq!(encoded.len(), requests.len(), "artifacts must be distinct");
-        // A scheme of "BB" collapses the two compile slots.
-        let config = LoadgenConfig { scheme: "BB".into(), ..LoadgenConfig::default() };
-        assert_eq!(cluster_requests(&config).len(), 8);
     }
 
     /// Fake daemon for retry-policy tests: replies `Busy` to the first

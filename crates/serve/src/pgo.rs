@@ -19,9 +19,11 @@
 //!   units share the request path's `Arc`s (the cache's memo) rather than
 //!   copying profiles. Publishing is a pure side effect: replies stay
 //!   byte-identical to execution without the PGO state.
-//! - **Drift detection** — each serving unit remembers the pair it was
-//!   compiled against and its kind; [`PgoState::sweep`] scores the live
-//!   aggregate of that kind against it ([`pps_profile::path_drift`]:
+//! - **Drift detection** — a serving unit is one `(bench, scale, scheme,
+//!   profile kind)`, so a scheme compiled against a carried pair and
+//!   against the server's k-iteration pair is two units. Each remembers
+//!   the pair it was compiled against; [`PgoState::sweep`] scores the live
+//!   aggregate of the unit's kind against it ([`pps_profile::path_drift`]:
 //!   top-k overlap + weight divergence) with hysteresis (enter above
 //!   `enter_threshold`, exit below `exit_threshold`) so a unit oscillating
 //!   near the line doesn't flap. A sweep snapshots each aggregate once and
@@ -142,6 +144,10 @@ pub struct ServingUnit {
 /// An aggregate's key: benchmark, scale and the profile kind it merges.
 type AggregateKey = (String, u32, ProfileKind);
 
+/// A unit's key: benchmark, scale, canonical scheme name and the kind of
+/// the pair it was compiled against, whose aggregate it is scored against.
+type UnitKey = (String, u32, String, ProfileKind);
+
 /// Live merged profiles for one benchmark, scale and profile kind.
 struct Aggregate {
     /// The merged pair; a sweep snapshots it by cloning the `Arc`.
@@ -165,9 +171,6 @@ struct UnitMeta {
 }
 
 struct UnitEntry {
-    /// The kind of the pair the unit was compiled against, whose aggregate
-    /// it is scored against.
-    kind: ProfileKind,
     slot: SwapSlot<ServingUnit>,
     meta: Mutex<UnitMeta>,
 }
@@ -195,7 +198,7 @@ pub struct SweepReport {
 pub struct PgoState {
     config: PgoConfig,
     aggregates: Mutex<HashMap<AggregateKey, Aggregate>>,
-    units: Mutex<HashMap<(String, u32, String), Arc<UnitEntry>>>,
+    units: Mutex<HashMap<UnitKey, Arc<UnitEntry>>>,
     profiles_merged: AtomicU64,
     merges_skipped: AtomicU64,
     recompiles: AtomicU64,
@@ -254,18 +257,30 @@ impl PgoState {
     }
 
     /// Current generation of a unit's swap slot, if the unit is tracked.
-    pub fn unit_generation(&self, bench: &str, scale: u32, scheme: &str) -> Option<u64> {
+    pub fn unit_generation(
+        &self,
+        bench: &str,
+        scale: u32,
+        scheme: &str,
+        kind: ProfileKind,
+    ) -> Option<u64> {
         let units = self.units.lock().unwrap();
         units
-            .get(&(bench.to_string(), scale, scheme.to_string()))
+            .get(&(bench.to_string(), scale, scheme.to_string(), kind))
             .map(|u| u.slot.generation())
     }
 
     /// The serving copy of a unit, if tracked: `(generation, unit)`.
-    pub fn unit(&self, bench: &str, scale: u32, scheme: &str) -> Option<(u64, Arc<ServingUnit>)> {
+    pub fn unit(
+        &self,
+        bench: &str,
+        scale: u32,
+        scheme: &str,
+        kind: ProfileKind,
+    ) -> Option<(u64, Arc<ServingUnit>)> {
         let units = self.units.lock().unwrap();
         units
-            .get(&(bench.to_string(), scale, scheme.to_string()))
+            .get(&(bench.to_string(), scale, scheme.to_string(), kind))
             .map(|u| u.slot.load())
     }
 
@@ -306,13 +321,13 @@ impl PgoState {
                 .map(|(k, a)| (k.clone(), (Arc::clone(&a.pair), a.epoch)))
                 .collect()
         };
-        let entries: Vec<((String, u32, String), Arc<UnitEntry>)> = {
+        let entries: Vec<(UnitKey, Arc<UnitEntry>)> = {
             let units = self.units.lock().unwrap();
             units.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
         };
         let mut budget = self.config.recompiles_per_sweep;
-        for ((bench, scale, scheme), entry) in entries {
-            let Some((agg, agg_epoch)) = snapshots.get(&(bench.clone(), scale, entry.kind)) else {
+        for ((bench, scale, scheme, kind), entry) in entries {
+            let Some((agg, agg_epoch)) = snapshots.get(&(bench.clone(), scale, kind)) else {
                 continue;
             };
             let agg_epoch = *agg_epoch;
@@ -414,13 +429,7 @@ impl PgoState {
                         )
                     });
                     if let Some(cache) = self.cache.get() {
-                        // Cache groups key on the canonical scheme name;
-                        // the unit key keeps whatever string the client
-                        // sent, so canonicalize before invalidating.
-                        let canonical = Scheme::parse(scheme_name)
-                            .map(|s| s.name())
-                            .unwrap_or_else(|| scheme_name.to_string());
-                        cache.invalidate_group(bench_name, scale, &canonical);
+                        cache.invalidate_group(bench_name, scale, scheme_name);
                     }
                     "swapped"
                 }
@@ -547,10 +556,11 @@ impl PgoState {
         self.obs.counter("pgo.profiles_merged", 1);
     }
 
-    /// Registers the unit `(bench, scale, scheme)`, compiled against
+    /// Registers the unit `(bench, scale, scheme, kind)`, compiled against
     /// `pair` of profile kind `kind`, for drift tracking: the pair's path
     /// profile is the reference drift is measured from, against the
-    /// aggregate of `kind`. A unit already tracked keeps its serving copy.
+    /// aggregate of `kind`. `scheme` is the canonical name, which cache
+    /// groups key on too. A unit already tracked keeps its serving copy.
     pub fn observe_unit(
         &self,
         bench: &str,
@@ -559,7 +569,7 @@ impl PgoState {
         kind: ProfileKind,
         pair: &ProfilePair,
     ) {
-        let key = (bench.to_string(), scale, scheme.to_string());
+        let key = (bench.to_string(), scale, scheme.to_string(), kind);
         let mut units = self.units.lock().unwrap();
         if units.contains_key(&key) {
             return;
@@ -569,7 +579,6 @@ impl PgoState {
         units.insert(
             key,
             Arc::new(UnitEntry {
-                kind,
                 slot: SwapSlot::new(ServingUnit {
                     profiles: Arc::clone(pair),
                     report: String::new(),

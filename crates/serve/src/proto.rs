@@ -248,12 +248,6 @@ pub struct HealthSnapshot {
     pub cache_invalidations: u64,
     /// Compile-cache entries currently resident.
     pub cache_entries: u32,
-    /// Requests this process routed to downstream shards (nonzero only on
-    /// a `pps-shard` router).
-    pub routed: u64,
-    /// Downstream shards behind this process (nonzero only on a
-    /// `pps-shard` router).
-    pub shards: u32,
 }
 
 /// One service reply.
@@ -531,8 +525,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u64(&mut buf, health.cache_evictions);
             put_u64(&mut buf, health.cache_invalidations);
             put_u32(&mut buf, health.cache_entries);
-            put_u64(&mut buf, health.routed);
-            put_u32(&mut buf, health.shards);
         }
         Response::Profile { edge, path } => {
             buf.push(RESP_PROFILE);
@@ -590,8 +582,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
                 cache_evictions: c.u64()?,
                 cache_invalidations: c.u64()?,
                 cache_entries: c.u32()?,
-                routed: c.u64()?,
-                shards: c.u32()?,
             },
         },
         RESP_PROFILE => Response::Profile { edge: c.string()?, path: c.string()? },
@@ -685,8 +675,6 @@ mod tests {
             cache_evictions: 3,
             cache_invalidations: 2,
             cache_entries: 5,
-            routed: 1000,
-            shards: 2,
         }
     }
 
@@ -708,11 +696,10 @@ mod tests {
         }
     }
 
-    // The next two tests are named after the protocol minors that first
-    // carried these health fields; the Pong now has one layout, and each
-    // group of fields must survive the trip with the others left zero.
+    // Each group of health fields must survive the trip with the others
+    // left zero.
     #[test]
-    fn minor2_telemetry_fields_round_trip() {
+    fn telemetry_fields_round_trip() {
         let resp = Response::Pong {
             health: HealthSnapshot {
                 telemetry_enabled: true,
@@ -728,11 +715,10 @@ mod tests {
         assert_eq!(health.access_log_lines, 99);
         assert_eq!(health.traces_sampled, 3);
         assert_eq!(health.cache_hits, 0);
-        assert_eq!(health.shards, 0);
     }
 
     #[test]
-    fn minor3_cache_and_shard_fields_round_trip() {
+    fn cache_fields_round_trip() {
         let resp = Response::Pong {
             health: HealthSnapshot {
                 cache_hits: 12,
@@ -740,8 +726,6 @@ mod tests {
                 cache_evictions: 2,
                 cache_invalidations: 1,
                 cache_entries: 6,
-                routed: 555,
-                shards: 2,
                 ..HealthSnapshot::default()
             },
         };

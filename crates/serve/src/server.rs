@@ -278,9 +278,9 @@ impl ServerHandle {
 }
 
 /// Writes `addr` and a newline to `path` by write-then-rename, so a script
-/// polling the file never reads a half-written address. The daemon, its
-/// telemetry listener and the shard router all publish their bound
-/// ephemeral ports this way.
+/// polling the file never reads a half-written address. The daemon and
+/// its telemetry listener both publish their bound ephemeral ports this
+/// way.
 ///
 /// # Errors
 /// Write or rename failures.

@@ -298,7 +298,7 @@ fn compile(
         return error(ErrorKind::UnknownScheme, format!("no scheme `{scheme_name}`"));
     };
     // Scheme identity is the canonical spelling from here on — cache
-    // keys, shard routing and PGO labels must not see `PK2` vs `Pk2`.
+    // keys and PGO labels must not see `PK2` vs `Pk2`.
     let scheme_name = scheme.name();
     let builder = match lookup_bench(bench, scale) {
         Ok(b) => b,
@@ -480,7 +480,7 @@ mod tests {
         for scheme in Scheme::FAMILY {
             assert_eq!(Scheme::parse(&scheme.name()), Some(scheme), "{}", scheme.name());
             // Spelling variants canonicalize instead of splitting cache
-            // entries or shard routes.
+            // entries.
             assert_eq!(
                 Scheme::parse(&scheme.name().to_ascii_uppercase()),
                 Some(scheme),

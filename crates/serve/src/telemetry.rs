@@ -327,7 +327,6 @@ impl Telemetry {
              \"in_flight_recompiles\":{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"invalidations\":{},\
              \"entries\":{}}},\
-             \"shard\":{{\"routed\":{},\"shards\":{}}},\
              \"telemetry\":{{\"enabled\":{},\"access_log_lines\":{},\"traces_sampled\":{}}},\
              \"window\":{{\"seconds\":{},\"requests\":{},\"rps\":{},\"error_rps\":{},\"busy_rps\":{},\
              \"latency_ms\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p95\":{},\
@@ -352,8 +351,6 @@ impl Telemetry {
             h.cache_evictions,
             h.cache_invalidations,
             h.cache_entries,
-            h.routed,
-            h.shards,
             h.telemetry_enabled,
             h.access_log_lines,
             h.traces_sampled,
@@ -394,8 +391,6 @@ impl Telemetry {
             Gauge::new("cache_evictions", h.cache_evictions as f64),
             Gauge::new("cache_invalidations", h.cache_invalidations as f64),
             Gauge::new("cache_entries", f64::from(h.cache_entries)),
-            Gauge::new("shard_routed", h.routed as f64),
-            Gauge::new("shard_count", f64::from(h.shards)),
             Gauge::new("telemetry_access_log_lines", h.access_log_lines as f64),
             Gauge::new("telemetry_traces_sampled", h.traces_sampled as f64),
         ];
@@ -600,17 +595,12 @@ mod tests {
             workers: 4,
             cache_hits: 7,
             cache_entries: 3,
-            routed: 99,
-            shards: 2,
             ..HealthSnapshot::default()
         };
         let doc = json::parse(&t.health_json(&health)).expect("health JSON parses");
         let cache = doc.get("cache").unwrap();
         assert_eq!(cache.get("hits").unwrap().as_num(), Some(7.0));
         assert_eq!(cache.get("entries").unwrap().as_num(), Some(3.0));
-        let shard = doc.get("shard").unwrap();
-        assert_eq!(shard.get("routed").unwrap().as_num(), Some(99.0));
-        assert_eq!(shard.get("shards").unwrap().as_num(), Some(2.0));
         let window = doc.get("window").unwrap();
         assert_eq!(window.get("requests").unwrap().as_num(), Some(22.0));
         assert!(window.get("rps").unwrap().as_num().unwrap() > 0.0);

@@ -104,10 +104,10 @@ fn sweep_detects_drift_recompiles_and_hot_swaps() {
     assert_eq!(state.sweep(), SweepReport::default());
 
     state.observe_unit("wc", 1, "P4", P4, &pair(&edge, &path));
-    assert_eq!(state.unit_generation("wc", 1, "P4"), Some(1));
+    assert_eq!(state.unit_generation("wc", 1, "P4", P4), Some(1));
     // Duplicate observations don't reset the serving unit.
     state.observe_unit("wc", 1, "P4", P4, &pair(&edge, &path));
-    assert_eq!(state.unit_generation("wc", 1, "P4"), Some(1));
+    assert_eq!(state.unit_generation("wc", 1, "P4", P4), Some(1));
 
     // Aggregate matches the compiled-against profile: no drift, no churn.
     state.publish("wc", 1, P4, &pair(&edge, &path));
@@ -123,7 +123,7 @@ fn sweep_detects_drift_recompiles_and_hot_swaps() {
     assert_eq!(drifted.swaps, 1, "{drifted:?}");
     assert_eq!(drifted.rollbacks, 0, "{drifted:?}");
 
-    let (generation, unit) = state.unit("wc", 1, "P4").expect("unit tracked");
+    let (generation, unit) = state.unit("wc", 1, "P4", P4).expect("unit tracked");
     assert_eq!(generation, 2, "swap bumps the generation");
     assert!(unit.report.starts_with("pps-compile-report v1\n"), "{}", unit.report);
     let (_, epoch) = state.aggregate_stats("wc", 1, P4).unwrap();
@@ -134,7 +134,7 @@ fn sweep_detects_drift_recompiles_and_hot_swaps() {
     let settled = state.sweep();
     assert_eq!(settled.drifted, 0, "{settled:?}");
     assert_eq!(settled.recompiles, 0, "{settled:?}");
-    assert_eq!(state.unit_generation("wc", 1, "P4"), Some(2));
+    assert_eq!(state.unit_generation("wc", 1, "P4", P4), Some(2));
 }
 
 #[test]
@@ -147,7 +147,7 @@ fn injected_panic_is_contained_and_rolls_back() {
     assert_eq!(report.rollbacks, 1, "{report:?}");
 
     // The serving unit is untouched — same generation, same reference.
-    let (generation, unit) = state.unit("wc", 1, "P4").unwrap();
+    let (generation, unit) = state.unit("wc", 1, "P4", P4).unwrap();
     assert_eq!(generation, 1);
     assert_eq!(unit.epoch, 0);
     assert_eq!(path_to_text(&unit.profiles.1), path_to_text(&path));
@@ -166,7 +166,7 @@ fn injected_corruption_is_rejected_by_the_strict_guard() {
     assert_eq!(report.recompiles, 1, "{report:?}");
     assert_eq!(report.swaps, 0, "corrupted unit must not swap in: {report:?}");
     assert_eq!(report.rollbacks, 1, "{report:?}");
-    assert_eq!(state.unit_generation("wc", 1, "P4"), Some(1));
+    assert_eq!(state.unit_generation("wc", 1, "P4", P4), Some(1));
 }
 
 #[test]
@@ -249,6 +249,58 @@ fn steady_server_trained_mixed_scheme_load_recompiles_nothing() {
     let health = state.fill_health(Default::default());
     assert_eq!((health.recompiles, health.swaps), (0, 0), "{health:?}");
     assert_eq!(health.units, 8, "{health:?}");
+}
+
+/// A scheme compiled against a carried pair and against the server's own
+/// k-iteration pair is two units, each scored against the aggregate of its
+/// own profile kind: which request came first decides nothing.
+#[test]
+fn carried_and_server_trained_pk_requests_are_separate_units() {
+    const PK2: ProfileKind = ProfileKind { depth: DEFAULT_PATH_DEPTH, k: Some(2) };
+    let config = PgoConfig { recompiles_per_sweep: 0, ..fast_config() };
+    let state = PgoState::new(config, Obs::noop());
+    let obs = Obs::noop();
+    let Response::Profile { edge, path } = execute(
+        &Request::Profile { bench: "wc".into(), scale: 1, depth: 0 },
+        &obs,
+        None,
+        None,
+    ) else {
+        panic!("profile failed");
+    };
+    let requests = [
+        Request::Compile {
+            bench: "wc".into(),
+            scale: 1,
+            scheme: "Pk2".into(),
+            profile: Some(ProfileText { edge, path: path.clone() }),
+        },
+        Request::RunCell { bench: "wc".into(), scale: 1, scheme: "Pk2".into(), strict: true },
+    ];
+    for request in &requests {
+        let reply = execute(request, &obs, Some(&state), None);
+        assert!(!matches!(reply, Response::Error { .. }), "{request:?}: {reply:?}");
+    }
+    assert_eq!(state.fill_health(Default::default()).units, 2);
+
+    // Each unit's drift reference is the pair of its own kind.
+    let (_, carried) = state.unit("wc", 1, "Pk2", P4).expect("carried-pair unit");
+    let (_, trained) = state.unit("wc", 1, "Pk2", PK2).expect("server-trained unit");
+    assert_eq!(path_to_text(&carried.profiles.1), path);
+    assert_ne!(path_to_text(&trained.profiles.1), path);
+    assert_eq!(state.aggregate_stats("wc", 1, P4), Some((1, 1)));
+    assert_eq!(state.aggregate_stats("wc", 1, PK2), Some((1, 1)));
+
+    // Both units match their aggregates: scored, nothing drifted.
+    let steady = state.sweep();
+    assert_eq!((steady.evaluated, steady.drifted), (2, 0), "{steady:?}");
+
+    // Moving the general aggregate rescores and drifts only the unit
+    // compiled against the carried pair.
+    let (edge, path) = train("wc", 1, DEFAULT_PATH_DEPTH);
+    state.publish("wc", 1, P4, &pair(&edge, &inverted(&path)));
+    let moved = state.sweep();
+    assert_eq!((moved.evaluated, moved.drifted, moved.deferred), (1, 1, 1), "{moved:?}");
 }
 
 #[test]

@@ -20,8 +20,8 @@
 //!   train → inline → compile path, then layout and measurement;
 //! - [`harness`] — experiment drivers regenerating every table and figure;
 //! - [`serve`] — the compile service: the daemon (framed protocol,
-//!   bounded queue), the shard router, and the clients that speak the
-//!   protocol (`pps-client loadgen`, `top`, `ping`).
+//!   bounded queue) and the clients that speak the protocol
+//!   (`pps-client loadgen`, `top`, `ping`).
 //!
 //! [`testgen`] generates random structured programs for the differential
 //! property tests in `tests/`.
