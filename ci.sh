@@ -5,7 +5,8 @@
 #
 # Stages (run all by default):
 #   ./ci.sh gate              build + tests + clippy + rustdoc with
-#                             warnings denied, and the layering check:
+#                             warnings denied, perfbench's build and
+#                             tests, and the layering check:
 #                             pps-harness and pps-eval must not link
 #                             pps-serve
 #   ./ci.sh obs-smoke         one recorded benchmark run; fails on missing or
@@ -79,6 +80,14 @@ gate() {
   # crates/bench sits outside default-members; lint it so the API it
   # calls stays compiled.
   cargo clippy -p pps-bench --all-targets -- -D warnings
+
+  echo "== perfbench =="
+  # The benchmark links the daemon's API (`cache::CompileCache`,
+  # `service::execute_cached`, the Pong codec), so it must keep building
+  # and passing its own tests. Its lock file lacks pps-eval, so cargo
+  # rewrites perfbench/Cargo.lock here; perfbench/ belongs to the
+  # benchmark, so do not commit that rewrite.
+  cargo test --offline --manifest-path perfbench/Cargo.toml
 
   echo "== rustdoc =="
   # Broken or private intra-doc links fail the gate.

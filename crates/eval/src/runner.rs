@@ -302,14 +302,13 @@ pub type ProfilePair = Arc<(EdgeProfile, PathProfile)>;
 /// Baseline key: `(benchmark name, oracle inputs, step budget)`.
 type BaselineKey = (String, Vec<Vec<i64>>, u64);
 /// One single-flight memo entry, locked on its own while it is computed.
-pub type Slot<V> = Arc<Mutex<Option<V>>>;
+type Slot<V> = Arc<Mutex<Option<V>>>;
 
 /// The entry of `map` under `key`, computed by `make` on a miss. Only the
 /// entry stays locked while `make` runs: a worker wanting the same entry
 /// waits for it, one wanting another entry does not. A failed `make`
-/// leaves the entry empty. [`ProfileCache`] and the serve daemon's memo
-/// both fill their entries through it.
-pub fn get_or_insert<K: std::hash::Hash + Eq, V: Clone, E>(
+/// leaves the entry empty.
+fn get_or_insert<K: std::hash::Hash + Eq, V: Clone, E>(
     map: &Mutex<HashMap<K, Slot<V>>>,
     key: K,
     make: impl FnOnce() -> Result<V, E>,

@@ -220,6 +220,16 @@ impl EdgeProfile {
         self.block_freq.len()
     }
 
+    /// Heap bytes held by the profile's vectors and maps (each map entry
+    /// counted with its one control byte).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let edge = size_of::<((BlockId, BlockId), u64)>() + 1;
+        let procs = self.block_freq.iter().zip(&self.edge_freq);
+        let counts = procs.map(|(b, e)| size_of_val(&b[..]) + e.capacity() * edge);
+        counts.sum::<usize>() + size_of_val(&self.block_freq[..]) + size_of_val(&self.edge_freq[..])
+    }
+
     /// Number of blocks tracked for `proc`.
     pub fn num_blocks(&self, proc: ProcId) -> usize {
         self.block_freq[proc.index()].len()

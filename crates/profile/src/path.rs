@@ -454,6 +454,16 @@ impl PathProfile {
         self.procs.len()
     }
 
+    /// Heap bytes held by the frozen tables' vectors.
+    pub fn heap_bytes(&self) -> usize {
+        fn held<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let tables = self.procs.iter();
+        tables.map(|t| held(&t.kid_start) + held(&t.kids) + held(&t.subtree)).sum::<usize>()
+            + held(&self.procs)
+    }
+
     /// Exact execution frequency of the contiguous block sequence `seq` in
     /// `proc`: the number of times the blocks of `seq` were executed
     /// consecutively within one activation.

@@ -248,7 +248,7 @@ fn ping_main(args: &[String]) -> ExitCode {
     println!(
         "{{\"schema\":\"pps-ping\",\"queue_depth\":{},\"queue_capacity\":{},\
          \"workers\":{},\"connections\":{},\"requests\":{},\"cache_hits\":{},\"cache_misses\":{},\
-         \"cache_evictions\":{},\"cache_invalidations\":{},\"cache_entries\":{},\
+         \"cache_evictions\":{},\"cache_entries\":{},\
          \"recompiles\":{},\"swaps\":{}}}",
         health.queue_depth,
         health.queue_capacity,
@@ -258,7 +258,6 @@ fn ping_main(args: &[String]) -> ExitCode {
         health.cache_hits,
         health.cache_misses,
         health.cache_evictions,
-        health.cache_invalidations,
         health.cache_entries,
         health.recompiles,
         health.swaps,

@@ -42,8 +42,10 @@ fn usage() -> ! {
          \x20               [--cache-cap N]\n\
          Serves Profile/Compile/RunCell requests over the PPSF framed protocol.\n\
          Replies are cached by content address (program x profiles x scheme x\n\
-         machine); --cache-cap bounds the entry count (default 128, 0 = off).\n\
-         PGO hot-swaps invalidate the swapped unit's cache group.\n\
+         machine); --cache-cap bounds the resident replies (default 128; 0 =\n\
+         no replies and no memo of trained state). One store holds replies,\n\
+         trained state and PGO profiles per (benchmark, scale, profile kind),\n\
+         within a fixed byte budget, evicting least recently used keys.\n\
          --telemetry-addr exposes /metrics (Prometheus text), /health (JSON),\n\
          and /trace (tail-sampled spans) over HTTP; --access-log writes one\n\
          JSON line per reply. Replies are byte-identical with telemetry on.\n\
@@ -204,15 +206,13 @@ fn main() -> ExitCode {
     // One handler serves every configuration. With PGO on, it feeds every
     // request's profiles into the aggregator and a background sweeper
     // recompiles drifted units; replies are identical either way.
-    let cache = if cache_cap > 0 {
-        let cache = Arc::new(CompileCache::new(cache_cap));
-        obs.log(Level::Info, || format!("reply cache: {} entries", cache.capacity()));
-        Some(cache)
-    } else {
-        obs.log(Level::Info, || "reply cache: off".to_string());
-        None
-    };
-    let state = pgo_enabled.then(|| Arc::new(PgoState::new(pgo, obs.clone())));
+    // One store holds the replies, the memo and the PGO state.
+    let store = Arc::new(CompileCache::new(cache_cap));
+    obs.log(Level::Info, || match cache_cap {
+        0 => "reply cache: off".to_string(),
+        n => format!("reply cache: {n} entries"),
+    });
+    let state = pgo_enabled.then(|| Arc::new(PgoState::new(pgo, obs.clone(), Arc::clone(&store))));
     if let Some(state) = &state {
         obs.log(Level::Info, || {
             let c = state.config();
@@ -222,7 +222,7 @@ fn main() -> ExitCode {
             )
         });
     }
-    let handler = PipelineHandler::new(cache, state.clone());
+    let handler = PipelineHandler::new(Some(store), state.clone());
     let runtime = state.map(PgoRuntime::start);
 
     let stats = match serve(listener, &config, &handler, &obs, &shutdown, telemetry.as_deref()) {

@@ -1,65 +1,62 @@
-//! Bounded, content-addressed caching of compile artifacts.
+//! The daemon's one store of per-artifact state, bounded by bytes.
 //!
-//! Every `Compile`/`RunCell` reply is a pure function of the request, and
-//! the request's semantic content is captured by its [`ArtifactKey`] —
-//! canonical program hash, canonical profile hash, scheme, machine hash
-//! ([`machine_hash`]) — plus the residual request class (which benchmark
-//! cell and guard mode selected the oracle/measurement inputs).
-//! [`CompileCache`] memoizes replies under exactly that identity: a hit
-//! returns the `Arc`'d reply whose encoding is byte-identical to
-//! re-running the pipeline, because the key pins every input the pipeline
-//! reads.
+//! [`CompileCache`] holds everything the daemon keeps between requests, in
+//! one entry per [`StoreKey`] — `(bench, scale, profile kind)`, the kind
+//! `None` for requests that train nothing (`BB`, or a carried profile):
 //!
-//! # Coherence with PGO hot-swap
+//! - **the memo** ([`CompileCache::prepared`]): the built benchmark, its
+//!   program hash, the trained pair, the artifact profile hash and the
+//!   oracle baseline, as a [`Prepared`]. Computing these is most of a
+//!   request's cost. A worker fills an entry's memo once (single-flight),
+//!   from a resident entry of the same benchmark and scale when there is
+//!   one, so kinds share one build and one baseline;
+//! - **the PGO aggregate** of the key's kind and **the PGO units**
+//!   compiled against it, by scheme ([`crate::pgo`]);
+//! - **the replies** computed against the key. Every `Compile`/`RunCell`
+//!   reply is a pure function of the request, whose semantic content is
+//!   its [`ArtifactKey`] — canonical program hash, canonical profile hash,
+//!   scheme, machine hash ([`machine_hash`]) — plus its request class
+//!   ([`CacheKey`]) and the entry's benchmark and scale, which select the
+//!   oracle and measurement inputs. A hit returns the `Arc`'d reply, whose
+//!   encoding is byte-identical to re-running the pipeline.
 //!
-//! The continuous-PGO loop recompiles drifted units in the background and
-//! swaps them in atomically. Each `(bench, scale, scheme)` group carries
-//! an *epoch* here; a successful hot-swap bumps it
-//! ([`CompileCache::invalidate_group`]), which eagerly drops the group's
-//! entries and lazily rejects any stragglers on lookup — so a unit that
-//! drifted is never served from cache across a swap. (Replies are pure,
-//! so this is a freshness guarantee, not a correctness patch: the next
-//! miss recompiles against the same key and produces the same bytes.)
+//! A hot-swap changes none of this: no request reads a swapped unit, so a
+//! stored reply stays the bytes a recompute would give.
 //!
-//! Eviction is LRU over a fixed entry budget; counters (hits, misses,
-//! evictions, invalidations) feed `/metrics`, `/health`, and the Pong
-//! snapshot.
+//! # One bound
 //!
-//! # The memo of trained state
+//! Each entry measures the bytes it retains whenever it is filled or
+//! grows: every distinct profile pair once, from the
+//! profiles' own vectors, the benchmark's data section and the baseline's
+//! memory image, and the replies. Over [`STORE_BUDGET`] bytes, or over its
+//! reply capacity (`--cache-cap`), the store evicts whole entries, least
+//! recently used first, dropping a key's memo, aggregate, units and replies
+//! together. An entry larger than the whole budget serves its request and
+//! is not kept. With capacity 0 the daemon keeps no replies and no memo,
+//! only PGO state.
 //!
-//! Computing a key is most of a request's cost: building the benchmark,
-//! training its profiles and hashing them. Beside the replies, the cache
-//! therefore memoizes that deterministic state per [`MemoKey`] —
-//! `(bench, scale, profile kind)` — as a [`Prepared`]: the built
-//! benchmark, its program hash, the trained pair, the artifact profile
-//! hash and the oracle baseline ([`CompileCache::prepared`]). A reply-cache
-//! hit is one memo lookup plus [`CompileCache::get`]; a miss compiles
-//! against the memo's pair and baseline. Entries are filled single-flight
-//! (`pps_eval::runner::get_or_insert`), the kinds of one benchmark and
-//! scale share its built benchmark and baseline, and a PGO hot-swap leaves
-//! the memo alone (training does not change). With the cache off
-//! (`--cache-cap 0`) there is no memo either.
-//!
-//! The memo holds at most [`MEMO_CAPACITY`] (64) entries, least recently
-//! used out first: every key of every suite benchmark at one scale (a
-//! `Profile` at any depth but the default is not memoized). Its worst case
-//! at one scale is therefore every key resident, measured as live heap on
-//! the suite: about 32 MB at scale 1 and 102 MB at scale 4. Both are
-//! dominated by `gcc`'s depth-15 path profile (21 MB and 80 MB), which a
-//! request without the memo builds too, but holds only while it runs.
-//! Serving the 8 benchmarks × 2 kinds of perfbench's `serve-hot` takes
-//! about 6 MB.
+//! The count is conservative: kinds that share a benchmark each count it.
+//! Every key of every suite benchmark (14 × untrained, depth 15, k = 2 and
+//! k = 3) accounts 50 MB for 33 MB of live heap at scale 1, and 146 MB for
+//! 104 MB at scale 4, so the budget holds either. Both are dominated by
+//! `gcc`'s depth-15 path profile (21 MB and 80 MB), which a request without
+//! the store builds too, but holds only while it runs. Counters (hits,
+//! misses, evictions, resident replies) feed `/metrics`, `/health` and the
+//! Pong snapshot.
 
+use crate::pgo::{Aggregate, UnitEntry};
 use crate::proto::{HealthSnapshot, Response};
 use pps_core::{OracleBaseline, Scheme};
-use pps_eval::runner::{get_or_insert, ProfilePair, Slot};
+use pps_eval::runner::ProfilePair;
 use pps_ir::hash::Fold;
 use pps_machine::{LatencyModel, MachineConfig};
 use pps_profile::DEFAULT_PATH_DEPTH;
 use pps_suite::Benchmark;
 use std::collections::HashMap;
+use std::fmt;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Canonical hash of a machine model. Folds every field that affects
 /// scheduling or timing, so any config change yields a new artifact
@@ -109,17 +106,18 @@ impl ArtifactKey {
     }
 }
 
-/// Default entry budget of the daemon's cache.
+/// Default reply budget of the daemon's store (`--cache-cap`).
 pub const DEFAULT_CAPACITY: usize = 128;
 
-/// Entry budget of the memo of trained state ([`CompileCache::prepared`]):
-/// every key of every suite benchmark at one scale (14 benchmarks × 4
-/// kinds: untrained, depth 15, k = 2 and k = 3).
-pub const MEMO_CAPACITY: usize = 64;
+/// Retained-byte budget of the store ([`CompileCache::new`]), as its
+/// entries account themselves: every key of every suite benchmark at
+/// scale 4 fits (146 MB).
+pub const STORE_BUDGET: usize = 160 << 20;
 
 /// Which profile a training run collects: a path profile of `depth`, from
 /// the general-path profiler (`k: None`) or derived from a k-iteration
-/// run. The memo and the PGO aggregates are keyed by it.
+/// run. Store keys, and so the memo, the PGO aggregates and units, are
+/// keyed by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProfileKind {
     /// Path-profile depth.
@@ -138,10 +136,21 @@ impl ProfileKind {
     }
 }
 
-/// Key of one memo entry: a benchmark at a scale, trained for one profile
-/// kind or (`kind: None`) not trained at all.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MemoKey {
+/// `d15`, or `d15k2` for a k-iteration kind, as log lines name it.
+impl fmt::Display for ProfileKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "d{}", self.depth)?;
+        match self.k {
+            Some(k) => write!(f, "k{k}"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Key of one store entry: a benchmark at a scale and the profile kind its
+/// state was trained, carried or aggregated as, or (`kind: None`) none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StoreKey {
     /// Benchmark name, as the suite spells it.
     pub bench: &'static str,
     /// Suite scale.
@@ -150,7 +159,7 @@ pub struct MemoKey {
     pub kind: Option<ProfileKind>,
 }
 
-/// The deterministic per-request state of one [`MemoKey`]: what every
+/// The deterministic per-request state of one [`StoreKey`]: what every
 /// `Compile`/`RunCell`/`Profile` of it would otherwise rebuild.
 #[derive(Debug)]
 pub struct Prepared {
@@ -183,220 +192,249 @@ pub enum CacheClass {
     },
 }
 
-/// Full cache key: the content address plus the request class and the
-/// benchmark cell it was computed for. `bench`/`scale` select the
-/// training/oracle inputs, which the ArtifactKey's program hash does not
-/// cover by construction (it hashes the program, not the suite row).
+/// Key of one reply within its store entry: the content address plus the
+/// request class. The entry's [`StoreKey`] supplies the benchmark and
+/// scale, which select the training and oracle inputs the program hash
+/// does not cover.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Content address of the artifact.
     pub artifact: ArtifactKey,
     /// Request class.
     pub class: CacheClass,
-    /// Benchmark name.
-    pub bench: String,
-    /// Suite scale.
-    pub scale: u32,
 }
 
-impl CacheKey {
-    fn group(&self) -> GroupKey {
-        GroupKey {
-            bench: self.bench.clone(),
-            scale: self.scale,
-            scheme: self.artifact.scheme.clone(),
-        }
-    }
-}
-
-/// The invalidation granule: the PGO tier tracks serving units per
-/// `(bench, scale, scheme)`, so that is what a hot-swap invalidates.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct GroupKey {
-    bench: String,
-    scale: u32,
-    scheme: String,
-}
-
-#[derive(Debug)]
-struct Entry {
-    response: Arc<Response>,
-    epoch: u64,
+/// Everything the store holds under one [`StoreKey`]; evicted as a whole.
+#[derive(Default)]
+pub(crate) struct Entry {
+    /// The memo's state, once filled.
+    memo: Option<Arc<Prepared>>,
+    /// Held while the memo is filled, so one worker fills it.
+    filling: Arc<Mutex<()>>,
+    /// The PGO aggregate of this key's kind.
+    pub(crate) aggregate: Option<Aggregate>,
+    /// PGO units compiled against this key's kind, by canonical scheme.
+    pub(crate) units: HashMap<String, Arc<UnitEntry>>,
+    replies: HashMap<CacheKey, Arc<Response>>,
+    /// What [`Entry::measure`] last counted.
+    bytes: usize,
     last_used: u64,
 }
 
-#[derive(Debug, Default)]
+impl Entry {
+    /// Bytes the entry retains: each distinct profile pair of the memo,
+    /// the aggregate and the units once, the memo's benchmark data and
+    /// baseline memory image, and the replies.
+    fn measure(&self) -> usize {
+        let mut pairs: Vec<ProfilePair> = Vec::new();
+        let memo_pair = self.memo.as_ref().and_then(|m| m.pair.clone());
+        let aggregate = self.aggregate.iter().flat_map(|a| [Some(&a.pair), a.trained.as_ref()]);
+        let aggregate = aggregate.flatten().cloned();
+        let units = self.units.values().map(|u| Arc::clone(&u.slot.load().1.profiles));
+        for pair in memo_pair.into_iter().chain(aggregate).chain(units) {
+            if !pairs.iter().any(|p| Arc::ptr_eq(p, &pair)) {
+                pairs.push(pair);
+            }
+        }
+        let profiles: usize = pairs.iter().map(|p| p.0.heap_bytes() + p.1.heap_bytes()).sum();
+        let memo = self.memo.as_ref().map_or(0, |m| {
+            let program = &m.bench.program;
+            size_of::<i64>() * (program.data.len() + program.mem_size)
+        });
+        let replies = self.replies.values().map(|r| match &**r {
+            Response::Compile { report: text } | Response::RunCell { metrics_json: text } => {
+                size_of::<Response>() + text.len()
+            }
+            _ => size_of::<Response>(),
+        });
+        profiles + memo + replies.sum::<usize>()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.memo.is_none()
+            && self.aggregate.is_none()
+            && self.units.is_empty()
+            && self.replies.is_empty()
+    }
+}
+
+#[derive(Default)]
 struct Inner {
-    entries: HashMap<CacheKey, Entry>,
-    epochs: HashMap<GroupKey, u64>,
+    entries: HashMap<StoreKey, Entry>,
     tick: u64,
 }
 
-/// The memo's entries and their last-use ticks.
-#[derive(Debug, Default)]
-struct Memo {
-    slots: Mutex<HashMap<MemoKey, Slot<Arc<Prepared>>>>,
-    /// `(tick, last use per key)`, for LRU eviction.
-    used: Mutex<(u64, HashMap<MemoKey, u64>)>,
-    fills: AtomicU64,
+impl Inner {
+    /// The entry of `key`, created empty if absent, marked most recently
+    /// used.
+    fn touch(&mut self, key: &StoreKey) -> &mut Entry {
+        self.tick += 1;
+        let entry = self.entries.entry(*key).or_default();
+        entry.last_used = self.tick;
+        entry
+    }
+
+    fn bytes(&self) -> usize {
+        self.entries.values().map(|e| e.bytes).sum()
+    }
+
+    fn replies(&self) -> usize {
+        self.entries.values().map(|e| e.replies.len()).sum()
+    }
 }
 
-/// A bounded LRU of compile artifacts keyed by content, beside a bounded
-/// memo of the trained state the keys are computed from. Shared across
-/// worker threads behind an `Arc`; all methods take `&self`.
-#[derive(Debug)]
+/// The daemon's one store of per-artifact state, keyed by [`StoreKey`]:
+/// per key the memo of trained state, the PGO aggregate and units of its
+/// kind, and the replies computed against it. Bounded by accounted bytes
+/// and by resident replies; over either bound it evicts whole entries,
+/// least recently used first. Shared across worker threads and the PGO
+/// sweeper behind an `Arc`; all methods take `&self`.
 pub struct CompileCache {
     capacity: usize,
     inner: Mutex<Inner>,
-    memo: Memo,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    invalidations: AtomicU64,
+    fills: AtomicU64,
 }
 
 impl CompileCache {
-    /// A cache bounded at `capacity` entries (minimum 1).
+    /// A store holding at most `capacity` replies within [`STORE_BUDGET`]
+    /// bytes. At `capacity` 0 [`crate::service::execute`] keeps neither
+    /// replies nor a memo in it: only PGO aggregates and units.
     pub fn new(capacity: usize) -> Self {
         CompileCache {
-            capacity: capacity.max(1),
+            capacity,
             inner: Mutex::new(Inner::default()),
-            memo: Memo::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            fills: AtomicU64::new(0),
         }
     }
 
-    /// The entry budget.
+    /// The reply budget.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Looks up `key`. A current-epoch entry is a hit; an entry stranded
-    /// behind an epoch bump is dropped and counted as both an
-    /// invalidation and a miss.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<Response>> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let current = inner.epochs.get(&key.group()).copied().unwrap_or(0);
-        match inner.entries.get_mut(key) {
-            Some(e) if e.epoch == current => {
-                e.last_used = tick;
-                let r = e.response.clone();
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(r)
-            }
-            Some(_) => {
-                inner.entries.remove(key);
-                drop(inner);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("store lock")
     }
 
-    /// Inserts a reply under `key`, stamped with the group's current
-    /// epoch. Evicts the least-recently-used entry when the budget is
-    /// full. Error replies must not be cached — callers only insert
-    /// successful compiles.
-    pub fn insert(&self, key: CacheKey, response: Response) {
-        let mut inner = self.inner.lock().expect("cache lock");
+    /// The reply stored under `reply` in the entry of `key`, counted as a
+    /// hit or a miss.
+    pub fn get(&self, key: &StoreKey, reply: &CacheKey) -> Option<Arc<Response>> {
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let epoch = inner.epochs.get(&key.group()).copied().unwrap_or(0);
-        if !inner.entries.contains_key(&key) && inner.entries.len() >= self.capacity {
-            if let Some(victim) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.entries.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner
-            .entries
-            .insert(key, Entry { response: Arc::new(response), epoch, last_used: tick });
-    }
-
-    /// Bumps the epoch of `(bench, scale, scheme)` and eagerly drops its
-    /// resident entries. Called by the PGO tier when a recompiled unit
-    /// hot-swaps in, so a drifted group never serves a pre-swap entry.
-    pub fn invalidate_group(&self, bench: &str, scale: u32, scheme: &str) {
-        let group = GroupKey { bench: bench.to_string(), scale, scheme: scheme.to_string() };
-        let mut inner = self.inner.lock().expect("cache lock");
-        *inner.epochs.entry(group.clone()).or_insert(0) += 1;
-        let stale: Vec<CacheKey> = inner
-            .entries
-            .keys()
-            .filter(|k| k.group() == group)
-            .cloned()
-            .collect();
-        let dropped = stale.len() as u64;
-        for k in stale {
-            inner.entries.remove(&k);
-        }
+        let found = inner.entries.get_mut(key).and_then(|e| {
+            e.last_used = tick;
+            e.replies.get(reply).cloned()
+        });
         drop(inner);
-        if dropped > 0 {
-            self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Stores a reply under `reply` in the entry of `key`. Error replies
+    /// must not be stored: callers only insert successful compiles.
+    pub fn insert(&self, key: &StoreKey, reply: CacheKey, response: Response) {
+        self.update(key, |entry| {
+            entry.replies.insert(reply, Arc::new(response));
+            true
+        });
+    }
+
+    /// Runs `f` on the entry of `key` (created empty if absent). When `f`
+    /// reports a change the entry is measured again and the store evicts
+    /// down to its bounds. Returns what `f` returned.
+    pub(crate) fn update(&self, key: &StoreKey, f: impl FnOnce(&mut Entry) -> bool) -> bool {
+        let mut inner = self.lock();
+        let changed = f(inner.touch(key));
+        if changed {
+            self.settle(&mut inner, key);
+        }
+        changed
+    }
+
+    /// Measures the entry of `key` again, if it is still resident, and
+    /// evicts down to the bounds. The PGO tier calls this after a swap
+    /// changed a unit's pair.
+    pub(crate) fn refresh(&self, key: &StoreKey) {
+        self.settle(&mut self.lock(), key);
+    }
+
+    /// Re-measures `key`'s entry, drops it alone if it outgrows the whole
+    /// budget, then evicts least recently used entries while the store is
+    /// over its byte or reply bound.
+    fn settle(&self, inner: &mut Inner, key: &StoreKey) {
+        let Some(entry) = inner.entries.get_mut(key) else { return };
+        entry.bytes = entry.measure();
+        if entry.bytes > STORE_BUDGET {
+            inner.entries.remove(key);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        while inner.bytes() > STORE_BUDGET || inner.replies() > self.capacity {
+            let lru = inner.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
+            let Some(victim) = lru else { break };
+            inner.entries.remove(&victim);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// The memo entry of `key`, filled by `fill` on a miss. Single-flight:
+    /// Read access to every resident entry, under the store's lock.
+    pub(crate) fn with_entries<R>(&self, f: impl FnOnce(&HashMap<StoreKey, Entry>) -> R) -> R {
+        f(&self.lock().entries)
+    }
+
+    /// The memo state of `key`, filled by `fill` on a miss. Single-flight:
     /// a worker wanting an entry that is being filled waits for it.
-    /// `fill` gets an entry of the same benchmark and scale when one is
-    /// resident, so kinds share one built benchmark and one baseline. At
-    /// most [`MEMO_CAPACITY`] entries stay, least recently used out first;
-    /// a failed fill leaves none.
+    /// `fill` gets the state of the same benchmark and scale when one is
+    /// resident, so kinds share one built benchmark and one baseline. A
+    /// failed fill leaves nothing behind.
     ///
     /// # Errors
     /// `fill`'s error.
     pub fn prepared<E>(
         &self,
-        key: &MemoKey,
+        key: &StoreKey,
         fill: impl FnOnce(Option<Arc<Prepared>>) -> Result<Prepared, E>,
     ) -> Result<Arc<Prepared>, E> {
-        let memo = &self.memo;
-        let filled = get_or_insert(&memo.slots, key.clone(), || {
-            let sibling = memo.slots.lock().expect("memo lock").iter().find_map(|(k, slot)| {
-                if (k.bench, k.scale) != (key.bench, key.scale) {
-                    return None;
-                }
-                // An entry being filled is locked: skip it rather than wait.
-                slot.try_lock().ok()?.clone()
-            });
-            let prepared = fill(sibling)?;
-            memo.fills.fetch_add(1, Ordering::Relaxed);
-            Ok(Arc::new(prepared))
-        });
-        let mut slots = memo.slots.lock().expect("memo lock");
-        let mut used = memo.used.lock().expect("memo lock");
-        if filled.is_err() {
-            // Unless a waiter has filled it since, the entry stays empty.
-            if slots.get(key).is_some_and(|s| s.try_lock().is_ok_and(|v| v.is_none())) {
-                slots.remove(key);
+        let gate = {
+            let mut inner = self.lock();
+            let entry = inner.touch(key);
+            if let Some(memo) = &entry.memo {
+                return Ok(Arc::clone(memo));
             }
-            return filled;
-        }
-        used.0 += 1;
-        let tick = used.0;
-        used.1.insert(key.clone(), tick);
-        while used.1.len() > MEMO_CAPACITY {
-            let victim = used.1.iter().min_by_key(|(_, t)| **t).map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            used.1.remove(&victim);
-            slots.remove(&victim);
+            Arc::clone(&entry.filling)
+        };
+        let _filling = gate.lock().expect("memo fill lock");
+        let sibling = {
+            let inner = self.lock();
+            if let Some(memo) = inner.entries.get(key).and_then(|e| e.memo.clone()) {
+                return Ok(memo);
+            }
+            let same = |k: &StoreKey| (k.bench, k.scale) == (key.bench, key.scale);
+            inner.entries.iter().find_map(|(k, e)| e.memo.clone().filter(|_| same(k)))
+        };
+        let filled = fill(sibling).map(Arc::new);
+        let mut inner = self.lock();
+        match &filled {
+            Ok(memo) => {
+                self.fills.fetch_add(1, Ordering::Relaxed);
+                // An entry evicted while it filled is not brought back.
+                if let Some(entry) = inner.entries.get_mut(key) {
+                    entry.memo = Some(Arc::clone(memo));
+                    self.settle(&mut inner, key);
+                }
+            }
+            Err(_) => {
+                if inner.entries.get(key).is_some_and(Entry::is_empty) {
+                    inner.entries.remove(key);
+                }
+            }
         }
         filled
     }
@@ -404,35 +442,32 @@ impl CompileCache {
     /// How many memo entries have been filled (trained, built, hashed):
     /// a repeat of a request whose entry is resident fills none.
     pub fn memo_fills(&self) -> u64 {
-        self.memo.fills.load(Ordering::Relaxed)
+        self.fills.load(Ordering::Relaxed)
     }
 
-    /// `(hits, misses, evictions, invalidations, entries)` right now.
-    pub fn stats(&self) -> (u64, u64, u64, u64, usize) {
-        let entries = self.inner.lock().expect("cache lock").entries.len();
+    /// Bytes the resident entries account for.
+    pub fn bytes(&self) -> usize {
+        self.lock().bytes()
+    }
+
+    /// `(hits, misses, evictions, resident replies)` right now.
+    pub fn stats(&self) -> (u64, u64, u64, usize) {
+        let replies = self.lock().replies();
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
             self.evictions.load(Ordering::Relaxed),
-            self.invalidations.load(Ordering::Relaxed),
-            entries,
+            replies,
         )
     }
 
     /// Copies the counters into a health snapshot (its cache fields).
     pub fn fill_health(&self, h: &mut HealthSnapshot) {
-        let (hits, misses, evictions, invalidations, entries) = self.stats();
+        let (hits, misses, evictions, replies) = self.stats();
         h.cache_hits = hits;
         h.cache_misses = misses;
         h.cache_evictions = evictions;
-        h.cache_invalidations = invalidations;
-        h.cache_entries = entries as u32;
-    }
-}
-
-impl Default for CompileCache {
-    fn default() -> Self {
-        CompileCache::new(DEFAULT_CAPACITY)
+        h.cache_entries = replies as u32;
     }
 }
 
@@ -441,13 +476,12 @@ mod tests {
     use super::*;
     use pps_machine::ICacheConfig;
 
+    fn store_key(scale: u32) -> StoreKey {
+        StoreKey { bench: "wc", scale, kind: None }
+    }
+
     fn key(n: u64, scheme: &str) -> CacheKey {
-        CacheKey {
-            artifact: ArtifactKey::new(n, n + 1, scheme, 7),
-            class: CacheClass::Compile,
-            bench: "wc".into(),
-            scale: 1,
-        }
+        CacheKey { artifact: ArtifactKey::new(n, n + 1, scheme, 7), class: CacheClass::Compile }
     }
 
     fn reply(s: &str) -> Response {
@@ -457,82 +491,53 @@ mod tests {
     #[test]
     fn hit_returns_the_inserted_reply() {
         let cache = CompileCache::new(4);
-        let k = key(1, "P4");
-        assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), reply("r1"));
-        assert_eq!(*cache.get(&k).unwrap(), reply("r1"));
+        let (sk, k) = (store_key(1), key(1, "P4"));
+        assert!(cache.get(&sk, &k).is_none());
+        cache.insert(&sk, k.clone(), reply("r1"));
+        assert_eq!(*cache.get(&sk, &k).unwrap(), reply("r1"));
+        assert!(cache.get(&store_key(2), &k).is_none(), "another entry holds no reply");
         let (hits, misses, ..) = cache.stats();
-        assert_eq!((hits, misses), (1, 1));
+        assert_eq!((hits, misses), (1, 2));
     }
 
     #[test]
     fn classes_do_not_collide() {
         let cache = CompileCache::new(4);
+        let sk = store_key(1);
         let compile = key(1, "P4");
         let runcell = CacheKey { class: CacheClass::RunCell { strict: true }, ..compile.clone() };
-        cache.insert(compile.clone(), reply("compile"));
-        assert!(cache.get(&runcell).is_none());
+        cache.insert(&sk, compile.clone(), reply("compile"));
+        assert!(cache.get(&sk, &runcell).is_none());
         let lax = CacheKey { class: CacheClass::RunCell { strict: false }, ..runcell.clone() };
-        cache.insert(runcell.clone(), reply("strict"));
-        assert!(cache.get(&lax).is_none(), "strict flag is part of the identity");
-        assert_eq!(*cache.get(&compile).unwrap(), reply("compile"));
+        cache.insert(&sk, runcell.clone(), reply("strict"));
+        assert!(cache.get(&sk, &lax).is_none(), "strict flag is part of the identity");
+        assert_eq!(*cache.get(&sk, &compile).unwrap(), reply("compile"));
     }
 
     #[test]
     fn lru_evicts_the_coldest_entry() {
         let cache = CompileCache::new(2);
-        let (a, b, c) = (key(1, "P4"), key(2, "P4"), key(3, "P4"));
-        cache.insert(a.clone(), reply("a"));
-        cache.insert(b.clone(), reply("b"));
-        let _ = cache.get(&a); // warm `a`, leaving `b` coldest
-        cache.insert(c.clone(), reply("c"));
-        assert!(cache.get(&b).is_none(), "b was evicted");
-        assert!(cache.get(&a).is_some());
-        assert!(cache.get(&c).is_some());
-        let (.., evictions, _, entries) = cache.stats();
+        let (a, b, c) = (store_key(1), store_key(2), store_key(3));
+        let k = key(1, "P4");
+        cache.insert(&a, k.clone(), reply("a"));
+        cache.insert(&b, k.clone(), reply("b"));
+        let _ = cache.get(&a, &k); // warm `a`, leaving `b` coldest
+        cache.insert(&c, k.clone(), reply("c"));
+        assert!(cache.get(&b, &k).is_none(), "b was evicted");
+        assert!(cache.get(&a, &k).is_some());
+        assert!(cache.get(&c, &k).is_some());
+        let (.., evictions, replies) = cache.stats();
         assert_eq!(evictions, 1);
-        assert_eq!(entries, 2);
-    }
-
-    #[test]
-    fn swap_invalidation_drops_the_group_and_only_the_group() {
-        let cache = CompileCache::new(8);
-        let p4 = key(1, "P4");
-        let m4 = key(1, "M4");
-        cache.insert(p4.clone(), reply("p4"));
-        cache.insert(m4.clone(), reply("m4"));
-        cache.invalidate_group("wc", 1, "P4");
-        assert!(cache.get(&p4).is_none(), "swapped group no longer serves");
-        assert!(cache.get(&m4).is_some(), "other schemes untouched");
-        let (_, _, _, invalidations, _) = cache.stats();
-        assert_eq!(invalidations, 1);
-        // Re-inserting after the bump serves again at the new epoch.
-        cache.insert(p4.clone(), reply("p4'"));
-        assert_eq!(*cache.get(&p4).unwrap(), reply("p4'"));
-    }
-
-    #[test]
-    fn entry_inserted_before_bump_is_rejected_lazily_too() {
-        let cache = CompileCache::new(8);
-        let k = key(9, "P4e");
-        cache.insert(k.clone(), reply("old"));
-        // Simulate the bump racing ahead of eager cleanup by re-inserting
-        // at the old epoch: epoch mismatch must reject on lookup.
-        {
-            let mut inner = cache.inner.lock().unwrap();
-            let group = k.group();
-            *inner.epochs.entry(group).or_insert(0) += 1;
-        }
-        assert!(cache.get(&k).is_none(), "stale epoch never serves");
+        assert_eq!(replies, 2);
     }
 
     #[test]
     fn fill_health_reports_counters() {
         let cache = CompileCache::new(2);
-        let k = key(1, "BB");
-        let _ = cache.get(&k);
-        cache.insert(k.clone(), reply("x"));
-        let _ = cache.get(&k);
+        let (sk, k) = (store_key(1), key(1, "BB"));
+        let _ = cache.get(&sk, &k);
+        cache.insert(&sk, k.clone(), reply("x"));
+        let _ = cache.get(&sk, &k);
         let mut h = HealthSnapshot::default();
         cache.fill_health(&mut h);
         assert_eq!(h.cache_hits, 1);
@@ -544,40 +549,61 @@ mod tests {
     fn memo_is_a_bounded_lru_that_keeps_no_failed_fill() {
         let bench = Arc::new(pps_suite::micro::alt(pps_suite::Scale(1)));
         let baseline = Arc::new(OracleBaseline::compute(&bench.program, &[], 1));
-        let prepared = || Prepared {
-            bench: Arc::clone(&bench),
+        let prepared = |bench: &Arc<Benchmark>| Prepared {
+            bench: Arc::clone(bench),
             program_hash: 1,
             baseline: Arc::clone(&baseline),
             pair: None,
             profile_hash: 2,
         };
-        let key = |scale| MemoKey { bench: "alt", scale, kind: None };
+        // Each entry counts the benchmark's data and memory image.
+        let one = size_of::<i64>() * (bench.program.data.len() + bench.program.mem_size);
+        let fit = (STORE_BUDGET / one) as u32;
+        let key = |scale| StoreKey { bench: "alt", scale, kind: None };
         let cache = CompileCache::new(1);
 
         // A failed fill leaves no entry behind: the next lookup fills.
         assert!(cache.prepared(&key(0), |_| Err::<Prepared, _>("no")).is_err());
-        assert_eq!(cache.memo_fills(), 0);
-        for scale in 0..MEMO_CAPACITY as u32 {
-            cache.prepared(&key(scale), |_| Ok::<_, ()>(prepared())).unwrap();
+        assert_eq!((cache.memo_fills(), cache.bytes()), (0, 0));
+        for scale in 0..fit {
+            cache.prepared(&key(scale), |_| Ok::<_, ()>(prepared(&bench))).unwrap();
         }
-        assert_eq!(cache.memo_fills(), MEMO_CAPACITY as u64);
+        assert_eq!(cache.memo_fills(), u64::from(fit));
+        assert_eq!(cache.bytes(), fit as usize * one);
 
         // Touch key 0, so key 1 is the least recently used; one more key
         // evicts it and only it.
         cache.prepared::<()>(&key(0), |_| panic!("resident entry refilled")).unwrap();
-        cache.prepared(&key(MEMO_CAPACITY as u32), |_| Ok::<_, ()>(prepared())).unwrap();
+        cache.prepared(&key(fit), |_| Ok::<_, ()>(prepared(&bench))).unwrap();
         cache.prepared::<()>(&key(0), |_| panic!("resident entry refilled")).unwrap();
+        assert_eq!(cache.stats().2, 1);
         let fills = cache.memo_fills();
-        cache.prepared(&key(1), |_| Ok::<_, ()>(prepared())).unwrap();
+        cache.prepared(&key(1), |_| Ok::<_, ()>(prepared(&bench))).unwrap();
         assert_eq!(cache.memo_fills(), fills + 1, "the evicted entry fills again");
 
         // Another kind of a resident benchmark and scale is filled from it.
         let kind = Some(ProfileKind { depth: DEFAULT_PATH_DEPTH, k: Some(2) });
-        let trained = MemoKey { bench: "alt", scale: 0, kind };
+        let trained = StoreKey { bench: "alt", scale: 0, kind };
         let got = cache
-            .prepared(&trained, |sibling| sibling.map(|_| prepared()).ok_or("no sibling"))
+            .prepared(&trained, |sibling| sibling.map(|_| prepared(&bench)).ok_or("no sibling"))
             .unwrap();
         assert!(Arc::ptr_eq(&got.bench, &bench));
+
+        // An entry larger than the whole budget serves its request and is
+        // not retained; it evicts nothing else.
+        let mut huge = pps_suite::micro::alt(pps_suite::Scale(1));
+        huge.program.mem_size = STORE_BUDGET;
+        let huge = Arc::new(huge);
+        let (bytes, evictions) = (cache.bytes(), cache.stats().2);
+        let got = cache.prepared(&key(fit + 1), |_| Ok::<_, ()>(prepared(&huge))).unwrap();
+        assert!(Arc::ptr_eq(&got.bench, &huge));
+        assert_eq!((cache.bytes(), cache.stats().2), (bytes, evictions + 1));
+    }
+
+    #[test]
+    fn kinds_display_as_log_lines_name_them() {
+        assert_eq!(ProfileKind { depth: 15, k: None }.to_string(), "d15");
+        assert_eq!(ProfileKind { depth: 15, k: Some(2) }.to_string(), "d15k2");
     }
 
     #[test]

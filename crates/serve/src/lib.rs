@@ -16,17 +16,18 @@
 //!   backpressure ([`pool::BoundedQueue`]), a scoped worker team,
 //!   per-request queue-wait deadlines, and graceful drain on SIGTERM /
 //!   in-band `Shutdown`;
-//! - [`cache`] — a bounded content-addressed reply cache keyed by
-//!   [`cache::ArtifactKey`], consulted before the pipeline and
-//!   invalidated by PGO hot-swaps, beside a bounded memo of the trained
-//!   state each key is computed from;
+//! - [`cache`] — the daemon's one store, an entry per (benchmark, scale,
+//!   profile kind) holding the memo of trained state, the PGO aggregate
+//!   and units, and the content-addressed replies (keyed by
+//!   [`cache::ArtifactKey`]), bounded by bytes with whole-entry LRU
+//!   eviction;
 //! - [`client`] — the blocking client;
 //! - [`loadgen`] — the load generator that byte-verifies every reply
 //!   against the in-process [`execute`] (`pps-client loadgen`);
 //! - [`top`] — the live telemetry dashboard (`pps-client top`);
 //! - [`service`] — `execute`, a pure function of the request so replies
 //!   are byte-comparable against in-process runs, and the daemon's one
-//!   handler over it (optional reply cache, optional PGO state). Requests
+//!   handler over it (optional store, optional PGO state). Requests
 //!   compile through `pps_eval::runner`, the path the harness takes;
 //! - [`signal`] — SIGTERM/SIGINT → shutdown flag (Unix);
 //! - [`telemetry`] — the live-observability layer: rolling-window

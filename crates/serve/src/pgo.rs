@@ -15,10 +15,9 @@
 //!   merges it once per aggregate, as a second copy adds no information
 //!   and would only dilute what clients carry. A carried pair says nothing
 //!   of a k-iteration run, so it counts as a general path profile of its
-//!   depth, and [`PgoState::publish`] merges every one. Aggregates and
-//!   units share the request path's `Arc`s (the cache's memo) rather than
-//!   copying profiles. Publishing is a pure side effect: replies stay
-//!   byte-identical to execution without the PGO state.
+//!   depth, and [`PgoState::publish`] merges every one. Publishing is a
+//!   pure side effect: replies stay byte-identical to execution without
+//!   the PGO state.
 //! - **Drift detection** — a serving unit is one `(bench, scale, scheme,
 //!   profile kind)`, so a scheme compiled against a carried pair and
 //!   against the server's k-iteration pair is two units. Each remembers
@@ -42,11 +41,21 @@
 //!   budget plus a per-unit cooldown bound churn under oscillating
 //!   workloads.
 //!
+//! [`PgoState`] keeps no maps of its own. An aggregate and the units
+//! scored against it live in the entry of their `(bench, scale, kind)` in
+//! the daemon's store ([`CompileCache`]). They share the memo's `Arc`s,
+//! or the one copy of the server's own pair the aggregate keeps, rather
+//! than copying profiles. The store's byte budget bounds them, and
+//! evicting a key drops its aggregate and units with the rest of the
+//! entry: a unit that comes back starts over from the next request's
+//! pair. No request reads a unit, so a swap touches no stored reply. Log
+//! lines name a unit `bench/scale/scheme/kind`, e.g. `wc/1/Pk2/d15k2`.
+//!
 //! [`PgoRuntime`] runs [`PgoState::sweep`] on a background thread;
 //! [`PgoRuntime::shutdown`] drains it — the swap is a single slot
 //! operation, so shutdown can never observe a half-swapped unit.
 
-use crate::cache::{CompileCache, ProfileKind};
+use crate::cache::{CompileCache, ProfileKind, StoreKey};
 use crate::proto::HealthSnapshot;
 use crate::swap::{SwapOutcome, SwapSlot};
 use pps_core::{GuardMode, Scheme};
@@ -54,10 +63,9 @@ use pps_eval::runner::{self, ProfilePair, RunConfig};
 use pps_obs::{Level, Obs};
 use pps_profile::{merge_edges, merge_paths, path_drift};
 use pps_suite::{benchmark_by_name, Scale};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Injected recompile fault, for exercising the containment paths.
@@ -141,24 +149,19 @@ pub struct ServingUnit {
     pub epoch: u64,
 }
 
-/// An aggregate's key: benchmark, scale and the profile kind it merges.
-type AggregateKey = (String, u32, ProfileKind);
-
-/// A unit's key: benchmark, scale, canonical scheme name and the kind of
-/// the pair it was compiled against, whose aggregate it is scored against.
-type UnitKey = (String, u32, String, ProfileKind);
-
-/// Live merged profiles for one benchmark, scale and profile kind.
-struct Aggregate {
+/// Live merged profiles for one benchmark, scale and profile kind: a
+/// field of the store entry of that key.
+pub(crate) struct Aggregate {
     /// The merged pair; a sweep snapshots it by cloning the `Arc`.
-    pair: ProfilePair,
+    pub(crate) pair: ProfilePair,
     samples: u64,
     /// Bumped on every merge, so sweeps can reuse the scores of units
     /// whose aggregate is unchanged.
     epoch: u64,
-    /// The server's own trained pair has been merged: it is deterministic,
-    /// so merging it again would add no information.
-    trained: bool,
+    /// The server's own trained pair, once merged: it is deterministic, so
+    /// merging it again would add no information, and the units compiled
+    /// against it share this copy.
+    pub(crate) trained: Option<ProfilePair>,
 }
 
 /// Sweep-owned drift bookkeeping for one unit.
@@ -170,8 +173,9 @@ struct UnitMeta {
     last_recompile: Option<Instant>,
 }
 
-struct UnitEntry {
-    slot: SwapSlot<ServingUnit>,
+/// One unit, held by the store entry of the kind it was compiled against.
+pub(crate) struct UnitEntry {
+    pub(crate) slot: SwapSlot<ServingUnit>,
     meta: Mutex<UnitMeta>,
 }
 
@@ -194,49 +198,33 @@ pub struct SweepReport {
 
 /// Shared state of the continuous-PGO loop. One instance is shared by the
 /// request path ([`PgoState::publish`], [`PgoState::observe_unit`]), the
-/// background sweeper, and the health snapshot.
+/// background sweeper, and the health snapshot. Its aggregates and units
+/// live in the store it is given.
 pub struct PgoState {
     config: PgoConfig,
-    aggregates: Mutex<HashMap<AggregateKey, Aggregate>>,
-    units: Mutex<HashMap<UnitKey, Arc<UnitEntry>>>,
+    store: Arc<CompileCache>,
     profiles_merged: AtomicU64,
-    merges_skipped: AtomicU64,
     recompiles: AtomicU64,
     swaps: AtomicU64,
     rollbacks: AtomicU64,
     in_flight: AtomicU32,
     obs: Obs,
-    /// Reply cache to invalidate when a hot-swap lands (the cached reply
-    /// for the group is not wrong — replies are pure functions of their
-    /// key — but dropping it keeps the cache from pinning entries for a
-    /// generation the tier has moved past).
-    cache: OnceLock<Arc<CompileCache>>,
 }
 
 impl PgoState {
-    /// Creates the loop state; `obs` receives the `pgo.*` counters and
-    /// histograms.
-    pub fn new(config: PgoConfig, obs: Obs) -> Self {
+    /// Creates the loop state over `store`, which holds its aggregates and
+    /// units; `obs` receives the `pgo.*` counters and histograms.
+    pub fn new(config: PgoConfig, obs: Obs, store: Arc<CompileCache>) -> Self {
         PgoState {
             config,
-            aggregates: Mutex::new(HashMap::new()),
-            units: Mutex::new(HashMap::new()),
+            store,
             profiles_merged: AtomicU64::new(0),
-            merges_skipped: AtomicU64::new(0),
             recompiles: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
             in_flight: AtomicU32::new(0),
             obs,
-            cache: OnceLock::new(),
         }
-    }
-
-    /// Attaches the daemon's reply cache so hot-swaps invalidate the
-    /// swapped unit's cache group. Call once at startup; later calls are
-    /// ignored.
-    pub fn attach_cache(&self, cache: Arc<CompileCache>) {
-        let _ = self.cache.set(cache);
     }
 
     /// The configuration the loop runs with.
@@ -248,40 +236,34 @@ impl PgoState {
     /// any — test/ops introspection.
     pub fn aggregate_stats(
         &self,
-        bench: &str,
+        bench: &'static str,
         scale: u32,
         kind: ProfileKind,
     ) -> Option<(u64, u64)> {
-        let aggs = self.aggregates.lock().unwrap();
-        aggs.get(&(bench.to_string(), scale, kind)).map(|a| (a.samples, a.epoch))
-    }
-
-    /// Current generation of a unit's swap slot, if the unit is tracked.
-    pub fn unit_generation(
-        &self,
-        bench: &str,
-        scale: u32,
-        scheme: &str,
-        kind: ProfileKind,
-    ) -> Option<u64> {
-        let units = self.units.lock().unwrap();
-        units
-            .get(&(bench.to_string(), scale, scheme.to_string(), kind))
-            .map(|u| u.slot.generation())
+        let key = StoreKey { bench, scale, kind: Some(kind) };
+        self.store.with_entries(|entries| {
+            let aggregate = entries.get(&key)?.aggregate.as_ref()?;
+            Some((aggregate.samples, aggregate.epoch))
+        })
     }
 
     /// The serving copy of a unit, if tracked: `(generation, unit)`.
     pub fn unit(
         &self,
-        bench: &str,
+        bench: &'static str,
         scale: u32,
         scheme: &str,
         kind: ProfileKind,
     ) -> Option<(u64, Arc<ServingUnit>)> {
-        let units = self.units.lock().unwrap();
-        units
-            .get(&(bench.to_string(), scale, scheme.to_string(), kind))
-            .map(|u| u.slot.load())
+        let key = StoreKey { bench, scale, kind: Some(kind) };
+        self.store.with_entries(|entries| Some(entries.get(&key)?.units.get(scheme)?.slot.load()))
+    }
+
+    /// Every tracked unit.
+    fn units(&self) -> Vec<Arc<UnitEntry>> {
+        self.store.with_entries(|entries| {
+            entries.values().flat_map(|e| e.units.values()).cloned().collect()
+        })
     }
 
     /// Fills the PGO half of the health snapshot (the reply cache fills its
@@ -293,13 +275,10 @@ impl PgoState {
         base.swaps = self.swaps.load(Ordering::Relaxed);
         base.rollbacks = self.rollbacks.load(Ordering::Relaxed);
         base.in_flight_recompiles = self.in_flight.load(Ordering::Relaxed);
-        let units = self.units.lock().unwrap();
+        let units = self.units();
         base.units = units.len() as u32;
-        base.max_generation = units.values().map(|u| u.slot.generation()).max().unwrap_or(0);
-        base.drifted_units = units
-            .values()
-            .filter(|u| u.meta.lock().unwrap().drifted)
-            .count() as u32;
+        base.max_generation = units.iter().map(|u| u.slot.generation()).max().unwrap_or(0);
+        base.drifted_units = units.iter().filter(|u| u.meta.lock().unwrap().drifted).count() as u32;
         base
     }
 
@@ -314,23 +293,20 @@ impl PgoState {
     /// its turn.
     pub fn sweep(&self) -> SweepReport {
         let mut report = SweepReport::default();
-        let snapshots: HashMap<AggregateKey, (ProfilePair, u64)> = {
-            let aggs = self.aggregates.lock().unwrap();
-            aggs.iter()
-                .filter(|(_, a)| a.samples >= self.config.min_samples)
-                .map(|(k, a)| (k.clone(), (Arc::clone(&a.pair), a.epoch)))
-                .collect()
-        };
-        let entries: Vec<(UnitKey, Arc<UnitEntry>)> = {
-            let units = self.units.lock().unwrap();
-            units.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
-        };
+        // Every unit whose aggregate has enough samples, with a snapshot of
+        // that aggregate.
+        let units: Vec<_> = self.store.with_entries(|entries| {
+            let eligible = entries.iter().filter_map(|(key, e)| {
+                let agg = e.aggregate.as_ref().filter(|a| a.samples >= self.config.min_samples)?;
+                Some(e.units.iter().map(move |(scheme, unit)| {
+                    (*key, scheme.clone(), Arc::clone(unit), Arc::clone(&agg.pair), agg.epoch)
+                }))
+            });
+            eligible.flatten().collect()
+        });
         let mut budget = self.config.recompiles_per_sweep;
-        for ((bench, scale, scheme, kind), entry) in entries {
-            let Some((agg, agg_epoch)) = snapshots.get(&(bench.clone(), scale, kind)) else {
-                continue;
-            };
-            let agg_epoch = *agg_epoch;
+        for (key, scheme, entry, agg, agg_epoch) in units {
+            let (bench, scale, kind) = (key.bench, key.scale, key.kind.expect("a unit's kind"));
             let (generation, unit) = entry.slot.load();
 
             let wants_recompile = {
@@ -344,7 +320,7 @@ impl PgoState {
                         meta.drifted = true;
                         self.obs.log(Level::Info, || {
                             format!(
-                                "pgo: {bench}/{scale}/{scheme} drifted \
+                                "pgo: {bench}/{scale}/{scheme}/{kind} drifted \
                                  (score {:.3}, overlap {:.3}, divergence {:.3})",
                                 drift.score, drift.top_k_overlap, drift.weight_divergence
                             )
@@ -370,15 +346,8 @@ impl PgoState {
                     budget -= 1;
                     report.recompiles += 1;
                     entry.meta.lock().unwrap().last_recompile = Some(Instant::now());
-                    let swapped = self.recompile(
-                        &bench,
-                        scale,
-                        &scheme,
-                        &entry,
-                        generation,
-                        Arc::clone(agg),
-                        agg_epoch,
-                    );
+                    let swapped =
+                        self.recompile(&key, &scheme, &entry, generation, agg, agg_epoch);
                     if swapped {
                         report.swaps += 1;
                     } else {
@@ -387,10 +356,8 @@ impl PgoState {
                 }
             }
         }
-        report.drifted = {
-            let units = self.units.lock().unwrap();
-            units.values().filter(|u| u.meta.lock().unwrap().drifted).count()
-        };
+        report.drifted =
+            self.units().iter().filter(|u| u.meta.lock().unwrap().drifted).count();
         self.obs.histogram("pgo.sweep_recompiles", report.recompiles as f64);
         report
     }
@@ -399,17 +366,17 @@ impl PgoState {
     /// via CAS. Returns true when the new unit swapped in; any failure —
     /// panic, pipeline error, verifier/oracle reject, stale generation —
     /// leaves the serving copy untouched and counts a rollback.
-    #[allow(clippy::too_many_arguments)]
     fn recompile(
         &self,
-        bench_name: &str,
-        scale: u32,
+        key: &StoreKey,
         scheme_name: &str,
         entry: &UnitEntry,
         observed_gen: u64,
         profiles: ProfilePair,
         epoch: u64,
     ) -> bool {
+        let (bench_name, scale, kind) = (key.bench, key.scale, key.kind.expect("a unit's kind"));
+        let name = format!("{bench_name}/{scale}/{scheme_name}/{kind}");
         self.recompiles.fetch_add(1, Ordering::Relaxed);
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         let fault = self.config.fault;
@@ -423,28 +390,20 @@ impl PgoState {
             Ok(Ok(unit)) => match entry.slot.swap_if(observed_gen, unit) {
                 SwapOutcome::Swapped(generation) => {
                     self.obs.log(Level::Info, || {
-                        format!(
-                            "pgo: {bench_name}/{scale}/{scheme_name} hot-swapped \
-                             (generation {generation}, epoch {epoch})"
-                        )
+                        format!("pgo: {name} hot-swapped (generation {generation}, epoch {epoch})")
                     });
-                    if let Some(cache) = self.cache.get() {
-                        cache.invalidate_group(bench_name, scale, scheme_name);
-                    }
+                    // The unit now holds the snapshot's pair.
+                    self.store.refresh(key);
                     "swapped"
                 }
                 SwapOutcome::Stale(_) => "stale",
             },
             Ok(Err(message)) => {
-                self.obs.log(Level::Warn, || {
-                    format!("pgo: {bench_name}/{scale}/{scheme_name} recompile rejected: {message}")
-                });
+                self.obs.log(Level::Warn, || format!("pgo: {name} recompile rejected: {message}"));
                 "rejected"
             }
             Err(_) => {
-                self.obs.log(Level::Warn, || {
-                    format!("pgo: {bench_name}/{scale}/{scheme_name} recompile panicked (contained)")
-                });
+                self.obs.log(Level::Warn, || format!("pgo: {name} recompile panicked (contained)"));
                 "panicked"
             }
         };
@@ -510,95 +469,108 @@ fn build_unit(
 impl PgoState {
     /// Folds a profile pair that a request carried into the live aggregate
     /// of `(bench, scale, kind)`. Every carried pair is merged.
-    pub fn publish(&self, bench: &str, scale: u32, kind: ProfileKind, pair: &ProfilePair) {
-        self.fold(bench, scale, kind, pair, false);
+    pub fn publish(&self, bench: &'static str, scale: u32, kind: ProfileKind, pair: &ProfilePair) {
+        self.fold(StoreKey { bench, scale, kind: Some(kind) }, pair, false);
     }
 
     /// Folds the pair the server trained for `(bench, scale, kind)` into
     /// that aggregate, once: training is deterministic, so later copies
     /// would add no information and only dilute what clients carried.
-    pub fn publish_trained(&self, bench: &str, scale: u32, kind: ProfileKind, pair: &ProfilePair) {
-        self.fold(bench, scale, kind, pair, true);
+    /// Returns the copy the aggregate keeps, equal to `pair`, for the units
+    /// compiled against it to share.
+    pub fn publish_trained(
+        &self,
+        bench: &'static str,
+        scale: u32,
+        kind: ProfileKind,
+        pair: &ProfilePair,
+    ) -> ProfilePair {
+        self.fold(StoreKey { bench, scale, kind: Some(kind) }, pair, true)
     }
 
-    fn fold(&self, bench: &str, scale: u32, kind: ProfileKind, pair: &ProfilePair, trained: bool) {
-        let mut aggs = self.aggregates.lock().unwrap();
-        let key = (bench.to_string(), scale, kind);
-        match aggs.get_mut(&key) {
+    /// Folds `pair` into the aggregate of `key`; returns the server's
+    /// pair as the aggregate keeps it when `trained`, else `pair`.
+    fn fold(&self, key: StoreKey, pair: &ProfilePair, trained: bool) -> ProfilePair {
+        let mut skipped = None;
+        let mut kept = Arc::clone(pair);
+        let own = trained.then(|| Arc::clone(pair));
+        let merged = self.store.update(&key, |entry| match &mut entry.aggregate {
             None => {
                 let pair = Arc::clone(pair);
-                aggs.insert(key, Aggregate { pair, samples: 1, epoch: 1, trained });
+                entry.aggregate = Some(Aggregate { pair, samples: 1, epoch: 1, trained: own });
+                true
             }
-            Some(agg) if trained && agg.trained => return,
+            Some(Aggregate { trained: Some(kept_own), .. }) if trained => {
+                kept = Arc::clone(kept_own);
+                false
+            }
+            // A different collection depth (or a shape change) makes the
+            // pair unmergeable; count and skip rather than poison the
+            // aggregate.
             Some(agg) => {
-                // A different collection depth (or a shape change) makes
-                // the pair unmergeable; count and skip rather than poison
-                // the aggregate.
                 match (merge_edges(&agg.pair.0, &pair.0), merge_paths(&agg.pair.1, &pair.1)) {
                     (Ok(e), Ok(p)) => {
                         agg.pair = Arc::new((e, p));
                         agg.samples += 1;
                         agg.epoch += 1;
-                        agg.trained |= trained;
+                        agg.trained = agg.trained.take().or(own);
+                        true
                     }
                     (_, Err(e)) | (Err(e), _) => {
-                        self.merges_skipped.fetch_add(1, Ordering::Relaxed);
-                        self.obs.counter("pgo.merges_skipped", 1);
-                        self.obs.log(Level::Debug, || {
-                            format!("pgo: skipped unmergeable profile for {bench}: {e}")
-                        });
-                        return;
+                        skipped = Some(e);
+                        false
                     }
                 }
             }
+        });
+        if let Some(e) = skipped {
+            self.obs.counter("pgo.merges_skipped", 1);
+            self.obs.log(Level::Debug, || {
+                format!("pgo: skipped unmergeable profile for {}: {e}", key.bench)
+            });
         }
-        self.profiles_merged.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter("pgo.profiles_merged", 1);
+        if merged {
+            self.profiles_merged.fetch_add(1, Ordering::Relaxed);
+            self.obs.counter("pgo.profiles_merged", 1);
+        }
+        kept
     }
 
     /// Registers the unit `(bench, scale, scheme, kind)`, compiled against
     /// `pair` of profile kind `kind`, for drift tracking: the pair's path
     /// profile is the reference drift is measured from, against the
-    /// aggregate of `kind`. `scheme` is the canonical name, which cache
-    /// groups key on too. A unit already tracked keeps its serving copy.
+    /// aggregate of `kind`. `scheme` is the canonical name. A unit already
+    /// tracked keeps its serving copy.
     pub fn observe_unit(
         &self,
-        bench: &str,
+        bench: &'static str,
         scale: u32,
         scheme: &str,
         kind: ProfileKind,
         pair: &ProfilePair,
     ) {
-        let key = (bench.to_string(), scale, scheme.to_string(), kind);
-        let mut units = self.units.lock().unwrap();
-        if units.contains_key(&key) {
-            return;
+        let key = StoreKey { bench, scale, kind: Some(kind) };
+        let added = self.store.update(&key, |entry| {
+            if entry.units.contains_key(scheme) {
+                return false;
+            }
+            // The request path already compiled (and replied with) this
+            // unit; the tier only needs its drift reference.
+            let unit = ServingUnit { profiles: Arc::clone(pair), report: String::new(), epoch: 0 };
+            let meta = UnitMeta { drifted: false, scored_at: None, last_recompile: None };
+            let unit = UnitEntry { slot: SwapSlot::new(unit), meta: Mutex::new(meta) };
+            entry.units.insert(scheme.to_string(), Arc::new(unit));
+            true
+        });
+        if added {
+            self.obs.counter("pgo.units_observed", 1);
         }
-        // The request path already compiled (and replied with) this unit;
-        // the tier only needs its drift reference.
-        units.insert(
-            key,
-            Arc::new(UnitEntry {
-                slot: SwapSlot::new(ServingUnit {
-                    profiles: Arc::clone(pair),
-                    report: String::new(),
-                    epoch: 0,
-                }),
-                meta: Mutex::new(UnitMeta {
-                    drifted: false,
-                    scored_at: None,
-                    last_recompile: None,
-                }),
-            }),
-        );
-        self.obs.counter("pgo.units_observed", 1);
     }
 }
 
 /// The background sweeper: runs [`PgoState::sweep`] every
 /// [`PgoConfig::interval`] until shut down.
 pub struct PgoRuntime {
-    state: Arc<PgoState>,
     stop: Arc<(Mutex<bool>, Condvar)>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -608,7 +580,6 @@ impl PgoRuntime {
     pub fn start(state: Arc<PgoState>) -> Self {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let flag = Arc::clone(&stop);
-        let sweeper = Arc::clone(&state);
         let interval = state.config.interval;
         let thread = std::thread::Builder::new()
             .name("pps-pgo-sweeper".into())
@@ -629,16 +600,11 @@ impl PgoRuntime {
                             return;
                         }
                     }
-                    sweeper.sweep();
+                    state.sweep();
                 }
             })
             .expect("spawn pgo sweeper");
-        PgoRuntime { state, stop, thread: Some(thread) }
-    }
-
-    /// The shared loop state.
-    pub fn state(&self) -> &Arc<PgoState> {
-        &self.state
+        PgoRuntime { stop, thread: Some(thread) }
     }
 
     /// Stops the sweeper and waits for any in-flight sweep to finish.

@@ -242,11 +242,10 @@ pub struct HealthSnapshot {
     pub cache_hits: u64,
     /// Compile-cache misses.
     pub cache_misses: u64,
-    /// Compile-cache entries evicted by the LRU bound.
+    /// Store entries evicted by its byte or reply bound, least recently
+    /// used first.
     pub cache_evictions: u64,
-    /// Compile-cache entries invalidated by a PGO hot-swap epoch bump.
-    pub cache_invalidations: u64,
-    /// Compile-cache entries currently resident.
+    /// Replies currently resident in the store.
     pub cache_entries: u32,
 }
 
@@ -523,7 +522,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u64(&mut buf, health.cache_hits);
             put_u64(&mut buf, health.cache_misses);
             put_u64(&mut buf, health.cache_evictions);
-            put_u64(&mut buf, health.cache_invalidations);
             put_u32(&mut buf, health.cache_entries);
         }
         Response::Profile { edge, path } => {
@@ -580,7 +578,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
                 cache_hits: c.u64()?,
                 cache_misses: c.u64()?,
                 cache_evictions: c.u64()?,
-                cache_invalidations: c.u64()?,
                 cache_entries: c.u32()?,
             },
         },
@@ -673,7 +670,6 @@ mod tests {
             cache_hits: 42,
             cache_misses: 7,
             cache_evictions: 3,
-            cache_invalidations: 2,
             cache_entries: 5,
         }
     }
@@ -724,7 +720,6 @@ mod tests {
                 cache_hits: 12,
                 cache_misses: 8,
                 cache_evictions: 2,
-                cache_invalidations: 1,
                 cache_entries: 6,
                 ..HealthSnapshot::default()
             },

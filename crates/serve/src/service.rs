@@ -7,19 +7,24 @@
 //! request compiles through the one train → inline → compile path of
 //! [`pps_eval::runner`], the path the harness and `pps-explore` take.
 //!
-//! With a reply cache attached, the state a request derives
-//! deterministically from its benchmark, scale and profile kind — the
-//! built benchmark, its program hash, the trained pair, the artifact
-//! profile hash and the oracle baseline — comes from the cache's memo
-//! ([`CompileCache::prepared`]), filled once per key. A reply-cache hit is
-//! then a memo lookup plus [`CompileCache::get`]: no suite build, no
-//! training, no hashing and no PGO merge. A miss hands the memo's pair and
-//! baseline to the runner, so neither the training run nor the guard's
-//! `oracle-baseline` run repeats. Without a cache every request builds
-//! and trains what it needs itself.
+//! With the daemon's store attached ([`CompileCache`]), the state a
+//! request derives deterministically from its benchmark, scale and profile
+//! kind — the built benchmark, its program hash, the trained pair, the
+//! artifact profile hash and the oracle baseline — comes from the memo of
+//! that key's entry ([`CompileCache::prepared`]), filled once. A hit is
+//! then a memo lookup plus a reply lookup in the same entry
+//! ([`CompileCache::get`]): no suite build, no training, no hashing and no
+//! PGO merge. A miss hands the memo's pair and baseline to the runner, so
+//! neither the training run nor the guard's `oracle-baseline` run repeats.
+//! Without a store, or with one of capacity 0, every request builds and
+//! trains what it needs itself.
+//!
+//! Requests are bounded before any work: a scale above [`MAX_SCALE`], or a
+//! path-profile depth above [`MAX_DEPTH`] (requested or carried), is a
+//! `BadRequest`. The store bounds what is kept after.
 
 use crate::cache::{
-    machine_hash, ArtifactKey, CacheClass, CacheKey, CompileCache, MemoKey, Prepared, ProfileKind,
+    machine_hash, ArtifactKey, CacheClass, CacheKey, CompileCache, Prepared, ProfileKind, StoreKey,
 };
 use crate::pgo::PgoState;
 use crate::proto::{ErrorKind, HealthSnapshot, ProfileText, Request, Response};
@@ -35,8 +40,14 @@ use std::sync::Arc;
 /// Largest accepted suite scale — bounds per-request work.
 pub const MAX_SCALE: u32 = 100;
 
+/// Largest accepted path-profile depth, of a `Profile` request or of a
+/// carried path profile. Training memory grows about linearly in depth
+/// (gcc at scale 1: 52 MB RSS at depth 15, 256 MB at depth 60), so this
+/// bounds one request near 130 MB at scale 1.
+pub const MAX_DEPTH: usize = 32;
+
 /// The daemon's [`Handler`]: every request runs [`execute`] with the
-/// daemon's reply cache and continuous-PGO state, each optional. Health
+/// daemon's store and continuous-PGO state, each optional. Health
 /// snapshots carry the counters of whichever is attached.
 #[derive(Default, Clone)]
 pub struct PipelineHandler {
@@ -45,13 +56,10 @@ pub struct PipelineHandler {
 }
 
 impl PipelineHandler {
-    /// A handler over the given reply cache and PGO state
-    /// ([`PipelineHandler::default`] has neither). With both, a PGO
-    /// hot-swap invalidates the swapped unit's cache entries.
+    /// A handler over the given store and PGO state
+    /// ([`PipelineHandler::default`] has neither). The daemon builds the
+    /// PGO state over the same store.
     pub fn new(cache: Option<Arc<CompileCache>>, pgo: Option<Arc<PgoState>>) -> Self {
-        if let (Some(cache), Some(pgo)) = (&cache, &pgo) {
-            pgo.attach_cache(Arc::clone(cache));
-        }
         PipelineHandler { cache, pgo }
     }
 }
@@ -112,13 +120,13 @@ fn profile_hash(trained: &Trained) -> u64 {
     }
 }
 
-/// Fills the memo entry `key`: builds the benchmark and its oracle
+/// Fills the memo of store entry `key`: builds the benchmark and its oracle
 /// baseline (or takes both from `sibling`, an entry of the same benchmark
 /// and scale), trains the key's profile kind and hashes the result. The
 /// k-iteration profile is dropped once hashed.
 #[allow(clippy::result_large_err)]
 fn prepare(
-    key: &MemoKey,
+    key: &StoreKey,
     build: Build,
     sibling: Option<Arc<Prepared>>,
 ) -> Result<Prepared, Response> {
@@ -147,7 +155,7 @@ fn prepare(
 }
 
 /// What a request compiles against: the benchmark, the pair trained for
-/// the requested kind, and — with a cache — the memo entry both came from.
+/// the requested kind, and — with a store — the memo both came from.
 struct Resolved {
     bench: Arc<Benchmark>,
     pair: Option<ProfilePair>,
@@ -155,8 +163,8 @@ struct Resolved {
 }
 
 /// Resolves `(bench, scale)` with `kind` trained (nothing when `None`):
-/// from the memo entry when a cache is attached, else built and trained
-/// for this request alone.
+/// from the store's memo when one is attached, else built and trained for
+/// this request alone.
 #[allow(clippy::result_large_err)]
 fn resolve(
     (name, build): Builder,
@@ -166,7 +174,7 @@ fn resolve(
 ) -> Result<Resolved, Response> {
     match cache {
         Some(cache) => {
-            let key = MemoKey { bench: name, scale, kind };
+            let key = StoreKey { bench: name, scale, kind };
             let memo = cache.prepared(&key, |sibling| prepare(&key, build, sibling))?;
             let (bench, pair) = (Arc::clone(&memo.bench), memo.pair.clone());
             Ok(Resolved { bench, pair, memo: Some(memo) })
@@ -191,22 +199,24 @@ fn resolve(
 /// - `pgo` folds the profiles requests carry, and once per aggregate key
 ///   the pair the server trains, into the continuous-PGO aggregate of the
 ///   request's profile kind, and registers each compiled unit's drift
-///   reference. The load generator asserts the invariance by diffing
-///   daemon replies against in-process `execute`.
-/// - `cache` is a content-addressed reply cache consulted before the
-///   pipeline, with a memo of the trained state the keys are computed
-///   from. A hit returns a [`Response`] byte-identical to what the
-///   pipeline would recompute, because `execute` is a pure function of
-///   exactly the inputs the cache key hashes (program structure, canonical
-///   profiles, scheme, machine model, plus the request's residual
-///   bench/scale/class). Only successful replies are cached; errors always
-///   re-execute.
+///   reference, in the store it was built over. The load generator
+///   asserts the invariance by diffing daemon replies against in-process
+///   `execute`.
+/// - `cache` is the store, consulted before the pipeline: the memo of
+///   trained state and the content-addressed replies (none at capacity
+///   0). A hit returns a [`Response`] byte-identical to what the pipeline
+///   would recompute, because `execute` is a pure function of exactly the
+///   inputs the key hashes (program structure, canonical profiles, scheme,
+///   machine model, plus the request's residual bench/scale/class). Only
+///   successful replies are stored; errors always re-execute. Pass the
+///   store `pgo` was built over, so one store holds every key's state.
 pub fn execute(
     request: &Request,
     obs: &Obs,
     pgo: Option<&PgoState>,
     cache: Option<&CompileCache>,
 ) -> Response {
+    let cache = cache.filter(|c| c.capacity() > 0);
     match request {
         Request::Ping => Response::Pong { health: HealthSnapshot::default() },
         Request::Shutdown => Response::ShuttingDown,
@@ -235,11 +245,10 @@ fn profile(
         Err(r) => return r,
     };
     let depth = if depth == 0 { DEFAULT_PATH_DEPTH } else { depth as usize };
+    if depth > MAX_DEPTH {
+        return error(ErrorKind::BadRequest, format!("depth {depth} out of range 1..={MAX_DEPTH}"));
+    }
     let kind = ProfileKind { depth, k: None };
-    // Only the default depth, the one every scheme trains, is memoized:
-    // a pair of any other depth would occupy the memo for this request
-    // kind alone.
-    let cache = cache.filter(|_| depth == DEFAULT_PATH_DEPTH);
     let pair = match resolve(builder, scale, Some(kind), cache) {
         Ok(Resolved { pair: Some(pair), .. }) => pair,
         Ok(_) => unreachable!("a trained kind resolves to a pair"),
@@ -258,18 +267,22 @@ fn parse_profile(p: &ProfileText) -> Result<ProfilePair, Response> {
         .map_err(|e| error(ErrorKind::BadProfile, format!("edge profile: {e}")))?;
     let path = path_from_text(&p.path)
         .map_err(|e| error(ErrorKind::BadProfile, format!("path profile: {e}")))?;
+    if path.depth() > MAX_DEPTH {
+        let message = format!("path profile depth {} out of range 1..={MAX_DEPTH}", path.depth());
+        return Err(error(ErrorKind::BadRequest, message));
+    }
     Ok(Arc::new((edge, path)))
 }
 
-/// The reply-cache key of a resolved request, when a cache is attached.
-/// A request that brings its own profile pair is keyed on that pair.
+/// The key of a resolved request's reply in its store entry, when a store
+/// is attached. A request that brings its own profile pair is keyed on
+/// that pair.
 fn cache_key(
     resolved: &Resolved,
     carried: Option<&ProfilePair>,
     scheme: Scheme,
     config: &RunConfig,
     class: CacheClass,
-    scale: u32,
 ) -> Option<CacheKey> {
     let memo = resolved.memo.as_ref()?;
     Some(CacheKey {
@@ -280,8 +293,6 @@ fn cache_key(
             machine_hash(&config.machine),
         ),
         class,
-        bench: memo.bench.name.to_string(),
-        scale,
     })
 }
 
@@ -325,28 +336,34 @@ fn compile(
     // or track, whether or not the request carries a profile. A carried
     // pair says nothing of a k-iteration run: it is a general path profile
     // of its depth, merged on every request. The server's own pair is of
-    // the scheme's kind, merged once.
-    let pgo = pgo.zip(kind).map(|(pgo, kind)| match &carried {
-        Some(p) => (pgo, ProfileKind { depth: p.1.depth(), k: None }),
-        None => (pgo, kind),
+    // the scheme's kind, merged once. The reply is stored under that kind
+    // too, so a carried pair equal to the server's shares its reply.
+    let filed = kind.map(|kind| match &carried {
+        Some(p) => ProfileKind { depth: p.1.depth(), k: None },
+        None => kind,
     });
-    if let Some((pgo, kind)) = pgo {
-        if carried.is_some() {
-            pgo.publish(builder.0, scale, kind, &pair);
-        } else {
-            pgo.publish_trained(builder.0, scale, kind, &pair);
-        }
-    }
+    let store_key = StoreKey { bench: builder.0, scale, kind: filed };
+    // Each unit's drift reference: the carried pair, or the server's own
+    // pair as its aggregate keeps it, which the kind's units share.
+    let pgo = pgo.zip(filed).map(|(pgo, kind)| {
+        let reference = match &carried {
+            Some(p) => {
+                pgo.publish(builder.0, scale, kind, p);
+                Arc::clone(p)
+            }
+            None => pgo.publish_trained(builder.0, scale, kind, &pair),
+        };
+        (pgo, kind, reference)
+    });
 
-    let key =
-        cache_key(&resolved, carried.as_ref(), scheme, &config, CacheClass::Compile, scale);
+    let key = cache_key(&resolved, carried.as_ref(), scheme, &config, CacheClass::Compile);
     if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-        if let Some(reply) = cache.get(key) {
+        if let Some(reply) = cache.get(&store_key, key) {
             // A hit stands in for a successful pipeline run, so the PGO
             // tier still observes the unit (same content — the key
             // equality guarantees the identical path profile).
-            if let Some((pgo, kind)) = pgo {
-                pgo.observe_unit(builder.0, scale, &scheme_name, kind, &pair);
+            if let Some((pgo, kind, reference)) = &pgo {
+                pgo.observe_unit(builder.0, scale, &scheme_name, *kind, reference);
             }
             return (*reply).clone();
         }
@@ -365,8 +382,8 @@ fn compile(
     };
     // The drift reference is the profile the client's traffic is made of:
     // the pair before any inlining, as on a cache hit.
-    if let Some((pgo, kind)) = pgo {
-        pgo.observe_unit(bench.name, scale, &scheme_name, kind, &pair);
+    if let Some((pgo, kind, reference)) = &pgo {
+        pgo.observe_unit(builder.0, scale, &scheme_name, *kind, reference);
     }
 
     let guarded = &compiled.guarded;
@@ -401,7 +418,7 @@ fn compile(
     );
     let response = Response::Compile { report };
     if let (Some(cache), Some(key)) = (cache, key) {
-        cache.insert(key, response.clone());
+        cache.insert(&store_key, key, response.clone());
     }
     response
 }
@@ -437,13 +454,14 @@ fn run_cell(
         Err(r) => return r,
     };
     if let (Some(pgo), Some(kind), Some(pair)) = (pgo, kind, &resolved.pair) {
-        pgo.publish_trained(builder.0, scale, kind, pair);
-        pgo.observe_unit(builder.0, scale, &scheme_name, kind, pair);
+        let reference = pgo.publish_trained(builder.0, scale, kind, pair);
+        pgo.observe_unit(builder.0, scale, &scheme_name, kind, &reference);
     }
+    let store_key = StoreKey { bench: builder.0, scale, kind };
     let class = CacheClass::RunCell { strict };
-    let key = cache_key(&resolved, None, scheme, &config, class, scale);
+    let key = cache_key(&resolved, None, scheme, &config, class);
     if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-        if let Some(reply) = cache.get(key) {
+        if let Some(reply) = cache.get(&store_key, key) {
             return (*reply).clone();
         }
     }
@@ -461,7 +479,7 @@ fn run_cell(
                     .unwrap_or_else(|| "{}".to_string()),
             };
             if let (Some(cache), Some(key)) = (cache, key) {
-                cache.insert(key, response.clone());
+                cache.insert(&store_key, key, response.clone());
             }
             response
         }
@@ -534,6 +552,37 @@ mod tests {
             None,
         );
         assert!(matches!(r, Response::Error { kind: ErrorKind::BadRequest, .. }));
+        let deep = MAX_DEPTH as u32 + 1;
+        let r = execute(
+            &Request::Profile { bench: "wc".into(), scale: 1, depth: deep },
+            &Obs::noop(),
+            None,
+            None,
+        );
+        assert!(matches!(r, Response::Error { kind: ErrorKind::BadRequest, .. }), "{r:?}");
+        // A carried path profile whose header is deeper than the bound.
+        let Response::Profile { edge, path } = execute(
+            &Request::Profile { bench: "wc".into(), scale: 1, depth: 0 },
+            &Obs::noop(),
+            None,
+            None,
+        ) else {
+            panic!("profile failed");
+        };
+        let header = format!("depth {DEFAULT_PATH_DEPTH}\n");
+        let path = path.replacen(&header, &format!("depth {deep}\n"), 1);
+        let r = execute(
+            &Request::Compile {
+                bench: "wc".into(),
+                scale: 1,
+                scheme: "P4".into(),
+                profile: Some(ProfileText { edge, path }),
+            },
+            &Obs::noop(),
+            None,
+            None,
+        );
+        assert!(matches!(r, Response::Error { kind: ErrorKind::BadRequest, .. }), "{r:?}");
     }
 
     #[test]

@@ -325,8 +325,7 @@ impl Telemetry {
              \"pgo\":{{\"enabled\":{},\"profiles_merged\":{},\"units\":{},\"max_generation\":{},\
              \"drifted_units\":{},\"recompiles\":{},\"swaps\":{},\"rollbacks\":{},\
              \"in_flight_recompiles\":{}}},\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"invalidations\":{},\
-             \"entries\":{}}},\
+             \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}},\
              \"telemetry\":{{\"enabled\":{},\"access_log_lines\":{},\"traces_sampled\":{}}},\
              \"window\":{{\"seconds\":{},\"requests\":{},\"rps\":{},\"error_rps\":{},\"busy_rps\":{},\
              \"latency_ms\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p95\":{},\
@@ -349,7 +348,6 @@ impl Telemetry {
             h.cache_hits,
             h.cache_misses,
             h.cache_evictions,
-            h.cache_invalidations,
             h.cache_entries,
             h.telemetry_enabled,
             h.access_log_lines,
@@ -389,7 +387,6 @@ impl Telemetry {
             Gauge::new("cache_hits", h.cache_hits as f64),
             Gauge::new("cache_misses", h.cache_misses as f64),
             Gauge::new("cache_evictions", h.cache_evictions as f64),
-            Gauge::new("cache_invalidations", h.cache_invalidations as f64),
             Gauge::new("cache_entries", f64::from(h.cache_entries)),
             Gauge::new("telemetry_access_log_lines", h.access_log_lines as f64),
             Gauge::new("telemetry_traces_sampled", h.traces_sampled as f64),

@@ -70,10 +70,20 @@ fn fast_config() -> PgoConfig {
     }
 }
 
+/// PGO state over a store of its own that holds no replies.
+fn pgo_state(config: PgoConfig) -> PgoState {
+    PgoState::new(config, Obs::noop(), Arc::new(CompileCache::new(0)))
+}
+
+/// The generation of `wc`'s `P4` unit, if tracked.
+fn p4_generation(state: &PgoState) -> Option<u64> {
+    state.unit("wc", 1, "P4", P4).map(|(generation, _)| generation)
+}
+
 /// Registers a unit compiled against the true profile, then shifts the
 /// aggregate with an inverted publish — the canonical drift setup.
 fn drifted_state(config: PgoConfig) -> (PgoState, EdgeProfile, PathProfile) {
-    let state = PgoState::new(config, Obs::noop());
+    let state = pgo_state(config);
     let (edge, path) = train("wc", 1, DEFAULT_PATH_DEPTH);
     state.observe_unit("wc", 1, "P4", P4, &pair(&edge, &path));
     state.publish("wc", 1, P4, &pair(&edge, &path));
@@ -83,7 +93,7 @@ fn drifted_state(config: PgoConfig) -> (PgoState, EdgeProfile, PathProfile) {
 
 #[test]
 fn publish_folds_profiles_and_skips_unmergeable_ones() {
-    let state = PgoState::new(fast_config(), Obs::noop());
+    let state = pgo_state(fast_config());
     let (edge, path) = train("wc", 1, DEFAULT_PATH_DEPTH);
     state.publish("wc", 1, P4, &pair(&edge, &path));
     state.publish("wc", 1, P4, &pair(&edge, &path));
@@ -97,17 +107,17 @@ fn publish_folds_profiles_and_skips_unmergeable_ones() {
 
 #[test]
 fn sweep_detects_drift_recompiles_and_hot_swaps() {
-    let state = PgoState::new(fast_config(), Obs::noop());
+    let state = pgo_state(fast_config());
     let (edge, path) = train("wc", 1, DEFAULT_PATH_DEPTH);
 
     // Nothing registered, nothing aggregated: a sweep is a no-op.
     assert_eq!(state.sweep(), SweepReport::default());
 
     state.observe_unit("wc", 1, "P4", P4, &pair(&edge, &path));
-    assert_eq!(state.unit_generation("wc", 1, "P4", P4), Some(1));
+    assert_eq!(p4_generation(&state), Some(1));
     // Duplicate observations don't reset the serving unit.
     state.observe_unit("wc", 1, "P4", P4, &pair(&edge, &path));
-    assert_eq!(state.unit_generation("wc", 1, "P4", P4), Some(1));
+    assert_eq!(p4_generation(&state), Some(1));
 
     // Aggregate matches the compiled-against profile: no drift, no churn.
     state.publish("wc", 1, P4, &pair(&edge, &path));
@@ -134,7 +144,7 @@ fn sweep_detects_drift_recompiles_and_hot_swaps() {
     let settled = state.sweep();
     assert_eq!(settled.drifted, 0, "{settled:?}");
     assert_eq!(settled.recompiles, 0, "{settled:?}");
-    assert_eq!(state.unit_generation("wc", 1, "P4", P4), Some(2));
+    assert_eq!(p4_generation(&state), Some(2));
 }
 
 #[test]
@@ -166,7 +176,7 @@ fn injected_corruption_is_rejected_by_the_strict_guard() {
     assert_eq!(report.recompiles, 1, "{report:?}");
     assert_eq!(report.swaps, 0, "corrupted unit must not swap in: {report:?}");
     assert_eq!(report.rollbacks, 1, "{report:?}");
-    assert_eq!(state.unit_generation("wc", 1, "P4", P4), Some(1));
+    assert_eq!(p4_generation(&state), Some(1));
 }
 
 #[test]
@@ -216,8 +226,9 @@ fn a_sweep_over_unchanged_state_scores_nothing_and_decides_the_same() {
 /// pair again on every request.
 #[test]
 fn steady_server_trained_mixed_scheme_load_recompiles_nothing() {
-    let cache = CompileCache::new(DEFAULT_CAPACITY);
-    let state = PgoState::new(PgoConfig { min_samples: 1, ..fast_config() }, Obs::noop());
+    let cache = Arc::new(CompileCache::new(DEFAULT_CAPACITY));
+    let config = PgoConfig { min_samples: 1, ..fast_config() };
+    let state = PgoState::new(config, Obs::noop(), Arc::clone(&cache));
     let obs = Obs::noop();
     for bench in ["wc", "m88k"] {
         for _ in 0..2 {
@@ -258,7 +269,7 @@ fn steady_server_trained_mixed_scheme_load_recompiles_nothing() {
 fn carried_and_server_trained_pk_requests_are_separate_units() {
     const PK2: ProfileKind = ProfileKind { depth: DEFAULT_PATH_DEPTH, k: Some(2) };
     let config = PgoConfig { recompiles_per_sweep: 0, ..fast_config() };
-    let state = PgoState::new(config, Obs::noop());
+    let state = pgo_state(config);
     let obs = Obs::noop();
     let Response::Profile { edge, path } = execute(
         &Request::Profile { bench: "wc".into(), scale: 1, depth: 0 },
@@ -305,7 +316,7 @@ fn carried_and_server_trained_pk_requests_are_separate_units() {
 
 #[test]
 fn profile_sink_never_changes_reply_bytes() {
-    let state = PgoState::new(fast_config(), Obs::noop());
+    let state = pgo_state(fast_config());
     let requests = [
         Request::Profile { bench: "wc".into(), scale: 1, depth: 0 },
         Request::Compile { bench: "wc".into(), scale: 1, scheme: "P4".into(), profile: None },
@@ -326,7 +337,7 @@ fn profile_sink_never_changes_reply_bytes() {
 
 #[test]
 fn daemon_serves_health_and_hot_swaps_under_drifting_traffic() {
-    let state = Arc::new(PgoState::new(fast_config(), Obs::noop()));
+    let state = Arc::new(pgo_state(fast_config()));
     let config = ServeConfig { poll: Duration::from_millis(5), ..ServeConfig::default() };
     let server = ServerHandle::spawn(
         "127.0.0.1:0",
