@@ -15,9 +15,11 @@
 #                             fails if tables or metrics differ by a byte
 #   ./ci.sh profile-io        saved profiles: table1 (basic-block cells
 #                             read no profile) runs from an empty
-#                             --profile-in directory; fig4 on wc saved with
-#                             --profile-out and reloaded with --profile-in
-#                             gives byte-identical tables and metrics
+#                             --profile-in directory; fig4 on every
+#                             benchmark (gcc's path profile is a 3.7 MB
+#                             text) saved with --profile-out and reloaded
+#                             with --profile-in gives byte-identical tables
+#                             and metrics
 #   ./ci.sh serve-smoke       start the pps-serve daemon on an ephemeral
 #                             port, drive it with `pps-client loadgen`
 #                             (concurrent requests verified byte-identical
@@ -179,7 +181,7 @@ profile_io() {
     --profile-in "$out/empty" --log-level warn > "$out/table1.txt" \
     || { echo "table1 needed a saved profile"; exit 1; }
   for pass in out in; do
-    "$harness" --experiment fig4 --bench wc --scale 1 --mode strict \
+    "$harness" --experiment fig4 --scale 1 --mode strict \
       --"profile-$pass" "$out/saved" --metrics-out "$out/metrics-$pass.json" \
       --log-level warn > "$out/tables-$pass.txt"
   done

@@ -263,6 +263,20 @@ impl OracleBaseline {
         &self.runs
     }
 
+    /// Heap bytes held by the baseline's vectors: its inputs and each
+    /// run's outputs and memory image.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let words = |v: &Vec<i64>| v.capacity() * size_of::<i64>();
+        let inputs = self.inputs.iter().map(words).sum::<usize>();
+        let runs = self.runs.iter().flatten();
+        let runs = runs.map(|r| words(&r.result.output) + words(&r.result.memory));
+        self.inputs.capacity() * size_of::<Vec<i64>>()
+            + inputs
+            + self.runs.capacity() * size_of::<Result<BoundedRun, ExecError>>()
+            + runs.sum::<usize>()
+    }
+
     /// `baseline` when it matches, else `program`'s own, computed under
     /// an `oracle-baseline` span.
     pub(crate) fn reuse_or_compute<'a>(

@@ -4,32 +4,43 @@
 //! ([`crate::serialize`]): edges and windows are emitted sorted, so two
 //! profiles that answer every query identically serialize to the same
 //! bytes, and the hash of those bytes is a stable, machine-independent
-//! content address. This is the `profile_hash` leg of the serving stack's
+//! content address. The bytes are never built: the serializer's emitter
+//! streams them straight into a [`Fold`], whose `bytes` + `finish` is
+//! exactly [`profile_text_hash`] of the text. This is the `profile_hash` leg of the serving stack's
 //! `ArtifactKey` — the precondition for reusing profile-guided compiles
 //! across requests, processes, and machines.
 
 use crate::edge::EdgeProfile;
 use crate::kpath::KPathProfile;
 use crate::path::PathProfile;
-use crate::serialize::{edge_to_text, kpath_to_text, path_to_text};
-use pps_ir::hash::{fnv1a64, splitmix64};
+use crate::serialize::{emit_edge, emit_kpath, emit_path};
+use pps_ir::hash::{fnv1a64, splitmix64, Fold};
 
-/// Hashes a canonical profile text. Both profile kinds go through this so
-/// the edge/path hashes share one definition: FNV-1a-64 over the bytes,
-/// diffused through splitmix64.
+/// Hashes a canonical profile text: FNV-1a-64 over the bytes, diffused
+/// through splitmix64. This is the one definition of a profile hash; the
+/// hashes below compute it for a profile's text without building it.
 #[inline]
 pub fn profile_text_hash(text: &str) -> u64 {
     splitmix64(fnv1a64(text.as_bytes()))
 }
 
-/// Canonical hash of an edge profile (over [`edge_to_text`]).
-pub fn edge_hash(profile: &EdgeProfile) -> u64 {
-    profile_text_hash(&edge_to_text(profile))
+/// [`profile_text_hash`] of the text `emit` writes, without the text.
+fn streamed_hash(emit: impl FnOnce(&mut Fold)) -> u64 {
+    let mut fold = Fold::new();
+    emit(&mut fold);
+    fold.finish()
 }
 
-/// Canonical hash of a path profile (over [`path_to_text`]).
+/// Canonical hash of an edge profile (over
+/// [`edge_to_text`](crate::serialize::edge_to_text)).
+pub fn edge_hash(profile: &EdgeProfile) -> u64 {
+    streamed_hash(|fold| emit_edge(profile, fold))
+}
+
+/// Canonical hash of a path profile (over
+/// [`path_to_text`](crate::serialize::path_to_text)).
 pub fn path_hash(profile: &PathProfile) -> u64 {
-    profile_text_hash(&path_to_text(profile))
+    streamed_hash(|fold| emit_path(profile, false, fold))
 }
 
 /// Canonical hash of the edge+path profile pair a compile request carries.
@@ -38,11 +49,12 @@ pub fn profile_pair_hash(edge: &EdgeProfile, path: &PathProfile) -> u64 {
     splitmix64(edge_hash(edge) ^ splitmix64(path_hash(path)))
 }
 
-/// Canonical hash of a k-iteration path profile (over [`kpath_to_text`],
-/// which embeds `k` in its header — the same counts at different `k` hash
-/// differently, as they must: they answer different queries).
+/// Canonical hash of a k-iteration path profile (over
+/// [`kpath_to_text`](crate::serialize::kpath_to_text), which embeds `k` in
+/// its header — the same counts at different `k` hash differently, as they
+/// must: they answer different queries).
 pub fn kpath_hash(profile: &KPathProfile) -> u64 {
-    profile_text_hash(&kpath_to_text(profile))
+    streamed_hash(|fold| emit_kpath(profile, fold))
 }
 
 /// Folds a k-iteration profile hash into an edge+path pair hash, giving
@@ -55,7 +67,7 @@ pub fn profile_triple_hash(edge: &EdgeProfile, path: &PathProfile, kpath: &KPath
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serialize::{edge_from_text, path_from_text};
+    use crate::serialize::{edge_from_text, edge_to_text, path_from_text, path_to_text};
     use crate::{EdgeProfiler, PathProfiler};
     use pps_ir::builder::ProgramBuilder;
     use pps_ir::interp::{ExecConfig, Interp};

@@ -1,22 +1,25 @@
 //! Profile aggregation and drift measurement for the continuous-PGO loop.
 //!
-//! Merging is pure counter addition over the canonical representations the
-//! serializers already use — per-block / per-edge counts for
+//! Merging is pure counter addition — per-block / per-edge counts for
 //! [`EdgeProfile`], maximal-window counts for [`PathProfile`] — so the
 //! operation is commutative and associative, and merging then serializing
 //! is byte-identical no matter the merge order (`tests/profile_props.rs`
-//! proves this over random multi-procedure programs).
+//! proves this over random multi-procedure programs). Path profiles are
+//! merged on their frozen tries, walked together node by node
+//! ([`merge_paths`]); no window is materialized.
 //!
 //! [`path_drift`] quantifies how far a live aggregate has moved from the
 //! profile a unit was compiled with: top-k hot-path set overlap plus total
-//! variation distance over the normalized top-k weights. The serve daemon's
-//! drift detector applies hysteresis thresholds on the combined score.
+//! variation distance over the normalized top-k weights. Only the hottest
+//! windows are materialized to compute it. The serve daemon's drift
+//! detector applies hysteresis thresholds on the combined score.
 
 use crate::edge::EdgeProfile;
 use crate::kpath::KPathProfile;
 use crate::path::PathProfile;
 use pps_ir::{BlockId, ProcId};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 /// Why two profiles cannot be merged.
@@ -102,7 +105,10 @@ pub fn merge_edges(a: &EdgeProfile, b: &EdgeProfile) -> Result<EdgeProfile, Merg
 
 /// Merges two general path profiles by adding their maximal-window counts
 /// (saturating). The result answers every [`PathProfile::freq`] query with
-/// the sum of the operands' answers.
+/// the sum of the operands' answers. The two frozen tries are walked
+/// together into their union, so no window is materialized; a subtree
+/// without a positive count is dropped, as if built from the positive
+/// windows alone.
 ///
 /// # Errors
 /// [`MergeError::DepthMismatch`] / [`MergeError::ShapeMismatch`] when the
@@ -114,17 +120,7 @@ pub fn merge_paths(a: &PathProfile, b: &PathProfile) -> Result<PathProfile, Merg
     if a.num_procs() != b.num_procs() {
         return Err(MergeError::ShapeMismatch { left: a.num_procs(), right: b.num_procs() });
     }
-    let mut per_proc: Vec<Vec<(Vec<BlockId>, u64)>> = Vec::with_capacity(a.num_procs());
-    for pi in 0..a.num_procs() {
-        let pid = ProcId::new(pi as u32);
-        let mut counts: HashMap<Vec<BlockId>, u64> = a.iter_maximal_windows(pid).into_iter().collect();
-        for (window, count) in b.iter_maximal_windows(pid) {
-            let slot = counts.entry(window).or_insert(0);
-            *slot = slot.saturating_add(count);
-        }
-        per_proc.push(counts.into_iter().collect());
-    }
-    Ok(PathProfile::from_windows(a.depth(), per_proc))
+    Ok(PathProfile::merge(a, b))
 }
 
 /// Merges two k-iteration path profiles by adding their completed-path
@@ -176,17 +172,39 @@ pub struct DriftReport {
 
 /// The `k` hottest maximal windows of `profile` across all procedures,
 /// hottest first, deterministically tie-broken by (procedure, window).
+///
+/// A pass over the trie nodes' counts finds the `k`-th largest count; only
+/// windows at least that hot are materialized (the `k` plus any tied with
+/// the last), then sorted and cut to `k`.
 fn top_k_windows(profile: &PathProfile, k: usize) -> Vec<((ProcId, Vec<BlockId>), u64)> {
-    let mut all: Vec<((ProcId, Vec<BlockId>), u64)> = Vec::new();
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut hottest: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(k + 1);
+    profile.for_each_count(|count| {
+        if count > 0 && (hottest.len() < k || hottest.peek().is_some_and(|&Reverse(c)| count > c)) {
+            hottest.push(Reverse(count));
+            if hottest.len() > k {
+                hottest.pop();
+            }
+        }
+    });
+    let threshold = match hottest.peek() {
+        Some(&Reverse(kth)) if hottest.len() == k => kth,
+        _ => 1,
+    };
+    let mut top: Vec<((ProcId, Vec<BlockId>), u64)> = Vec::new();
     for pi in 0..profile.num_procs() {
         let pid = ProcId::new(pi as u32);
-        for (window, count) in profile.iter_maximal_windows(pid) {
-            all.push(((pid, window), count));
-        }
+        profile.for_each_window(pid, |key, count| {
+            if count >= threshold {
+                top.push(((pid, key.iter().rev().copied().collect()), count));
+            }
+        });
     }
-    all.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then_with(|| ka.cmp(kb)));
-    all.truncate(k);
-    all
+    top.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then_with(|| ka.cmp(kb)));
+    top.truncate(k);
+    top
 }
 
 /// Measures drift of the `live` aggregate relative to the `compiled`
@@ -246,14 +264,11 @@ fn drift_over(
     // side normalized by its own top-k mass.
     let mass_c: f64 = top_c.iter().map(|(_, c)| *c as f64).sum();
     let mass_l: f64 = top_l.iter().map(|(_, c)| *c as f64).sum();
-    let mut union: Vec<&(ProcId, Vec<BlockId>)> = set_c.keys().copied().collect();
-    for key in set_l.keys() {
-        if !set_c.contains_key(*key) {
-            union.push(key);
-        }
-    }
+    // The union in rank order (the compiled side's, then the live side's
+    // others), so the sum is the same on every run.
+    let only_live = top_l.iter().filter(|(key, _)| !set_c.contains_key(key));
     let mut divergence = 0.0;
-    for key in union {
+    for (key, _) in top_c.iter().chain(only_live) {
         let pc = set_c.get(key).map_or(0.0, |&c| c as f64 / mass_c.max(1.0));
         let pl = set_l.get(key).map_or(0.0, |&c| c as f64 / mass_l.max(1.0));
         divergence += (pc - pl).abs();

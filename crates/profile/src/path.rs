@@ -33,6 +33,12 @@
 //!    trie parent (`W` minus its oldest block), found through per-node
 //!    forward-extension lists, so a miss costs one lookup plus the nodes it
 //!    creates.
+//!
+//! A profile is also loaded from maximal windows (a saved text, or
+//! [`PathProfile::from_windows`]) by a loader that builds each procedure's
+//! trie from a sorted flat arena of its windows, and two profiles merge by
+//! walking their frozen tries together ([`crate::merge::merge_paths`]).
+//! Neither builds a map or a `Vec` per window.
 
 use pps_ir::{BlockId, ProcId, Program, TraceSink};
 use std::collections::HashMap;
@@ -421,6 +427,78 @@ impl FrozenTable {
         self.children(node).iter().fold(own, |c, &(_, k)| c.wrapping_sub(self.subtree[k as usize]))
     }
 
+    /// Each node's maximal-window count, and whether its subtree holds a
+    /// positive one: the nodes [`PathProfile::from_windows`] would build
+    /// from the positive windows alone.
+    fn own_counts(&self) -> (Vec<u64>, Vec<bool>) {
+        let n = self.subtree.len();
+        let (mut own, mut live) = (Vec::with_capacity(n), vec![false; n]);
+        for node in 0..n {
+            own.push(self.count(node as NodeId));
+        }
+        // Children have larger ids than parents.
+        for node in (0..n).rev() {
+            let kids = self.children(node as NodeId);
+            live[node] = own[node] > 0 || kids.iter().any(|&(_, k)| live[k as usize]);
+        }
+        (own, live)
+    }
+
+    /// The union of `a` and `b` with their maximal-window counts added
+    /// (saturating), pruned of every subtree without a positive count.
+    ///
+    /// Both tries are walked together breadth first: each output node
+    /// pairs a node of `a` and one of `b` (either may be absent), and its
+    /// children are the merge of theirs, which are already sorted runs. So
+    /// output nodes are numbered breadth first, every node's children are
+    /// one run of consecutive ids, and the frozen form falls out directly.
+    fn merge(a: &FrozenTable, b: &FrozenTable) -> FrozenTable {
+        let ((own_a, live_a), (own_b, live_b)) = (a.own_counts(), b.own_counts());
+        let own = |own: &[u64], n: NodeId| if n == NONE { 0 } else { own[n as usize] };
+        let live = |live: &[bool], n: NodeId| n != NONE && live[n as usize];
+        fn kids(t: &FrozenTable, n: NodeId) -> &[(BlockId, NodeId)] {
+            if n == NONE { &[] } else { t.children(n) }
+        }
+        // `pairs[n]`: the nodes of `a` and `b` that output node `n` merges.
+        let mut pairs: Vec<(NodeId, NodeId)> = vec![(ROOT, ROOT)];
+        let mut counts = vec![own_a[0].saturating_add(own_b[0])];
+        let mut kid_start = vec![0u32];
+        let mut out_kids: Vec<(BlockId, NodeId)> = Vec::new();
+        let mut n = 0;
+        while let Some(&(na, nb)) = pairs.get(n) {
+            let (ka, kb) = (kids(a, na), kids(b, nb));
+            let (mut i, mut j) = (0, 0);
+            loop {
+                let (label, ca, cb) = match (ka.get(i), kb.get(j)) {
+                    (Some(&(la, ca)), Some(&(lb, cb))) if la == lb => (la, ca, cb),
+                    (Some(&(la, ca)), Some(&(lb, _))) if la < lb => (la, ca, NONE),
+                    (Some(&(la, ca)), None) => (la, ca, NONE),
+                    (_, Some(&(lb, cb))) => (lb, NONE, cb),
+                    (None, None) => break,
+                };
+                i += usize::from(ca != NONE);
+                j += usize::from(cb != NONE);
+                if live(&live_a, ca) || live(&live_b, cb) {
+                    out_kids.push((label, pairs.len() as NodeId));
+                    pairs.push((ca, cb));
+                    counts.push(own(&own_a, ca).saturating_add(own(&own_b, cb)));
+                }
+            }
+            kid_start.push(out_kids.len() as u32);
+            n += 1;
+        }
+        // Subtree sums bottom-up (children have larger ids), wrapping like
+        // `from_trie`'s.
+        let mut subtree = counts;
+        for n in (0..subtree.len()).rev() {
+            let run = &out_kids[kid_start[n] as usize..kid_start[n + 1] as usize];
+            subtree[n] = run.iter().fold(subtree[n], |s, &(_, k)| s.wrapping_add(subtree[k as usize]));
+        }
+        out_kids.shrink_to_fit();
+        kid_start.shrink_to_fit();
+        FrozenTable { kid_start, kids: out_kids, subtree, cache_hits: 0, cache_misses: 0 }
+    }
+
     fn lookup(&self, seq: &[BlockId]) -> Option<NodeId> {
         seq.iter().rev().try_fold(ROOT, |cur, &b| {
             let kids = self.children(cur);
@@ -539,12 +617,6 @@ impl PathProfile {
         (t.cache_hits, t.cache_misses)
     }
 
-    /// Restores `proc`'s transition-cache statistics (a reloaded profile's).
-    pub(crate) fn set_cache_stats(&mut self, proc: ProcId, hits: u64, misses: u64) {
-        let t = &mut self.procs[proc.index()];
-        (t.cache_hits, t.cache_misses) = (hits, misses);
-    }
-
     /// Records profile summary metrics into `obs`: distinct paths and
     /// transition-cache totals across all procedures, plus the profiling
     /// depth, as `profile.path.*` counters.
@@ -567,14 +639,21 @@ impl PathProfile {
     /// Enumerates every recorded maximal window of `proc` with its count
     /// (counts > 0 only), in an unspecified but deterministic order. The
     /// profile can be reconstructed exactly from these via
-    /// [`from_windows`](Self::from_windows) — the basis of profile
-    /// serialization.
+    /// [`from_windows`](Self::from_windows).
     pub fn iter_maximal_windows(&self, proc: ProcId) -> Vec<(Vec<BlockId>, u64)> {
-        let table = &self.procs[proc.index()];
         let mut out = Vec::new();
-        // Pre-order DFS from the root, children in descending block order.
-        // `key` holds the popped node's path newest-first (the trie's key
-        // order), so the window is `key` reversed.
+        self.for_each_window(proc, |key, count| out.push((key.iter().rev().copied().collect(), count)));
+        out
+    }
+
+    /// Calls `f(key, count)` for every maximal window of `proc` with a
+    /// positive count, where `key` is the window newest block first (the
+    /// trie's key order). A pre-order walk of the frozen trie with one
+    /// shared key buffer: nothing is allocated per window.
+    pub(crate) fn for_each_window(&self, proc: ProcId, mut f: impl FnMut(&[BlockId], u64)) {
+        let table = &self.procs[proc.index()];
+        // Children are pushed in ascending block order, so they pop in
+        // descending order.
         let mut key: Vec<BlockId> = Vec::new();
         let mut stack: Vec<(NodeId, BlockId, usize)> = vec![(ROOT, BlockId::new(0), 0)];
         while let Some((node, label, len)) = stack.pop() {
@@ -582,13 +661,25 @@ impl PathProfile {
                 key.truncate(len - 1);
                 key.push(label);
             }
-            let count = table.count(node);
-            if count > 0 {
-                out.push((key.iter().rev().copied().collect(), count));
+            // The node's count (`FrozenTable::count`), in the pass that
+            // pushes its children.
+            let mut count = table.subtree[node as usize];
+            for &(b, c) in table.children(node) {
+                count = count.wrapping_sub(table.subtree[c as usize]);
+                stack.push((c, b, len + 1));
             }
-            stack.extend(table.children(node).iter().map(|&(b, c)| (c, b, len + 1)));
+            if count > 0 {
+                f(&key, count);
+            }
         }
-        out
+    }
+
+    /// Calls `f` with the maximal-window count of every trie node of every
+    /// procedure, zero counts included, in no particular order.
+    pub(crate) fn for_each_count(&self, mut f: impl FnMut(u64)) {
+        for table in &self.procs {
+            (0..table.subtree.len()).for_each(|n| f(table.count(n as NodeId)));
+        }
     }
 
     /// The profile whose maximal windows are every prefix of every path in
@@ -619,23 +710,124 @@ impl PathProfile {
     }
 
     /// Reconstructs a profile from per-procedure maximal-window counts (as
-    /// produced by [`iter_maximal_windows`](Self::iter_maximal_windows)).
+    /// produced by [`iter_maximal_windows`](Self::iter_maximal_windows)),
+    /// through the same loader the text parser uses. A window
+    /// listed twice has its counts added.
     pub fn from_windows(depth: usize, per_proc: Vec<Vec<(Vec<BlockId>, u64)>>) -> PathProfile {
-        let procs = per_proc
-            .into_iter()
-            .map(|windows| {
-                let mut trie = Trie::new();
-                let mut child: HashMap<(NodeId, BlockId), NodeId> = HashMap::new();
-                for (window, count) in windows {
-                    let id = window.iter().rev().fold(ROOT, |cur, &b| {
-                        *child.entry((cur, b)).or_insert_with(|| trie.add_child(cur, b, 0))
-                    });
-                    trie.counts[id as usize] += count;
-                }
-                FrozenTable::from_trie(trie, 0, 0)
-            })
-            .collect();
-        PathProfile { procs, depth }
+        let mut loader = PathLoader::new(depth);
+        for windows in per_proc {
+            loader.begin_proc();
+            for (window, count) in windows {
+                loader.add_window(&window, count);
+            }
+        }
+        loader.finish()
+    }
+
+    /// The sum of `a` and `b`, which have the same depth and procedure
+    /// count: every maximal window's count is the saturating sum of its
+    /// counts in `a` and `b`. Each procedure's tries are walked together
+    /// ([`FrozenTable::merge`]); no window is materialized.
+    pub(crate) fn merge(a: &PathProfile, b: &PathProfile) -> PathProfile {
+        debug_assert_eq!((a.depth, a.procs.len()), (b.depth, b.procs.len()));
+        let procs = a.procs.iter().zip(&b.procs).map(|(ta, tb)| FrozenTable::merge(ta, tb));
+        PathProfile { procs: procs.collect(), depth: a.depth }
+    }
+}
+
+/// Builds a [`PathProfile`] from maximal windows, one procedure at a time.
+/// The text parser streams each `window` line into it, and
+/// [`PathProfile::from_windows`] loads through it too.
+///
+/// A procedure's windows go into one flat arena: their blocks, plus a
+/// `(count, start, len)` record each. Closing the procedure sorts the
+/// records by reversed block sequence, the trie's key order, so each
+/// window shares its path from the root with the window before it for as
+/// long as their newest blocks agree, and the rest of its nodes are new.
+/// The trie is then built in one pass along a stack of the previous
+/// window's nodes: no map, no lookup.
+#[derive(Debug)]
+pub(crate) struct PathLoader {
+    depth: usize,
+    done: Vec<FrozenTable>,
+    /// Whether a procedure is open.
+    open: bool,
+    /// The open procedure's windows' blocks, oldest first per window.
+    blocks: Vec<BlockId>,
+    /// `(count, start, len)` of each of the open procedure's windows.
+    windows: Vec<(u64, usize, usize)>,
+    /// The open procedure's transition-cache statistics `(hits, misses)`.
+    stats: (u64, u64),
+}
+
+impl PathLoader {
+    /// An empty loader for a profile of `depth`.
+    pub(crate) fn new(depth: usize) -> Self {
+        let (blocks, windows) = (Vec::new(), Vec::new());
+        PathLoader { depth, done: Vec::new(), open: false, blocks, windows, stats: (0, 0) }
+    }
+
+    /// Procedures begun so far.
+    pub(crate) fn num_procs(&self) -> usize {
+        self.done.len() + usize::from(self.open)
+    }
+
+    /// Freezes the open procedure, if any.
+    fn close(&mut self) {
+        if !std::mem::take(&mut self.open) {
+            return;
+        }
+        let blocks = &self.blocks;
+        let key = |&(_, start, len): &(u64, usize, usize)| blocks[start..start + len].iter().rev();
+        self.windows.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+        let mut trie = Trie::new();
+        // `path[d]`: the node at depth `d` of the previous window's key.
+        let mut path: Vec<NodeId> = vec![ROOT];
+        let mut prev: &[BlockId] = &[];
+        for &(count, start, len) in &self.windows {
+            let window = &blocks[start..start + len];
+            // The newest blocks it shares with the window before: its path
+            // from the root that already exists.
+            let same = prev.iter().rev().zip(window.iter().rev()).take_while(|(a, b)| a == b);
+            path.truncate(same.count() + 1);
+            for &b in window[..len + 1 - path.len()].iter().rev() {
+                let parent = path[path.len() - 1];
+                path.push(trie.add_child(parent, b, 0));
+            }
+            let slot = &mut trie.counts[path[len] as usize];
+            *slot = slot.wrapping_add(count);
+            prev = window;
+        }
+        let (hits, misses) = std::mem::take(&mut self.stats);
+        self.done.push(FrozenTable::from_trie(trie, hits, misses));
+        self.blocks.clear();
+        self.windows.clear();
+    }
+
+    /// Starts the next procedure.
+    pub(crate) fn begin_proc(&mut self) {
+        self.close();
+        self.open = true;
+    }
+
+    /// Sets the current procedure's transition-cache statistics.
+    pub(crate) fn set_cache_stats(&mut self, hits: u64, misses: u64) {
+        debug_assert!(self.open, "a procedure is open");
+        self.stats = (hits, misses);
+    }
+
+    /// Adds `count` to the current procedure's maximal window `window`
+    /// (oldest block first). A window given twice has its counts added.
+    pub(crate) fn add_window(&mut self, window: &[BlockId], count: u64) {
+        debug_assert!(self.open, "a procedure is open");
+        self.windows.push((count, self.blocks.len(), window.len()));
+        self.blocks.extend_from_slice(window);
+    }
+
+    /// Freezes every procedure into the profile.
+    pub(crate) fn finish(mut self) -> PathProfile {
+        self.close();
+        PathProfile { procs: self.done, depth: self.depth }
     }
 }
 

@@ -21,15 +21,25 @@
 //! A saved path profile may also carry the profiler's transition-cache
 //! statistics, one `cache HITS MISSES` line after a `proc` line
 //! ([`path_to_text_with_stats`]).
+//!
+//! Each format has one emitter, which writes decimal numbers by hand into
+//! a byte sink: a buffer that becomes the text, or a hash fold
+//! ([`crate::hash`]), so hashing never builds the text. A path profile's
+//! windows are enumerated from the frozen trie into one flat arena per
+//! procedure and sorted there; no `Vec` is built per window. The path
+//! parser streams each `window` line, through one reused block buffer,
+//! into the trie loader (`path::PathLoader`). It accepts and rejects exactly
+//! what the window-based codec it replaced did, with the same error text
+//! and line numbers (`tests/codec_diff.rs` checks both against that codec).
 
 use crate::edge::EdgeProfile;
 use crate::kpath::KPathProfile;
-use crate::path::PathProfile;
+use crate::path::{PathLoader, PathProfile};
+use pps_ir::hash::Fold;
 use pps_ir::{BlockId, ProcId};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// A profile-deserialization failure with a 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,25 +62,92 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ProfileParseErro
     Err(ProfileParseError { line, message: message.into() })
 }
 
-/// Serializes an edge profile.
-pub fn edge_to_text(profile: &EdgeProfile) -> String {
-    let mut s = String::from("pps-edge-profile v1\n");
+/// Where canonical profile text goes: a byte buffer that becomes the
+/// text, or a hash [`Fold`] that consumes it as it is written, so hashing
+/// a profile never builds its text. Numbers are formatted by hand.
+pub(crate) trait Emit {
+    /// Appends raw bytes.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends a space and `v` in decimal.
+    #[inline]
+    fn num(&mut self, mut v: u64) {
+        let mut buf = [0u8; 21];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        buf[i - 1] = b' ';
+        self.put(&buf[i - 1..]);
+    }
+}
+
+impl Emit for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        // Byte by byte: the pieces are a few bytes long, and a `memcpy`
+        // call per piece costs more than the copy.
+        for &b in bytes {
+            self.push(b);
+        }
+    }
+}
+
+impl Emit for Fold {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+}
+
+/// The text an emitter wrote into a byte buffer.
+fn into_text(emit: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::new();
+    emit(&mut out);
+    String::from_utf8(out).expect("profile text is ASCII")
+}
+
+/// Writes an edge profile's canonical text.
+pub(crate) fn emit_edge(profile: &EdgeProfile, out: &mut impl Emit) {
+    out.put(b"pps-edge-profile v1\n");
+    let mut edges: Vec<((BlockId, BlockId), u64)> = Vec::new();
     for pi in 0..profile.num_procs() {
         let pid = ProcId::new(pi as u32);
-        let _ = writeln!(s, "proc {pi} blocks {}", profile.num_blocks(pid));
+        out.put(b"proc");
+        out.num(pi as u64);
+        out.put(b" blocks");
+        out.num(profile.num_blocks(pid) as u64);
+        out.put(b"\n");
         for b in 0..profile.num_blocks(pid) {
             let f = profile.block_freq(pid, BlockId::new(b as u32));
             if f > 0 {
-                let _ = writeln!(s, "block {b} {f}");
+                out.put(b"block");
+                out.num(b as u64);
+                out.num(f);
+                out.put(b"\n");
             }
         }
-        let mut edges: Vec<((BlockId, BlockId), u64)> = profile.iter_edges(pid).collect();
-        edges.sort();
-        for ((a, b), f) in edges {
-            let _ = writeln!(s, "edge {} {} {f}", a.index(), b.index());
+        edges.clear();
+        edges.extend(profile.iter_edges(pid));
+        edges.sort_unstable();
+        for &((a, b), f) in &edges {
+            out.put(b"edge");
+            out.num(a.index() as u64);
+            out.num(b.index() as u64);
+            out.num(f);
+            out.put(b"\n");
         }
     }
-    s
+}
+
+/// Serializes an edge profile.
+pub fn edge_to_text(profile: &EdgeProfile) -> String {
+    into_text(|out| emit_edge(profile, out))
 }
 
 /// Deserializes an edge profile.
@@ -137,7 +214,7 @@ pub fn edge_from_text(text: &str) -> Result<EdgeProfile, ProfileParseError> {
 
 /// Serializes a general path profile as its maximal-window counts.
 pub fn path_to_text(profile: &PathProfile) -> String {
-    write_path(profile, false)
+    into_text(|out| emit_path(profile, false, out))
 }
 
 /// [`path_to_text`] plus each procedure's transition-cache statistics
@@ -147,32 +224,68 @@ pub fn path_to_text(profile: &PathProfile) -> String {
 /// run built. The canonical form ([`path_to_text`], which content hashes
 /// and the serve protocol use) leaves them out.
 pub fn path_to_text_with_stats(profile: &PathProfile) -> String {
-    write_path(profile, true)
+    into_text(|out| emit_path(profile, true, out))
 }
 
-fn write_path(profile: &PathProfile, stats: bool) -> String {
-    let mut s = format!("pps-path-profile v1 depth {}\n", profile.depth());
+/// One procedure's maximal windows in one flat arena: every window's
+/// blocks oldest first in `blocks`, and a `(count, start, len)` record per
+/// window, sorted by block sequence. Windows are unique per procedure, so
+/// that is the canonical order.
+#[derive(Default)]
+struct WindowArena {
+    blocks: Vec<BlockId>,
+    windows: Vec<(u64, usize, usize)>,
+}
+
+impl WindowArena {
+    /// Refills the arena with `proc`'s windows, sorted.
+    fn fill(&mut self, profile: &PathProfile, proc: ProcId) {
+        let WindowArena { blocks, windows } = self;
+        blocks.clear();
+        windows.clear();
+        profile.for_each_window(proc, |key, count| {
+            windows.push((count, blocks.len(), key.len()));
+            blocks.extend(key.iter().rev());
+        });
+        let blocks = &self.blocks;
+        let seq = |&(_, start, len): &(u64, usize, usize)| &blocks[start..start + len];
+        self.windows.sort_unstable_by(|a, b| seq(a).cmp(seq(b)));
+    }
+}
+
+/// Writes a path profile's text, with its cache statistics when `stats`.
+pub(crate) fn emit_path(profile: &PathProfile, stats: bool, out: &mut impl Emit) {
+    out.put(b"pps-path-profile v1 depth");
+    out.num(profile.depth() as u64);
+    out.put(b"\n");
+    let mut arena = WindowArena::default();
     for pi in 0..profile.num_procs() {
         let pid = ProcId::new(pi as u32);
-        let _ = writeln!(s, "proc {pi}");
+        out.put(b"proc");
+        out.num(pi as u64);
+        out.put(b"\n");
         let (hits, misses) = profile.cache_stats(pid);
         if stats && (hits, misses) != (0, 0) {
-            let _ = writeln!(s, "cache {hits} {misses}");
+            out.put(b"cache");
+            out.num(hits);
+            out.num(misses);
+            out.put(b"\n");
         }
-        let mut windows = profile.iter_maximal_windows(pid);
-        windows.sort();
-        for (window, count) in windows {
-            let _ = write!(s, "window {count}");
-            for b in window {
-                let _ = write!(s, " {}", b.index());
+        arena.fill(profile, pid);
+        for &(count, start, len) in &arena.windows {
+            out.put(b"window");
+            out.num(count);
+            for b in &arena.blocks[start..start + len] {
+                out.num(b.index() as u64);
             }
-            let _ = writeln!(s);
+            out.put(b"\n");
         }
     }
-    s
 }
 
-/// Deserializes a general path profile.
+/// Deserializes a general path profile. Each `window` line is streamed,
+/// through one reused block buffer, into the loader that builds the
+/// procedure's trie.
 ///
 /// # Errors
 /// Returns a [`ProfileParseError`] on malformed input.
@@ -185,8 +298,8 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
         .strip_prefix("pps-path-profile v1 depth ")
         .and_then(|d| d.parse::<usize>().ok())
         .ok_or(ProfileParseError { line: ln, message: format!("bad header `{header}`") })?;
-    let mut per_proc: Vec<Vec<(Vec<BlockId>, u64)>> = Vec::new();
-    let mut stats: Vec<(ProcId, u64, u64)> = Vec::new();
+    let mut loader = PathLoader::new(depth);
+    let mut window: Vec<BlockId> = Vec::new();
     for (ln, l) in lines {
         if l.is_empty() {
             continue;
@@ -195,29 +308,31 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
             let pi: usize = pi
                 .parse()
                 .map_err(|_| ProfileParseError { line: ln, message: "bad proc index".into() })?;
-            if pi != per_proc.len() {
+            if pi != loader.num_procs() {
                 return err(ln, "procs must appear in order");
             }
-            per_proc.push(Vec::new());
+            loader.begin_proc();
         } else if let Some(rest) = l.strip_prefix("cache ") {
-            let Some(pi) = per_proc.len().checked_sub(1) else {
+            if loader.num_procs() == 0 {
                 return err(ln, "cache before proc");
-            };
-            let counts: Vec<Option<u64>> = rest.split_whitespace().map(|t| t.parse().ok()).collect();
-            let [Some(hits), Some(misses)] = counts[..] else {
+            }
+            let mut counts = rest.split_whitespace().map(|t| t.parse::<u64>().ok());
+            let (Some(Some(hits)), Some(Some(misses)), None) =
+                (counts.next(), counts.next(), counts.next())
+            else {
                 return err(ln, "bad cache statistics");
             };
-            stats.push((ProcId::new(pi as u32), hits, misses));
+            loader.set_cache_stats(hits, misses);
         } else if let Some(rest) = l.strip_prefix("window ") {
-            let Some(cur) = per_proc.last_mut() else {
+            if loader.num_procs() == 0 {
                 return err(ln, "window before proc");
-            };
+            }
             let mut toks = rest.split_whitespace();
             let count: u64 = toks
                 .next()
                 .and_then(|t| t.parse().ok())
-                .ok_or(ProfileParseError { line: ln, message: "bad window count".into() })?;
-            let mut window = Vec::new();
+                .ok_or_else(|| ProfileParseError { line: ln, message: "bad window count".into() })?;
+            window.clear();
             for t in toks {
                 let b: u32 = t
                     .parse()
@@ -227,40 +342,44 @@ pub fn path_from_text(text: &str) -> Result<PathProfile, ProfileParseError> {
             if window.is_empty() {
                 return err(ln, "empty window");
             }
-            cur.push((window, count));
+            loader.add_window(&window, count);
         } else {
             return err(ln, format!("unrecognized line `{l}`"));
         }
     }
-    let mut profile = PathProfile::from_windows(depth, per_proc);
-    for (pid, hits, misses) in stats {
-        profile.set_cache_stats(pid, hits, misses);
+    Ok(loader.finish())
+}
+
+/// Writes a k-iteration profile's text: each procedure's paths sorted.
+pub(crate) fn emit_kpath(profile: &KPathProfile, out: &mut impl Emit) {
+    out.put(b"pps-kpath-profile v1 k");
+    out.num(profile.k() as u64);
+    out.put(b"\n");
+    let mut paths: Vec<(&[BlockId], u64)> = Vec::new();
+    for pi in 0..profile.num_procs() {
+        let pid = ProcId::new(pi as u32);
+        out.put(b"proc");
+        out.num(pi as u64);
+        out.put(b"\n");
+        paths.clear();
+        paths.extend(profile.iter_paths(pid));
+        paths.sort_unstable();
+        for &(path, count) in &paths {
+            out.put(b"path");
+            out.num(count);
+            for b in path {
+                out.num(b.index() as u64);
+            }
+            out.put(b"\n");
+        }
     }
-    Ok(profile)
 }
 
 /// Serializes a k-iteration path profile as its completed-path counts.
 /// Paths are emitted sorted, so the text is canonical: two profiles that
 /// answer every query identically serialize to the same bytes.
 pub fn kpath_to_text(profile: &KPathProfile) -> String {
-    let mut s = format!("pps-kpath-profile v1 k {}\n", profile.k());
-    for pi in 0..profile.num_procs() {
-        let pid = ProcId::new(pi as u32);
-        let _ = writeln!(s, "proc {pi}");
-        let mut paths: Vec<(Vec<BlockId>, u64)> = profile
-            .iter_paths(pid)
-            .map(|(p, c)| (p.to_vec(), c))
-            .collect();
-        paths.sort();
-        for (path, count) in paths {
-            let _ = write!(s, "path {count}");
-            for b in path {
-                let _ = write!(s, " {}", b.index());
-            }
-            let _ = writeln!(s);
-        }
-    }
-    s
+    into_text(|out| emit_kpath(profile, out))
 }
 
 /// Deserializes a k-iteration path profile.

@@ -26,31 +26,35 @@
 //! # One bound
 //!
 //! Each entry measures the bytes it retains whenever it is filled or
-//! grows: every distinct profile pair once, from the
-//! profiles' own vectors, the benchmark's data section and the baseline's
-//! memory image, and the replies. Over [`STORE_BUDGET`] bytes, or over its
+//! grows: its maps, every distinct profile pair once, from the profiles'
+//! own vectors, the units and the replies. The memo's benchmark (code with
+//! its operand lists, data and inputs) and its baseline (inputs, outputs
+//! and memory image) are shared by the kinds of one benchmark and scale,
+//! one `Arc` each; they are measured once, when the memo is filled, and the
+//! store counts each of them once across all entries, plus its own entry
+//! map. Over [`STORE_BUDGET`] bytes, or over its
 //! reply capacity (`--cache-cap`), the store evicts whole entries, least
 //! recently used first, dropping a key's memo, aggregate, units and replies
 //! together. An entry larger than the whole budget serves its request and
 //! is not kept. With capacity 0 the daemon keeps no replies and no memo,
 //! only PGO state.
 //!
-//! The count is conservative: kinds that share a benchmark each count it.
 //! Every key of every suite benchmark (14 × untrained, depth 15, k = 2 and
-//! k = 3) accounts 50 MB for 33 MB of live heap at scale 1, and 146 MB for
-//! 104 MB at scale 4, so the budget holds either. Both are dominated by
-//! `gcc`'s depth-15 path profile (21 MB and 80 MB), which a request without
-//! the store builds too, but holds only while it runs. Counters (hits,
+//! k = 3) accounts 32.5 MB at scale 1, within the live heap a counting
+//! allocator sees (`tests/budget.rs`). That is dominated by
+//! `gcc`'s depth-15 path profile (21 MB), which a request without the store
+//! builds too, but holds only while it runs. Counters (hits,
 //! misses, evictions, resident replies) feed `/metrics`, `/health` and the
 //! Pong snapshot.
 
-use crate::pgo::{Aggregate, UnitEntry};
+use crate::pgo::{Aggregate, ServingUnit, UnitEntry};
 use crate::proto::{HealthSnapshot, Response};
 use pps_core::{OracleBaseline, Scheme};
 use pps_eval::runner::ProfilePair;
 use pps_ir::hash::Fold;
+use pps_ir::{Block, BlockId, Instr, Operand, Proc, Terminator};
 use pps_machine::{LatencyModel, MachineConfig};
-use pps_profile::DEFAULT_PATH_DEPTH;
+use pps_profile::{EdgeProfile, PathProfile, DEFAULT_PATH_DEPTH};
 use pps_suite::Benchmark;
 use std::collections::HashMap;
 use std::fmt;
@@ -111,7 +115,7 @@ pub const DEFAULT_CAPACITY: usize = 128;
 
 /// Retained-byte budget of the store ([`CompileCache::new`]), as its
 /// entries account themselves: every key of every suite benchmark at
-/// scale 4 fits (146 MB).
+/// scale 4 fits.
 pub const STORE_BUDGET: usize = 160 << 20;
 
 /// Which profile a training run collects: a path profile of `depth`, from
@@ -218,36 +222,59 @@ pub(crate) struct Entry {
     replies: HashMap<CacheKey, Arc<Response>>,
     /// What [`Entry::measure`] last counted.
     bytes: usize,
+    /// Bytes of the memo's benchmark and of its baseline, which the kinds
+    /// of one benchmark and scale share; measured once, when it is filled.
+    shared: [usize; 2],
     last_used: u64,
 }
 
 impl Entry {
-    /// Bytes the entry retains: each distinct profile pair of the memo,
-    /// the aggregate and the units once, the memo's benchmark data and
-    /// baseline memory image, and the replies.
+    /// Bytes the entry retains of its own: its fill lock, memo and maps,
+    /// each distinct profile pair of the memo, the aggregate and the units
+    /// once, the units and the replies with their keys. The memo's
+    /// benchmark and baseline, which the kinds of one benchmark and scale
+    /// share, the store counts once ([`Inner::bytes`]).
     fn measure(&self) -> usize {
         let mut pairs: Vec<ProfilePair> = Vec::new();
         let memo_pair = self.memo.as_ref().and_then(|m| m.pair.clone());
         let aggregate = self.aggregate.iter().flat_map(|a| [Some(&a.pair), a.trained.as_ref()]);
         let aggregate = aggregate.flatten().cloned();
-        let units = self.units.values().map(|u| Arc::clone(&u.slot.load().1.profiles));
-        for pair in memo_pair.into_iter().chain(aggregate).chain(units) {
+        let unit_pairs = self.units.values().map(|u| Arc::clone(&u.slot.load().1.profiles));
+        for pair in memo_pair.into_iter().chain(aggregate).chain(unit_pairs) {
             if !pairs.iter().any(|p| Arc::ptr_eq(p, &pair)) {
                 pairs.push(pair);
             }
         }
-        let profiles: usize = pairs.iter().map(|p| p.0.heap_bytes() + p.1.heap_bytes()).sum();
-        let memo = self.memo.as_ref().map_or(0, |m| {
-            let program = &m.bench.program;
-            size_of::<i64>() * (program.data.len() + program.mem_size)
+        let pair = |p: &ProfilePair| p.0.heap_bytes() + p.1.heap_bytes();
+        let profiles = pairs.len() * arc::<(EdgeProfile, PathProfile)>()
+            + pairs.iter().map(pair).sum::<usize>();
+        let units = self.units.iter().map(|(scheme, u)| {
+            let report = u.slot.load().1.report.capacity();
+            scheme.capacity() + arc::<UnitEntry>() + arc::<ServingUnit>() + report
         });
-        let replies = self.replies.values().map(|r| match &**r {
-            Response::Compile { report: text } | Response::RunCell { metrics_json: text } => {
-                size_of::<Response>() + text.len()
-            }
-            _ => size_of::<Response>(),
+        let replies = self.replies.iter().map(|(key, r)| {
+            let text = match &**r {
+                Response::Compile { report: text } | Response::RunCell { metrics_json: text } => {
+                    text.capacity()
+                }
+                _ => 0,
+            };
+            key.artifact.scheme.capacity() + arc::<Response>() + text
         });
-        profiles + memo + replies.sum::<usize>()
+        let memo = if self.memo.is_some() { arc::<Prepared>() } else { 0 };
+        arc::<Mutex<()>>()
+            + memo
+            + map_bytes(&self.units)
+            + map_bytes(&self.replies)
+            + profiles
+            + units.sum::<usize>()
+            + replies.sum::<usize>()
+    }
+
+    /// What the entry would retain alone: its own bytes, its memo's
+    /// shared ones and its slot in the store's map.
+    fn alone(&self) -> usize {
+        self.bytes + self.shared.iter().sum::<usize>() + size_of::<(StoreKey, Entry)>() + 1
     }
 
     fn is_empty(&self) -> bool {
@@ -256,6 +283,50 @@ impl Entry {
             && self.units.is_empty()
             && self.replies.is_empty()
     }
+}
+
+/// Bytes of the allocation behind an `Arc<T>`: its two counts and `T`.
+fn arc<T>() -> usize {
+    2 * size_of::<usize>() + size_of::<T>()
+}
+
+/// Bytes of a hash map's table: a slot and a control byte per bucket. The
+/// map keeps its buckets at most 7/8 full, so it has about `8/7` of its
+/// capacity of them.
+fn map_bytes<K, V>(map: &HashMap<K, V>) -> usize {
+    map.capacity() * 8 / 7 * (size_of::<(K, V)>() + 1)
+}
+
+/// Bytes of a benchmark in its `Arc`: its procedures, blocks and
+/// instructions with their operand and switch-target lists, its data
+/// section and its inputs.
+fn bench_bytes(bench: &Benchmark) -> usize {
+    let block = |b: &Block| {
+        let args = b.instrs.iter().map(|i| match i {
+            Instr::Call { args, .. } => args.capacity() * size_of::<Operand>(),
+            _ => 0,
+        });
+        let targets = match &b.term {
+            Terminator::Switch { targets, .. } => targets.capacity() * size_of::<BlockId>(),
+            _ => 0,
+        };
+        b.instrs.capacity() * size_of::<Instr>() + args.sum::<usize>() + targets
+    };
+    let program = &bench.program;
+    let procs = program.procs.iter().map(|p| {
+        let blocks = p.blocks.iter().map(block).sum::<usize>();
+        p.name.capacity() + p.blocks.capacity() * size_of::<Block>() + blocks
+    });
+    let words = program.data.capacity() + bench.train_args.capacity() + bench.test_args.capacity();
+    arc::<Benchmark>()
+        + program.procs.capacity() * size_of::<Proc>()
+        + procs.sum::<usize>()
+        + size_of::<i64>() * words
+}
+
+/// Bytes of an oracle baseline in its `Arc`.
+fn baseline_bytes(baseline: &OracleBaseline) -> usize {
+    arc::<OracleBaseline>() + baseline.heap_bytes()
 }
 
 #[derive(Default)]
@@ -274,8 +345,24 @@ impl Inner {
         entry
     }
 
+    /// The entry map, every entry's own bytes, and each distinct benchmark
+    /// and baseline of the memos once.
     fn bytes(&self) -> usize {
-        self.entries.values().map(|e| e.bytes).sum()
+        let mut benches: Vec<&Arc<Benchmark>> = Vec::new();
+        let mut baselines: Vec<&Arc<OracleBaseline>> = Vec::new();
+        let mut shared = 0;
+        for e in self.entries.values() {
+            let Some(memo) = e.memo.as_deref() else { continue };
+            if !benches.iter().any(|b| Arc::ptr_eq(b, &memo.bench)) {
+                benches.push(&memo.bench);
+                shared += e.shared[0];
+            }
+            if !baselines.iter().any(|b| Arc::ptr_eq(b, &memo.baseline)) {
+                baselines.push(&memo.baseline);
+                shared += e.shared[1];
+            }
+        }
+        map_bytes(&self.entries) + shared + self.entries.values().map(|e| e.bytes).sum::<usize>()
     }
 
     fn replies(&self) -> usize {
@@ -372,7 +459,7 @@ impl CompileCache {
     fn settle(&self, inner: &mut Inner, key: &StoreKey) {
         let Some(entry) = inner.entries.get_mut(key) else { return };
         entry.bytes = entry.measure();
-        if entry.bytes > STORE_BUDGET {
+        if entry.alone() > STORE_BUDGET {
             inner.entries.remove(key);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -420,17 +507,20 @@ impl CompileCache {
             inner.entries.iter().find_map(|(k, e)| e.memo.clone().filter(|_| same(k)))
         };
         let filled = fill(sibling).map(Arc::new);
-        let mut inner = self.lock();
         match &filled {
             Ok(memo) => {
+                let shared = [bench_bytes(&memo.bench), baseline_bytes(&memo.baseline)];
+                let mut inner = self.lock();
                 self.fills.fetch_add(1, Ordering::Relaxed);
                 // An entry evicted while it filled is not brought back.
                 if let Some(entry) = inner.entries.get_mut(key) {
                     entry.memo = Some(Arc::clone(memo));
+                    entry.shared = shared;
                     self.settle(&mut inner, key);
                 }
             }
             Err(_) => {
+                let mut inner = self.lock();
                 if inner.entries.get(key).is_some_and(Entry::is_empty) {
                     inner.entries.remove(key);
                 }
@@ -545,59 +635,80 @@ mod tests {
         assert_eq!(h.cache_entries, 1);
     }
 
+    /// A memo of `alt` at scale 1 with a benchmark and baseline of its
+    /// own, as a benchmark at another scale has.
+    fn own_memo() -> Prepared {
+        let bench = pps_suite::micro::alt(pps_suite::Scale(1));
+        let inputs = [bench.train_args.clone()];
+        let baseline = Arc::new(OracleBaseline::compute(&bench.program, &inputs, 1));
+        Prepared { bench: Arc::new(bench), program_hash: 1, baseline, pair: None, profile_hash: 2 }
+    }
+
     #[test]
     fn memo_is_a_bounded_lru_that_keeps_no_failed_fill() {
-        let bench = Arc::new(pps_suite::micro::alt(pps_suite::Scale(1)));
-        let baseline = Arc::new(OracleBaseline::compute(&bench.program, &[], 1));
-        let prepared = |bench: &Arc<Benchmark>| Prepared {
-            bench: Arc::clone(bench),
-            program_hash: 1,
-            baseline: Arc::clone(&baseline),
-            pair: None,
-            profile_hash: 2,
-        };
-        // Each entry counts the benchmark's data and memory image.
-        let one = size_of::<i64>() * (bench.program.data.len() + bench.program.mem_size);
-        let fit = (STORE_BUDGET / one) as u32;
         let key = |scale| StoreKey { bench: "alt", scale, kind: None };
         let cache = CompileCache::new(1);
 
         // A failed fill leaves no entry behind: the next lookup fills.
         assert!(cache.prepared(&key(0), |_| Err::<Prepared, _>("no")).is_err());
-        assert_eq!((cache.memo_fills(), cache.bytes()), (0, 0));
-        for scale in 0..fit {
-            cache.prepared(&key(scale), |_| Ok::<_, ()>(prepared(&bench))).unwrap();
-        }
-        assert_eq!(cache.memo_fills(), u64::from(fit));
-        assert_eq!(cache.bytes(), fit as usize * one);
+        assert_eq!(cache.memo_fills(), 0);
+        assert!(cache.with_entries(HashMap::is_empty));
+        cache.prepared(&key(0), |_| Ok::<_, ()>(own_memo())).unwrap();
+        // Each entry counts its benchmark and memory image.
+        let one = cache.bytes();
+        assert!(one > size_of::<i64>() * own_memo().bench.program.mem_size);
 
-        // Touch key 0, so key 1 is the least recently used; one more key
-        // evicts it and only it.
-        cache.prepared::<()>(&key(0), |_| panic!("resident entry refilled")).unwrap();
-        cache.prepared(&key(fit), |_| Ok::<_, ()>(prepared(&bench))).unwrap();
+        // Fill further keys, touching key 0 before each, until the store
+        // is over its budget: it evicts key 1, the least recently used.
+        let mut next = 1;
+        while cache.stats().2 == 0 {
+            cache.prepared::<()>(&key(0), |_| panic!("resident entry refilled")).unwrap();
+            cache.prepared(&key(next), |_| Ok::<_, ()>(own_memo())).unwrap();
+            next += 1;
+        }
+        assert!(cache.bytes() <= STORE_BUDGET);
+        assert!(next as usize >= STORE_BUDGET / one, "evicted after {next} of {one} bytes each");
         cache.prepared::<()>(&key(0), |_| panic!("resident entry refilled")).unwrap();
         assert_eq!(cache.stats().2, 1);
         let fills = cache.memo_fills();
-        cache.prepared(&key(1), |_| Ok::<_, ()>(prepared(&bench))).unwrap();
+        cache.prepared(&key(1), |_| Ok::<_, ()>(own_memo())).unwrap();
         assert_eq!(cache.memo_fills(), fills + 1, "the evicted entry fills again");
-
-        // Another kind of a resident benchmark and scale is filled from it.
-        let kind = Some(ProfileKind { depth: DEFAULT_PATH_DEPTH, k: Some(2) });
-        let trained = StoreKey { bench: "alt", scale: 0, kind };
-        let got = cache
-            .prepared(&trained, |sibling| sibling.map(|_| prepared(&bench)).ok_or("no sibling"))
-            .unwrap();
-        assert!(Arc::ptr_eq(&got.bench, &bench));
 
         // An entry larger than the whole budget serves its request and is
         // not retained; it evicts nothing else.
-        let mut huge = pps_suite::micro::alt(pps_suite::Scale(1));
-        huge.program.mem_size = STORE_BUDGET;
-        let huge = Arc::new(huge);
+        let mut huge = own_memo();
+        let mut bench = pps_suite::micro::alt(pps_suite::Scale(1));
+        bench.program.data = Vec::with_capacity(STORE_BUDGET / size_of::<i64>());
+        huge.bench = Arc::new(bench);
         let (bytes, evictions) = (cache.bytes(), cache.stats().2);
-        let got = cache.prepared(&key(fit + 1), |_| Ok::<_, ()>(prepared(&huge))).unwrap();
-        assert!(Arc::ptr_eq(&got.bench, &huge));
+        let huge_bench = Arc::clone(&huge.bench);
+        let got = cache.prepared(&key(next), |_| Ok::<_, ()>(huge)).unwrap();
+        assert!(Arc::ptr_eq(&got.bench, &huge_bench));
         assert_eq!((cache.bytes(), cache.stats().2), (bytes, evictions + 1));
+    }
+
+    #[test]
+    fn kinds_of_one_benchmark_share_and_count_its_state_once() {
+        let cache = CompileCache::new(1);
+        let untrained = StoreKey { bench: "alt", scale: 1, kind: None };
+        let memo = cache.prepared(&untrained, |_| Ok::<_, ()>(own_memo())).unwrap();
+        let (one, one_map) = (cache.bytes(), cache.with_entries(map_bytes));
+
+        // Another kind of a resident benchmark and scale is filled from it,
+        // and the benchmark and baseline they share count once.
+        let kind = Some(ProfileKind { depth: DEFAULT_PATH_DEPTH, k: Some(2) });
+        let trained = StoreKey { kind, ..untrained };
+        let got = cache
+            .prepared(&trained, |sibling| {
+                let s = sibling.ok_or("no sibling")?;
+                let (bench, baseline) = (Arc::clone(&s.bench), Arc::clone(&s.baseline));
+                Ok::<_, &str>(Prepared { bench, baseline, pair: None, program_hash: 1, profile_hash: 3 })
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&got.bench, &memo.bench));
+        let (own, map) = cache.with_entries(|e| (e[&trained].bytes, map_bytes(e)));
+        assert_eq!(cache.bytes(), one - one_map + map + own);
+        assert!(own < bench_bytes(&memo.bench));
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The store's one bound, measured: a hostile request sequence through
-//! `execute` with a store and PGO retains no more live heap than the
-//! store's byte budget, and evicting a key drops its aggregate and units.
+//! The store's one bound, measured: with every key of every suite
+//! benchmark resident the store accounts no more than the live heap, a
+//! hostile request sequence through `execute` with a store and PGO retains
+//! no more live heap than the store's byte budget, and evicting a key
+//! drops its aggregate and units.
 //!
 //! A counting global allocator measures the live heap, so this file holds
 //! one test: a second would allocate concurrently and blur the count.
@@ -47,8 +49,8 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 /// Benchmarks fast enough to train at every depth. Every depth is an
-/// entry of its own, which counts the benchmark's data and memory image
-/// (about 1 MiB), so these alone overflow the budget.
+/// entry of its own; the kinds of one benchmark and scale share its data
+/// and memory image, which the store counts once.
 const SMALL: [&str; 3] = ["alt", "ph", "corr"];
 
 fn profile(bench: &str, scale: u32, depth: u32) -> Request {
@@ -64,6 +66,28 @@ fn hostile_traffic_stays_within_the_store_budget() {
         reply
     };
     let live_before = LIVE.load(Ordering::Relaxed);
+
+    // Every key of every suite benchmark at scale 1 resident (untrained,
+    // depth 15, k = 2 and k = 3): the store counts what the kinds of a
+    // benchmark share once, so it accounts no more than the live heap.
+    let store = CompileCache::new(DEFAULT_CAPACITY);
+    for (bench, _) in pps_suite::BENCHMARKS {
+        let compile = |scheme: &str| Request::Compile {
+            bench: bench.into(),
+            scale: 1,
+            scheme: scheme.into(),
+            profile: None,
+        };
+        for request in [profile(bench, 1, 0), compile("BB"), compile("Pk2"), compile("Pk3")] {
+            let reply = execute(&request, &obs, None, Some(&store));
+            assert!(!matches!(reply, Response::Error { .. }), "{request:?}: {reply:?}");
+        }
+    }
+    assert_eq!(store.stats().2, 0, "a key was evicted");
+    let live = LIVE.load(Ordering::Relaxed) - live_before;
+    assert!(store.bytes() <= live, "the store accounts {} bytes of {live} live", store.bytes());
+    drop(store);
+
     let store = Arc::new(CompileCache::new(DEFAULT_CAPACITY));
     let state = PgoState::new(PgoConfig::default(), Obs::noop(), Arc::clone(&store));
     let units = || state.fill_health(Default::default()).units;
@@ -112,16 +136,23 @@ fn hostile_traffic_stays_within_the_store_budget() {
         }
     }
 
+    // gcc's depth-15 profile at scale 4, about 80 MB, takes the store over
+    // its budget.
+    run(&profile("gcc", 4, 0), &state, &store);
+
     // The carried units' entries were evicted, and with them their pairs.
     assert!(units() < tracked, "no unit was evicted: {} of {tracked}", units());
     assert_eq!(Arc::strong_count(&pair), 1, "an evicted unit's pair is still held");
     assert!(store.stats().2 > 0, "nothing was evicted");
 
     // What stays is within the budget, as the store counts it and as the
-    // allocator does. The store counts a benchmark that several kinds share
-    // once per kind, which more than covers what it does not count (IR
-    // code, map overhead).
+    // allocator does: the store counts all but a sliver of what it keeps.
     let retained = LIVE.load(Ordering::Relaxed) - live_before;
-    assert!(store.bytes() <= STORE_BUDGET, "store accounts {} bytes", store.bytes());
+    let accounted = store.bytes();
+    assert!(accounted <= STORE_BUDGET, "store accounts {accounted} bytes");
+    assert!(
+        retained <= accounted + STORE_BUDGET / 1000,
+        "retained {retained} bytes, {accounted} of them accounted"
+    );
     assert!(retained <= STORE_BUDGET, "retained {retained} bytes, over the store's budget");
 }
