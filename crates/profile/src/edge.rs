@@ -248,11 +248,14 @@ impl EdgeProfile {
     }
 
     /// Reconstructs a profile from raw counts (profile deserialization).
+    /// The total of dynamic edge events saturates at `u64::MAX`, as every
+    /// merge does.
     pub fn from_counts(
         block_freq: Vec<Vec<u64>>,
         edge_freq: Vec<HashMap<(BlockId, BlockId), u64>>,
     ) -> EdgeProfile {
-        let dyn_edges = edge_freq.iter().flat_map(|m| m.values()).sum();
+        let dyn_edges =
+            edge_freq.iter().flat_map(|m| m.values()).fold(0, |sum: u64, &f| sum.saturating_add(f));
         EdgeProfile { block_freq, edge_freq, dyn_edges }
     }
 }

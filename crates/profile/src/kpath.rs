@@ -1,15 +1,15 @@
 //! k-iteration Ball–Larus path profiling.
 //!
-//! The forward profiler ([`crate::forward`]) chops the dynamic block trace
-//! at *every* back edge, so no path spans a loop iteration boundary and
+//! A Ball–Larus *forward* path chops the dynamic block trace at *every*
+//! back edge, so no path spans a loop iteration boundary and
 //! cross-iteration branch correlation is invisible. Following the
 //! multi-iteration Ball–Larus construction (arXiv:1304.5197), this profiler
 //! lets a path run until it is about to cross its **k-th** back edge: each
 //! counted path covers up to `k` consecutive iterations of the enclosing
 //! loop, exposing exactly the correlation a cross-iteration superblock
-//! former needs. `k = 1` degenerates to the forward profiler — the chop
-//! points coincide by construction, which `tests/interp_diff.rs` locks down
-//! bit-for-bit across the whole suite.
+//! former needs. `k = 1` is the forward-path profile: `tests/kpath_props.rs`
+//! checks it, and every k, against a naive chop of the recorded trace on
+//! every suite benchmark and on random programs.
 //!
 //! A frozen [`KPathProfile`] answers exact counts for completed k-paths and
 //! derives a [`PathProfile`] view ([`KPathProfile::to_path_profile`]) whose
@@ -54,8 +54,6 @@ struct Activation {
     node: NodeId,
     /// Back edges the path has crossed.
     crossings: usize,
-    /// Blocks on the path.
-    len: usize,
 }
 
 /// Per-procedure collector state: a forward trie of every path prefix
@@ -141,7 +139,7 @@ impl ProcTable {
         if act.node != ROOT {
             self.counts[act.node as usize] += 1;
         }
-        *act = Activation { node: ROOT, crossings: 0, len: 0 };
+        *act = Activation { node: ROOT, crossings: 0 };
     }
 
     /// The completed paths and their counts.
@@ -175,34 +173,18 @@ pub struct KPathProfiler {
     /// Back-edge crossings allowed per path (`k >= 1`).
     k: usize,
     tables: Vec<ProcTable>,
-    /// Maximum path length in blocks (guards pathological growth; 0 = no
-    /// limit). When reached, the path is finalized and a new one starts.
-    max_blocks: usize,
 }
 
 impl KPathProfiler {
     /// Creates a collector for `program` counting paths of up to `k`
-    /// iterations, with no block-length cap.
+    /// iterations.
     ///
     /// # Panics
     /// Panics if `k == 0`; a path that may cross no back edge and contain
     /// no block is not a path.
     pub fn new(program: &Program, k: usize) -> Self {
-        Self::with_max_blocks(program, k, 0)
-    }
-
-    /// Creates a collector that additionally finalizes paths after
-    /// `max_blocks` blocks (0 = unlimited).
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn with_max_blocks(program: &Program, k: usize, max_blocks: usize) -> Self {
         assert!(k >= 1, "k-iteration paths need k >= 1");
-        KPathProfiler {
-            k,
-            tables: program.procs.iter().map(ProcTable::new).collect(),
-            max_blocks,
-        }
+        KPathProfiler { k, tables: program.procs.iter().map(ProcTable::new).collect() }
     }
 
     /// Freezes into a queryable profile.
@@ -223,7 +205,7 @@ impl KPathProfiler {
 
 impl TraceSink for KPathProfiler {
     fn enter_proc(&mut self, proc: ProcId) {
-        self.tables[proc.index()].activations.push(Activation { node: ROOT, crossings: 0, len: 0 });
+        self.tables[proc.index()].activations.push(Activation { node: ROOT, crossings: 0 });
     }
 
     fn exit_proc(&mut self, proc: ProcId) {
@@ -243,14 +225,11 @@ impl TraceSink for KPathProfiler {
                 // Crossing this back edge would be crossing number
                 // `crossings + 1`; the k-th crossing closes the path.
                 t.finalize(&mut act);
-            } else if self.max_blocks > 0 && act.len >= self.max_blocks {
-                t.finalize(&mut act);
             } else if is_back {
                 act.crossings += 1;
             }
         }
         act.node = t.extend(act.node, block);
-        act.len += 1;
         *t.activations.last_mut().expect("activation exists") = act;
     }
 }
@@ -263,9 +242,9 @@ pub struct KPathProfile {
 }
 
 impl KPathProfile {
-    /// Builds a profile directly from per-procedure completed-path counts
-    /// (the deserializer's and merger's entry point). Duplicate paths have
-    /// their counts summed (saturating).
+    /// Builds a profile directly from per-procedure completed-path counts,
+    /// as a parser of [`crate::serialize::kpath_to_text`]'s text would.
+    /// Duplicate paths have their counts summed (saturating).
     pub fn from_paths(k: usize, per_proc: Vec<Vec<(Vec<BlockId>, u64)>>) -> Self {
         assert!(k >= 1, "k-iteration paths need k >= 1");
         let counts = per_proc
@@ -334,7 +313,6 @@ impl KPathProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::ForwardPathProfiler;
     use pps_ir::builder::ProgramBuilder;
     use pps_ir::interp::{ExecConfig, Interp};
     use pps_ir::{AluOp, Operand, Program};
@@ -403,6 +381,24 @@ mod tests {
     }
 
     #[test]
+    fn forward_paths_chop_at_back_edges() {
+        let p = counted_loop(5);
+        let kp = kprofile(&p, 1);
+        let main = p.entry;
+        let (entry, head, body, exit) =
+            (BlockId::new(0), BlockId::new(1), BlockId::new(2), BlockId::new(3));
+        // First piece: entry, head, body (chopped before re-entering head).
+        assert_eq!(kp.path_count(main, &[entry, head, body]), 1);
+        // Middle iterations: head, body — 4 of them.
+        assert_eq!(kp.path_count(main, &[head, body]), 4);
+        // Final piece: head, exit.
+        assert_eq!(kp.path_count(main, &[head, exit]), 1);
+        assert_eq!(kp.distinct_paths(main), 3);
+        // No forward path spans a back edge.
+        assert_eq!(kp.path_count(main, &[head, body, head]), 0);
+    }
+
+    #[test]
     fn k2_paths_span_two_iterations() {
         let p = counted_loop(5);
         let kp = kprofile(&p, 2);
@@ -417,31 +413,6 @@ mod tests {
         // Final piece: fifth iteration plus the exit test.
         assert_eq!(kp.path_count(main, &[head, body, head, exit]), 1);
         assert_eq!(kp.distinct_paths(main), 3);
-    }
-
-    #[test]
-    fn k1_matches_forward_profiler_exactly() {
-        for n in [0, 1, 5, 17] {
-            let p = counted_loop(n);
-            let mut fwd = ForwardPathProfiler::new(&p);
-            let mut k1 = KPathProfiler::new(&p, 1);
-            Interp::new(&p, ExecConfig::default())
-                .run_traced(&[], &mut fwd)
-                .unwrap();
-            Interp::new(&p, ExecConfig::default())
-                .run_traced(&[], &mut k1)
-                .unwrap();
-            let fwd = fwd.finish();
-            let k1 = k1.finish();
-            let main = p.entry;
-            let mut a: Vec<(Vec<BlockId>, u64)> =
-                fwd.iter_paths(main).map(|(p, c)| (p.to_vec(), c)).collect();
-            let mut b: Vec<(Vec<BlockId>, u64)> =
-                k1.iter_paths(main).map(|(p, c)| (p.to_vec(), c)).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "n = {n}");
-        }
     }
 
     #[test]
@@ -474,19 +445,6 @@ mod tests {
             expect += occurrences * count;
         }
         assert_eq!(derived.freq(main, &seq), expect);
-    }
-
-    #[test]
-    fn max_blocks_cap_finalizes_long_paths() {
-        let p = counted_loop(9);
-        let mut prof = KPathProfiler::with_max_blocks(&p, 3, 4);
-        Interp::new(&p, ExecConfig::default())
-            .run_traced(&[], &mut prof)
-            .unwrap();
-        let kp = prof.finish();
-        for (path, _) in kp.iter_paths(p.entry) {
-            assert!(path.len() <= 4, "{path:?}");
-        }
     }
 
     #[test]

@@ -14,12 +14,11 @@
 //!   transitions so steady-state work is O(1) per dynamic edge. Frequencies
 //!   of arbitrary contiguous block sequences (up to the depth bound) are
 //!   answered exactly via suffix sums over a reversed trie.
-//! - [`forward::ForwardPathProfiler`] — Ball–Larus-style forward paths
-//!   (chopped at back edges), included for comparison with prior work (§5).
 //! - [`kpath::KPathProfiler`] — k-iteration Ball–Larus paths
 //!   (arXiv:1304.5197): the chop moves to the k-th back-edge crossing, so a
 //!   path spans up to `k` loop iterations and exposes cross-iteration branch
-//!   correlation. `k = 1` is bit-identical to the forward profiler; the
+//!   correlation. `k = 1` gives Ball–Larus forward paths (chopped at every
+//!   back edge), the prior work the paper compares against (§2.2, §5); the
 //!   derived [`kpath::KPathProfile::to_path_profile`] view feeds the
 //!   `Pk2`/`Pk3` superblock-formation schemes.
 //!
@@ -56,7 +55,6 @@
 //! ```
 
 pub mod edge;
-pub mod forward;
 pub mod hash;
 pub mod kpath;
 pub mod merge;
@@ -66,10 +64,7 @@ pub mod serialize;
 
 pub use edge::{EdgeProfile, EdgeProfiler};
 pub use hash::{edge_hash, kpath_hash, path_hash, profile_pair_hash, profile_triple_hash};
-pub use merge::{
-    kpath_drift, merge_edges, merge_kpaths, merge_paths, path_drift, DriftReport, MergeError,
-};
-pub use forward::{ForwardPathProfile, ForwardPathProfiler};
+pub use merge::{merge_edges, merge_paths, path_drift, DriftReport, MergeError};
 pub use kpath::{KPathProfile, KPathProfiler};
 pub use path::{PathProfile, PathProfiler, DEFAULT_PATH_DEPTH};
 pub use predict::{EdgePredictor, PathPredictor, PredictStats, Predictor};

@@ -15,7 +15,6 @@
 //! detector applies hysteresis thresholds on the combined score.
 
 use crate::edge::EdgeProfile;
-use crate::kpath::KPathProfile;
 use crate::path::PathProfile;
 use pps_ir::{BlockId, ProcId};
 use std::cmp::Reverse;
@@ -41,15 +40,6 @@ pub enum MergeError {
         /// Procedure count of the right operand.
         right: usize,
     },
-    /// The k-iteration profiles were collected at different iteration
-    /// bounds; a 2-iteration path population cannot be added to a
-    /// 3-iteration one.
-    KMismatch {
-        /// `k` of the left operand.
-        left: usize,
-        /// `k` of the right operand.
-        right: usize,
-    },
 }
 
 impl fmt::Display for MergeError {
@@ -60,9 +50,6 @@ impl fmt::Display for MergeError {
             }
             MergeError::ShapeMismatch { left, right } => {
                 write!(f, "procedure count mismatch: {left} vs {right}")
-            }
-            MergeError::KMismatch { left, right } => {
-                write!(f, "k-iteration bound mismatch: {left} vs {right}")
             }
         }
     }
@@ -121,35 +108,6 @@ pub fn merge_paths(a: &PathProfile, b: &PathProfile) -> Result<PathProfile, Merg
         return Err(MergeError::ShapeMismatch { left: a.num_procs(), right: b.num_procs() });
     }
     Ok(PathProfile::merge(a, b))
-}
-
-/// Merges two k-iteration path profiles by adding their completed-path
-/// counts (saturating). Commutative and associative like the other merges,
-/// with byte-identical serialization regardless of merge order
-/// (`tests/profile_props.rs`).
-///
-/// # Errors
-/// [`MergeError::KMismatch`] / [`MergeError::ShapeMismatch`] when the
-/// profiles are not comparable.
-pub fn merge_kpaths(a: &KPathProfile, b: &KPathProfile) -> Result<KPathProfile, MergeError> {
-    if a.k() != b.k() {
-        return Err(MergeError::KMismatch { left: a.k(), right: b.k() });
-    }
-    if a.num_procs() != b.num_procs() {
-        return Err(MergeError::ShapeMismatch { left: a.num_procs(), right: b.num_procs() });
-    }
-    let mut per_proc: Vec<Vec<(Vec<BlockId>, u64)>> = Vec::with_capacity(a.num_procs());
-    for pi in 0..a.num_procs() {
-        let pid = ProcId::new(pi as u32);
-        let mut counts: HashMap<Vec<BlockId>, u64> =
-            a.iter_paths(pid).map(|(p, c)| (p.to_vec(), c)).collect();
-        for (path, count) in b.iter_paths(pid) {
-            let slot = counts.entry(path.to_vec()).or_insert(0);
-            *slot = slot.saturating_add(count);
-        }
-        per_proc.push(counts.into_iter().collect());
-    }
-    Ok(KPathProfile::from_paths(a.k(), per_proc))
 }
 
 /// How far a live path aggregate has moved from a reference profile.
@@ -216,37 +174,7 @@ fn top_k_windows(profile: &PathProfile, k: usize) -> Vec<((ProcId, Vec<BlockId>)
 /// paths stay hot but their relative weights shift enough to invalidate
 /// trace-selection priorities.
 pub fn path_drift(compiled: &PathProfile, live: &PathProfile, k: usize) -> DriftReport {
-    drift_over(top_k_windows(compiled, k), top_k_windows(live, k))
-}
-
-/// The `k` hottest completed k-iteration paths of `profile` across all
-/// procedures, hottest first, deterministically tie-broken.
-fn top_k_paths(profile: &KPathProfile, k: usize) -> Vec<((ProcId, Vec<BlockId>), u64)> {
-    let mut all: Vec<((ProcId, Vec<BlockId>), u64)> = Vec::new();
-    for pi in 0..profile.num_procs() {
-        let pid = ProcId::new(pi as u32);
-        for (path, count) in profile.iter_paths(pid) {
-            all.push(((pid, path.to_vec()), count));
-        }
-    }
-    all.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then_with(|| ka.cmp(kb)));
-    all.truncate(k);
-    all
-}
-
-/// Measures drift of a live k-iteration aggregate relative to the
-/// k-iteration profile a `Pk*` unit was compiled with, over the `top_k`
-/// hottest completed paths — the same overlap + total-variation score
-/// [`path_drift`] uses, applied to the new profile kind so the PGO
-/// sweeper's hysteresis thresholds carry over unchanged.
-pub fn kpath_drift(compiled: &KPathProfile, live: &KPathProfile, top_k: usize) -> DriftReport {
-    drift_over(top_k_paths(compiled, top_k), top_k_paths(live, top_k))
-}
-
-fn drift_over(
-    top_c: Vec<((ProcId, Vec<BlockId>), u64)>,
-    top_l: Vec<((ProcId, Vec<BlockId>), u64)>,
-) -> DriftReport {
+    let (top_c, top_l) = (top_k_windows(compiled, k), top_k_windows(live, k));
     let compared = top_c.len().min(top_l.len());
     if compared == 0 {
         return DriftReport { top_k_overlap: 1.0, weight_divergence: 0.0, score: 0.0, compared: 0 };
@@ -398,34 +326,6 @@ mod tests {
             same_shape.score
         );
         assert!(new_shape.score > 0.2, "pattern change must register: {}", new_shape.score);
-    }
-
-    #[test]
-    fn kpath_merge_adds_and_rejects_mismatches() {
-        use crate::kpath::KPathProfiler;
-        let p = patterned(40, 3);
-        let kprof = |k: usize| {
-            let mut prof = KPathProfiler::new(&p, k);
-            Interp::new(&p, ExecConfig::default()).run_traced(&[], &mut prof).unwrap();
-            prof.finish()
-        };
-        let k2 = kprof(2);
-        let doubled = merge_kpaths(&k2, &k2).unwrap();
-        let main = p.entry;
-        for (path, count) in k2.iter_paths(main) {
-            assert_eq!(doubled.path_count(main, path), 2 * count);
-        }
-        assert!(matches!(merge_kpaths(&k2, &kprof(3)), Err(MergeError::KMismatch { .. })));
-        let empty = KPathProfile::from_paths(2, vec![]);
-        assert!(matches!(merge_kpaths(&k2, &empty), Err(MergeError::ShapeMismatch { .. })));
-        // Self-drift is zero; a different branch pattern registers.
-        assert!(kpath_drift(&k2, &k2, 16).score < 1e-12);
-        let mut prof = KPathProfiler::new(&patterned(40, 7), 2);
-        Interp::new(&patterned(40, 7), ExecConfig::default())
-            .run_traced(&[], &mut prof)
-            .unwrap();
-        let shifted = prof.finish();
-        assert!(kpath_drift(&k2, &shifted, 16).score > 0.0);
     }
 
     #[test]

@@ -31,6 +31,12 @@
 //! into the trie loader (`path::PathLoader`). It accepts and rejects exactly
 //! what the window-based codec it replaced did, with the same error text
 //! and line numbers (`tests/codec_diff.rs` checks both against that codec).
+//!
+//! Both parsers read untrusted text: a `Compile` request may carry a
+//! profile pair. The edge parser allocates one counter per declared block,
+//! so it refuses a text that declares more than [`MAX_PROFILE_BLOCKS`].
+//! A k-iteration profile is only written ([`kpath_to_text`], the text
+//! [`crate::kpath_hash`] folds); the shipped crates never parse one.
 
 use crate::edge::EdgeProfile;
 use crate::kpath::KPathProfile;
@@ -57,6 +63,13 @@ impl fmt::Display for ProfileParseError {
 }
 
 impl Error for ProfileParseError {}
+
+/// Most blocks an edge-profile text may declare, summed over its
+/// procedures. [`edge_from_text`] allocates a counter per declared block,
+/// so this bounds what one text can make it allocate (512 KiB) however
+/// large the numbers in its `proc` lines are. The largest suite program
+/// has 239 blocks at scales 1 and 4.
+pub const MAX_PROFILE_BLOCKS: usize = 1 << 16;
 
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ProfileParseError> {
     Err(ProfileParseError { line, message: message.into() })
@@ -153,7 +166,9 @@ pub fn edge_to_text(profile: &EdgeProfile) -> String {
 /// Deserializes an edge profile.
 ///
 /// # Errors
-/// Returns a [`ProfileParseError`] on malformed input.
+/// Returns a [`ProfileParseError`] on malformed input, on more than
+/// [`MAX_PROFILE_BLOCKS`] declared blocks, and on a `block` or `edge` line
+/// naming a block at or beyond its procedure's declared count.
 pub fn edge_from_text(text: &str) -> Result<EdgeProfile, ProfileParseError> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
     let Some((ln, header)) = lines.next() else {
@@ -164,6 +179,7 @@ pub fn edge_from_text(text: &str) -> Result<EdgeProfile, ProfileParseError> {
     }
     let mut block_freq: Vec<Vec<u64>> = Vec::new();
     let mut edge_freq: Vec<HashMap<(BlockId, BlockId), u64>> = Vec::new();
+    let mut declared = 0usize;
     for (ln, l) in lines {
         if l.is_empty() {
             continue;
@@ -181,6 +197,10 @@ pub fn edge_from_text(text: &str) -> Result<EdgeProfile, ProfileParseError> {
                 let n: usize = n
                     .parse()
                     .map_err(|_| ProfileParseError { line: ln, message: "bad block count".into() })?;
+                declared = declared.saturating_add(n);
+                if declared > MAX_PROFILE_BLOCKS {
+                    return err(ln, format!("more than {MAX_PROFILE_BLOCKS} blocks declared"));
+                }
                 block_freq.push(vec![0; n]);
                 edge_freq.push(HashMap::new());
             }
@@ -196,7 +216,8 @@ pub fn edge_from_text(text: &str) -> Result<EdgeProfile, ProfileParseError> {
                 cur[b] = f;
             }
             ["edge", a, b, f] => {
-                let (Some(cur), Ok(a), Ok(b), Ok(f)) = (
+                let (Some(n), Some(cur), Ok(a), Ok(b), Ok(f)) = (
+                    block_freq.last().map(Vec::len),
                     edge_freq.last_mut(),
                     a.parse::<u32>(),
                     b.parse::<u32>(),
@@ -204,6 +225,9 @@ pub fn edge_from_text(text: &str) -> Result<EdgeProfile, ProfileParseError> {
                 ) else {
                     return err(ln, "bad edge line");
                 };
+                if a as usize >= n || b as usize >= n {
+                    return err(ln, "edge endpoint out of range");
+                }
                 cur.insert((BlockId::new(a), BlockId::new(b)), f);
             }
             _ => return err(ln, format!("unrecognized line `{l}`")),
@@ -382,65 +406,10 @@ pub fn kpath_to_text(profile: &KPathProfile) -> String {
     into_text(|out| emit_kpath(profile, out))
 }
 
-/// Deserializes a k-iteration path profile.
-///
-/// # Errors
-/// Returns a [`ProfileParseError`] on malformed input.
-pub fn kpath_from_text(text: &str) -> Result<KPathProfile, ProfileParseError> {
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
-    let Some((ln, header)) = lines.next() else {
-        return err(0, "empty input");
-    };
-    let k = header
-        .strip_prefix("pps-kpath-profile v1 k ")
-        .and_then(|d| d.parse::<usize>().ok())
-        .filter(|&k| k >= 1)
-        .ok_or(ProfileParseError { line: ln, message: format!("bad header `{header}`") })?;
-    let mut per_proc: Vec<Vec<(Vec<BlockId>, u64)>> = Vec::new();
-    for (ln, l) in lines {
-        if l.is_empty() {
-            continue;
-        }
-        if let Some(pi) = l.strip_prefix("proc ") {
-            let pi: usize = pi
-                .parse()
-                .map_err(|_| ProfileParseError { line: ln, message: "bad proc index".into() })?;
-            if pi != per_proc.len() {
-                return err(ln, "procs must appear in order");
-            }
-            per_proc.push(Vec::new());
-        } else if let Some(rest) = l.strip_prefix("path ") {
-            let Some(cur) = per_proc.last_mut() else {
-                return err(ln, "path before proc");
-            };
-            let mut toks = rest.split_whitespace();
-            let count: u64 = toks
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or(ProfileParseError { line: ln, message: "bad path count".into() })?;
-            let mut path = Vec::new();
-            for t in toks {
-                let b: u32 = t
-                    .parse()
-                    .map_err(|_| ProfileParseError { line: ln, message: "bad block id".into() })?;
-                path.push(BlockId::new(b));
-            }
-            if path.is_empty() {
-                return err(ln, "empty path");
-            }
-            cur.push((path, count));
-        } else {
-            return err(ln, format!("unrecognized line `{l}`"));
-        }
-    }
-    Ok(KPathProfile::from_paths(k, per_proc))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kpath::KPathProfiler;
-    use crate::{EdgeProfiler, PathProfiler};
+    use crate::{EdgeProfiler, KPathProfiler, PathProfiler};
     use pps_ir::builder::ProgramBuilder;
     use pps_ir::interp::{ExecConfig, Interp};
     use pps_ir::{AluOp, Operand, Program};
@@ -541,6 +510,8 @@ mod tests {
 
     #[test]
     fn kpath_profile_round_trips() {
+        // The shipped crates never parse k-path text: a profile rebuilt
+        // from its own paths writes the same canonical text.
         let p = sample();
         for k in [1usize, 2, 3] {
             let mut kp = KPathProfiler::new(&p, k);
@@ -548,10 +519,12 @@ mod tests {
                 .run_traced(&[], &mut kp)
                 .unwrap();
             let kpath = kp.finish();
-            let text = kpath_to_text(&kpath);
-            let back = kpath_from_text(&text).unwrap();
-            assert_eq!(back.k(), k);
-            assert_eq!(kpath_to_text(&back), text, "canonical fixpoint at k = {k}");
+            let paths = (0..kpath.num_procs())
+                .map(|pi| kpath.iter_paths(ProcId::new(pi as u32)).map(|(p, c)| (p.to_vec(), c)))
+                .map(Iterator::collect)
+                .collect();
+            let back = KPathProfile::from_paths(k, paths);
+            assert_eq!(kpath_to_text(&back), kpath_to_text(&kpath), "canonical at k = {k}");
             assert_eq!(back, kpath, "k = {k}");
         }
     }
@@ -564,9 +537,46 @@ mod tests {
         assert_eq!(e.line, 1);
         let e = path_from_text("pps-path-profile v1 depth 15\nwindow 3 1").unwrap_err();
         assert!(e.message.contains("before proc"));
-        let e = kpath_from_text("pps-kpath-profile v1 k 0").unwrap_err();
-        assert_eq!(e.line, 1);
-        let e = kpath_from_text("pps-kpath-profile v1 k 2\npath 3 1").unwrap_err();
-        assert!(e.message.contains("before proc"));
+    }
+
+    #[test]
+    fn edge_parser_bounds_what_it_allocates() {
+        // Each declared count alone would abort the process (an 8 TiB
+        // allocation) or panic (capacity overflow) if allocated.
+        for n in ["1099511627776", "18446744073709551615"] {
+            let text = format!("pps-edge-profile v1\nproc 0 blocks {n}\n");
+            let e = edge_from_text(&text).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains("blocks declared"), "{e}");
+        }
+        // The bound is on the sum over procedures.
+        let half = MAX_PROFILE_BLOCKS / 2;
+        let two = format!("pps-edge-profile v1\nproc 0 blocks {half}\nproc 1 blocks {half}\n");
+        assert_eq!(edge_from_text(&two).unwrap().num_blocks(ProcId::new(1)), half);
+        let three = format!("{two}proc 2 blocks 1\n");
+        assert_eq!(edge_from_text(&three).unwrap_err().line, 4);
+    }
+
+    #[test]
+    fn edge_endpoints_must_be_declared_blocks() {
+        let ok = edge_from_text("pps-edge-profile v1\nproc 0 blocks 2\nedge 0 1 5\n").unwrap();
+        assert_eq!(ok.edge_freq(ProcId::new(0), BlockId::new(0), BlockId::new(1)), 5);
+        for bad in ["edge 0 2 5", "edge 2 0 5", "edge 4294967295 0 1"] {
+            let text = format!("pps-edge-profile v1\nproc 0 blocks 2\n{bad}\n");
+            let e = edge_from_text(&text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (3, "edge endpoint out of range"), "{bad}");
+        }
+        let e = edge_from_text("pps-edge-profile v1\nedge 0 0 1\n").unwrap_err();
+        assert_eq!(e.message, "bad edge line");
+    }
+
+    #[test]
+    fn edge_counts_sum_without_overflow() {
+        let max = u64::MAX;
+        let text =
+            format!("pps-edge-profile v1\nproc 0 blocks 2\nedge 0 1 {max}\nedge 1 0 {max}\n");
+        let profile = edge_from_text(&text).unwrap();
+        assert_eq!(profile.dyn_edges(), u64::MAX);
+        assert_eq!(edge_to_text(&profile), text);
     }
 }

@@ -21,7 +21,10 @@
 //!
 //! Requests are bounded before any work: a scale above [`MAX_SCALE`], or a
 //! path-profile depth above [`MAX_DEPTH`] (requested or carried), is a
-//! `BadRequest`. The store bounds what is kept after.
+//! `BadRequest`. A carried pair whose text does not parse, or which does
+//! not fit the benchmark's program ([`runner::check_profile_shape`]), is a
+//! `BadProfile`, given before the pair is published, stored or compiled
+//! against. The store bounds what is kept after.
 
 use crate::cache::{
     machine_hash, ArtifactKey, CacheClass, CacheKey, CompileCache, Prepared, ProfileKind, StoreKey,
@@ -120,20 +123,34 @@ fn profile_hash(trained: &Trained) -> u64 {
     }
 }
 
+/// Refuses a `carried` pair that does not fit `bench`'s program.
+#[allow(clippy::result_large_err)]
+fn check_carried(bench: &Benchmark, carried: Option<&ProfilePair>) -> Result<(), Response> {
+    let Some(pair) = carried else { return Ok(()) };
+    runner::check_profile_shape(&bench.program, &pair.0, &pair.1)
+        .map_err(|e| error(ErrorKind::BadProfile, e))
+}
+
 /// Fills the memo of store entry `key`: builds the benchmark and its oracle
 /// baseline (or takes both from `sibling`, an entry of the same benchmark
 /// and scale), trains the key's profile kind and hashes the result. The
-/// k-iteration profile is dropped once hashed.
+/// k-iteration profile is dropped once hashed. A `carried` pair that does
+/// not fit the benchmark fails the fill before the baseline is computed.
 #[allow(clippy::result_large_err)]
 fn prepare(
     key: &StoreKey,
     build: Build,
     sibling: Option<Arc<Prepared>>,
+    carried: Option<&ProfilePair>,
 ) -> Result<Prepared, Response> {
     let (bench, program_hash, baseline) = match sibling {
-        Some(s) => (Arc::clone(&s.bench), s.program_hash, Arc::clone(&s.baseline)),
+        Some(s) => {
+            check_carried(&s.bench, carried)?;
+            (Arc::clone(&s.bench), s.program_hash, Arc::clone(&s.baseline))
+        }
         None => {
             let bench = build(Scale(key.scale));
+            check_carried(&bench, carried)?;
             // The guard's oracle inputs and budget under `RunConfig::paper`
             // in either guard mode: the training input alone.
             let budget = RunConfig::paper().guard.step_budget;
@@ -164,23 +181,28 @@ struct Resolved {
 
 /// Resolves `(bench, scale)` with `kind` trained (nothing when `None`):
 /// from the store's memo when one is attached, else built and trained for
-/// this request alone.
+/// this request alone. A `carried` pair that does not fit the benchmark
+/// is refused ([`check_carried`]) before a memo is filled or kept.
 #[allow(clippy::result_large_err)]
 fn resolve(
     (name, build): Builder,
     scale: u32,
     kind: Option<ProfileKind>,
+    carried: Option<&ProfilePair>,
     cache: Option<&CompileCache>,
 ) -> Result<Resolved, Response> {
     match cache {
         Some(cache) => {
             let key = StoreKey { bench: name, scale, kind };
-            let memo = cache.prepared(&key, |sibling| prepare(&key, build, sibling))?;
+            let memo = cache.prepared(&key, |sibling| prepare(&key, build, sibling, carried))?;
+            // A resident memo skipped the fill and its check.
+            check_carried(&memo.bench, carried)?;
             let (bench, pair) = (Arc::clone(&memo.bench), memo.pair.clone());
             Ok(Resolved { bench, pair, memo: Some(memo) })
         }
         None => {
             let bench = build(Scale(scale));
+            check_carried(&bench, carried)?;
             let pair = kind.map(|kind| train(&bench, kind)).transpose()?;
             Ok(Resolved {
                 bench: Arc::new(bench),
@@ -249,7 +271,7 @@ fn profile(
         return error(ErrorKind::BadRequest, format!("depth {depth} out of range 1..={MAX_DEPTH}"));
     }
     let kind = ProfileKind { depth, k: None };
-    let pair = match resolve(builder, scale, Some(kind), cache) {
+    let pair = match resolve(builder, scale, Some(kind), None, cache) {
         Ok(Resolved { pair: Some(pair), .. }) => pair,
         Ok(_) => unreachable!("a trained kind resolves to a pair"),
         Err(r) => return r,
@@ -260,7 +282,8 @@ fn profile(
     Response::Profile { edge: edge_to_text(&pair.0), path: path_to_text(&pair.1) }
 }
 
-/// Parses a carried profile pair.
+/// Parses a carried profile pair. Whether it fits the benchmark is checked
+/// once the benchmark is resolved ([`check_carried`]).
 #[allow(clippy::result_large_err)]
 fn parse_profile(p: &ProfileText) -> Result<ProfilePair, Response> {
     let edge = edge_from_text(&p.edge)
@@ -324,7 +347,8 @@ fn compile(
     // `Pk*`, whose k-path profile the artifact key folds in). A supplied
     // pair, or a scheme that reads none (`BB`), trains nothing.
     let kind = ProfileKind::of(scheme);
-    let resolved = match resolve(builder, scale, kind.filter(|_| carried.is_none()), cache) {
+    let own = kind.filter(|_| carried.is_none());
+    let resolved = match resolve(builder, scale, own, carried.as_ref(), cache) {
         Ok(r) => r,
         Err(r) => return r,
     };
@@ -449,7 +473,7 @@ fn run_cell(
     // cache on empty profiles and gives PGO nothing.
     let kind = ProfileKind::of(scheme);
     let trains = pgo.is_some() || cache.is_some();
-    let resolved = match resolve(builder, scale, kind.filter(|_| trains), cache) {
+    let resolved = match resolve(builder, scale, kind.filter(|_| trains), None, cache) {
         Ok(r) => r,
         Err(r) => return r,
     };
@@ -492,6 +516,9 @@ fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::DEFAULT_CAPACITY;
+    use crate::pgo::PgoConfig;
+    use std::collections::HashMap;
 
     #[test]
     fn scheme_names_round_trip() {
@@ -633,5 +660,75 @@ mod tests {
         let Response::RunCell { metrics_json } = a else { panic!("runcell failed") };
         pps_obs::json::parse(&metrics_json).expect("valid metrics JSON");
         assert!(metrics_json.contains("sim."), "simulator metrics present");
+    }
+
+    /// Carried pairs the service must refuse as `BadProfile` before PGO or
+    /// the store sees them: malformed text; edge headers declaring more
+    /// blocks than the parser allocates (allocating the first aborts the
+    /// process, the second overflows a capacity); and well-formed pairs
+    /// that do not fit the benchmark (wc's pair sent for gcc, and wc's
+    /// edge profile with one procedure too many), with and without the
+    /// benchmark's memo resident.
+    #[test]
+    fn bad_carried_profiles_are_refused_before_pgo_or_the_store() {
+        let obs = Obs::noop();
+        let request = Request::Profile { bench: "wc".into(), scale: 1, depth: 0 };
+        let Response::Profile { edge, path } = execute(&request, &obs, None, None) else {
+            panic!("profile failed");
+        };
+        let wc = ProfileText { edge, path };
+        let with_edge = |edge: String| ProfileText { edge, path: wc.path.clone() };
+        let hostile = with_edge("pps-edge-profile v1\nproc 0 blocks 1099511627776\n".into());
+        assert_eq!(hostile.edge.len(), 48);
+        let procs = wc.edge.matches("\nproc ").count();
+        let extra_proc = with_edge(format!("{}proc {procs} blocks 1\n", wc.edge));
+        let compile = |bench: &str, profile: &ProfileText| Request::Compile {
+            bench: bench.into(),
+            scale: 1,
+            scheme: "P4".into(),
+            profile: Some(profile.clone()),
+        };
+        let cases = [
+            compile("wc", &with_edge("pps-edge-profile v1\nbogus\n".into())),
+            compile("wc", &ProfileText { edge: wc.edge.clone(), path: "depth 15".into() }),
+            compile("wc", &hostile),
+            compile("wc", &with_edge("pps-edge-profile v1\nproc 0 blocks 18446744073709551615".into())),
+            compile("gcc", &wc),
+            compile("wc", &extra_proc),
+        ];
+        let store = Arc::new(CompileCache::new(DEFAULT_CAPACITY));
+        let pgo = PgoState::new(PgoConfig::default(), Obs::noop(), Arc::clone(&store));
+        let refused = |request: &Request| {
+            for reply in [
+                execute(request, &obs, None, None),
+                execute(request, &obs, Some(&pgo), Some(&store)),
+            ] {
+                assert!(
+                    matches!(reply, Response::Error { kind: ErrorKind::BadProfile, .. }),
+                    "{request:?}: {reply:?}"
+                );
+            }
+        };
+        for request in &cases {
+            refused(request);
+            assert!(store.with_entries(HashMap::is_empty), "{request:?} left a store entry");
+        }
+        assert_eq!(store.memo_fills(), 0);
+        let health = pgo.fill_health(HealthSnapshot::default());
+        assert_eq!((health.profiles_merged, health.units), (0, 0));
+
+        // wc's memo resident: a valid carried compile fills it, and the
+        // mis-shaped pair still changes nothing.
+        let valid = execute(&compile("wc", &wc), &obs, Some(&pgo), Some(&store));
+        assert!(matches!(valid, Response::Compile { .. }), "{valid:?}");
+        let state = || {
+            let mut keys = store.with_entries(|e| e.keys().copied().collect::<Vec<_>>());
+            keys.sort_by_key(|k| format!("{k:?}"));
+            let health = pgo.fill_health(HealthSnapshot::default());
+            (keys, store.stats().3, store.memo_fills(), health.profiles_merged, health.units)
+        };
+        let before = state();
+        refused(&compile("wc", &extra_proc));
+        assert_eq!(state(), before);
     }
 }

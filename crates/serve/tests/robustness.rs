@@ -3,11 +3,15 @@
 //! never hang — and keep serving well-formed peers afterwards.
 
 use pps_obs::Obs;
+use pps_serve::cache::{CompileCache, DEFAULT_CAPACITY};
 use pps_serve::frame::{self, HEADER_LEN, MAX_PAYLOAD, VERSION};
+use pps_serve::pgo::{PgoConfig, PgoState};
 use pps_serve::proto::{
-    decode_response, encode_request, Envelope, ErrorKind, Request, Response,
+    decode_response, encode_request, encode_response, Envelope, ErrorKind, ProfileText, Request,
+    Response,
 };
 use pps_serve::server::{Handler, ServeConfig, ServerHandle};
+use pps_serve::service::{execute, PipelineHandler};
 use pps_serve::Client;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -365,6 +369,39 @@ fn queue_wait_deadlines_are_enforced() {
     );
     assert_eq!(calls_before, 1, "expired request must not reach the handler");
     assert!(matches!(blocker.join().unwrap(), Response::Compile { .. }));
+    server.shutdown();
+    server.join().unwrap();
+}
+
+/// A carried edge profile of 48 bytes whose header declares 2^40 blocks:
+/// allocating its counters would abort the whole daemon. It must get a
+/// `BadProfile` reply, and the daemon must then answer a valid `Compile`
+/// byte-identically to the in-process pipeline.
+#[test]
+fn hostile_carried_profile_is_refused_and_the_daemon_keeps_serving() {
+    let store = Arc::new(CompileCache::new(DEFAULT_CAPACITY));
+    let pgo = Arc::new(PgoState::new(PgoConfig::default(), Obs::noop(), Arc::clone(&store)));
+    let server = spawn(Arc::new(PipelineHandler::new(Some(store), Some(pgo))), test_config());
+    let trained = Request::Profile { bench: "wc".into(), scale: 1, depth: 0 };
+    let Response::Profile { edge, path } = execute(&trained, &Obs::noop(), None, None) else {
+        panic!("profile failed");
+    };
+    let compile = |edge: &str| Request::Compile {
+        bench: "wc".into(),
+        scale: 1,
+        scheme: "P4".into(),
+        profile: Some(ProfileText { edge: edge.into(), path: path.clone() }),
+    };
+    let hostile = "pps-edge-profile v1\nproc 0 blocks 1099511627776\n";
+    assert_eq!(hostile.len(), 48);
+
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr, Some(Duration::from_secs(120))).unwrap();
+    let reply = client.request(compile(hostile)).expect("the daemon answers");
+    assert!(matches!(reply, Response::Error { kind: ErrorKind::BadProfile, .. }), "{reply:?}");
+    let want = encode_response(&execute(&compile(&edge), &Obs::noop(), None, None));
+    let got = client.request(compile(&edge)).expect("the daemon still answers");
+    assert_eq!(encode_response(&got), want, "{got:?}");
     server.shutdown();
     server.join().unwrap();
 }

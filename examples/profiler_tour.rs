@@ -1,6 +1,7 @@
 //! A tour of the three profilers on one program: edge (point) profiles,
 //! general path profiles (the paper's), and Ball–Larus-style forward path
-//! profiles — showing what each can and cannot answer.
+//! profiles (k-iteration paths at k = 1) — showing what each can and
+//! cannot answer.
 //!
 //! ```sh
 //! cargo run --release --example profiler_tour
@@ -9,7 +10,7 @@
 use pps::ir::builder::ProgramBuilder;
 use pps::ir::interp::{ExecConfig, Interp};
 use pps::ir::{AluOp, BlockId, Operand, Program};
-use pps::profile::{EdgeProfiler, ForwardPathProfiler, PathProfiler};
+use pps::profile::{EdgeProfiler, KPathProfiler, PathProfiler};
 
 /// The Figure 1 CFG: A → (X|direct) → B → (C|Y) → latch → A, 1000 loop
 /// iterations. Via-X iterations always continue to C (correlation).
@@ -66,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     interp.run_traced(&[], &mut pp)?;
     let path = pp.finish();
 
-    let mut fp = ForwardPathProfiler::new(&program);
+    let mut fp = KPathProfiler::new(&program, 1);
     interp.run_traced(&[], &mut fp)?;
     let fwd = fp.finish();
 

@@ -4,12 +4,19 @@
 //! and clone, any actual mutation must change the hash, and profile hashes
 //! (depth 15) must survive their own serialize round-trip.
 
+#[path = "support/ir_text.rs"]
+mod ir_text;
+#[path = "support/kpath_text.rs"]
+mod kpath_text;
+
+use ir_text::parse_program;
+use kpath_text::kpath_from_text;
 use pps::ir::hash::{proc_hash, program_hash};
 use pps::ir::interp::{ExecConfig, Interp};
-use pps::ir::text::{parse_program, print_program};
+use pps::ir::text::print_program;
 use pps::ir::trace::TeeSink;
 use pps::profile::serialize::{
-    edge_from_text, edge_to_text, kpath_from_text, kpath_to_text, path_from_text, path_to_text,
+    edge_from_text, edge_to_text, kpath_to_text, path_from_text, path_to_text,
 };
 use pps::profile::{
     edge_hash, kpath_hash, path_hash, profile_pair_hash, profile_triple_hash, EdgeProfiler,

@@ -3,25 +3,26 @@
 //!
 //! Three layers of evidence:
 //!
-//! - **k=1 differential identity** — chopping at the first back-edge
-//!   crossing is, by construction, the forward profiler: on every suite
-//!   benchmark and across random multi-procedure programs, the k=1
-//!   chopper's path multiset equals [`ForwardPathProfiler`]'s exactly.
-//! - **Merge algebra** — `merge_kpaths` is commutative and associative
-//!   down to byte-identical canonical text, the property the serving
-//!   aggregate relies on to fold worker shards in any order.
+//! - **Brute-force oracle** — for k = 1, 2, 3 the collector's paths equal
+//!   a naive chop of the recorded trace, activation by activation. At
+//!   k = 1 the chop is the Ball–Larus forward-path profile, checked on
+//!   every suite benchmark, on counted loops and on random programs.
 //! - **Canonical text** — serialize → parse → serialize is a fixpoint and
 //!   preserves equality.
-//! - **Brute-force oracle** — for k = 1, 2, 3 with and without a block
-//!   cap, the collector's paths equal a naive chop of the recorded trace,
-//!   activation by activation.
+//! - **Derived view** — the path profile derived for `Pk*` formation
+//!   scores only windows some recorded k-path contains.
 
+#[path = "support/kpath_text.rs"]
+mod kpath_text;
+
+use kpath_text::kpath_from_text;
+use pps::ir::analysis::ProcAnalysis;
+use pps::ir::builder::ProgramBuilder;
 use pps::ir::interp::{ExecConfig, Interp};
 use pps::ir::trace::TeeSink;
-use pps::ir::analysis::ProcAnalysis;
-use pps::ir::{BlockEvent, BlockId, VecSink};
-use pps::profile::serialize::{kpath_from_text, kpath_to_text};
-use pps::profile::{merge_kpaths, ForwardPathProfiler, KPathProfile, KPathProfiler};
+use pps::ir::{AluOp, BlockEvent, BlockId, Operand, Program, VecSink};
+use pps::profile::serialize::kpath_to_text;
+use pps::profile::{KPathProfile, KPathProfiler};
 use pps::suite::{all_benchmarks, Scale};
 use pps::testgen::{gen_program, GenConfig};
 use proptest::prelude::*;
@@ -37,45 +38,67 @@ fn sorted_paths<'a>(
     v
 }
 
-/// One traced run feeding the forward profiler and the k=1 chopper;
-/// asserts identical path multisets per procedure.
-fn assert_k1_identity(program: &pps::ir::Program, args: &[i64], label: &str) {
-    let mut tee =
-        TeeSink::new(ForwardPathProfiler::new(program), KPathProfiler::new(program, 1));
+/// One traced run of `program` on `args`: the k-path profile and a naive
+/// chop of the same trace must hold identical path multisets in every
+/// procedure.
+fn assert_matches_naive_chop(program: &Program, args: &[i64], k: usize, label: &str) {
+    let mut tee = TeeSink::new(VecSink::new(), KPathProfiler::new(program, k));
     Interp::new(program, ExecConfig::default())
         .run_traced(args, &mut tee)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
-    let fwd = tee.a.finish();
-    let k1 = tee.b.finish();
+    let prof = tee.b.finish();
+    let naive = naive_kpaths(program, &tee.a.events, k);
     for pid in program.proc_ids() {
         assert_eq!(
-            sorted_paths(k1.iter_paths(pid)),
-            sorted_paths(fwd.iter_paths(pid)),
-            "{label}: k=1 multiset diverges from the forward profiler in {pid}"
+            sorted_paths(prof.iter_paths(pid)),
+            sorted_paths(naive[pid.index()].iter().map(|(p, &c)| (p.as_slice(), c))),
+            "{label}: k={k} multiset diverges from the naive chop in {pid}"
         );
     }
 }
 
-/// Satellite requirement: the identity holds on every suite benchmark —
-/// real loop nests, switches, and call structures, not just generated
-/// CFGs — over the training input.
+/// Simple counted loop: entry -> head; head -> body|exit; body -> head.
+fn counted_loop(n: i64) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.begin_proc("main", 0);
+    let i = f.reg();
+    let c = f.reg();
+    f.mov(i, 0i64);
+    let head = f.new_block();
+    let body = f.new_block();
+    let exit = f.new_block();
+    f.jump(head);
+    f.switch_to(head);
+    f.alu(AluOp::CmpLt, c, Operand::Reg(i), Operand::Imm(n));
+    f.branch(c, body, exit);
+    f.switch_to(body);
+    f.alu(AluOp::Add, i, i, 1i64);
+    f.jump(head);
+    f.switch_to(exit);
+    f.ret(None);
+    let main = f.finish();
+    pb.finish(main)
+}
+
+/// The k = 1 profile is the forward-path profile on every suite
+/// benchmark (real loop nests, switches and call structures, not just
+/// generated CFGs) over the training input, and on counted loops that run
+/// their body zero, one and many times.
 #[test]
 fn k1_matches_forward_profiler_on_every_suite_benchmark() {
     for bench in all_benchmarks(Scale::quick()) {
-        assert_k1_identity(&bench.program, &bench.train_args, bench.name);
+        assert_matches_naive_chop(&bench.program, &bench.train_args, 1, bench.name);
+    }
+    for n in [0, 1, 5, 17] {
+        assert_matches_naive_chop(&counted_loop(n), &[], 1, &format!("counted loop n = {n}"));
     }
 }
 
-/// A k-path profile for `seed`'s generated program, accumulated over
-/// `runs` executions (so differently-trained profiles of one program have
-/// genuinely different counts to merge).
-fn trained(seed: u64, k: usize, runs: usize) -> KPathProfile {
+/// The k-path profile of one run of `seed`'s generated program.
+fn trained(seed: u64, k: usize) -> KPathProfile {
     let program = gen_program(seed, GenConfig::default());
     let mut prof = KPathProfiler::new(&program, k);
-    let interp = Interp::new(&program, ExecConfig::default());
-    for _ in 0..runs {
-        interp.run_traced(&[], &mut prof).unwrap();
-    }
+    Interp::new(&program, ExecConfig::default()).run_traced(&[], &mut prof).unwrap();
     prof.finish()
 }
 
@@ -85,42 +108,14 @@ proptest! {
     #[test]
     fn k1_matches_forward_profiler_on_random_programs(seed in 0u64..100_000) {
         let program = gen_program(seed, GenConfig::default());
-        assert_k1_identity(&program, &[], &format!("seed {seed}"));
-    }
-
-    /// Merging is commutative and associative down to the canonical bytes
-    /// (profiles trained at different k refuse to merge — covered by the
-    /// unit tests in `pps-profile`).
-    #[test]
-    fn kpath_merge_is_commutative_and_associative(
-        seed in 0u64..50_000,
-        ra in 1u32..4,
-        rb in 1u32..4,
-        rc in 1u32..4,
-        k in 1u32..4,
-    ) {
-        // Merging requires one program shape, so all three profiles come
-        // from `seed`'s program; differing run counts give them genuinely
-        // different counts.
-        let k = k as usize;
-        let a = trained(seed, k, ra as usize);
-        let b = trained(seed, k, rb as usize);
-        let c = trained(seed, k, rc as usize);
-
-        let ab = merge_kpaths(&a, &b).unwrap();
-        let ba = merge_kpaths(&b, &a).unwrap();
-        prop_assert_eq!(kpath_to_text(&ab), kpath_to_text(&ba), "commutativity");
-
-        let ab_c = merge_kpaths(&ab, &c).unwrap();
-        let a_bc = merge_kpaths(&a, &merge_kpaths(&b, &c).unwrap()).unwrap();
-        prop_assert_eq!(kpath_to_text(&ab_c), kpath_to_text(&a_bc), "associativity");
+        assert_matches_naive_chop(&program, &[], 1, &format!("seed {seed}"));
     }
 
     /// Canonical text is a fixpoint: serialize → parse → serialize yields
     /// the identical bytes and an equal profile.
     #[test]
     fn kpath_text_round_trips(seed in 0u64..100_000, k in 1u32..4) {
-        let prof = trained(seed, k as usize, 1);
+        let prof = trained(seed, k as usize);
         let text = kpath_to_text(&prof);
         let reparsed = kpath_from_text(&text).unwrap();
         prop_assert_eq!(&reparsed, &prof);
@@ -131,7 +126,7 @@ proptest! {
     /// derivation scores was a substring of some recorded k-path.
     #[test]
     fn derived_windows_are_kpath_substrings(seed in 0u64..50_000, k in 2u32..4) {
-        let prof = trained(seed, k as usize, 1);
+        let prof = trained(seed, k as usize);
         let program = gen_program(seed, GenConfig::default());
         let derived = prof.to_path_profile(15);
         for pid in program.proc_ids() {
@@ -155,13 +150,11 @@ proptest! {
 
 /// The k-path specification, applied naively: splits each activation's
 /// block sequence before the block that would be its `k`-th back-edge
-/// crossing, and before any block that would exceed `max_blocks` blocks
-/// (0 = no cap); a cap cut starts the crossing count afresh.
+/// crossing.
 fn naive_kpaths(
-    program: &pps::ir::Program,
+    program: &Program,
     events: &[BlockEvent],
     k: usize,
-    max_blocks: usize,
 ) -> Vec<HashMap<Vec<BlockId>, u64>> {
     let back_edges: Vec<HashSet<(BlockId, BlockId)>> = program
         .procs
@@ -182,8 +175,7 @@ fn naive_kpaths(
                 for b in seq {
                     if let Some(&last) = path.last() {
                         let back = back_edges[p.index()].contains(&(last, b));
-                        let capped = max_blocks > 0 && path.len() >= max_blocks;
-                        if (back && crossings + 1 == k) || capped {
+                        if back && crossings + 1 == k {
                             *counts[p.index()].entry(std::mem::take(&mut path)).or_insert(0) += 1;
                             crossings = 0;
                         } else if back {
@@ -205,29 +197,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
-    fn kpaths_match_a_naive_chop_of_the_trace(
-        seed in 0u64..100_000,
-        k in 1usize..4,
-        capped in 0u32..2,
-    ) {
-        let max_blocks = if capped == 1 { 5 } else { 0 };
+    fn kpaths_match_a_naive_chop_of_the_trace(seed in 0u64..100_000, k in 1usize..4) {
         let program = gen_program(seed, GenConfig::default());
-        let mut tee = TeeSink::new(
-            VecSink::new(),
-            KPathProfiler::with_max_blocks(&program, k, max_blocks),
-        );
-        Interp::new(&program, ExecConfig::default()).run_traced(&[], &mut tee).unwrap();
-        let prof = tee.b.finish();
-        let naive = naive_kpaths(&program, &tee.a.events, k, max_blocks);
-        for pid in program.proc_ids() {
-            let mut want: Vec<(Vec<BlockId>, u64)> =
-                naive[pid.index()].iter().map(|(p, &c)| (p.clone(), c)).collect();
-            want.sort();
-            prop_assert_eq!(
-                sorted_paths(prof.iter_paths(pid)),
-                want,
-                "seed {} k {} max_blocks {} {:?}", seed, k, max_blocks, pid
-            );
-        }
+        assert_matches_naive_chop(&program, &[], k, &format!("seed {seed}"));
     }
 }

@@ -4,7 +4,7 @@
 
 use pps::ir::interp::{ExecConfig, Interp};
 use pps::ir::{BlockId, ProcId, VecSink};
-use pps::profile::{EdgeProfiler, ForwardPathProfiler, PathProfiler};
+use pps::profile::{EdgeProfiler, KPathProfiler, PathProfiler};
 use pps::testgen::{gen_program, GenConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -133,11 +133,12 @@ proptest! {
 
     #[test]
     fn forward_paths_partition_the_trace(seed in 0u64..100_000) {
-        // Every block event belongs to exactly one forward path, so the
-        // length-weighted path counts must sum to the block-event count.
+        // Every block event belongs to exactly one forward path (a k-path
+        // at k = 1), so the length-weighted path counts must sum to the
+        // block-event count.
         let program = gen_program(seed, GenConfig::default());
         let interp = Interp::new(&program, ExecConfig::default());
-        let mut fp = ForwardPathProfiler::new(&program);
+        let mut fp = KPathProfiler::new(&program, 1);
         let result = interp.run_traced(&[], &mut fp).unwrap();
         let fwd = fp.finish();
         let total: u64 = program
@@ -380,7 +381,7 @@ proptest! {
 // `BLESS=1 cargo test --test profile_props golden_profile_hashes`.
 
 use pps::ir::{Exec, TraceSink};
-use pps::profile::{edge_hash, kpath_hash, path_hash, KPathProfiler};
+use pps::profile::{edge_hash, kpath_hash, path_hash};
 use pps::suite::all_benchmarks;
 
 /// Runs `program` on `args` on the fast engine (the one training uses),
