@@ -315,7 +315,7 @@ mod tests {
     use super::*;
     use pps_ir::builder::ProgramBuilder;
     use pps_ir::interp::{ExecConfig, Interp};
-    use pps_ir::{AluOp, Operand, Program};
+    use pps_ir::{AluOp, BlockEvent, Operand, Program, VecSink};
 
     /// Simple counted loop: entry -> head; head -> body|exit; body -> head.
     fn counted_loop(n: i64) -> Program {
@@ -396,6 +396,40 @@ mod tests {
         assert_eq!(kp.distinct_paths(main), 3);
         // No forward path spans a back edge.
         assert_eq!(kp.path_count(main, &[head, body, head]), 0);
+    }
+
+    #[test]
+    fn k1_matches_forward_profiler_exactly() {
+        for n in [0, 1, 5, 17] {
+            let p = counted_loop(n);
+            let main = p.entry;
+            let mut trace = VecSink::new();
+            Interp::new(&p, ExecConfig::default())
+                .run_traced(&[], &mut trace)
+                .unwrap();
+            // Forward paths by hand: split the one activation's block
+            // sequence before every back-edge target.
+            let back_edges = ProcAnalysis::compute(p.proc(main)).loops.back_edges;
+            let mut fwd: HashMap<Vec<BlockId>, u64> = HashMap::new();
+            let mut path: Vec<BlockId> = Vec::new();
+            for e in &trace.events {
+                if let BlockEvent::Block(_, b) = *e {
+                    if path.last().is_some_and(|&last| back_edges.contains(&(last, b))) {
+                        *fwd.entry(std::mem::take(&mut path)).or_insert(0) += 1;
+                    }
+                    path.push(b);
+                }
+            }
+            *fwd.entry(path).or_insert(0) += 1;
+            let mut a: Vec<(Vec<BlockId>, u64)> = fwd.into_iter().collect();
+            let mut b: Vec<(Vec<BlockId>, u64)> = kprofile(&p, 1)
+                .iter_paths(main)
+                .map(|(p, c)| (p.to_vec(), c))
+                .collect();
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "n = {n}");
+        }
     }
 
     #[test]
